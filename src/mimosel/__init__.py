@@ -25,16 +25,13 @@ from .harness import (
     oracle_check,
     run_monte_carlo,
     run_trial,
-    sweep,
 )
 from .metrics import SingularSetError, sum_spectral_efficiency, zf_post_snr
 from .numerics import (
     BasisConstructionError,
     OpLedger,
     OrthonormalBasis,
-    correlation,
     gram_schmidt_extend,
-    hermitian_inner,
     orthonormality_defect,
     subset_count,
 )
@@ -49,7 +46,6 @@ from .selectors import (
     mcore_plus,
     random_select,
     run_selection,
-    single_stream_rate,
     ss_us,
     sus,
 )

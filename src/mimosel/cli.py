@@ -14,10 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .complexity import CostQuery, relative_cost
-from .harness import ExperimentConfig, emit, oracle_check, run_monte_carlo
+from .harness import (
+    ExperimentConfig,
+    emit,
+    oracle_check,
+    parse_value,
+    run_monte_carlo,
+    write_text,
+)
 from .selectors import Algorithm
 
 
@@ -25,74 +31,48 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+def _config_list(text: str) -> list:
+    return parse_value(f"[{text}]")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+# Flags of ``mc`` and ``sweep`` that override the config key they name:
+# (flag, config key, parser of the flag text, help).
+_RUN_OVERRIDES = (
+    ("--seed", "master_seed", parse_value, "override the master seed"),
+    ("--trials", "trials", parse_value, "override the trial count"),
+    ("--workers", "workers", parse_value,
+     "parallel worker processes, capped at the CPU count"),
+    ("--format", "output.format", str, "output format: csv or json"),
+    ("--out", "output.path", str, "output path (default: config output.path or stdout)"),
+)
+_SWEEP_OVERRIDES = (
+    ("--m", "grid.m", _config_list, "override antenna counts, e.g. 4,8"),
+    ("--u", "grid.u", _config_list, "override user-pool sizes"),
+    ("--p0", "grid.p0_dbm", _config_list, "override target powers in dBm"),
+    ("--l", "ssus.l", _config_list, "override basis counts"),
+    ("--alpha", "ssus.alpha", _config_list, "override correlation thresholds"),
+)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, overrides) -> None:
     parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--workers", type=int, help="parallel worker processes")
-    parser.add_argument("--timing", action="store_true",
+    parser.add_argument("--timing", dest="timing", action="store_true", default=None,
                         help="emit measured wall times (off by default so "
                              "outputs are reproducible byte for byte)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--out", help="output path (default: config output.path or stdout)")
+    for flag, key, parse, help_text in overrides:
+        parser.add_argument(flag, dest=key, type=parse, metavar=flag[2:].upper(),
+                            help=help_text)
+    parser.set_defaults(func=_cmd_run)
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.timing:
-        updates["timing"] = True
-    if args.format is not None:
-        updates["output_format"] = args.format
-    if args.out is not None:
-        updates["output_path"] = args.out
-    if updates:
-        cfg = replace(cfg, **updates)
-        cfg.validate()
-    return cfg
-
-
-def _emit_rows(rows, fmt: str, path) -> None:
-    text = emit(rows, fmt, path)
-    if path is None:
+def _cmd_run(args) -> int:
+    keys = ["timing"] + [key for _, key, _, _ in _RUN_OVERRIDES + _SWEEP_OVERRIDES]
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    cfg = ExperimentConfig.from_file(args.config, overrides)
+    rows = run_monte_carlo(cfg)
+    text = emit(rows, cfg.output_format, cfg.output_path)
+    if cfg.output_path is None:
         sys.stdout.write(text)
-
-
-def _cmd_mc(args) -> int:
-    cfg = _load_config(args)
-    rows = run_monte_carlo(cfg)
-    _emit_rows(rows, cfg.output_format, cfg.output_path)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    updates = {}
-    if args.m is not None:
-        updates["m_values"] = args.m
-    if args.u is not None:
-        updates["u_values"] = args.u
-    if args.p0 is not None:
-        updates["p0_dbm_values"] = args.p0
-    if args.l is not None:
-        updates["ssus_num_bases"] = args.l
-    if args.alpha is not None:
-        updates["ssus_alpha"] = args.alpha
-    if updates:
-        cfg = replace(cfg, **updates)
-        cfg.validate()
-    rows = run_monte_carlo(cfg)
-    _emit_rows(rows, cfg.output_format, cfg.output_path)
     return 0
 
 
@@ -150,11 +130,7 @@ def _write_table(rows: list[dict], columns: tuple[str, ...], fmt: str, path) -> 
     if path is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write output file {path}: {exc}") from exc
+        write_text(text, path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,17 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo run over a config file")
-    _add_run_flags(p_mc)
-    p_mc.set_defaults(func=_cmd_mc)
-
+    _add_run_flags(p_mc, _RUN_OVERRIDES)
     p_sweep = sub.add_parser("sweep", help="grid sweep with command-line overrides")
-    _add_run_flags(p_sweep)
-    p_sweep.add_argument("--m", type=_int_list, help="override antenna counts, e.g. 4,8")
-    p_sweep.add_argument("--u", type=_int_list, help="override user-pool sizes")
-    p_sweep.add_argument("--p0", type=_float_list, help="override target powers in dBm")
-    p_sweep.add_argument("--l", type=_int_list, help="override basis counts")
-    p_sweep.add_argument("--alpha", type=_float_list, help="override correlation thresholds")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    _add_run_flags(p_sweep, _RUN_OVERRIDES + _SWEEP_OVERRIDES)
 
     p_cost = sub.add_parser("cost", help="closed-form cost-model table")
     p_cost.add_argument("--u", type=int, default=100, help="candidate pool size")

@@ -12,10 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import os
+import re
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,15 +43,16 @@ __all__ = [
     "TrialReport",
     "AggregateRow",
     "parse_config_text",
+    "parse_value",
     "grid_points",
     "algo_instances",
     "run_trial",
     "run_monte_carlo",
-    "sweep",
     "oracle_check",
     "rows_to_csv",
     "rows_to_json",
     "emit",
+    "write_text",
     "CSV_COLUMNS",
 ]
 
@@ -77,111 +82,151 @@ CSV_COLUMNS = (
 _ALGORITHM_NAMES = tuple(a.value for a in Algorithm)
 
 
-@dataclass
+def _setting(key: str, default, check=None):
+    """Field of the config setting named ``key`` in config files.
+
+    The element type, and whether the setting is a list or optional, come
+    from the field's annotation. ``check`` is an optional (predicate, rule)
+    pair: the range test of one converted element and the phrase naming it
+    in the error.
+    """
+    return field(default=default, metadata={"key": key, "check": check})
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_UNIT_OPEN = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Experiment grid, per-algorithm tunables, and run controls."""
+    """Experiment grid, per-algorithm tunables, and run controls.
 
-    m_values: tuple[int, ...] = (4, 8)
-    u_values: tuple[int, ...] = (20, 50, 100)
-    p0_dbm_values: tuple[float, ...] = (-90.0, -95.0)
-    bandwidth_hz: float = 20e6
-    noise_figure_db: float = 5.0
-    algorithms: tuple[str, ...] = ("ssus", "sus", "gzf", "random")
-    ssus_num_bases: tuple[int, ...] = (10,)
-    ssus_alpha: tuple[float, ...] = (0.45,)
-    sus_epsilon: float = 0.3
-    k_max: int | None = None
-    random_k: int | None = None
-    trials: int = 1000
-    master_seed: int = 1234
-    workers: int = 1
-    timing: bool = False
-    output_path: str | None = None
-    output_format: str = "csv"
+    Construction converts and checks every setting, so an instance is always
+    valid: int settings take integers only, float settings finite numbers,
+    bool settings true or false, list settings a non-empty list or a scalar.
+    """
 
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        for name in ("m_values", "u_values", "p0_dbm_values", "algorithms",
-                     "ssus_num_bases", "ssus_alpha"):
-            if not getattr(self, name):
-                raise ValueError(f"config list {name} must be non-empty")
-        if any(m < 1 for m in self.m_values):
-            raise ValueError(f"antenna counts must be >= 1, got {self.m_values}")
-        if any(u < 1 for u in self.u_values):
-            raise ValueError(f"user counts must be >= 1, got {self.u_values}")
-        for algo in self.algorithms:
-            if algo not in _ALGORITHM_NAMES:
-                raise ValueError(
-                    f"unknown algorithm {algo!r}; choose from {_ALGORITHM_NAMES}"
-                )
+    m_values: tuple[int, ...] = _setting("grid.m", (4, 8), _AT_LEAST_1)
+    u_values: tuple[int, ...] = _setting("grid.u", (20, 50, 100), _AT_LEAST_1)
+    p0_dbm_values: tuple[float, ...] = _setting("grid.p0_dbm", (-90.0, -95.0))
+    bandwidth_hz: float = _setting(
+        "link.bandwidth_hz", 20e6, (lambda v: v > 0, "must be positive")
+    )
+    noise_figure_db: float = _setting("link.noise_figure_db", 5.0)
+    algorithms: tuple[str, ...] = _setting(
+        "select.algorithms",
+        ("ssus", "sus", "gzf", "random"),
+        (
+            lambda v: v in _ALGORITHM_NAMES,
+            f"names an unknown algorithm (choose from {', '.join(_ALGORITHM_NAMES)})",
+        ),
+    )
+    ssus_num_bases: tuple[int, ...] = _setting("ssus.l", (10,), _AT_LEAST_1)
+    ssus_alpha: tuple[float, ...] = _setting("ssus.alpha", (0.45,), _UNIT_OPEN)
+    sus_epsilon: float = _setting("sus.epsilon", 0.3, _UNIT_OPEN)
+    k_max: int | None = _setting("select.k_max", None, _AT_LEAST_1)
+    random_k: int | None = _setting("random.k", None, _AT_LEAST_1)
+    trials: int = _setting("trials", 1000, _AT_LEAST_1)
+    master_seed: int = _setting("master_seed", 1234)
+    workers: int = _setting("workers", 1, _AT_LEAST_1)
+    timing: bool = _setting("timing", False)
+    output_path: str | None = _setting("output.path", None)
+    output_format: str = _setting(
+        "output.format", "csv", (lambda v: v in ("csv", "json"), "must be csv or json")
+    )
+
+    def __post_init__(self):
+        for f in fields(self):
+            key = f.metadata["key"]
+            kind, many, optional = _SHAPES[f.name]
+            value = getattr(self, f.name)
+            if optional and value is None:
+                continue
+            if many:
+                items = value if isinstance(value, (list, tuple)) else (value,)
+                if not items:
+                    raise ValueError(f"{key} must be non-empty")
+                value = tuple(_typed(key, kind, f.metadata["check"], v) for v in items)
+            else:
+                value = _typed(key, kind, f.metadata["check"], value)
+            object.__setattr__(self, f.name, value)
         if self.k_max is not None:
-            if self.k_max < 1:
-                raise ValueError(f"k_max must be >= 1, got {self.k_max}")
             bad = [m for m in self.m_values if self.k_max > m]
             if bad:
                 raise ValueError(
-                    f"k_max={self.k_max} exceeds antenna count for M in {bad}"
+                    f"select.k_max={self.k_max} exceeds antenna count for M in {bad}"
                 )
-        if any(l < 1 for l in self.ssus_num_bases):
-            raise ValueError(f"ssus.l entries must be >= 1, got {self.ssus_num_bases}")
-        if any(not 0.0 < a < 1.0 for a in self.ssus_alpha):
-            raise ValueError(f"ssus.alpha entries must lie in (0, 1), got {self.ssus_alpha}")
-        if not 0.0 < self.sus_epsilon < 1.0:
-            raise ValueError(f"sus.epsilon must lie in (0, 1), got {self.sus_epsilon}")
-        if self.random_k is not None and self.random_k < 1:
-            raise ValueError(f"random.k must be >= 1, got {self.random_k}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output format must be csv or json, got {self.output_format!r}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = {
-            "trials": "trials",
-            "master_seed": "master_seed",
-            "workers": "workers",
-            "timing": "timing",
-            "grid.m": "m_values",
-            "grid.u": "u_values",
-            "grid.p0_dbm": "p0_dbm_values",
-            "link.bandwidth_hz": "bandwidth_hz",
-            "link.noise_figure_db": "noise_figure_db",
-            "select.algorithms": "algorithms",
-            "select.k_max": "k_max",
-            "ssus.l": "ssus_num_bases",
-            "ssus.alpha": "ssus_alpha",
-            "sus.epsilon": "sus_epsilon",
-            "random.k": "random_k",
-            "output.path": "output_path",
-            "output.format": "output_format",
-        }
-        unknown = sorted(set(mapping) - set(known))
+        """Build a config from values keyed as in config files."""
+        names = {f.metadata["key"]: f.name for f in fields(cls)}
+        unknown = sorted(set(mapping) - set(names))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        list_fields = {"m_values", "u_values", "p0_dbm_values", "algorithms",
-                       "ssus_num_bases", "ssus_alpha"}
-        kwargs = {}
-        for key, value in mapping.items():
-            name = known[key]
-            if name in list_fields:
-                value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-            kwargs[name] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**{names[key]: value for key, value in mapping.items()})
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
+        """Build a config from a file; ``overrides`` replace its values by key."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read config file {path}: {exc}") from exc
-        return cls.from_mapping(parse_config_text(text))
+        return cls.from_mapping({**parse_config_text(text), **(overrides or {})})
+
+
+def _shape(annotation) -> tuple[type, bool, bool]:
+    """(element type, is a list, is optional) of a setting's annotation."""
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple:
+        return args[0], True, False
+    if type(None) in args:
+        return args[0], False, True
+    return annotation, False, False
+
+
+_SHAPES = {
+    name: _shape(annotation)
+    for name, annotation in typing.get_type_hints(ExperimentConfig).items()
+}
+_TYPE_RULES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(key: str, kind: type, check, value):
+    """``value`` converted to ``kind``, after the type and range checks of ``key``."""
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        try:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:
+            ok = False
+    if not ok:
+        raise ValueError(f"{key} must be {_TYPE_RULES[kind]}, got {value!r}")
+    value = kind(value)
+    if check is not None and not check[0](value):
+        raise ValueError(f"{key} {check[1]}, got {value!r}")
+    return value
+
+
+# The part of a line before its comment: a ``#`` inside quotes is literal,
+# and an unpaired quote is an ordinary character.
+_BEFORE_COMMENT = re.compile(r"""(?:[^#'"]|'[^']*'|"[^"]*"|['"])*""")
+
+
+def parse_value(token: str):
+    """Parse one config value: a scalar or a bracketed, comma-separated list."""
+    token = token.strip()
+    if token.startswith("[") and token.endswith("]"):
+        inner = token[1:-1].strip()
+        return [_parse_scalar(t) for t in inner.split(",")] if inner else []
+    return _parse_scalar(token)
 
 
 def _parse_scalar(token: str):
@@ -209,11 +254,11 @@ def parse_config_text(text: str) -> dict:
 
     Keys use dotted section names; values are scalars (int, float, bool,
     bare or quoted string) or comma-separated lists in square brackets.
-    ``#`` starts a comment.
+    ``#`` outside quotes starts a comment.
     """
     mapping: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:
@@ -225,11 +270,7 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: empty key or value in {raw!r}")
         if key in mapping:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            mapping[key] = [_parse_scalar(t) for t in inner.split(",")] if inner else []
-        else:
-            mapping[key] = _parse_scalar(value)
+        mapping[key] = parse_value(value)
     return mapping
 
 
@@ -297,12 +338,12 @@ class AggregateRow:
     num_bases: int | None
     alpha: float | None
     p0_dbm: float
-    trials: int
-    mean_se: float | None
-    stderr_se: float | None
-    mean_kb: float | None
-    mean_macs: float | None
-    mean_wall_us: float | None
+    trials: int = 0
+    mean_se: float | None = None
+    stderr_se: float | None = None
+    mean_kb: float | None = None
+    mean_macs: float | None = None
+    mean_wall_us: float | None = None
     skip_reason: str | None = None
 
 
@@ -440,7 +481,7 @@ def _run_point_trials(
     if cfg.workers <= 1 or cfg.trials <= 1:
         reports = [run_trial(cfg, point, instances, t) for t in indices]
     else:
-        n_workers = min(cfg.workers, cfg.trials)
+        n_workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
         n_chunks = n_workers * 4
         chunks = [indices[i::n_chunks] for i in range(n_chunks) if indices[i::n_chunks]]
         tasks = [(cfg, point, instances, chunk) for chunk in chunks]
@@ -448,6 +489,21 @@ def _run_point_trials(
             reports = [r for batch in pool.map(_trial_chunk, tasks) for r in batch]
         reports.sort(key=lambda r: r.trial_index)
     return reports
+
+
+def _row(point: GridPoint, inst: AlgoInstance, **stats) -> AggregateRow:
+    """Row of ``inst`` at ``point``; without ``stats`` it has zero trials."""
+    return AggregateRow(
+        scenario_id=point.scenario_id,
+        algorithm=inst.label,
+        m=point.m,
+        u=point.u,
+        k_max=point.k_max,
+        num_bases=inst.num_bases,
+        alpha=inst.alpha,
+        p0_dbm=point.p0_dbm,
+        **stats,
+    )
 
 
 def _aggregate(
@@ -459,23 +515,7 @@ def _aggregate(
     cells = [r.cells[inst] for r in reports if r.cells[inst].error is None]
     n = len(cells)
     if n == 0:
-        return AggregateRow(
-            scenario_id=point.scenario_id,
-            algorithm=inst.label,
-            m=point.m,
-            u=point.u,
-            k_max=point.k_max,
-            num_bases=inst.num_bases,
-            alpha=inst.alpha,
-            p0_dbm=point.p0_dbm,
-            trials=0,
-            mean_se=None,
-            stderr_se=None,
-            mean_kb=None,
-            mean_macs=None,
-            mean_wall_us=None,
-            skip_reason="all trials failed",
-        )
+        return _row(point, inst, skip_reason="all trials failed")
     mean_se = math.fsum(c.se for c in cells) / n
     if n > 1:
         var = math.fsum((c.se - mean_se) ** 2 for c in cells) / (n - 1)
@@ -487,15 +527,9 @@ def _aggregate(
     mean_wall_us = (
         math.fsum(c.wall_ns for c in cells) / n / 1000.0 if timing else 0.0
     )
-    return AggregateRow(
-        scenario_id=point.scenario_id,
-        algorithm=inst.label,
-        m=point.m,
-        u=point.u,
-        k_max=point.k_max,
-        num_bases=inst.num_bases,
-        alpha=inst.alpha,
-        p0_dbm=point.p0_dbm,
+    return _row(
+        point,
+        inst,
         trials=n,
         mean_se=mean_se,
         stderr_se=stderr,
@@ -505,14 +539,13 @@ def _aggregate(
     )
 
 
-def sweep(cfg: ExperimentConfig) -> list[AggregateRow]:
+def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
     """Cross the grid with every algorithm variant, one aggregate row each.
 
     Infeasible cells (for example the exhaustive oracle on a too-large
     pool) become skipped rows with zero trials; the reason is logged to
     stderr and kept on the row object.
     """
-    cfg.validate()
     instances = algo_instances(cfg)
     rows: list[AggregateRow] = []
     for point in grid_points(cfg):
@@ -531,33 +564,10 @@ def sweep(cfg: ExperimentConfig) -> list[AggregateRow]:
                     f"skipped {inst.label} at {point.scenario_id}: {skip_for[inst]}",
                     file=sys.stderr,
                 )
-                rows.append(
-                    AggregateRow(
-                        scenario_id=point.scenario_id,
-                        algorithm=inst.label,
-                        m=point.m,
-                        u=point.u,
-                        k_max=point.k_max,
-                        num_bases=inst.num_bases,
-                        alpha=inst.alpha,
-                        p0_dbm=point.p0_dbm,
-                        trials=0,
-                        mean_se=None,
-                        stderr_se=None,
-                        mean_kb=None,
-                        mean_macs=None,
-                        mean_wall_us=None,
-                        skip_reason=skip_for[inst],
-                    )
-                )
+                rows.append(_row(point, inst, skip_reason=skip_for[inst]))
             else:
                 rows.append(_aggregate(point, inst, reports, cfg.timing))
     return rows
-
-
-def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
-    """Run the full Monte Carlo experiment described by the config."""
-    return sweep(cfg)
 
 
 def oracle_check(
@@ -605,7 +615,6 @@ def oracle_check(
         trials=trials,
         master_seed=master_seed,
     )
-    cfg.validate()
     point = grid_points(cfg)[0]
     instances = algo_instances(cfg)
     oracle_inst = next(i for i in instances if i.algorithm is Algorithm.EXHAUSTIVE)
@@ -711,9 +720,14 @@ def emit(rows: list[AggregateRow], fmt: str = "csv", path=None) -> str:
     else:
         raise ValueError(f"output format must be csv or json, got {fmt!r}")
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write output file {path}: {exc}") from exc
+        write_text(text, path)
     return text
+
+
+def write_text(text: str, path) -> None:
+    """Write ``text`` to ``path``; a failure is a ValueError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {path}: {exc}") from exc

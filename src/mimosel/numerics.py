@@ -18,8 +18,6 @@ __all__ = [
     "OpLedger",
     "OrthonormalBasis",
     "BasisConstructionError",
-    "hermitian_inner",
-    "correlation",
     "gram_schmidt_extend",
     "orthonormality_defect",
     "subset_count",
@@ -71,36 +69,6 @@ def _as_vector(a, name: str) -> np.ndarray:
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a 1-D vector of length >= 1, got shape {arr.shape}")
     return arr
-
-
-def hermitian_inner(a, b, ledger: OpLedger) -> complex:
-    """Inner product sum(conj(a_i) * b_i); costs len(a) complex MACs."""
-    av = _as_vector(a, "a")
-    bv = _as_vector(b, "b")
-    if av.size != bv.size:
-        raise ValueError(f"dimension mismatch: len(a)={av.size}, len(b)={bv.size}")
-    ledger.complex_macs += av.size
-    return complex(np.vdot(av, bv))
-
-
-def correlation(h, v, ledger: OpLedger) -> float:
-    """Normalized magnitude of the inner product, clamped to [0, 1].
-
-    Both norms and the inner product are computed here (3M MACs, one
-    division); callers with precomputed norms should inline the cheaper form.
-    """
-    hv = _as_vector(h, "h")
-    vv = _as_vector(v, "v")
-    if hv.size != vv.size:
-        raise ValueError(f"dimension mismatch: len(h)={hv.size}, len(v)={vv.size}")
-    nh = np.linalg.norm(hv)
-    nv = np.linalg.norm(vv)
-    ledger.complex_macs += 3 * hv.size
-    if nh == 0.0 or nv == 0.0:
-        raise ValueError("correlation undefined for a zero-norm vector")
-    num = abs(np.vdot(hv, vv))
-    ledger.divisions += 1
-    return float(min(max(num / (nh * nv), 0.0), 1.0))
 
 
 def gram_schmidt_extend(

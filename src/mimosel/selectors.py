@@ -30,7 +30,6 @@ __all__ = [
     "Algorithm",
     "SelectionConfig",
     "SelectionResult",
-    "single_stream_rate",
     "basis_stream",
     "ss_us",
     "sus",
@@ -123,14 +122,6 @@ def _column_norms(h: np.ndarray, ledger: OpLedger) -> np.ndarray:
     m, u = h.shape
     ledger.complex_macs += u * m
     return np.linalg.norm(h, axis=0)
-
-
-def single_stream_rate(h, n0: float) -> float:
-    """Achievable rate log2(1 + ||h||^2 / n0) of a lone stream in bits/s/Hz."""
-    if n0 <= 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
-    hv = np.asarray(h, dtype=np.complex128).ravel()
-    return float(np.log2(1.0 + np.vdot(hv, hv).real / n0))
 
 
 def basis_stream(rng_seed: int, basis_index: int) -> np.random.Generator:
@@ -346,10 +337,21 @@ def mcore_plus(h, n0: float, ledger: OpLedger) -> SelectionResult:
         min_dist = np.minimum(min_dist, chordal[:, pick])
 
     short_users = sorted(int(pool[i]) for i in shortlist)
+    return SelectionResult(
+        selected=_best_subset(hm, short_users, len(short_users), n0, ledger)
+    )
+
+
+def _best_subset(hm: np.ndarray, users, max_size: int, n0: float, ledger: OpLedger):
+    """Subset of ``users`` with 1..``max_size`` members and the highest ZF sum SE.
+
+    Singular subsets are skipped; every scored subset costs one comparison.
+    Ties break toward the lexicographically smallest subset.
+    """
     best_rate = -np.inf
     best_set: tuple[int, ...] = ()
-    for size in range(1, len(short_users) + 1):
-        for combo in itertools.combinations(short_users, size):
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(users, size):
             try:
                 rate = sum_spectral_efficiency(hm[:, list(combo)], n0, ledger)
             except SingularSetError:
@@ -358,7 +360,7 @@ def mcore_plus(h, n0: float, ledger: OpLedger) -> SelectionResult:
             if rate > best_rate or (rate == best_rate and combo < best_set):
                 best_rate = rate
                 best_set = combo
-    return SelectionResult(selected=best_set)
+    return best_set
 
 
 def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:
@@ -388,19 +390,7 @@ def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionRe
         raise ValueError(
             f"exhaustive search space {space} exceeds cap {EXHAUSTIVE_SUBSET_CAP}"
         )
-    best_rate = -np.inf
-    best_set: tuple[int, ...] = ()
-    for size in range(1, k_cap + 1):
-        for combo in itertools.combinations(range(u), size):
-            try:
-                rate = sum_spectral_efficiency(hm[:, list(combo)], n0, ledger)
-            except SingularSetError:
-                continue
-            ledger.comparisons += 1
-            if rate > best_rate or (rate == best_rate and list(combo) < list(best_set)):
-                best_rate = rate
-                best_set = combo
-    return SelectionResult(selected=best_set)
+    return SelectionResult(selected=_best_subset(hm, range(u), k_cap, n0, ledger))
 
 
 def run_selection(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

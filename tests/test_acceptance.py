@@ -64,7 +64,6 @@ def criterion(number: int, name: str):
 
 def collect_trials(cfg: ExperimentConfig):
     """Sequential paired trials for one grid point, as (instances, reports)."""
-    cfg.validate()
     points = grid_points(cfg)
     assert len(points) == 1
     instances = algo_instances(cfg)

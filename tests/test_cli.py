@@ -68,6 +68,47 @@ class TestMcCommand:
         assert main(["mc", "--config", str(path)]) == 1
         assert "unknown algorithm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, flags",
+        [
+            ("grid.m = [4.5]", []),
+            ("trials = 2.7", []),
+            ("grid.u = [ssus]", []),
+            ("select.k_max = 2.5", []),
+            ("link.noise_figure_db = abc", []),
+            ("trials = true", []),
+            ("ssus.l = [2.5]", []),
+            ("workers = 2.5", []),
+            ("grid.p0_dbm = [nan]", []),
+            ("link.bandwidth_hz = inf", []),
+            ("timing = 1", []),
+            (None, ["--trials", "2.7"]),
+            (None, ["--workers", "0"]),
+            (None, ["--seed", "abc"]),
+            (None, ["--format", "xml"]),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, line, flags):
+        lines = CONFIG.strip().split("\n")
+        if line is not None:
+            key = line.split("=")[0].strip()
+            lines = [x for x in lines if x.split("=")[0].strip() != key] + [line]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rows.csv"
+        assert main(["mc", "--config", str(path), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_hash_in_quoted_output_path(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with open(config_path, "a") as fh:
+            fh.write('output.path = "a#b.csv"  # comment\n')
+        assert main(["mc", "--config", config_path]) == 0
+        assert (tmp_path / "a#b.csv").read_text().startswith("scenario_id,")
+        assert not (tmp_path / '"a').exists()
+
 
 class TestSweepCommand:
     def test_grid_override(self, config_path, capsys):

@@ -1,8 +1,13 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mimosel import harness
 from mimosel.harness import (
     CSV_COLUMNS,
     AlgoInstance,
@@ -15,7 +20,6 @@ from mimosel.harness import (
     rows_to_csv,
     run_monte_carlo,
     run_trial,
-    sweep,
 )
 from mimosel.selectors import Algorithm
 
@@ -45,7 +49,7 @@ class TestConfigParsing:
         grid.p0_dbm = [-90, -95.5]
         link.bandwidth_hz = 20e6
         select.algorithms = [ssus, gzf]
-        output.path = 'out.csv'
+        output.path = 'out#1.csv'  # a quoted '#' is literal
         timing = true
         """
         mapping = parse_config_text(text)
@@ -54,7 +58,7 @@ class TestConfigParsing:
         assert mapping["grid.p0_dbm"] == [-90, -95.5]
         assert mapping["link.bandwidth_hz"] == 20e6
         assert mapping["select.algorithms"] == ["ssus", "gzf"]
-        assert mapping["output.path"] == "out.csv"
+        assert mapping["output.path"] == "out#1.csv"
         assert mapping["timing"] is True
 
     def test_rejects_garbage_line(self):
@@ -68,6 +72,13 @@ class TestConfigParsing:
     def test_unknown_key_rejected_by_config(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_mapping({"grid.q": [1]})
+
+    def test_config_keys(self):
+        assert sorted(CONFIG_KEYS) == sorted([
+            "trials", "master_seed", "workers", "timing", "grid.m", "grid.u", "grid.p0_dbm",
+            "link.bandwidth_hz", "link.noise_figure_db", "select.algorithms", "select.k_max",
+            "ssus.l", "ssus.alpha", "sus.epsilon", "random.k", "output.path", "output.format",
+        ])
 
     def test_from_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -84,23 +95,91 @@ class TestConfigParsing:
 class TestConfigValidation:
     def test_k_max_must_fit_smallest_m(self):
         with pytest.raises(ValueError, match="k_max=6 exceeds"):
-            tiny_config(k_max=6).validate()
+            tiny_config(k_max=6)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            tiny_config(algorithms=("ssus", "magic")).validate()
+            tiny_config(algorithms=("ssus", "magic"))
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
-            tiny_config(u_values=()).validate()
+            tiny_config(u_values=())
 
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
-            tiny_config(ssus_alpha=(1.5,)).validate()
+            tiny_config(ssus_alpha=(1.5,))
 
     def test_output_format(self):
         with pytest.raises(ValueError, match="format"):
-            tiny_config(output_format="xml").validate()
+            tiny_config(output_format="xml")
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(timing=1),
+            dict(trials=True),
+            dict(workers=2.0),
+            dict(m_values=(4, "8")),
+            dict(noise_figure_db=float("inf")),
+            dict(bandwidth_hz=10**400),
+            dict(output_path=5),
+            dict(k_max=0),
+        ],
+    )
+    def test_rejects_wrong_type_or_range(self, kw):
+        with pytest.raises(ValueError):
+            tiny_config(**kw)
+
+    def test_values_take_the_declared_types(self):
+        cfg = tiny_config(m_values=np.int64(4), p0_dbm_values=[-90], ssus_alpha=0.5,
+                          bandwidth_hz=20_000_000)
+        assert cfg.m_values == (4,) and type(cfg.m_values[0]) is int
+        assert cfg.p0_dbm_values == (-90.0,) and type(cfg.p0_dbm_values[0]) is float
+        assert cfg.ssus_alpha == (0.5,)
+        assert type(cfg.bandwidth_hz) is float
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_config().trials = 3
+
+
+CONFIG_KEYS = [f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)]
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=1, max_value=8),
+    st.floats(),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.text(max_size=6),
+    st.sampled_from(["ssus", "gzf", "csv", "json"]),
+)
+MAPPINGS = st.fixed_dictionaries(
+    {}, optional={key: st.one_of(SCALARS, st.lists(SCALARS, max_size=3)) for key in CONFIG_KEYS}
+)
+
+# Right-hand sides of config lines, drawn from the characters the parser treats specially.
+VALUE_TEXTS = st.text(alphabet=" []#,'\"=.-+e0123456789anift", max_size=12)
+
+
+class TestConfigProperties:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(MAPPINGS)
+    def test_from_mapping_returns_config_or_value_error(self, mapping):
+        try:
+            cfg = ExperimentConfig.from_mapping(mapping)
+        except ValueError:
+            return
+        # converted values pass the same checks again
+        assert dataclasses.replace(cfg) == cfg
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.sampled_from(CONFIG_KEYS), VALUE_TEXTS)
+    def test_config_text_parses_or_raises_value_error(self, key, value):
+        try:
+            ExperimentConfig.from_mapping(parse_config_text(f"{key} = {value}"))
+        except ValueError:
+            pass
 
 
 class TestGridExpansion:
@@ -217,11 +296,34 @@ class TestAggregation:
         cfg4 = tiny_config(trials=12, workers=4, algorithms=("ssus", "gzf", "random"))
         assert rows_to_csv(run_monte_carlo(cfg1)) == rows_to_csv(run_monte_carlo(cfg4))
 
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 6), (None, 1)])
+    def test_pool_capped_at_trials_and_cpu_count(self, monkeypatch, cpus, expected):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        rows = run_monte_carlo(tiny_config(trials=6, workers=5000))
+        assert sizes == [expected]
+        assert rows_to_csv(rows) == rows_to_csv(run_monte_carlo(tiny_config(trials=6)))
+
 
 class TestSkippedCells:
     def test_mcore_skipped_beyond_antenna_cap(self, capsys):
         cfg = tiny_config(m_values=(16,), algorithms=("mcore_plus", "sus"), trials=2)
-        rows = sweep(cfg)
+        rows = run_monte_carlo(cfg)
         mcore_row = next(r for r in rows if r.algorithm == "mcore_plus")
         assert mcore_row.trials == 0
         assert "M <= 12" in mcore_row.skip_reason
@@ -232,13 +334,13 @@ class TestSkippedCells:
 
     def test_exhaustive_skipped_on_large_pool(self):
         cfg = tiny_config(m_values=(8,), u_values=(100,), algorithms=("exhaustive",), trials=1)
-        rows = sweep(cfg)
+        rows = run_monte_carlo(cfg)
         assert rows[0].trials == 0
         assert "exceeds cap" in rows[0].skip_reason
 
     def test_random_skipped_when_k_too_large(self):
         cfg = tiny_config(u_values=(3,), algorithms=("random",), random_k=5, trials=1)
-        rows = sweep(cfg)
+        rows = run_monte_carlo(cfg)
         assert rows[0].trials == 0
         assert "min(M, U)" in rows[0].skip_reason
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,77 +6,11 @@ import pytest
 from mimosel.numerics import (
     BasisConstructionError,
     OpLedger,
-    correlation,
     gram_schmidt_extend,
-    hermitian_inner,
     orthonormality_defect,
     subset_count,
 )
 from mimosel.seeding import derive_seed, splitmix64, stream
-
-
-class TestHermitianInner:
-    def test_orthogonal(self):
-        assert hermitian_inner([1, 0], [0, 1], OpLedger()) == 0
-
-    def test_identity(self):
-        assert hermitian_inner([1, 0], [1, 0], OpLedger()) == 1
-
-    def test_conjugates_first_argument(self):
-        # conj(1+i) * 1 = 1 - i
-        assert hermitian_inner([1 + 1j, 0], [1, 0], OpLedger()) == 1 - 1j
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            hermitian_inner([1, 0], [1, 0, 0], OpLedger())
-
-    def test_ledger_counts_length(self):
-        led = OpLedger()
-        hermitian_inner(np.ones(7), np.ones(7), led)
-        assert led.complex_macs == 7
-
-    def test_self_inner_is_norm_squared(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            val = hermitian_inner(a, a, OpLedger())
-            assert abs(val.imag) <= 1e-12
-            assert val.real >= 0
-            assert abs(val.real - np.linalg.norm(a) ** 2) <= 1e-12 * val.real
-
-
-class TestCorrelation:
-    def test_orthogonal(self):
-        assert correlation([1, 0], [0, 1], OpLedger()) == 0.0
-
-    def test_parallel_scale_invariant(self):
-        assert correlation([3, 0], [1, 0], OpLedger()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_45_degrees(self):
-        assert correlation([1, 1], [1, 0], OpLedger()) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-12
-        )
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            correlation([0, 0], [1, 0], OpLedger())
-
-    def test_scale_invariance_complex(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            c = (rng.standard_normal() + 1j * rng.standard_normal()) or 1.0
-            base = correlation(h, v, OpLedger())
-            assert correlation(c * h, v, OpLedger()) == pytest.approx(base, abs=1e-12)
-            assert correlation(h, c * v, OpLedger()) == pytest.approx(base, abs=1e-12)
-
-    def test_range(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert 0.0 <= correlation(h, v, OpLedger()) <= 1.0
 
 
 class TestGramSchmidt:
@@ -163,16 +96,16 @@ class TestSubsetCount:
 class TestOpLedger:
     def test_additive_across_calls(self):
         led = OpLedger()
-        hermitian_inner(np.ones(4), np.ones(4), led)
-        hermitian_inner(np.ones(6), np.ones(6), led)
-        assert led.complex_macs == 10
+        gram_schmidt_extend([1, 0], stream(1), led)  # 2 + (2*2 + 2) MACs
+        gram_schmidt_extend([1, 0, 0], stream(2), led)  # 3 + (2*3 + 3) + (4*3 + 3) MACs
+        assert led.complex_macs == 8 + 27
 
     def test_merge_equals_combined(self):
         a, b, combined = OpLedger(), OpLedger(), OpLedger()
-        correlation([1, 1j], [1, 0], a)
-        hermitian_inner([1, 0, 0], [0, 1, 0], b)
-        correlation([1, 1j], [1, 0], combined)
-        hermitian_inner([1, 0, 0], [0, 1, 0], combined)
+        gram_schmidt_extend([1, 0], stream(1), a)
+        gram_schmidt_extend([1, 0, 0], stream(2), b)
+        gram_schmidt_extend([1, 0], stream(1), combined)
+        gram_schmidt_extend([1, 0, 0], stream(2), combined)
         a.merge(b)
         assert (a.complex_macs, a.divisions, a.comparisons) == (
             combined.complex_macs,

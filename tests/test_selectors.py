@@ -17,7 +17,6 @@ from mimosel.selectors import (
     mcore_plus,
     random_select,
     run_selection,
-    single_stream_rate,
     ss_us,
     sus,
 )
@@ -43,17 +42,6 @@ def brute_force_best(h, n0, k_max):
             if rate > best_rate:
                 best_rate, best = rate, combo
     return best, best_rate
-
-
-class TestSingleStreamRate:
-    def test_values(self):
-        assert single_stream_rate([1.0, 0.0], 1.0) == pytest.approx(1.0)
-        assert single_stream_rate([math.sqrt(3), 0.0], 1.0) == pytest.approx(2.0)
-        assert single_stream_rate([0.0, 0.0], 1.0) == 0.0
-
-    def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            single_stream_rate([1.0], 0.0)
 
 
 class TestSpaceSplitSelection:
