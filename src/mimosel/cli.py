@@ -17,7 +17,10 @@ import sys
 
 from .complexity import CostQuery, relative_cost
 from .harness import (
+    _AT_LEAST_1,
+    _UNIT_OPEN,
     ExperimentConfig,
+    _typed,
     emit,
     oracle_check,
     parse_value,
@@ -27,8 +30,23 @@ from .harness import (
 from .selectors import Algorithm
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line and exit status 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
+def _flag(kind: type, check=None):
+    """argparse type: flag text parsed and checked like a config value."""
+
+    def parse(text: str):
+        try:
+            return _typed("value", kind, check, parse_value(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _config_list(text: str) -> list:
@@ -134,7 +152,7 @@ def _write_table(rows: list[dict], columns: tuple[str, ...], fmt: str, path) -> 
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mimosel",
         description="MU-MIMO uplink user-selection simulator",
     )
@@ -146,10 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sweep, _RUN_OVERRIDES + _SWEEP_OVERRIDES)
 
     p_cost = sub.add_parser("cost", help="closed-form cost-model table")
-    p_cost.add_argument("--u", type=int, default=100, help="candidate pool size")
-    p_cost.add_argument("--m", type=_int_list, default=(2, 4, 8, 16),
+    count = _flag(int, _AT_LEAST_1)
+    p_cost.add_argument("--u", type=count, default=100, help="candidate pool size")
+    p_cost.add_argument("--m", type=lambda text: tuple(map(count, text.split(","))),
+                        default=(2, 4, 8, 16),
                         help="antenna counts, e.g. 2,4,8,16")
-    p_cost.add_argument("--l", type=int, default=1, help="basis count for the split method")
+    p_cost.add_argument("--l", type=count, default=1, help="basis count for the split method")
     p_cost.add_argument("--k-mode", choices=("half", "full"), default="half",
                         help="selected users per scenario: K=M/2 or K=M")
     p_cost.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -158,13 +178,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle-check",
                               help="compare heuristics to the exhaustive oracle")
-    p_oracle.add_argument("--m", type=int, default=4)
-    p_oracle.add_argument("--u", type=int, default=8)
-    p_oracle.add_argument("--trials", type=int, default=50)
-    p_oracle.add_argument("--seed", type=int, default=1234)
-    p_oracle.add_argument("--k-max", type=int, default=None)
-    p_oracle.add_argument("--l", type=int, default=10, help="basis count")
-    p_oracle.add_argument("--alpha", type=float, default=0.45)
+    p_oracle.add_argument("--m", type=count, default=4)
+    p_oracle.add_argument("--u", type=count, default=8)
+    p_oracle.add_argument("--trials", type=count, default=50)
+    p_oracle.add_argument("--seed", type=_flag(int), default=1234)
+    p_oracle.add_argument("--k-max", type=count, default=None)
+    p_oracle.add_argument("--l", type=count, default=10, help="basis count")
+    p_oracle.add_argument("--alpha", type=_flag(float, _UNIT_OPEN), default=0.45)
     p_oracle.add_argument("--format", choices=("csv", "json"), default="csv")
     p_oracle.add_argument("--out", help="output path (default stdout)")
     p_oracle.set_defaults(func=_cmd_oracle_check)

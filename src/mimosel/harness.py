@@ -474,20 +474,27 @@ def _trial_chunk(args) -> list[TrialReport]:
     return [run_trial(cfg, point, instances, t) for t in indices]
 
 
-def _run_point_trials(
-    cfg: ExperimentConfig, point: GridPoint, instances: list[AlgoInstance]
-) -> list[TrialReport]:
+def _run_trials(
+    cfg: ExperimentConfig, jobs: dict[GridPoint, list[AlgoInstance]]
+) -> dict[GridPoint, list[TrialReport]]:
+    """Reports of every trial at each grid point of ``jobs``, by trial index.
+
+    With more than one worker, the trial chunks of all points go to one
+    process pool.
+    """
     indices = list(range(cfg.trials))
     if cfg.workers <= 1 or cfg.trials <= 1:
-        reports = [run_trial(cfg, point, instances, t) for t in indices]
-    else:
-        n_workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
-        n_chunks = n_workers * 4
-        chunks = [indices[i::n_chunks] for i in range(n_chunks) if indices[i::n_chunks]]
-        tasks = [(cfg, point, instances, chunk) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            reports = [r for batch in pool.map(_trial_chunk, tasks) for r in batch]
-        reports.sort(key=lambda r: r.trial_index)
+        return {p: [run_trial(cfg, p, insts, t) for t in indices] for p, insts in jobs.items()}
+    n_workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    n_chunks = n_workers * 4
+    chunks = [indices[i::n_chunks] for i in range(n_chunks) if indices[i::n_chunks]]
+    tasks = [(cfg, point, insts, chunk) for point, insts in jobs.items() for chunk in chunks]
+    reports: dict[GridPoint, list[TrialReport]] = {point: [] for point in jobs}
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        for task, batch in zip(tasks, pool.map(_trial_chunk, tasks)):
+            reports[task[1]].extend(batch)
+    for point_reports in reports.values():
+        point_reports.sort(key=lambda r: r.trial_index)
     return reports
 
 
@@ -547,26 +554,18 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
     stderr and kept on the row object.
     """
     instances = algo_instances(cfg)
+    points = grid_points(cfg)
+    feasible = {p: [i for i in instances if _infeasible_reason(p, i) is None] for p in points}
+    reports = _run_trials(cfg, {p: insts for p, insts in feasible.items() if insts})
     rows: list[AggregateRow] = []
-    for point in grid_points(cfg):
-        feasible = []
-        skip_for: dict[AlgoInstance, str] = {}
+    for point in points:
         for inst in instances:
             reason = _infeasible_reason(point, inst)
             if reason is None:
-                feasible.append(inst)
+                rows.append(_aggregate(point, inst, reports[point], cfg.timing))
             else:
-                skip_for[inst] = reason
-        reports = _run_point_trials(cfg, point, feasible) if feasible else []
-        for inst in instances:
-            if inst in skip_for:
-                print(
-                    f"skipped {inst.label} at {point.scenario_id}: {skip_for[inst]}",
-                    file=sys.stderr,
-                )
-                rows.append(_row(point, inst, skip_reason=skip_for[inst]))
-            else:
-                rows.append(_aggregate(point, inst, reports, cfg.timing))
+                print(f"skipped {inst.label} at {point.scenario_id}: {reason}", file=sys.stderr)
+                rows.append(_row(point, inst, skip_reason=reason))
     return rows
 
 
@@ -623,7 +622,7 @@ def oracle_check(
             f"oracle infeasible at M={m}, U={u}, K_max={k_cap}: "
             f"{_infeasible_reason(point, oracle_inst)}"
         )
-    reports = _run_point_trials(cfg, point, instances)
+    reports = _run_trials(cfg, {point: instances})[point]
     rows = []
     for inst in instances:
         if inst.algorithm is Algorithm.EXHAUSTIVE:

@@ -18,6 +18,7 @@ __all__ = [
     "COND_LIMIT",
     "zf_post_snr",
     "sum_spectral_efficiency",
+    "zf_sum_rate_batch",
 ]
 
 #: Selected sets whose Gram matrix condition number exceeds this are treated
@@ -70,3 +71,42 @@ def sum_spectral_efficiency(h_sel, n0: float, ledger: OpLedger) -> float:
     """ZF sum spectral efficiency sum_k log2(1 + SNR_k) in bits/s/Hz."""
     snr = zf_post_snr(h_sel, n0, ledger)
     return float(np.sum(np.log2(1.0 + snr)))
+
+
+def zf_sum_rate_batch(h, sets, n0: float, ledger: OpLedger) -> np.ndarray:
+    """ZF sum spectral efficiency of each row of ``sets``, scored in one pass.
+
+    ``sets`` is a (P, K) array of column indices into ``h``. Entry p equals
+    ``sum_spectral_efficiency(h[:, sets[p]], n0, ledger)`` bit for bit, or
+    minus infinity where that call would raise :class:`SingularSetError`.
+    The ledger is charged per set, as P calls of the single-set path would
+    charge it. Memory grows with P, so callers bound it.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    sets = np.asarray(sets, dtype=np.intp)
+    if sets.ndim != 2:
+        raise ValueError(f"candidate sets must be a 2-D index array, got shape {sets.shape}")
+    m = h.shape[0]
+    p, k = sets.shape
+    if not 1 <= k <= m:
+        raise ValueError(f"require 1 <= K <= M for zero forcing, got K={k}, M={m}")
+    if n0 <= 0:
+        raise ValueError(f"n0 must be positive, got {n0}")
+    # One contiguous (M, K) matrix per set, so each batched BLAS and LAPACK
+    # call sees the same operands as the single-set path.
+    h_sel = np.ascontiguousarray(np.moveaxis(h[:, sets], 0, 1))
+    gram = h_sel.conj().transpose(0, 2, 1) @ h_sel
+    ledger.complex_macs += p * k * k * m
+    eigs = np.linalg.eigvalsh(gram)
+    # The guard of zf_post_snr, negated as a whole so that NaN passes alike.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ~((eigs[:, 0] <= 0.0) | (eigs[:, -1] / eigs[:, 0] > COND_LIMIT))
+    chol = np.linalg.cholesky(gram[ok])
+    chol_inv = np.linalg.solve(chol, np.eye(k, dtype=np.complex128))
+    gram_inv_diag = np.sum(np.abs(chol_inv) ** 2, axis=-2)
+    rates = np.full(p, -np.inf)
+    rates[ok] = np.sum(np.log2(1.0 + 1.0 / (n0 * gram_inv_diag)), axis=-1)
+    n_ok = len(chol)
+    ledger.complex_macs += n_ok * k**3
+    ledger.divisions += n_ok * k
+    return rates

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import SingularSetError, sum_spectral_efficiency
+from .metrics import sum_spectral_efficiency, zf_sum_rate_batch
 from .numerics import OpLedger, gram_schmidt_extend, subset_count
 from .seeding import stream
 
@@ -48,6 +48,10 @@ EXHAUSTIVE_SUBSET_CAP = 1_000_000
 #: The shortlist stage of mcore_plus enumerates all subsets of up to
 #: 2**M - 1 candidates; beyond 12 antennas that is no longer desk scale.
 MCORE_MAX_ANTENNAS = 12
+
+#: Subsets scored per kernel call by the enumerating selectors, which keeps
+#: their memory flat in the size of the search space.
+_SUBSET_BLOCK = 1024
 
 
 class Algorithm(str, Enum):
@@ -274,25 +278,18 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
 
     selected = [seed_user]
     current = sum_spectral_efficiency(hm[:, selected], n0, ledger)
-    pool = [i for i in range(u) if i != seed_user]
+    pool = np.delete(np.arange(u), seed_user)
     k_cap = min(k_max, m, u)
-    while len(selected) < k_cap and pool:
-        best_rate = -np.inf
-        best_user = -1
-        for cand in pool:
-            try:
-                rate = sum_spectral_efficiency(hm[:, selected + [cand]], n0, ledger)
-            except SingularSetError:
-                rate = -np.inf
-            ledger.comparisons += 1
-            if rate > best_rate:
-                best_rate = rate
-                best_user = cand
-        if best_user < 0 or best_rate <= current:
+    while len(selected) < k_cap and pool.size:
+        sets = np.column_stack((np.tile(selected, (pool.size, 1)), pool))
+        rates = zf_sum_rate_batch(hm, sets, n0, ledger)
+        ledger.comparisons += pool.size
+        pick = int(np.argmax(rates))
+        if rates[pick] <= current:
             break
-        selected.append(best_user)
-        pool.remove(best_user)
-        current = best_rate
+        selected.append(int(pool[pick]))
+        pool = np.delete(pool, pick)
+        current = float(rates[pick])
     return SelectionResult(selected=tuple(selected))
 
 
@@ -345,18 +342,21 @@ def mcore_plus(h, n0: float, ledger: OpLedger) -> SelectionResult:
 def _best_subset(hm: np.ndarray, users, max_size: int, n0: float, ledger: OpLedger):
     """Subset of ``users`` with 1..``max_size`` members and the highest ZF sum SE.
 
-    Singular subsets are skipped; every scored subset costs one comparison.
+    Subsets are scored in blocks of at most ``_SUBSET_BLOCK``. Singular
+    subsets are skipped; every other scored subset costs one comparison.
     Ties break toward the lexicographically smallest subset.
     """
     best_rate = -np.inf
     best_set: tuple[int, ...] = ()
     for size in range(1, max_size + 1):
-        for combo in itertools.combinations(users, size):
-            try:
-                rate = sum_spectral_efficiency(hm[:, list(combo)], n0, ledger)
-            except SingularSetError:
-                continue
-            ledger.comparisons += 1
+        combos = itertools.combinations(users, size)
+        while block := list(itertools.islice(combos, _SUBSET_BLOCK)):
+            rates = zf_sum_rate_batch(hm, block, n0, ledger)
+            ledger.comparisons += int(np.count_nonzero(rates > -np.inf))
+            # argmax is the first maximum: the smallest subset of this size
+            # in lexicographic order, since combinations come in that order.
+            pick = int(np.argmax(rates))
+            rate, combo = float(rates[pick]), block[pick]
             if rate > best_rate or (rate == best_rate and combo < best_set):
                 best_rate = rate
                 best_set = combo

@@ -158,6 +158,31 @@ class TestOracleCheckCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["cost", "--m", "abc"], "--m"),
+        (["cost", "--m", "4,x"], "--m"),
+        (["cost", "--u", "2.5"], "--u"),
+        (["cost", "--format", "xml"], "--format"),
+        (["oracle-check", "--m", "x"], "--m"),
+        (["oracle-check", "--u", "0"], "--u"),
+        (["oracle-check", "--trials", "-3"], "--trials"),
+        (["oracle-check", "--alpha", "2"], "--alpha"),
+        (["oracle-check", "--seed", "abc"], "--seed"),
+    ],
+)
+def test_bad_flag_value_is_one_error_line_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
+    assert "Traceback" not in captured.err and "usage:" not in captured.err
+
+
 class TestParserBasics:
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

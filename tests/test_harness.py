@@ -319,6 +319,45 @@ class TestAggregation:
         assert sizes == [expected]
         assert rows_to_csv(rows) == rows_to_csv(run_monte_carlo(tiny_config(trials=6)))
 
+    def test_one_pool_per_sweep(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.points = set()
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                self.points.update(task[1].scenario_id for task in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_config(m_values=(4, 8), u_values=(6, 10), trials=4, workers=2)
+        rows = run_monte_carlo(cfg)
+        assert len(pools) == 1
+        assert pools[0].points == {p.scenario_id for p in grid_points(cfg)}
+        serial = run_monte_carlo(dataclasses.replace(cfg, workers=1))
+        assert rows_to_csv(rows) == rows_to_csv(serial)
+        run_monte_carlo(cfg)
+        assert len(pools) == 2
+
+    def test_shared_pool_output_matches_serial_with_skipped_cell(self, capsys):
+        # mcore_plus is infeasible at M=16, so one point runs only sus.
+        kw = dict(m_values=(4, 16), u_values=(8,), algorithms=("mcore_plus", "sus"), trials=6)
+        serial = rows_to_csv(run_monte_carlo(tiny_config(workers=1, **kw)))
+        serial_err = capsys.readouterr().err
+        pooled = rows_to_csv(run_monte_carlo(tiny_config(workers=2, **kw)))
+        assert pooled == serial
+        assert capsys.readouterr().err == serial_err
+        assert serial_err.count("skipped mcore_plus") == 1
+
 
 class TestSkippedCells:
     def test_mcore_skipped_beyond_antenna_cap(self, capsys):
