@@ -195,6 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "oracle-check" and args.k_max is not None and args.k_max > args.m:
+        parser.error(f"argument --k-max: value must be <= --m ({args.m}), got {args.k_max}")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

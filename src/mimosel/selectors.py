@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .metrics import sum_spectral_efficiency, zf_sum_rate_batch
-from .numerics import OpLedger, gram_schmidt_extend, subset_count
+from .numerics import RESIDUAL_FLOOR, OpLedger, gram_schmidt_extend, subset_count
 from .seeding import stream
 
 __all__ = [
@@ -52,6 +52,10 @@ MCORE_MAX_ANTENNAS = 12
 #: Subsets scored per kernel call by the enumerating selectors, which keeps
 #: their memory flat in the size of the search space.
 _SUBSET_BLOCK = 1024
+
+#: Bases that ``ss_us`` builds and matches per batch; it bounds the size of
+#: the stacked draws, QR factors and correlations at large L.
+_BASIS_BLOCK = 8
 
 
 class Algorithm(str, Enum):
@@ -147,6 +151,9 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     whose best candidate fails the threshold stays unfilled. The basis with
     the highest mean accepted weight (seed included) wins, ties going to the
     lowest basis index.
+
+    Bases are built and matched ``_BASIS_BLOCK`` at a time, every basis of
+    a block at once (see ``_basis_block`` and ``_match_block``).
     """
     hm = _as_channel(h)
     m, u = hm.shape
@@ -170,49 +177,95 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     v_seed = hm[:, seed_user] / norms[seed_user]
     ledger.divisions += m
     cand = np.delete(np.arange(u), seed_user)
-    h_cand = hm[:, cand]
+    h_cand_t = hm[:, cand].conj().T
     cand_norms = norms[cand]
     cand_rates = rates[cand]
 
-    best: tuple[float, int, list[int], list[int], list[float]] | None = None
-    for l in range(cfg.num_bases):
-        basis = gram_schmidt_extend(
-            v_seed, basis_stream(cfg.rng_seed, l), ledger, basis_index=l
-        )
-        directions = basis.matrix[:, 1:n_dirs]
-        corr = np.abs(h_cand.conj().T @ directions) / cand_norms[:, np.newaxis]
+    best: tuple[float, int, np.ndarray, list[float]] | None = None
+    for start in range(0, cfg.num_bases, _BASIS_BLOCK):
+        indices = range(start, min(start + _BASIS_BLOCK, cfg.num_bases))
+        directions = _basis_block(v_seed, cfg.rng_seed, indices, ledger)[:, :, 1:n_dirs]
+        corr = np.abs(h_cand_t @ directions) / cand_norms[:, np.newaxis]
         np.clip(corr, 0.0, 1.0, out=corr)
-        ledger.complex_macs += cand.size * directions.shape[1] * m
-        ledger.divisions += cand.size * directions.shape[1]
+        ledger.complex_macs += corr.size * m
+        ledger.divisions += corr.size
 
-        available = np.ones(cand.size, dtype=bool)
-        users = [seed_user]
-        matched = [0]
-        weights = [seed_rate]
-        for k in range(1, n_dirs):
-            n_avail = int(available.sum())
-            if n_avail == 0:
-                break
-            scores = np.where(available, corr[:, k - 1] * cand_rates, -np.inf)
-            pick = int(np.argmax(scores))
-            ledger.comparisons += n_avail
-            if corr[pick, k - 1] >= cfg.alpha:
-                users.append(int(cand[pick]))
-                matched.append(k)
-                weights.append(float(scores[pick]))
-                available[pick] = False
-        mean_w = math.fsum(weights) / len(weights)
-        if best is None or mean_w > best[0]:
-            best = (mean_w, l, users, matched, weights)
+        picks, best_w = _match_block(corr, cand_rates, cfg.alpha, ledger)
+        for l, row, row_w in zip(indices, picks, best_w):
+            weights = [seed_rate, *row_w[row >= 0].tolist()]
+            mean_w = math.fsum(weights) / len(weights)
+            if best is None or mean_w > best[0]:
+                best = (mean_w, l, row, weights)
 
-    mean_w, l_star, users, matched, weights = best
+    mean_w, l_star, row, weights = best
+    filled = np.flatnonzero(row >= 0)
     return SelectionResult(
-        selected=tuple(users),
-        matched_direction=tuple(matched),
+        selected=(seed_user, *cand[row[filled]].tolist()),
+        matched_direction=(0, *(filled + 1).tolist()),
         weights=tuple(weights),
         winning_basis=l_star,
         mean_metric=mean_w,
     )
+
+
+def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range, ledger: OpLedger):
+    """Orthonormal bases ``indices`` of ``ss_us`` as a (B, M, M) stack.
+
+    Basis l is the Householder QR of [v_seed | Z], with Z drawn from
+    ``basis_stream(rng_seed, l)`` in the order ``gram_schmidt_extend`` draws
+    it: column by column, the real parts and then the imaginary parts. Its
+    columns therefore equal Gram-Schmidt's on the same draws up to
+    unit-modulus factors, which the correlations |h^H v| do not see. A basis
+    whose draw is numerically dependent (some |R_jj| < ``RESIDUAL_FLOOR``)
+    is rebuilt by ``gram_schmidt_extend`` on a fresh stream, which redraws
+    and charges the ledger as it goes. Every other basis is charged the
+    modified Gram-Schmidt cost of a draw without redraws.
+    """
+    m = v_seed.size
+    z = np.stack([basis_stream(rng_seed, l).standard_normal((m - 1, 2, m)) for l in indices])
+    a = np.empty((len(indices), m, m), dtype=np.complex128)
+    a[:, :, 0] = v_seed
+    a[:, :, 1:] = (z[:, :, 0] + 1j * z[:, :, 1]).transpose(0, 2, 1)
+    bases, r = np.linalg.qr(a)
+    dependent = np.flatnonzero(
+        np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) < RESIDUAL_FLOOR
+    )
+    for i in dependent:
+        l = indices[i]
+        rebuilt = gram_schmidt_extend(v_seed, basis_stream(rng_seed, l), ledger, basis_index=l)
+        bases[i] = rebuilt.matrix
+    n_drawn = len(indices) - dependent.size
+    # Seed norm check, then per column j: j projections of 2M MACs and a norm.
+    ledger.complex_macs += n_drawn * (m + (m - 1) * m * (m + 1))
+    ledger.divisions += n_drawn * m * (m - 1)
+    return bases
+
+
+def _match_block(corr: np.ndarray, cand_rates: np.ndarray, alpha: float, ledger: OpLedger):
+    """Greedy direction filling of ``ss_us`` on every basis of a block at once.
+
+    ``corr`` is (B, C, D): candidate correlations with directions 1..D.
+    Returns ``picks`` (B, D), the candidate matched to each direction or -1
+    where the direction stays unfilled, and ``best`` (B, D), the weight of
+    each direction's best candidate. A step costs one comparison per
+    candidate still available in its basis.
+    """
+    n_bases, n_cand, n_steps = corr.shape
+    rows = np.arange(n_bases)
+    clears = corr >= alpha
+    # A matched candidate's scores drop to -inf, so argmax skips it later.
+    scores = corr * cand_rates[:, np.newaxis]
+    picks = np.full((n_bases, n_steps), -1)
+    best = np.empty((n_bases, n_steps))
+    for k in range(n_steps):
+        pick = scores[:, :, k].argmax(axis=1)
+        best[:, k] = scores[rows, pick, k]
+        take = rows[(best[:, k] > -np.inf) & clears[rows, pick, k]]
+        picks[take, k] = pick[take]
+        scores[take, pick[take]] = -np.inf
+    filled = picks >= 0
+    ledger.comparisons += int((n_cand - (np.cumsum(filled, axis=1) - filled)).sum())
+    return picks, best
 
 
 def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

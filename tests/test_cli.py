@@ -170,6 +170,7 @@ class TestOracleCheckCommand:
         (["oracle-check", "--trials", "-3"], "--trials"),
         (["oracle-check", "--alpha", "2"], "--alpha"),
         (["oracle-check", "--seed", "abc"], "--seed"),
+        (["oracle-check", "--m", "4", "--k-max", "6"], "--k-max"),
     ],
 )
 def test_bad_flag_value_is_one_error_line_naming_the_flag(capsys, argv, flag):

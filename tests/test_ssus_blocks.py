@@ -1,0 +1,330 @@
+"""Block construction of the ``ss_us`` bases against the per-basis reference.
+
+``ss_us`` builds its bases ``_BASIS_BLOCK`` at a time by one batched
+Householder QR and matches users on every basis of a block at once.
+``reference_ss_us`` below is the earlier implementation, one modified
+Gram-Schmidt basis and one greedy loop per basis; both must select the same
+users, match them to the same directions and charge the same ledger.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import mimosel.selectors as sel
+from mimosel.channel import generate_iid_rayleigh
+from mimosel.harness import ExperimentConfig, algo_instances, grid_points, run_trial
+from mimosel.numerics import (
+    MAX_REDRAWS,
+    ORTHO_TOL,
+    BasisConstructionError,
+    OpLedger,
+    gram_schmidt_extend,
+    orthonormality_defect,
+)
+from mimosel.seeding import stream
+from mimosel.selectors import _BASIS_BLOCK, Algorithm, SelectionConfig, ss_us
+
+N0 = 0.25
+
+
+def reference_ss_us(h, cfg, n0, ledger):
+    """Per-basis ``ss_us``: one Gram-Schmidt basis and one greedy loop each."""
+    hm = sel._as_channel(h)
+    m, u = hm.shape
+    norms = sel._column_norms(hm, ledger)
+    ledger.divisions += u
+    rates = np.log2(1.0 + norms**2 / n0)
+    seed_user = int(np.argmax(norms))
+    ledger.comparisons += max(u - 1, 0)
+    seed_rate = float(rates[seed_user])
+
+    n_dirs = min(cfg.k_max, m)
+    if u == 1 or n_dirs <= 1:
+        return sel.SelectionResult(
+            selected=(seed_user,),
+            matched_direction=(0,),
+            weights=(seed_rate,),
+            winning_basis=0,
+            mean_metric=seed_rate,
+        )
+
+    v_seed = hm[:, seed_user] / norms[seed_user]
+    ledger.divisions += m
+    cand = np.delete(np.arange(u), seed_user)
+    h_cand = hm[:, cand]
+    cand_norms = norms[cand]
+    cand_rates = rates[cand]
+
+    best = None
+    for l in range(cfg.num_bases):
+        basis = gram_schmidt_extend(
+            v_seed, sel.basis_stream(cfg.rng_seed, l), ledger, basis_index=l
+        )
+        directions = basis.matrix[:, 1:n_dirs]
+        corr = np.abs(h_cand.conj().T @ directions) / cand_norms[:, np.newaxis]
+        np.clip(corr, 0.0, 1.0, out=corr)
+        ledger.complex_macs += cand.size * directions.shape[1] * m
+        ledger.divisions += cand.size * directions.shape[1]
+
+        available = np.ones(cand.size, dtype=bool)
+        users = [seed_user]
+        matched = [0]
+        weights = [seed_rate]
+        for k in range(1, n_dirs):
+            n_avail = int(available.sum())
+            if n_avail == 0:
+                break
+            scores = np.where(available, corr[:, k - 1] * cand_rates, -np.inf)
+            pick = int(np.argmax(scores))
+            ledger.comparisons += n_avail
+            if corr[pick, k - 1] >= cfg.alpha:
+                users.append(int(cand[pick]))
+                matched.append(k)
+                weights.append(float(scores[pick]))
+                available[pick] = False
+        mean_w = math.fsum(weights) / len(weights)
+        if best is None or mean_w > best[0]:
+            best = (mean_w, l, users, matched, weights)
+
+    mean_w, l_star, users, matched, weights = best
+    return sel.SelectionResult(
+        selected=tuple(users),
+        matched_direction=tuple(matched),
+        weights=tuple(weights),
+        winning_basis=l_star,
+        mean_metric=mean_w,
+    )
+
+
+def assert_same_as_reference(h, cfg):
+    """Run both implementations on fresh ledgers and compare everything."""
+    got_ledger, want_ledger = OpLedger(), OpLedger()
+    got = ss_us(h, cfg, N0, got_ledger)
+    want = reference_ss_us(h, cfg, N0, want_ledger)
+    assert got.selected == want.selected
+    assert got.matched_direction == want.matched_direction
+    assert got_ledger == want_ledger
+    assert got.weights == pytest.approx(want.weights, rel=1e-12)
+    assert got.mean_metric == pytest.approx(want.mean_metric, rel=1e-12)
+    if h.shape[0] == 2:
+        # At M = 2 the seed leaves a single direction, so every basis is the
+        # same up to phase and scores the same in exact arithmetic; which
+        # index wins is decided by rounding, in either construction. The
+        # checks above already pin the winner's set and metric.
+        assert 0 <= got.winning_basis < cfg.num_bases
+    else:
+        assert got.winning_basis == want.winning_basis
+    return got
+
+
+def ssus_cfg(m, l, alpha, seed, k_max=None):
+    return SelectionConfig(
+        Algorithm.SSUS, k_max=k_max or m, num_bases=l, alpha=alpha, rng_seed=seed
+    )
+
+
+# Seeds per L: many instances where the reference is cheap, one at L = 100.
+SEEDS_PER_L = {1: 6, 10: 3, 100: 1}
+ALPHAS = (0.35, 0.6)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+@pytest.mark.parametrize("u", [10, 20, 100])
+def test_matches_reference(m, u):
+    count = 0
+    for l, n_seeds in SEEDS_PER_L.items():
+        for alpha in ALPHAS:
+            for seed in range(n_seeds):
+                h = generate_iid_rayleigh(m, u, stream(4100, m, u, l, seed))
+                assert_same_as_reference(h, ssus_cfg(m, l, alpha, seed))
+                count += 1
+            if l < 100:
+                # k_max below M leaves the trailing directions unused.
+                h = generate_iid_rayleigh(m, u, stream(4200, m, u, l))
+                assert_same_as_reference(h, ssus_cfg(m, l, alpha, 50 + l, k_max=max(2, m // 2)))
+                count += 1
+    assert count == 24
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+@pytest.mark.parametrize(
+    "l", [_BASIS_BLOCK - 1, _BASIS_BLOCK, _BASIS_BLOCK + 1, 2 * _BASIS_BLOCK + 1]
+)
+def test_matches_reference_across_block_edges(m, l):
+    for alpha in ALPHAS:
+        for seed in range(2):
+            h = generate_iid_rayleigh(m, 20, stream(4300, m, l, seed))
+            assert_same_as_reference(h, ssus_cfg(m, l, alpha, 900 + seed))
+
+
+@pytest.mark.parametrize(
+    "m, u, k_max",
+    [
+        (4, 1, 4),  # one user: the seed alone
+        (1, 6, 4),  # one antenna: no direction besides the seed
+        (8, 30, 1),  # k_max = 1
+        (8, 3, 8),  # two candidates for seven directions: the pool runs out
+        (16, 5, 16),
+        (4, 2, 4),
+    ],
+)
+def test_edge_cases_match_reference(m, u, k_max):
+    for seed in range(3):
+        h = generate_iid_rayleigh(m, u, stream(4400, m, u, seed))
+        got = assert_same_as_reference(h, ssus_cfg(m, 12, 0.05, seed, k_max=k_max))
+        assert got.k_b == min(u, m, k_max)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 16])
+def test_block_draw_equals_per_column_draw(m):
+    block = sel.basis_stream(77, 5).standard_normal((m - 1, 2, m))
+    rng = sel.basis_stream(77, 5)
+    for j in range(1, m):
+        column = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert np.array_equal(block[j - 1, 0] + 1j * block[j - 1, 1], column)
+
+
+def unit_seed(m, key):
+    rng = stream(4500, m, key)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return v / np.linalg.norm(v)
+
+
+def bases_as_ss_us_builds_them(v, rng_seed, l):
+    return np.concatenate(
+        [
+            sel._basis_block(v, rng_seed, range(s, min(s + _BASIS_BLOCK, l)), OpLedger())
+            for s in range(0, l, _BASIS_BLOCK)
+        ]
+    )
+
+
+class TestBatchedBases:
+    def test_orthonormal_over_1000_bases(self):
+        count = 0
+        for m in (2, 4, 8, 16):
+            v = unit_seed(m, 0)
+            for basis in bases_as_ss_us_builds_them(v, m, 250):
+                cross, norm_err = orthonormality_defect(basis)
+                assert cross <= ORTHO_TOL and norm_err <= ORTHO_TOL
+                count += 1
+        assert count == 1000
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_columns_are_gram_schmidt_columns_up_to_phase(self, m):
+        v = unit_seed(m, 1)
+        bases = sel._basis_block(v, 31, range(_BASIS_BLOCK), OpLedger())
+        for l, basis in enumerate(bases):
+            phase0 = np.vdot(v, basis[:, 0])
+            assert abs(abs(phase0) - 1.0) <= 1e-12
+            np.testing.assert_allclose(basis[:, 0], phase0 * v, rtol=0, atol=1e-12)
+            mgs = gram_schmidt_extend(v, sel.basis_stream(31, l), OpLedger()).matrix
+            phases = np.einsum("ij,ij->j", mgs.conj(), basis)
+            np.testing.assert_allclose(np.abs(phases), 1.0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(basis, mgs * phases, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("l", [1, _BASIS_BLOCK - 1, _BASIS_BLOCK + 3, 40])
+    def test_first_l_of_2l_bases_equal_a_run_with_l(self, l):
+        v = unit_seed(8, 2)
+        np.testing.assert_array_equal(
+            bases_as_ss_us_builds_them(v, 5, 2 * l)[:l], bases_as_ss_us_builds_them(v, 5, l)
+        )
+
+    def test_ledger_charges_gram_schmidt_cost_per_basis(self):
+        v = unit_seed(8, 3)
+        block, per_basis = OpLedger(), OpLedger()
+        sel._basis_block(v, 6, range(3), block)
+        for l in range(3):
+            gram_schmidt_extend(v, sel.basis_stream(6, l), per_basis)
+        assert block == per_basis
+
+
+class ScriptedStream:
+    """Generator stand-in that returns ``prefix`` first, then draws of ``rest``.
+
+    Values come out in draw order whatever the requested shapes, so the
+    block draw and the column-by-column draw see the same numbers.
+    """
+
+    def __init__(self, prefix, rest):
+        self.buffer = np.asarray(prefix, dtype=float).ravel()
+        self.rest = rest
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        head, self.buffer = self.buffer[:n], self.buffer[n:]
+        tail = self.rest.standard_normal(n - head.size) if n > head.size else []
+        return np.concatenate([head, tail]).reshape(size)
+
+
+class ZeroStream:
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def dependent_prefix(v, j, rng):
+    """Draws whose column j is a combination of the seed and columns 1..j-1."""
+    columns = [
+        rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size) for _ in range(j - 1)
+    ]
+    columns.append(3.0 * v + sum(columns))
+    return np.concatenate([np.concatenate([c.real, c.imag]) for c in columns])
+
+
+class TestRedrawGuard:
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_dependent_draw_takes_gram_schmidt_fallback(self, monkeypatch, j):
+        m, u, l_bad = 8, 40, 3
+        h = generate_iid_rayleigh(m, u, stream(4600, j))
+        norms = np.linalg.norm(h, axis=0)
+        v = h[:, np.argmax(norms)] / norms.max()
+        prefix = dependent_prefix(v, j, stream(4601, j))
+        real_stream = sel.basis_stream
+        monkeypatch.setattr(
+            sel,
+            "basis_stream",
+            lambda seed, l: ScriptedStream(prefix if l == l_bad else (), real_stream(seed, l)),
+        )
+        calls = []
+        real_extend = sel.gram_schmidt_extend
+
+        def counting_extend(*args, **kwargs):
+            calls.append(kwargs.get("basis_index"))
+            return real_extend(*args, **kwargs)
+
+        monkeypatch.setattr(sel, "gram_schmidt_extend", counting_extend)
+        cfg = ssus_cfg(m, 2 * _BASIS_BLOCK, 0.3, 11)
+        assert_same_as_reference(h, cfg)
+        assert calls == [l_bad]
+
+        # The fallback redrew: its ledger holds more than the no-redraw cost.
+        led = OpLedger()
+        real_extend(v, sel.basis_stream(cfg.rng_seed, l_bad), led)
+        clean = OpLedger()
+        real_extend(v, real_stream(cfg.rng_seed, l_bad), clean)
+        assert led.complex_macs > clean.complex_macs
+
+    def test_exhausted_redraws_raise(self, monkeypatch):
+        monkeypatch.setattr(sel, "basis_stream", lambda seed, l: ZeroStream())
+        h = generate_iid_rayleigh(4, 10, stream(4700))
+        with pytest.raises(BasisConstructionError, match=f"after {MAX_REDRAWS} redraws"):
+            ss_us(h, ssus_cfg(4, 3, 0.3, 0), N0, OpLedger())
+
+    def test_exhausted_redraws_become_a_cell_error(self, monkeypatch):
+        monkeypatch.setattr(sel, "basis_stream", lambda seed, l: ZeroStream())
+        cfg = ExperimentConfig(
+            m_values=(4,),
+            u_values=(10,),
+            p0_dbm_values=(-90.0,),
+            algorithms=("ssus", "sus"),
+            ssus_num_bases=(3,),
+            trials=1,
+        )
+        instances = algo_instances(cfg)
+        report = run_trial(cfg, grid_points(cfg)[0], instances, 0)
+        ssus_cell, sus_cell = (report.cells[i] for i in instances)
+        assert "redraws" in ssus_cell.error
+        assert ssus_cell.selected == () and math.isnan(ssus_cell.se)
+        assert sus_cell.error is None
