@@ -9,11 +9,8 @@ Monte Carlo harness with a CLI front end.
 from .channel import (
     LinkBudget,
     generate_iid_rayleigh,
-    load_channel,
     noise_power,
     noise_power_dbm,
-    save_channel,
-    snr_db,
 )
 from .complexity import CostQuery, ReconcileReport, model_cost, reconcile_ledger, relative_cost
 from .harness import (
@@ -30,9 +27,7 @@ from .metrics import SingularSetError, sum_spectral_efficiency, zf_post_snr
 from .numerics import (
     BasisConstructionError,
     OpLedger,
-    OrthonormalBasis,
     gram_schmidt_extend,
-    orthonormality_defect,
     subset_count,
 )
 from .seeding import derive_seed, splitmix64, stream

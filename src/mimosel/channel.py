@@ -8,7 +8,6 @@ normalized noise power returned by :func:`noise_power`.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +17,10 @@ __all__ = [
     "THERMAL_NOISE_DBM_PER_HZ",
     "noise_power_dbm",
     "noise_power",
-    "snr_db",
     "generate_iid_rayleigh",
-    "save_channel",
-    "load_channel",
 ]
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
-
-_MAGIC = b"CHM1"
-_HEADER = struct.Struct("<4sIIQ")
 
 
 @dataclass(frozen=True)
@@ -62,11 +55,6 @@ def noise_power(budget: LinkBudget) -> float:
     return float(10.0 ** ((noise_power_dbm(budget) - budget.p0_dbm) / 10.0))
 
 
-def snr_db(budget: LinkBudget) -> float:
-    """Nominal per-stream SNR in dB for a unit-norm-squared channel."""
-    return budget.p0_dbm - noise_power_dbm(budget)
-
-
 def generate_iid_rayleigh(m: int, u: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an m-by-u channel matrix with i.i.d. unit-variance complex entries.
 
@@ -86,40 +74,3 @@ def generate_iid_rayleigh(m: int, u: int, rng: np.random.Generator) -> np.ndarra
         ) / np.sqrt(2.0)
     return h
 
-
-def save_channel(path, matrix: np.ndarray, seed: int = 0) -> None:
-    """Write a channel matrix as a small regression fixture.
-
-    Layout: magic ``CHM1``, little-endian uint32 m, uint32 u, uint64 seed,
-    then for each column its m entries as interleaved (real, imag) float64.
-    """
-    h = np.asarray(matrix, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
-    m, u = h.shape
-    payload = np.empty((u, m, 2), dtype="<f8")
-    payload[:, :, 0] = h.real.T
-    payload[:, :, 1] = h.imag.T
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, m, u, int(seed) & (2**64 - 1)))
-        fh.write(payload.tobytes())
-
-
-def load_channel(path) -> tuple[np.ndarray, int]:
-    """Read a channel fixture written by :func:`save_channel`."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"truncated channel file: {path}")
-        magic, m, u, seed = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ValueError(f"not a channel file (bad magic): {path}")
-        raw = fh.read()
-    expected = m * u * 2 * 8
-    if len(raw) != expected:
-        raise ValueError(
-            f"channel file payload is {len(raw)} bytes, expected {expected}: {path}"
-        )
-    payload = np.frombuffer(raw, dtype="<f8").reshape(u, m, 2)
-    h = (payload[:, :, 0] + 1j * payload[:, :, 1]).T
-    return np.ascontiguousarray(h), int(seed)

@@ -12,7 +12,6 @@ on stderr otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .complexity import CostQuery, relative_cost
@@ -25,6 +24,7 @@ from .harness import (
     oracle_check,
     parse_value,
     run_monte_carlo,
+    table_text,
     write_text,
 )
 from .selectors import Algorithm
@@ -101,12 +101,8 @@ def _cmd_cost(args) -> int:
         for method in (Algorithm.SUS, Algorithm.GZF, Algorithm.MCORE_PLUS, Algorithm.SSUS):
             queries.append(CostQuery(method=method, u=args.u, m=m, k=k, l=args.l))
     rows = relative_cost(queries)
-    _write_table(
-        rows,
-        ("method", "u", "m", "k", "l", "cost", "relative_to_sus"),
-        args.format,
-        args.out,
-    )
+    columns = ("method", "u", "m", "k", "l", "cost", "relative_to_sus")
+    _write(table_text(rows, columns, args.format), args.out)
     return 0
 
 
@@ -120,12 +116,8 @@ def _cmd_oracle_check(args) -> int:
         num_bases=args.l,
         alpha=args.alpha,
     )
-    _write_table(
-        rows,
-        ("algorithm", "m", "u", "k_max", "trials", "mean_ratio", "min_ratio", "violations"),
-        args.format,
-        args.out,
-    )
+    columns = ("algorithm", "m", "u", "k_max", "trials", "mean_ratio", "min_ratio", "violations")
+    _write(table_text(rows, columns, args.format), args.out)
     violations = sum(r["violations"] for r in rows)
     if violations:
         print(f"error: {violations} trials beat the exhaustive oracle", file=sys.stderr)
@@ -133,18 +125,7 @@ def _cmd_oracle_check(args) -> int:
     return 0
 
 
-def _write_table(rows: list[dict], columns: tuple[str, ...], fmt: str, path) -> None:
-    if fmt == "json":
-        text = json.dumps(rows, indent=2, default=float) + "\n"
-    else:
-        lines = [",".join(columns)]
-        for row in rows:
-            cells = []
-            for col in columns:
-                value = row[col]
-                cells.append(f"{value:.12g}" if isinstance(value, float) else str(value))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+def _write(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
     else:

@@ -49,8 +49,7 @@ __all__ = [
     "run_trial",
     "run_monte_carlo",
     "oracle_check",
-    "rows_to_csv",
-    "rows_to_json",
+    "table_text",
     "emit",
     "write_text",
     "CSV_COLUMNS",
@@ -577,10 +576,6 @@ def oracle_check(
     k_max: int | None = None,
     num_bases: int = 10,
     alpha: float = 0.45,
-    sus_epsilon: float = 0.3,
-    p0_dbm: float = -90.0,
-    bandwidth_hz: float = 20e6,
-    noise_figure_db: float = 5.0,
 ) -> list[dict]:
     """Compare every feasible heuristic with the exhaustive oracle.
 
@@ -588,40 +583,23 @@ def oracle_check(
     against the oracle and the count of bound violations (which should
     always be zero: the oracle maximizes the same metric).
     """
-    k_cap = k_max if k_max is not None else m
     cfg = ExperimentConfig(
         m_values=(m,),
         u_values=(u,),
-        p0_dbm_values=(p0_dbm,),
-        bandwidth_hz=bandwidth_hz,
-        noise_figure_db=noise_figure_db,
-        algorithms=tuple(
-            a.value
-            for a in (
-                Algorithm.SSUS,
-                Algorithm.SUS,
-                Algorithm.GZF,
-                Algorithm.MCORE_PLUS,
-                Algorithm.RANDOM,
-                Algorithm.EXHAUSTIVE,
-            )
-            if not (a is Algorithm.MCORE_PLUS and m > MCORE_MAX_ANTENNAS)
-        ),
+        p0_dbm_values=(-90.0,),
+        algorithms=_ALGORITHM_NAMES,
         ssus_num_bases=(num_bases,),
         ssus_alpha=(alpha,),
-        sus_epsilon=sus_epsilon,
-        k_max=k_cap,
+        k_max=k_max,
         trials=trials,
         master_seed=master_seed,
     )
     point = grid_points(cfg)[0]
-    instances = algo_instances(cfg)
-    oracle_inst = next(i for i in instances if i.algorithm is Algorithm.EXHAUSTIVE)
-    if _infeasible_reason(point, oracle_inst) is not None:
-        raise ValueError(
-            f"oracle infeasible at M={m}, U={u}, K_max={k_cap}: "
-            f"{_infeasible_reason(point, oracle_inst)}"
-        )
+    oracle_inst = AlgoInstance(Algorithm.EXHAUSTIVE)
+    reason = _infeasible_reason(point, oracle_inst)
+    if reason is not None:
+        raise ValueError(f"oracle infeasible at M={m}, U={u}, K_max={point.k_max}: {reason}")
+    instances = [i for i in algo_instances(cfg) if _infeasible_reason(point, i) is None]
     reports = _run_trials(cfg, {point: instances})[point]
     rows = []
     for inst in instances:
@@ -642,7 +620,7 @@ def oracle_check(
                 "algorithm": inst.label,
                 "m": m,
                 "u": u,
-                "k_max": k_cap,
+                "k_max": point.k_max,
                 "trials": len(ratios),
                 "mean_ratio": math.fsum(ratios) / len(ratios) if ratios else float("nan"),
                 "min_ratio": min(ratios) if ratios else float("nan"),
@@ -655,6 +633,8 @@ def oracle_check(
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -681,30 +661,25 @@ def _row_values(row: AggregateRow) -> dict:
     }
 
 
-def rows_to_csv(rows: list[AggregateRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        values = _row_values(row)
-        lines.append(
-            ",".join(
-                str(values[c]) if c in ("scenario_id", "algorithm") else _fmt(values[c])
-                for c in CSV_COLUMNS
-            )
-        )
-    return "\n".join(lines) + "\n"
+def table_text(records: list[dict], columns, fmt: str) -> str:
+    """``records`` as CSV or JSON text with the keys ``columns``.
 
+    Strings pass through, and numbers carry 12 significant digits in both
+    formats.
+    """
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(r[c]) for c in columns) for r in records]
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        def jsonable(value):
+            if value is None or isinstance(value, (str, int)):
+                return value
+            return float(_fmt(value))
 
-def rows_to_json(rows: list[AggregateRow]) -> str:
-    def jsonable(value):
-        if value is None or isinstance(value, (str, int)):
-            return value
-        return float(f"{float(value):.12g}")
-
-    payload = [
-        {key: jsonable(value) for key, value in _row_values(row).items()}
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+        payload = [{c: jsonable(r[c]) for c in columns} for r in records]
+        return json.dumps(payload, indent=2) + "\n"
+    raise ValueError(f"output format must be csv or json, got {fmt!r}")
 
 
 def emit(rows: list[AggregateRow], fmt: str = "csv", path=None) -> str:
@@ -712,12 +687,7 @@ def emit(rows: list[AggregateRow], fmt: str = "csv", path=None) -> str:
 
     Returns the serialized text either way.
     """
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    elif fmt == "json":
-        text = rows_to_json(rows)
-    else:
-        raise ValueError(f"output format must be csv or json, got {fmt!r}")
+    text = table_text([_row_values(r) for r in rows], CSV_COLUMNS, fmt)
     if path is not None:
         write_text(text, path)
     return text

@@ -36,10 +36,35 @@ def _as_selected(h_sel) -> np.ndarray:
         h = h[:, np.newaxis]
     if h.ndim != 2:
         raise ValueError(f"selected channel must be 2-D, got shape {h.shape}")
-    m, k = h.shape
+    return h
+
+
+def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
+    """ZF post-processing SNRs of a (P, M, K) stack of selected channels.
+
+    Returns ``ok``, a (P,) mask of the sets that pass the ``COND_LIMIT``
+    guard, and ``snr``, the (n_ok, K) per-stream SNRs of those sets. Each
+    set is charged its Gram matrix, and each set that passes its Cholesky
+    inverse and K divisions.
+    """
+    p, m, k = h_stack.shape
     if not 1 <= k <= m:
         raise ValueError(f"require 1 <= K <= M for zero forcing, got K={k}, M={m}")
-    return h
+    if n0 <= 0:
+        raise ValueError(f"n0 must be positive, got {n0}")
+    gram = h_stack.conj().transpose(0, 2, 1) @ h_stack
+    ledger.complex_macs += p * k * k * m
+    eigs = np.linalg.eigvalsh(gram)
+    # Negated as a whole, so that a NaN Gram matrix passes the guard.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ~((eigs[:, 0] <= 0.0) | (eigs[:, -1] / eigs[:, 0] > COND_LIMIT))
+    chol = np.linalg.cholesky(gram[ok])
+    chol_inv = np.linalg.solve(chol, np.eye(k, dtype=np.complex128))
+    gram_inv_diag = np.sum(np.abs(chol_inv) ** 2, axis=-2)
+    n_ok = len(chol)
+    ledger.complex_macs += n_ok * k**3
+    ledger.divisions += n_ok * k
+    return ok, 1.0 / (n0 * gram_inv_diag)
 
 
 def zf_post_snr(h_sel, n0: float, ledger: OpLedger) -> np.ndarray:
@@ -49,22 +74,13 @@ def zf_post_snr(h_sel, n0: float, ledger: OpLedger) -> np.ndarray:
     condition number exceeds ``COND_LIMIT``.
     """
     h = _as_selected(h_sel)
-    m, k = h.shape
-    if n0 <= 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
-    gram = h.conj().T @ h
-    ledger.complex_macs += k * k * m
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > COND_LIMIT:
+    ok, snr = _zf_snr(h[np.newaxis], n0, ledger)
+    if not ok[0]:
+        m, k = h.shape
         raise SingularSetError(
             f"gram matrix of the selected set is ill conditioned (K={k}, M={m})"
         )
-    chol = np.linalg.cholesky(gram)
-    chol_inv = np.linalg.solve(chol, np.eye(k, dtype=np.complex128))
-    ledger.complex_macs += k**3
-    gram_inv_diag = np.sum(np.abs(chol_inv) ** 2, axis=0)
-    ledger.divisions += k
-    return 1.0 / (n0 * gram_inv_diag)
+    return snr[0]
 
 
 def sum_spectral_efficiency(h_sel, n0: float, ledger: OpLedger) -> float:
@@ -86,27 +102,9 @@ def zf_sum_rate_batch(h, sets, n0: float, ledger: OpLedger) -> np.ndarray:
     sets = np.asarray(sets, dtype=np.intp)
     if sets.ndim != 2:
         raise ValueError(f"candidate sets must be a 2-D index array, got shape {sets.shape}")
-    m = h.shape[0]
-    p, k = sets.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"require 1 <= K <= M for zero forcing, got K={k}, M={m}")
-    if n0 <= 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
     # One contiguous (M, K) matrix per set, so each batched BLAS and LAPACK
     # call sees the same operands as the single-set path.
-    h_sel = np.ascontiguousarray(np.moveaxis(h[:, sets], 0, 1))
-    gram = h_sel.conj().transpose(0, 2, 1) @ h_sel
-    ledger.complex_macs += p * k * k * m
-    eigs = np.linalg.eigvalsh(gram)
-    # The guard of zf_post_snr, negated as a whole so that NaN passes alike.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = ~((eigs[:, 0] <= 0.0) | (eigs[:, -1] / eigs[:, 0] > COND_LIMIT))
-    chol = np.linalg.cholesky(gram[ok])
-    chol_inv = np.linalg.solve(chol, np.eye(k, dtype=np.complex128))
-    gram_inv_diag = np.sum(np.abs(chol_inv) ** 2, axis=-2)
-    rates = np.full(p, -np.inf)
-    rates[ok] = np.sum(np.log2(1.0 + 1.0 / (n0 * gram_inv_diag)), axis=-1)
-    n_ok = len(chol)
-    ledger.complex_macs += n_ok * k**3
-    ledger.divisions += n_ok * k
+    ok, snr = _zf_snr(np.ascontiguousarray(np.moveaxis(h[:, sets], 0, 1)), n0, ledger)
+    rates = np.full(len(sets), -np.inf)
+    rates[ok] = np.sum(np.log2(1.0 + snr), axis=-1)
     return rates

@@ -16,10 +16,8 @@ import numpy as np
 
 __all__ = [
     "OpLedger",
-    "OrthonormalBasis",
     "BasisConstructionError",
     "gram_schmidt_extend",
-    "orthonormality_defect",
     "subset_count",
 ]
 
@@ -43,25 +41,12 @@ class BasisConstructionError(RuntimeError):
 class OpLedger:
     """Running totals of dominant operation counts for one task.
 
-    Concurrent tasks each own a private ledger; merge them at join points.
+    Concurrent tasks each own a private ledger.
     """
 
     complex_macs: int = 0
     divisions: int = 0
     comparisons: int = 0
-
-    def merge(self, other: "OpLedger") -> None:
-        self.complex_macs += other.complex_macs
-        self.divisions += other.divisions
-        self.comparisons += other.comparisons
-
-
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """Square matrix with orthonormal columns; column 0 is the seed direction."""
-
-    matrix: np.ndarray
-    basis_index: int = 0
 
 
 def _as_vector(a, name: str) -> np.ndarray:
@@ -71,15 +56,10 @@ def _as_vector(a, name: str) -> np.ndarray:
     return arr
 
 
-def gram_schmidt_extend(
-    seed,
-    rng: np.random.Generator,
-    ledger: OpLedger,
-    basis_index: int = 0,
-) -> OrthonormalBasis:
-    """Extend a unit seed vector to a full orthonormal basis.
+def gram_schmidt_extend(seed, rng: np.random.Generator, ledger: OpLedger) -> np.ndarray:
+    """Extend a unit seed vector to an (M, M) orthonormal basis.
 
-    Columns beyond the seed are drawn as complex Gaussian vectors (real and
+    Column 0 is the seed. The columns beyond it are drawn as complex Gaussian vectors (real and
     imaginary parts standard normal) and orthogonalized with modified
     Gram-Schmidt; a draw whose residual falls below ``RESIDUAL_FLOOR`` is
     redrawn, at most ``MAX_REDRAWS`` times.
@@ -109,16 +89,7 @@ def gram_schmidt_extend(
             )
         basis[:, j] = z / resid
         ledger.divisions += m
-    return OrthonormalBasis(matrix=basis, basis_index=basis_index)
-
-
-def orthonormality_defect(matrix: np.ndarray) -> tuple[float, float]:
-    """Return (max off-diagonal |inner product|, max |column norm - 1|)."""
-    gram = matrix.conj().T @ matrix
-    off = gram - np.diag(np.diag(gram))
-    max_cross = float(np.max(np.abs(off))) if matrix.shape[1] > 1 else 0.0
-    max_norm_err = float(np.max(np.abs(np.sqrt(np.diag(gram).real) - 1.0)))
-    return max_cross, max_norm_err
+    return basis
 
 
 def subset_count(u: int, k: int) -> int:

@@ -100,7 +100,9 @@ class SelectionResult:
 
     ``matched_direction[i]`` is the basis column user ``selected[i]`` was
     matched to (the seed user maps to direction 0) and ``weights[i]`` its
-    correlation-weighted rate in the winning basis.
+    correlation-weighted rate in the winning basis. ``winning_basis`` is
+    that basis's index; at M = 2 every basis scores the same in exact
+    arithmetic, so rounding picks the index while the selection stays put.
     """
 
     selected: tuple[int, ...]
@@ -150,7 +152,9 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     rate, accepted only if its correlation clears ``cfg.alpha``; a direction
     whose best candidate fails the threshold stays unfilled. The basis with
     the highest mean accepted weight (seed included) wins, ties going to the
-    lowest basis index.
+    lowest basis index. At M = 2 the seed leaves one direction, so every
+    basis is the same up to phase and rounding decides which index wins;
+    the selection, weights and metric are the same whichever it is.
 
     Bases are built and matched ``_BASIS_BLOCK`` at a time, every basis of
     a block at once (see ``_basis_block`` and ``_match_block``).
@@ -231,9 +235,7 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range, ledger: OpLe
         np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) < RESIDUAL_FLOOR
     )
     for i in dependent:
-        l = indices[i]
-        rebuilt = gram_schmidt_extend(v_seed, basis_stream(rng_seed, l), ledger, basis_index=l)
-        bases[i] = rebuilt.matrix
+        bases[i] = gram_schmidt_extend(v_seed, basis_stream(rng_seed, indices[i]), ledger)
     n_drawn = len(indices) - dependent.size
     # Seed norm check, then per column j: j projections of 2M MACs and a norm.
     ledger.complex_macs += n_drawn * (m + (m - 1) * m * (m + 1))

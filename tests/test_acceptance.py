@@ -17,13 +17,13 @@ from mimosel.complexity import CostQuery, model_cost, reconcile_ledger
 from mimosel.harness import (
     ExperimentConfig,
     algo_instances,
+    emit,
     grid_points,
-    rows_to_csv,
     run_monte_carlo,
     run_trial,
 )
 from mimosel.metrics import zf_post_snr
-from mimosel.numerics import OpLedger, gram_schmidt_extend, orthonormality_defect, subset_count
+from mimosel.numerics import OpLedger, gram_schmidt_extend, subset_count
 from mimosel.seeding import stream
 from mimosel.selectors import (
     Algorithm,
@@ -234,6 +234,8 @@ def test_criterion_5_baseline_proximity():
 def test_criterion_6_algorithmic_invariants():
     with criterion(6, "algorithmic invariants") as note:
         # Gram-Schmidt orthonormality over 1000 random bases.
+        from test_numerics import orthonormality_defect
+
         count = 0
         for m in (2, 4, 8, 16):
             rng = np.random.default_rng(m)
@@ -241,7 +243,7 @@ def test_criterion_6_algorithmic_invariants():
                 v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 v /= np.linalg.norm(v)
                 basis = gram_schmidt_extend(v, stream(6000 + m, trial), OpLedger())
-                cross, norm_err = orthonormality_defect(basis.matrix)
+                cross, norm_err = orthonormality_defect(basis)
                 assert cross <= 1e-10 and norm_err <= 1e-10
                 count += 1
         assert count == 1000
@@ -262,7 +264,7 @@ def test_criterion_6_algorithmic_invariants():
                 OpLedger(),
             )
             for user, direction in zip(res.selected[1:], res.matched_direction[1:]):
-                corr = abs(np.vdot(h[:, user], basis.matrix[:, direction])) / norms[user]
+                corr = abs(np.vdot(h[:, user], basis[:, direction])) / norms[user]
                 assert corr >= cfg.alpha - 1e-12
 
         # Worker-count determinism: byte-identical CSV.
@@ -276,8 +278,8 @@ def test_criterion_6_algorithmic_invariants():
             trials=16,
             master_seed=66,
         )
-        csv_1 = rows_to_csv(run_monte_carlo(ExperimentConfig(workers=1, **mc_kwargs)))
-        csv_8 = rows_to_csv(run_monte_carlo(ExperimentConfig(workers=8, **mc_kwargs)))
+        csv_1 = emit(run_monte_carlo(ExperimentConfig(workers=1, **mc_kwargs)), "csv")
+        csv_8 = emit(run_monte_carlo(ExperimentConfig(workers=8, **mc_kwargs)), "csv")
         assert csv_1 == csv_8
 
         # ZF post-SNR against the projection-residual oracle.

@@ -5,11 +5,8 @@ from scipy import stats
 from mimosel.channel import (
     LinkBudget,
     generate_iid_rayleigh,
-    load_channel,
     noise_power,
     noise_power_dbm,
-    save_channel,
-    snr_db,
 )
 from mimosel.seeding import stream
 
@@ -27,10 +24,6 @@ class TestLinkBudget:
     def test_normalized_noise_and_snr_at_minus90(self):
         budget = LinkBudget(p0_dbm=-90.0)
         assert noise_power(budget) == pytest.approx(N0_LINEAR_P0_M90, abs=1e-12)
-        assert snr_db(budget) == pytest.approx(5.9897000433601875, abs=1e-9)
-
-    def test_snr_at_minus95(self):
-        assert snr_db(LinkBudget(p0_dbm=-95.0)) == pytest.approx(0.9897000433601875, abs=1e-9)
 
     def test_monotone_in_bandwidth_and_noise_figure(self):
         base = LinkBudget(p0_dbm=-90.0, bandwidth_hz=20e6, noise_figure_db=5.0)
@@ -92,27 +85,3 @@ class TestRayleighGenerator:
         with pytest.raises(ValueError):
             generate_iid_rayleigh(0, 5, stream(0))
 
-
-class TestChannelFile:
-    def test_round_trip(self, tmp_path):
-        h = generate_iid_rayleigh(4, 7, stream(55))
-        path = tmp_path / "fixture.chm"
-        save_channel(path, h, seed=987654321)
-        loaded, seed = load_channel(path)
-        assert seed == 987654321
-        assert np.array_equal(loaded, h)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.chm"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="bad magic"):
-            load_channel(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        h = generate_iid_rayleigh(2, 3, stream(0))
-        path = tmp_path / "cut.chm"
-        save_channel(path, h)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            load_channel(path)

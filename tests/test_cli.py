@@ -3,6 +3,9 @@ import json
 import pytest
 
 from mimosel.cli import main
+from mimosel.complexity import CostQuery, relative_cost
+from mimosel.harness import oracle_check
+from mimosel.selectors import Algorithm
 
 CONFIG = """
 trials = 4
@@ -156,6 +159,67 @@ class TestOracleCheckCommand:
     def test_infeasible_instance_errors(self, capsys):
         assert main(["oracle-check", "--m", "8", "--u", "100", "--trials", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# CSV of ``cost`` and ``oracle-check`` as the commands wrote it before they
+# shared the table writer of ``mc``; it must not change by a byte.
+COST_ARGV = ["cost", "--m", "4,8", "--k-mode", "full"]
+COST_CSV = """\
+method,u,m,k,l,cost,relative_to_sus
+sus,100,4,4,1,2800,1
+gzf,100,4,4,1,9358,3.34214285714
+mcore_plus,100,4,4,1,1008,0.36
+ssus,100,4,4,1,1664,0.594285714286
+sus,100,8,8,1,23200,1
+gzf,100,8,8,1,180252,7.76948275862
+mcore_plus,100,8,8,1,60704,2.61655172414
+ssus,100,8,8,1,6912,0.297931034483
+"""
+ORACLE_ARGV = ["oracle-check", "--m", "4", "--u", "6", "--trials", "5"]
+ORACLE_CSV = """\
+algorithm,m,u,k_max,trials,mean_ratio,min_ratio,violations
+ssus,4,6,4,5,0.926738726723,0.845805416236,0
+sus,4,6,4,5,0.732455189802,0.607556212399,0
+gzf,4,6,4,5,0.99136490536,0.956824526802,0
+mcore_plus,4,6,4,5,0.963214408299,0.920260090265,0
+random,4,6,4,5,0.691280490102,0.444391787602,0
+"""
+
+
+def cost_rows():
+    methods = (Algorithm.SUS, Algorithm.GZF, Algorithm.MCORE_PLUS, Algorithm.SSUS)
+    return relative_cost([CostQuery(a, u=100, m=m, k=m) for m in (4, 8) for a in methods])
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [(COST_ARGV, COST_CSV), (ORACLE_ARGV, ORACLE_CSV)],
+        ids=["cost", "oracle-check"],
+    )
+    def test_csv_is_unchanged(self, capsys, argv, golden):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [(COST_ARGV, cost_rows), (ORACLE_ARGV, lambda: oracle_check(m=4, u=6, trials=5))],
+        ids=["cost", "oracle-check"],
+    )
+    def test_json_numbers_carry_12_significant_digits(self, capsys, argv, rows):
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        full = rows()
+        assert [list(entry) for entry in payload] == [list(row) for row in full]
+        rounded = 0
+        for entry, row in zip(payload, full):
+            for key, value in row.items():
+                if isinstance(value, float):
+                    assert entry[key] == float(f"{value:.12g}")
+                    rounded += entry[key] != value
+                else:
+                    assert entry[key] == value and type(entry[key]) is type(value)
+        assert rounded > 0
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from mimosel.harness import (
     grid_points,
     oracle_check,
     parse_config_text,
-    rows_to_csv,
     run_monte_carlo,
     run_trial,
 )
@@ -294,7 +293,7 @@ class TestAggregation:
     def test_worker_count_invariance(self):
         cfg1 = tiny_config(trials=12, workers=1, algorithms=("ssus", "gzf", "random"))
         cfg4 = tiny_config(trials=12, workers=4, algorithms=("ssus", "gzf", "random"))
-        assert rows_to_csv(run_monte_carlo(cfg1)) == rows_to_csv(run_monte_carlo(cfg4))
+        assert emit(run_monte_carlo(cfg1), "csv") == emit(run_monte_carlo(cfg4), "csv")
 
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 6), (None, 1)])
     def test_pool_capped_at_trials_and_cpu_count(self, monkeypatch, cpus, expected):
@@ -317,7 +316,7 @@ class TestAggregation:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         rows = run_monte_carlo(tiny_config(trials=6, workers=5000))
         assert sizes == [expected]
-        assert rows_to_csv(rows) == rows_to_csv(run_monte_carlo(tiny_config(trials=6)))
+        assert emit(rows, "csv") == emit(run_monte_carlo(tiny_config(trials=6)), "csv")
 
     def test_one_pool_per_sweep(self, monkeypatch):
         pools = []
@@ -344,16 +343,16 @@ class TestAggregation:
         assert len(pools) == 1
         assert pools[0].points == {p.scenario_id for p in grid_points(cfg)}
         serial = run_monte_carlo(dataclasses.replace(cfg, workers=1))
-        assert rows_to_csv(rows) == rows_to_csv(serial)
+        assert emit(rows, "csv") == emit(serial, "csv")
         run_monte_carlo(cfg)
         assert len(pools) == 2
 
     def test_shared_pool_output_matches_serial_with_skipped_cell(self, capsys):
         # mcore_plus is infeasible at M=16, so one point runs only sus.
         kw = dict(m_values=(4, 16), u_values=(8,), algorithms=("mcore_plus", "sus"), trials=6)
-        serial = rows_to_csv(run_monte_carlo(tiny_config(workers=1, **kw)))
+        serial = emit(run_monte_carlo(tiny_config(workers=1, **kw)), "csv")
         serial_err = capsys.readouterr().err
-        pooled = rows_to_csv(run_monte_carlo(tiny_config(workers=2, **kw)))
+        pooled = emit(run_monte_carlo(tiny_config(workers=2, **kw)), "csv")
         assert pooled == serial
         assert capsys.readouterr().err == serial_err
         assert serial_err.count("skipped mcore_plus") == 1

@@ -114,10 +114,9 @@ class TestSpaceSplitSelection:
                 h[:, seed_user] / norms[seed_user],
                 basis_stream(cfg.rng_seed, res.winning_basis),
                 OpLedger(),
-                basis_index=res.winning_basis,
             )
             for user, direction in zip(res.selected[1:], res.matched_direction[1:]):
-                corr = abs(np.vdot(h[:, user], basis.matrix[:, direction])) / norms[user]
+                corr = abs(np.vdot(h[:, user], basis[:, direction])) / norms[user]
                 assert corr >= cfg.alpha - 1e-12
 
     def test_mean_metric_is_mean_of_weights(self):

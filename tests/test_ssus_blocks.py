@@ -7,6 +7,7 @@ Gram-Schmidt basis and one greedy loop per basis; both must select the same
 users, match them to the same directions and charge the same ledger.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -21,10 +22,10 @@ from mimosel.numerics import (
     BasisConstructionError,
     OpLedger,
     gram_schmidt_extend,
-    orthonormality_defect,
 )
 from mimosel.seeding import stream
 from mimosel.selectors import _BASIS_BLOCK, Algorithm, SelectionConfig, ss_us
+from test_numerics import orthonormality_defect
 
 N0 = 0.25
 
@@ -59,10 +60,8 @@ def reference_ss_us(h, cfg, n0, ledger):
 
     best = None
     for l in range(cfg.num_bases):
-        basis = gram_schmidt_extend(
-            v_seed, sel.basis_stream(cfg.rng_seed, l), ledger, basis_index=l
-        )
-        directions = basis.matrix[:, 1:n_dirs]
+        basis = gram_schmidt_extend(v_seed, sel.basis_stream(cfg.rng_seed, l), ledger)
+        directions = basis[:, 1:n_dirs]
         corr = np.abs(h_cand.conj().T @ directions) / cand_norms[:, np.newaxis]
         np.clip(corr, 0.0, 1.0, out=corr)
         ledger.complex_macs += cand.size * directions.shape[1] * m
@@ -220,7 +219,7 @@ class TestBatchedBases:
             phase0 = np.vdot(v, basis[:, 0])
             assert abs(abs(phase0) - 1.0) <= 1e-12
             np.testing.assert_allclose(basis[:, 0], phase0 * v, rtol=0, atol=1e-12)
-            mgs = gram_schmidt_extend(v, sel.basis_stream(31, l), OpLedger()).matrix
+            mgs = gram_schmidt_extend(v, sel.basis_stream(31, l), OpLedger())
             phases = np.einsum("ij,ij->j", mgs.conj(), basis)
             np.testing.assert_allclose(np.abs(phases), 1.0, rtol=0, atol=1e-10)
             np.testing.assert_allclose(basis, mgs * phases, rtol=0, atol=1e-10)
@@ -282,22 +281,27 @@ class TestRedrawGuard:
         v = h[:, np.argmax(norms)] / norms.max()
         prefix = dependent_prefix(v, j, stream(4601, j))
         real_stream = sel.basis_stream
-        monkeypatch.setattr(
-            sel,
-            "basis_stream",
-            lambda seed, l: ScriptedStream(prefix if l == l_bad else (), real_stream(seed, l)),
-        )
-        calls = []
+        opened = collections.Counter()
+
+        def scripted_stream(seed, l):
+            opened[l] += 1
+            return ScriptedStream(prefix if l == l_bad else (), real_stream(seed, l))
+
+        monkeypatch.setattr(sel, "basis_stream", scripted_stream)
+        rebuilds = []
         real_extend = sel.gram_schmidt_extend
 
-        def counting_extend(*args, **kwargs):
-            calls.append(kwargs.get("basis_index"))
-            return real_extend(*args, **kwargs)
+        def counting_extend(*args):
+            rebuilds.append(args)
+            return real_extend(*args)
 
         monkeypatch.setattr(sel, "gram_schmidt_extend", counting_extend)
         cfg = ssus_cfg(m, 2 * _BASIS_BLOCK, 0.3, 11)
+        ss_us(h, cfg, N0, OpLedger())
+        # One rebuild, on a second stream of basis l_bad and of no other.
+        assert len(rebuilds) == 1
+        assert opened == {l: 1 + (l == l_bad) for l in range(cfg.num_bases)}
         assert_same_as_reference(h, cfg)
-        assert calls == [l_bad]
 
         # The fallback redrew: its ledger holds more than the no-redraw cost.
         led = OpLedger()

@@ -1,9 +1,12 @@
 """The batched ZF scoring kernel against the per-set path it replaces.
 
-``reference_gzf`` and ``reference_best_subset`` are the per-candidate loops
-that ``gzf`` and the subset enumeration of ``mcore_plus`` and
-``exhaustive_oracle`` ran before they scored candidates in batches. The
-batched selectors must reproduce their selections and op-ledger totals
+``reference_zf_post_snr`` is the single-set ZF factorisation that
+``zf_post_snr`` ran before it became a call of the batched kernel, and
+``reference_sum_se`` the sum rate built on it. ``reference_gzf`` and
+``reference_best_subset`` are the per-candidate loops that ``gzf`` and the
+subset enumeration of ``mcore_plus`` and ``exhaustive_oracle`` ran before
+they scored candidates in batches; they score with ``reference_sum_se``.
+The package must reproduce their SNRs, selections and op-ledger totals
 exactly, not approximately.
 """
 
@@ -14,7 +17,13 @@ import pytest
 
 from mimosel import selectors
 from mimosel.channel import LinkBudget, generate_iid_rayleigh, noise_power
-from mimosel.metrics import SingularSetError, sum_spectral_efficiency, zf_sum_rate_batch
+from mimosel.metrics import (
+    COND_LIMIT,
+    SingularSetError,
+    sum_spectral_efficiency,
+    zf_post_snr,
+    zf_sum_rate_batch,
+)
 from mimosel.numerics import OpLedger
 from mimosel.seeding import stream
 from mimosel.selectors import (
@@ -25,6 +34,28 @@ from mimosel.selectors import (
 )
 
 
+def reference_zf_post_snr(h_sel, n0, ledger):
+    h = np.asarray(h_sel, dtype=np.complex128)
+    if h.ndim == 1:
+        h = h[:, np.newaxis]
+    m, k = h.shape
+    gram = h.conj().T @ h
+    ledger.complex_macs += k * k * m
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > COND_LIMIT:
+        raise SingularSetError("ill conditioned")
+    chol = np.linalg.cholesky(gram)
+    chol_inv = np.linalg.solve(chol, np.eye(k, dtype=np.complex128))
+    ledger.complex_macs += k**3
+    gram_inv_diag = np.sum(np.abs(chol_inv) ** 2, axis=0)
+    ledger.divisions += k
+    return 1.0 / (n0 * gram_inv_diag)
+
+
+def reference_sum_se(h_sel, n0, ledger):
+    return float(np.sum(np.log2(1.0 + reference_zf_post_snr(h_sel, n0, ledger))))
+
+
 def reference_gzf(h, n0, k_max, ledger):
     hm = np.asarray(h, dtype=np.complex128)
     m, u = hm.shape
@@ -33,7 +64,7 @@ def reference_gzf(h, n0, k_max, ledger):
     seed_user = int(np.argmax(norms))
     ledger.comparisons += max(u - 1, 0)
     selected = [seed_user]
-    current = sum_spectral_efficiency(hm[:, selected], n0, ledger)
+    current = reference_sum_se(hm[:, selected], n0, ledger)
     pool = [i for i in range(u) if i != seed_user]
     k_cap = min(k_max, m, u)
     while len(selected) < k_cap and pool:
@@ -41,7 +72,7 @@ def reference_gzf(h, n0, k_max, ledger):
         best_user = -1
         for cand in pool:
             try:
-                rate = sum_spectral_efficiency(hm[:, selected + [cand]], n0, ledger)
+                rate = reference_sum_se(hm[:, selected + [cand]], n0, ledger)
             except SingularSetError:
                 rate = -np.inf
             ledger.comparisons += 1
@@ -62,7 +93,7 @@ def reference_best_subset(hm, users, max_size, n0, ledger):
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(users, size):
             try:
-                rate = sum_spectral_efficiency(hm[:, list(combo)], n0, ledger)
+                rate = reference_sum_se(hm[:, list(combo)], n0, ledger)
             except SingularSetError:
                 continue
             ledger.comparisons += 1
@@ -125,7 +156,7 @@ def test_kernel_equals_single_set_path_exactly():
                 rates = zf_sum_rate_batch(h, sets, n0, OpLedger())
                 for row, rate in zip(sets, rates):
                     try:
-                        expected = sum_spectral_efficiency(h[:, row], n0, OpLedger())
+                        expected = reference_sum_se(h[:, row], n0, OpLedger())
                     except SingularSetError:
                         expected = -np.inf
                     assert rate == expected
@@ -137,8 +168,31 @@ def test_kernel_ledger_equals_per_set_charges():
     batched, per_set = OpLedger(), OpLedger()
     zf_sum_rate_batch(h, sets, n0, batched)
     for row in sets:
-        sum_spectral_efficiency(h[:, row], n0, per_set)
+        reference_sum_se(h[:, row], n0, per_set)
     assert batched == per_set
+
+
+def test_zf_post_snr_equals_reference_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    singular = 0
+    for i in range(2400):
+        m = 1 + i % 16
+        k = 1 + (i // 16) % m
+        h = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        if i % 7 == 0 and k > 1:
+            h[:, -1] = h[:, 0]
+        n0 = 10.0 ** rng.uniform(-3.0, 1.0)
+        got, want = OpLedger(), OpLedger()
+        try:
+            expected = reference_zf_post_snr(h, n0, want)
+        except SingularSetError:
+            with pytest.raises(SingularSetError):
+                zf_post_snr(h, n0, got)
+            singular += 1
+        else:
+            assert zf_post_snr(h, n0, got).tobytes() == expected.tobytes()
+        assert got == want
+    assert singular >= 200
 
 
 def test_repeated_column_scores_minus_inf_and_is_charged_the_gram_only():
