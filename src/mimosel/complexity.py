@@ -71,7 +71,7 @@ def model_cost(query: CostQuery) -> int:
         return (
             u * m
             + m**3
-            + sum(math.comb(m, i) * (m * i**2 + i**3) for i in range(1, m + 1))
+            + sum(math.comb(m, i) * (m * i**2 + i**3) for i in range(1, k + 1))
         )
     if query.method is Algorithm.SSUS:
         return u * m + l * (m**3 + u * m * (m - 1))

@@ -4,7 +4,10 @@ For a selected channel H_sel (columns = selected users), the ZF receiver's
 per-stream SNR is 1 / (n0 * diag(inv(G))) with G = H_sel^H H_sel. G is
 Hermitian positive definite whenever the columns are independent, so the
 inverse diagonal is taken through a Cholesky factor, guarded by a condition
-number limit.
+number limit. The guard is certified from that factor: cond(G) is at most
+trace(G) trace(inv(G)), and trace(inv(G)) is the sum of the inverse
+diagonal. Only the sets this bound does not certify have their eigenvalues
+computed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,21 @@ def _as_selected(h_sel) -> np.ndarray:
     return h
 
 
+def _eigen_guard(gram: np.ndarray) -> np.ndarray:
+    """The ``COND_LIMIT`` guard of a (P, K, K) Gram stack, from its eigenvalues."""
+    eigs = np.linalg.eigvalsh(gram)
+    # Negated as a whole, so that a NaN Gram matrix passes the guard.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ~((eigs[:, 0] <= 0.0) | (eigs[:, -1] / eigs[:, 0] > COND_LIMIT))
+
+
+def _gram_inv_diag(gram: np.ndarray) -> np.ndarray:
+    """Diagonals of the inverses of a (P, K, K) Gram stack, via Cholesky."""
+    chol = np.linalg.cholesky(gram)
+    chol_inv = np.linalg.solve(chol, np.eye(gram.shape[-1], dtype=np.complex128))
+    return (np.abs(chol_inv) ** 2).sum(axis=-2)
+
+
 def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
     """ZF post-processing SNRs of a (P, M, K) stack of selected channels.
 
@@ -46,6 +64,15 @@ def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
     guard, and ``snr``, the (n_ok, K) per-stream SNRs of those sets. Each
     set is charged its Gram matrix, and each set that passes its Cholesky
     inverse and K divisions.
+
+    The whole stack is factored first. A set is certified when
+    trace(G) trace(inv(G)), an upper bound on cond(G), is at most
+    ``COND_LIMIT`` / 16; the factor of 16 covers the rounding of the
+    computed bound and of the eigenvalues the guard would otherwise use.
+    ``eigvalsh`` runs only on the sets left uncertified (NaN ones among
+    them), and if some set is not positive definite, so that the batched
+    factorisation fails, on the whole stack. Either way the mask, the SNRs
+    and the charges are those of guarding every set by its eigenvalues.
     """
     p, m, k = h_stack.shape
     if not 1 <= k <= m:
@@ -54,14 +81,19 @@ def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
         raise ValueError(f"n0 must be positive, got {n0}")
     gram = h_stack.conj().transpose(0, 2, 1) @ h_stack
     ledger.complex_macs += p * k * k * m
-    eigs = np.linalg.eigvalsh(gram)
-    # Negated as a whole, so that a NaN Gram matrix passes the guard.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = ~((eigs[:, 0] <= 0.0) | (eigs[:, -1] / eigs[:, 0] > COND_LIMIT))
-    chol = np.linalg.cholesky(gram[ok])
-    chol_inv = np.linalg.solve(chol, np.eye(k, dtype=np.complex128))
-    gram_inv_diag = np.sum(np.abs(chol_inv) ** 2, axis=-2)
-    n_ok = len(chol)
+    try:
+        gram_inv_diag = _gram_inv_diag(gram)
+    except np.linalg.LinAlgError:
+        ok = _eigen_guard(gram)
+        gram_inv_diag = _gram_inv_diag(gram[ok])
+    else:
+        trace = gram.diagonal(axis1=1, axis2=2).real.sum(axis=-1)
+        ok = trace * gram_inv_diag.sum(axis=-1) <= COND_LIMIT / 16
+        if not ok.all():
+            unsure = ~ok
+            ok[unsure] = _eigen_guard(gram[unsure])
+            gram_inv_diag = gram_inv_diag[ok]
+    n_ok = len(gram_inv_diag)
     ledger.complex_macs += n_ok * k**3
     ledger.divisions += n_ok * k
     return ok, 1.0 / (n0 * gram_inv_diag)

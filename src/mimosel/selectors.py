@@ -348,16 +348,18 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     return SelectionResult(selected=tuple(selected))
 
 
-def mcore_plus(h, n0: float, ledger: OpLedger) -> SelectionResult:
+def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     """Chordal-distance shortlist selection with an exhaustive final stage.
 
     Keeps the 2M strongest users, greedily builds an M-user shortlist by
     max-min chordal distance sqrt(1 - corr^2) seeded with the strongest
-    user, then enumerates every non-empty shortlist subset and returns the
-    one with the highest ZF sum spectral efficiency.
+    user, then enumerates every shortlist subset of 1..``k_max`` users and
+    returns the one with the highest ZF sum spectral efficiency.
     """
     hm = _as_channel(h)
     m, u = hm.shape
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if m > MCORE_MAX_ANTENNAS:
         raise ValueError(
             f"mcore_plus exhaustive stage requires M <= {MCORE_MAX_ANTENNAS}, got M={m}"
@@ -390,7 +392,7 @@ def mcore_plus(h, n0: float, ledger: OpLedger) -> SelectionResult:
 
     short_users = sorted(int(pool[i]) for i in shortlist)
     return SelectionResult(
-        selected=_best_subset(hm, short_users, len(short_users), n0, ledger)
+        selected=_best_subset(hm, short_users, min(k_max, len(short_users)), n0, ledger)
     )
 
 
@@ -457,7 +459,7 @@ def run_selection(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> Selec
     if cfg.algorithm is Algorithm.GZF:
         return gzf(h, n0, cfg.k_max, ledger)
     if cfg.algorithm is Algorithm.MCORE_PLUS:
-        return mcore_plus(h, n0, ledger)
+        return mcore_plus(h, n0, cfg.k_max, ledger)
     if cfg.algorithm is Algorithm.RANDOM:
         hm = _as_channel(h)
         k = min(cfg.k_max, hm.shape[0], hm.shape[1])

@@ -26,6 +26,10 @@ class TestModelCost:
     def test_mcore_reference_value(self):
         assert model_cost(CostQuery(Algorithm.MCORE_PLUS, u=100, m=8, k=8)) == 60704
 
+    def test_mcore_enumeration_stops_at_k(self):
+        # 100*8 + 8^3 + sum over i = 1..4 of C(8, i) (8 i^2 + i^3)
+        assert model_cost(CostQuery(Algorithm.MCORE_PLUS, u=100, m=8, k=4)) == 21488
+
     def test_space_split_affine_in_bases(self):
         m, u = 8, 100
         slope = m**3 + u * m * (m - 1)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimosel.channel import generate_iid_rayleigh
 from mimosel.metrics import SingularSetError, sum_spectral_efficiency
@@ -210,16 +212,16 @@ class TestGreedyZeroForcing:
 class TestMcorePlus:
     def test_single_candidate(self):
         h = np.array([[1.0 + 0.5j]], dtype=complex)
-        assert mcore_plus(h, 1.0, OpLedger()).selected == (0,)
+        assert mcore_plus(h, 1.0, 1, OpLedger()).selected == (0,)
 
     def test_identity_selects_all(self):
         m = 3
-        res = mcore_plus(np.eye(m, dtype=complex), 1.0, OpLedger())
+        res = mcore_plus(np.eye(m, dtype=complex), 1.0, m, OpLedger())
         assert res.selected == tuple(range(m))
 
     def test_hand_example(self):
         h = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
-        res = mcore_plus(h, 1.0, OpLedger())
+        res = mcore_plus(h, 1.0, 2, OpLedger())
         assert res.selected == (0, 1)
 
     def test_pool_restricted_to_strongest(self):
@@ -232,13 +234,23 @@ class TestMcorePlus:
         )
         weak = np.array([[0.0], [0.1]], dtype=complex)
         h = np.hstack([strong, weak])
-        res = mcore_plus(h, 1.0, OpLedger())
+        res = mcore_plus(h, 1.0, 2, OpLedger())
         assert 8 not in res.selected
 
     def test_rejects_large_arrays(self):
         h = generate_iid_rayleigh(13, 30, stream(1))
         with pytest.raises(ValueError, match="M <= 12"):
-            mcore_plus(h, 1.0, OpLedger())
+            mcore_plus(h, 1.0, 13, OpLedger())
+
+    def test_honours_k_max(self):
+        # Every set of s orthogonal unit users scores s bits at n0 = 1.
+        h = np.eye(4, dtype=complex)
+        for k_max in range(1, 5):
+            assert mcore_plus(h, 1.0, k_max, OpLedger()).selected == tuple(range(k_max))
+
+    def test_rejects_k_max_below_one(self):
+        with pytest.raises(ValueError, match="k_max"):
+            mcore_plus(np.eye(2, dtype=complex), 1.0, 0, OpLedger())
 
 
 class TestRandomSelect:
@@ -330,6 +342,26 @@ class TestCrossAlgorithmProperties:
             for name, res in self.all_results(h, n0, m, trial).items():
                 se = sum_spectral_efficiency(h[:, sorted(res.selected)], n0, OpLedger())
                 assert se <= oracle_se, f"{name} beat the oracle on trial {trial}"
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_every_selector_within_k_max_and_oracle(self, data):
+        m = data.draw(st.integers(1, 5), label="M")
+        u = data.draw(st.integers(1, 8), label="U")
+        k_max = data.draw(st.integers(1, m), label="K_max")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        n0 = data.draw(st.sampled_from((0.01, 0.25178508235883346, 4.0)), label="n0")
+        h = generate_iid_rayleigh(m, u, stream(seed))
+        oracle = exhaustive_oracle(h, n0, k_max, OpLedger())
+        oracle_se = sum_spectral_efficiency(h[:, sorted(oracle.selected)], n0, OpLedger())
+        for algorithm in Algorithm:
+            cfg = SelectionConfig(algorithm, k_max=k_max, num_bases=3, rng_seed=seed)
+            res = run_selection(h, cfg, n0, OpLedger())
+            assert len(set(res.selected)) == res.k_b, algorithm
+            assert 1 <= res.k_b <= k_max, algorithm
+            # Scored on sorted columns, as run_trial scores every cell.
+            se = sum_spectral_efficiency(h[:, sorted(res.selected)], n0, OpLedger())
+            assert se <= oracle_se, algorithm
 
     def test_dispatch_rejects_unknown(self):
         h = generate_iid_rayleigh(2, 3, stream(7))

@@ -6,8 +6,10 @@
 ``reference_best_subset`` are the per-candidate loops that ``gzf`` and the
 subset enumeration of ``mcore_plus`` and ``exhaustive_oracle`` ran before
 they scored candidates in batches; they score with ``reference_sum_se``.
-The package must reproduce their SNRs, selections and op-ledger totals
-exactly, not approximately.
+``reference_zf_snr`` is the batched kernel as it was when every set was
+guarded by its eigenvalues; the kernel now certifies most sets from their
+Cholesky factors instead. The package must reproduce their SNRs, masks,
+selections and op-ledger totals exactly, not approximately.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mimosel import selectors
+from mimosel import metrics, selectors
 from mimosel.channel import LinkBudget, generate_iid_rayleigh, noise_power
 from mimosel.metrics import (
     COND_LIMIT,
@@ -138,7 +140,7 @@ def test_selectors_match_per_candidate_loops(m, u, n):
         assert gzf(h, n0, k_max, ledger).selected == reference_gzf(h, n0, k_max, expected)
         assert ledger == expected
         if m <= MCORE_MAX_ANTENNAS:
-            got, ref = batched_and_reference(mcore_plus, h, n0)
+            got, ref = batched_and_reference(mcore_plus, h, n0, k_max)
             assert got == ref
         if u == 10:
             # k_max = 3 keeps the reference enumeration quick.
@@ -246,3 +248,120 @@ def test_block_boundaries_do_not_change_the_answer(monkeypatch, block):
     split = OpLedger()
     assert exhaustive_oracle(h, n0, 4, split).selected == expected
     assert split == whole
+
+
+def reference_zf_snr(h_stack, n0, ledger):
+    p, m, k = h_stack.shape
+    gram = h_stack.conj().transpose(0, 2, 1) @ h_stack
+    ledger.complex_macs += p * k * k * m
+    eigs = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ~((eigs[:, 0] <= 0.0) | (eigs[:, -1] / eigs[:, 0] > COND_LIMIT))
+    chol = np.linalg.cholesky(gram[ok])
+    chol_inv = np.linalg.solve(chol, np.eye(k, dtype=np.complex128))
+    gram_inv_diag = np.sum(np.abs(chol_inv) ** 2, axis=-2)
+    n_ok = len(chol)
+    ledger.complex_macs += n_ok * k**3
+    ledger.divisions += n_ok * k
+    return ok, 1.0 / (n0 * gram_inv_diag)
+
+
+def assert_same_guard(h_stack, n0):
+    """The kernel's mask, SNR bytes and ledger equal the reference's."""
+    got, want = OpLedger(), OpLedger()
+    ok, snr = metrics._zf_snr(h_stack, n0, got)
+    ref_ok, ref_snr = reference_zf_snr(h_stack, n0, want)
+    assert np.array_equal(ok, ref_ok)
+    assert snr.tobytes() == ref_snr.tobytes()
+    assert got == want
+    return ref_ok
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+
+
+def guard_stack(i, rng):
+    """Stack i of the guard-equivalence sweep and the kind of sets it holds.
+
+    Kinds cycle through plain sets, exactly singular ones (a repeated
+    column), borderline ones (a near-dependent column whose Gram condition
+    number sweeps about 1e10 to 1e14, across ``COND_LIMIT``) and one set
+    with a NaN column.
+    """
+    m = 1 + i % 16
+    p = 1 + (i // 16) % 64
+    k = int(rng.integers(1, m + 1))
+    h = complex_normal(rng, (p, m, k))
+    kind = ("plain", "singular", "borderline", "nan")[i % 4]
+    if kind == "nan":
+        h[rng.integers(p), :, rng.integers(k)] = np.nan
+        return h, kind, []
+    if k == 1 or kind == "plain":
+        return h, "plain", []
+    sets = rng.choice(p, size=max(1, p // 2), replace=False)
+    col = int(rng.integers(1, k))
+    if kind == "singular":
+        h[sets, :, col] = h[sets, :, 0]
+    else:
+        # cond(G) is about 4 / delta^2 for columns a and a + delta z.
+        delta = 2.0 * 10.0 ** rng.uniform(-7.0, -5.0, size=(sets.size, 1))
+        h[sets, :, col] = h[sets, :, 0] + delta * complex_normal(rng, (sets.size, m))
+    return h, kind, sets
+
+
+def test_certified_guard_equals_eigenvalue_guard():
+    rng = np.random.default_rng(2027)
+    failed = {"plain": 0, "singular": 0, "borderline": 0}
+    passed_borderline = 0
+    nan_stacks = {"pass": 0, "raise": 0}
+    n_sets = 0
+    for i in range(10_000):
+        h, kind, sets = guard_stack(i, rng)
+        n0 = 10.0 ** rng.uniform(-3.0, 1.0)
+        n_sets += len(h)
+        if kind == "nan":
+            # eigvalsh raises on a NaN Gram matrix of K >= 3 and passes it
+            # below that; the kernel must do the same.
+            try:
+                reference_zf_snr(h, n0, OpLedger())
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    metrics._zf_snr(h, n0, OpLedger())
+                nan_stacks["raise"] += 1
+                continue
+            assert assert_same_guard(h, n0).all()
+            nan_stacks["pass"] += 1
+            continue
+        ok = assert_same_guard(h, n0)
+        failed[kind] += int(np.count_nonzero(~ok))
+        if kind == "borderline":
+            passed_borderline += int(np.count_nonzero(ok[sets]))
+    assert n_sets > 300_000
+    assert failed["plain"] == 0
+    assert failed["singular"] > 10_000
+    # Borderline sets fall on both sides of COND_LIMIT.
+    assert failed["borderline"] > 5_000 and passed_borderline > 5_000
+    assert min(nan_stacks.values()) > 100
+
+
+def test_cholesky_failure_falls_back_to_eigenvalue_guard():
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal((40, 8, 4)) + 1j * rng.standard_normal((40, 8, 4))
+    h[17, :, 2] = 0.0
+    h[23, :, 3] = h[23, :, 1] + 1e-7 * h[23, :, 0]
+    gram = h.conj().transpose(0, 2, 1) @ h
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram)
+    ok = assert_same_guard(h, 0.1)
+    assert np.flatnonzero(~ok).tolist() == [17, 23]
+
+
+def test_well_conditioned_stack_skips_eigvalsh(monkeypatch):
+    def no_eigvalsh(gram):
+        raise AssertionError("eigvalsh ran on a certified stack")
+
+    h, n0 = instance(2, 8, 20)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    rates = zf_sum_rate_batch(h, list(itertools.combinations(range(6), 4)), n0, OpLedger())
+    assert np.isfinite(rates).all()
