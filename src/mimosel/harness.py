@@ -2,9 +2,11 @@
 
 One trial draws a single channel matrix (from a seed derived from the
 master seed, grid point, and trial index) and runs every configured
-algorithm on that identical matrix, so comparisons are paired. Trials are
-independent tasks; results are post-sorted by trial index before
-aggregation, which makes the output invariant to worker count.
+algorithm on that identical matrix, so comparisons are paired. The ``ssus``
+variants of a trial share one selection call that builds their bases once
+and charges each variant what it would cost alone. Trials are independent
+tasks; results are post-sorted by trial index before aggregation, which
+makes the output invariant to worker count.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import LinkBudget, generate_iid_rayleigh, noise_power
-from .metrics import SingularSetError, sum_spectral_efficiency
-from .numerics import BasisConstructionError, OpLedger, subset_count
+from .metrics import sum_spectral_efficiency
+from .numerics import OpLedger, subset_count
 from .seeding import derive_seed, stream
 from .selectors import (
     EXHAUSTIVE_SUBSET_CAP,
@@ -33,6 +35,7 @@ from .selectors import (
     Algorithm,
     SelectionConfig,
     run_selection,
+    ss_us_variants,
 )
 
 __all__ = [
@@ -102,7 +105,8 @@ class ExperimentConfig:
 
     Construction converts and checks every setting, so an instance is always
     valid: int settings take integers only, float settings finite numbers,
-    bool settings true or false, list settings a non-empty list or a scalar.
+    bool settings true or false, list settings a non-empty list or a scalar
+    with no value listed twice.
     """
 
     m_values: tuple[int, ...] = _setting("grid.m", (4, 8), _AT_LEAST_1)
@@ -146,6 +150,9 @@ class ExperimentConfig:
                 if not items:
                     raise ValueError(f"{key} must be non-empty")
                 value = tuple(_typed(key, kind, f.metadata["check"], v) for v in items)
+                twice = next((v for i, v in enumerate(value) if v in value[:i]), None)
+                if twice is not None:
+                    raise ValueError(f"{key} lists {twice} twice")
             else:
                 value = _typed(key, kind, f.metadata["check"], value)
             object.__setattr__(self, f.name, value)
@@ -415,7 +422,12 @@ def run_trial(
     instances: list[AlgoInstance],
     trial_index: int,
 ) -> TrialReport:
-    """Run every algorithm variant on one freshly drawn channel matrix."""
+    """Run every algorithm variant on one freshly drawn channel matrix.
+
+    All ``ssus`` variants share one ``ss_us_variants`` call, so their bases
+    are built once; each cell's wall time holds an even share of that call.
+    Every other variant runs through ``run_selection`` on its own.
+    """
     rng = stream(cfg.master_seed, point.index, trial_index, _ROLE_CHANNEL)
     h = generate_iid_rayleigh(point.m, point.u, rng)
     channel_hash = hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
@@ -423,48 +435,65 @@ def run_trial(
     random_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_RANDOM)
 
     cells: dict[AlgoInstance, CellResult] = {}
+    ssus = [inst for inst in instances if inst.algorithm is Algorithm.SSUS]
+    if ssus:
+        start = time.perf_counter_ns()
+        variants = [(inst.num_bases, inst.alpha) for inst in ssus]
+        try:
+            outcomes = ss_us_variants(h, point.k_max, select_seed, point.n0, variants)
+        except ValueError as exc:
+            outcomes = [(exc, OpLedger()) for _ in ssus]
+        share_ns = (time.perf_counter_ns() - start) // len(ssus)
+        for inst, (outcome, ledger) in zip(ssus, outcomes):
+            cells[inst] = _cell(h, point, outcome, ledger, time.perf_counter_ns() - share_ns)
     for inst in instances:
+        if inst.algorithm is Algorithm.SSUS:
+            continue
         ledger = OpLedger()
         sel_cfg = SelectionConfig(
             algorithm=inst.algorithm,
             k_max=point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max,
-            num_bases=inst.num_bases or 1,
-            alpha=inst.alpha if inst.alpha is not None else 0.45,
             sus_epsilon=cfg.sus_epsilon,
             rng_seed=random_seed if inst.algorithm is Algorithm.RANDOM else select_seed,
         )
         start = time.perf_counter_ns()
         try:
-            result = run_selection(h, sel_cfg, point.n0, ledger)
-            # Evaluation of the final set is measurement, not selection: it
-            # goes to a throwaway ledger so MAC counts stay comparable with
-            # the selection cost models, and columns are passed in sorted
-            # order so every algorithm's set is scored bit-for-bit like the
-            # oracle's enumeration of the same subset.
-            se = sum_spectral_efficiency(h[:, sorted(result.selected)], point.n0, OpLedger())
-            cells[inst] = CellResult(
-                selected=result.selected,
-                se=se,
-                macs=ledger.complex_macs,
-                divisions=ledger.divisions,
-                comparisons=ledger.comparisons,
-                wall_ns=time.perf_counter_ns() - start,
-            )
-        except (ValueError, SingularSetError, BasisConstructionError) as exc:
-            cells[inst] = CellResult(
-                selected=(),
-                se=float("nan"),
-                macs=ledger.complex_macs,
-                divisions=ledger.divisions,
-                comparisons=ledger.comparisons,
-                wall_ns=time.perf_counter_ns() - start,
-                error=str(exc),
-            )
+            outcome = run_selection(h, sel_cfg, point.n0, ledger)
+        except ValueError as exc:
+            outcome = exc
+        cells[inst] = _cell(h, point, outcome, ledger, start)
     return TrialReport(
         trial_index=trial_index,
         scenario_id=point.scenario_id,
         channel_hash=channel_hash,
-        cells=cells,
+        cells={inst: cells[inst] for inst in instances},
+    )
+
+
+def _cell(h, point: GridPoint, outcome, ledger: OpLedger, start: int) -> CellResult:
+    """Cell of a selection ``outcome`` (a result or the error it raised).
+
+    Evaluation of the final set is measurement, not selection: it goes to
+    a throwaway ledger so MAC counts stay comparable with the selection
+    cost models, and columns are passed in sorted order so every
+    algorithm's set is scored bit for bit like the oracle's enumeration of
+    the same subset.
+    """
+    error = outcome if isinstance(outcome, Exception) else None
+    if error is None:
+        try:
+            se = sum_spectral_efficiency(h[:, sorted(outcome.selected)], point.n0, OpLedger())
+        except ValueError as exc:
+            error = exc
+    failed = error is not None
+    return CellResult(
+        selected=() if failed else outcome.selected,
+        se=float("nan") if failed else se,
+        macs=ledger.complex_macs,
+        divisions=ledger.divisions,
+        comparisons=ledger.comparisons,
+        wall_ns=time.perf_counter_ns() - start,
+        error=str(error) if failed else None,
     )
 
 

@@ -39,6 +39,8 @@ def _as_selected(h_sel) -> np.ndarray:
         h = h[:, np.newaxis]
     if h.ndim != 2:
         raise ValueError(f"selected channel must be 2-D, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("channel matrix contains a non-finite entry")
     return h
 
 

@@ -17,13 +17,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .metrics import sum_spectral_efficiency, zf_sum_rate_batch
-from .numerics import RESIDUAL_FLOOR, OpLedger, gram_schmidt_extend, subset_count
+from .numerics import (
+    RESIDUAL_FLOOR,
+    BasisConstructionError,
+    OpLedger,
+    gram_schmidt_extend,
+    subset_count,
+)
 from .seeding import stream
 
 __all__ = [
@@ -32,6 +38,7 @@ __all__ = [
     "SelectionResult",
     "basis_stream",
     "ss_us",
+    "ss_us_variants",
     "sus",
     "gzf",
     "mcore_plus",
@@ -123,6 +130,8 @@ def _as_channel(h) -> np.ndarray:
     m, u = arr.shape
     if m < 1 or u < 1:
         raise ValueError(f"channel matrix must be at least 1x1, got {m}x{u}")
+    if not np.isfinite(arr).all():
+        raise ValueError("channel matrix contains a non-finite entry")
     if not arr.any(axis=0).all():
         raise ValueError("channel matrix contains an all-zero column")
     return arr
@@ -156,63 +165,134 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     basis is the same up to phase and rounding decides which index wins;
     the selection, weights and metric are the same whichever it is.
 
-    Bases are built and matched ``_BASIS_BLOCK`` at a time, every basis of
-    a block at once (see ``_basis_block`` and ``_match_block``).
+    This is ``ss_us_variants`` with the single variant of ``cfg``; the
+    ledger is charged what that variant is charged there, and a
+    :class:`BasisConstructionError` is raised after the charges.
+    """
+    [(outcome, charged)] = ss_us_variants(
+        h, cfg.k_max, cfg.rng_seed, n0, [(cfg.num_bases, cfg.alpha)]
+    )
+    ledger.complex_macs += charged.complex_macs
+    ledger.divisions += charged.divisions
+    ledger.comparisons += charged.comparisons
+    if isinstance(outcome, BasisConstructionError):
+        raise outcome
+    return outcome
+
+
+def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
+    """``ss_us`` for every (num_bases, alpha) pair of ``variants`` in one pass.
+
+    Basis l depends only on (``rng_seed``, l), and alpha enters only the
+    matching, so the seed user, the bases and their correlations are built
+    once, for the largest L, ``_BASIS_BLOCK`` bases at a time (see
+    ``_basis_block``). Each distinct alpha then matches users on every
+    block (see ``_match_block``) and keeps a running best basis, which a
+    variant with L bases takes as it stands after basis L - 1.
+
+    Returns one (outcome, ledger) pair per variant, in order. The outcome
+    is the :class:`SelectionResult` of ``ss_us`` with that variant alone,
+    or the :class:`BasisConstructionError` it would raise: a fallback that
+    exhausts its redraws at basis j fails only the variants with L > j.
+    The ledger holds what that call charges: the common charges plus, for
+    each of its first L bases, the basis's construction and correlation
+    charges and the match comparisons at its alpha. A failed variant's
+    ledger stops at the failing basis, which adds what its fallback charged.
     """
     hm = _as_channel(h)
     m, u = hm.shape
-    norms = _column_norms(hm, ledger)
-    ledger.divisions += u
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    for num_bases, alpha in variants:
+        if num_bases < 1:
+            raise ValueError(f"num_bases must be >= 1, got {num_bases}")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    common = OpLedger()
+    norms = _column_norms(hm, common)
+    common.divisions += u
     rates = np.log2(1.0 + norms**2 / n0)
     seed_user = int(np.argmax(norms))
-    ledger.comparisons += max(u - 1, 0)
+    common.comparisons += max(u - 1, 0)
     seed_rate = float(rates[seed_user])
 
-    n_dirs = min(cfg.k_max, m)
+    n_dirs = min(k_max, m)
     if u == 1 or n_dirs <= 1:
-        return SelectionResult(
+        result = SelectionResult(
             selected=(seed_user,),
             matched_direction=(0,),
             weights=(seed_rate,),
             winning_basis=0,
             mean_metric=seed_rate,
         )
+        return [(result, replace(common)) for _ in variants]
 
     v_seed = hm[:, seed_user] / norms[seed_user]
-    ledger.divisions += m
+    common.divisions += m
     cand = np.delete(np.arange(u), seed_user)
     h_cand_t = hm[:, cand].conj().T
     cand_norms = norms[cand]
     cand_rates = rates[cand]
+    corr_charge = cand.size * (n_dirs - 1)
 
-    best: tuple[float, int, np.ndarray, list[float]] | None = None
-    for start in range(0, cfg.num_bases, _BASIS_BLOCK):
-        indices = range(start, min(start + _BASIS_BLOCK, cfg.num_bases))
-        directions = _basis_block(v_seed, cfg.rng_seed, indices, ledger)[:, :, 1:n_dirs]
-        corr = np.abs(h_cand_t @ directions) / cand_norms[:, np.newaxis]
+    # Variants that end after each basis; per alpha, the comparisons so far
+    # and the running best (mean weight, basis, picks, weights).
+    ends: dict[int, list[int]] = {}
+    for v, (num_bases, _) in enumerate(variants):
+        ends.setdefault(num_bases - 1, []).append(v)
+    compared = {alpha: 0 for _, alpha in variants}
+    best = dict.fromkeys(compared)
+    spent = OpLedger()  # construction and correlation charges so far
+    outcomes: list = [None] * len(variants)
+
+    def charged(alpha: float) -> OpLedger:
+        return OpLedger(
+            complex_macs=common.complex_macs + spent.complex_macs,
+            divisions=common.divisions + spent.divisions,
+            comparisons=common.comparisons + compared[alpha],
+        )
+
+    n_bases = max(ends, default=-1) + 1
+    for start in range(0, n_bases, _BASIS_BLOCK):
+        indices = range(start, min(start + _BASIS_BLOCK, n_bases))
+        bases, charges, failure = _basis_block(v_seed, rng_seed, indices)
+        corr = np.abs(h_cand_t @ bases[:, :, 1:n_dirs]) / cand_norms[:, np.newaxis]
         np.clip(corr, 0.0, 1.0, out=corr)
-        ledger.complex_macs += corr.size * m
-        ledger.divisions += corr.size
+        matches = {alpha: _match_block(corr, cand_rates, alpha) for alpha in compared}
+        for i, (macs, divisions) in enumerate(charges):
+            l = indices[i]
+            spent.complex_macs += macs + corr_charge * m
+            spent.divisions += divisions + corr_charge
+            for alpha, (picks, accepted, comparisons) in matches.items():
+                compared[alpha] += comparisons[i]
+                weights = [seed_rate, *accepted[i]]
+                mean_w = math.fsum(weights) / len(weights)
+                if best[alpha] is None or mean_w > best[alpha][0]:
+                    best[alpha] = (mean_w, l, picks[i], weights)
+            for v in ends.get(l, ()):
+                alpha = variants[v][1]
+                mean_w, l_star, row, weights = best[alpha]
+                filled = np.flatnonzero(row >= 0)
+                result = SelectionResult(
+                    selected=(seed_user, *cand[row[filled]].tolist()),
+                    matched_direction=(0, *(filled + 1).tolist()),
+                    weights=tuple(weights),
+                    winning_basis=l_star,
+                    mean_metric=mean_w,
+                )
+                outcomes[v] = (result, charged(alpha))
+        if failure is not None:
+            error, (macs, divisions) = failure
+            spent.complex_macs += macs
+            spent.divisions += divisions
+            return [
+                outcome or (error, charged(alpha))
+                for outcome, (_, alpha) in zip(outcomes, variants)
+            ]
+    return outcomes
 
-        picks, best_w = _match_block(corr, cand_rates, cfg.alpha, ledger)
-        for l, row, row_w in zip(indices, picks, best_w):
-            weights = [seed_rate, *row_w[row >= 0].tolist()]
-            mean_w = math.fsum(weights) / len(weights)
-            if best is None or mean_w > best[0]:
-                best = (mean_w, l, row, weights)
 
-    mean_w, l_star, row, weights = best
-    filled = np.flatnonzero(row >= 0)
-    return SelectionResult(
-        selected=(seed_user, *cand[row[filled]].tolist()),
-        matched_direction=(0, *(filled + 1).tolist()),
-        weights=tuple(weights),
-        winning_basis=l_star,
-        mean_metric=mean_w,
-    )
-
-
-def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range, ledger: OpLedger):
+def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     """Orthonormal bases ``indices`` of ``ss_us`` as a (B, M, M) stack.
 
     Basis l is the Householder QR of [v_seed | Z], with Z drawn from
@@ -222,8 +302,12 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range, ledger: OpLe
     unit-modulus factors, which the correlations |h^H v| do not see. A basis
     whose draw is numerically dependent (some |R_jj| < ``RESIDUAL_FLOOR``)
     is rebuilt by ``gram_schmidt_extend`` on a fresh stream, which redraws
-    and charges the ledger as it goes. Every other basis is charged the
+    and is charged what it charges. Every other basis is charged the
     modified Gram-Schmidt cost of a draw without redraws.
+
+    Returns the bases, the (MACs, divisions) charged for each and ``None``;
+    or, when a rebuild exhausts its redraws, the bases before the failing
+    one, their charges and (error, what the failed rebuild charged).
     """
     m = v_seed.size
     z = np.stack([basis_stream(rng_seed, l).standard_normal((m - 1, 2, m)) for l in indices])
@@ -231,26 +315,29 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range, ledger: OpLe
     a[:, :, 0] = v_seed
     a[:, :, 1:] = (z[:, :, 0] + 1j * z[:, :, 1]).transpose(0, 2, 1)
     bases, r = np.linalg.qr(a)
+    # Seed norm check, then per column j: j projections of 2M MACs and a norm.
+    charges = [(m + (m - 1) * m * (m + 1), m * (m - 1))] * len(indices)
     dependent = np.flatnonzero(
         np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) < RESIDUAL_FLOOR
     )
     for i in dependent:
-        bases[i] = gram_schmidt_extend(v_seed, basis_stream(rng_seed, indices[i]), ledger)
-    n_drawn = len(indices) - dependent.size
-    # Seed norm check, then per column j: j projections of 2M MACs and a norm.
-    ledger.complex_macs += n_drawn * (m + (m - 1) * m * (m + 1))
-    ledger.divisions += n_drawn * m * (m - 1)
-    return bases
+        rebuild = OpLedger()
+        try:
+            bases[i] = gram_schmidt_extend(v_seed, basis_stream(rng_seed, indices[i]), rebuild)
+        except BasisConstructionError as exc:
+            return bases[:i], charges[:i], (exc, (rebuild.complex_macs, rebuild.divisions))
+        charges[i] = (rebuild.complex_macs, rebuild.divisions)
+    return bases, charges, None
 
 
-def _match_block(corr: np.ndarray, cand_rates: np.ndarray, alpha: float, ledger: OpLedger):
+def _match_block(corr: np.ndarray, cand_rates: np.ndarray, alpha: float):
     """Greedy direction filling of ``ss_us`` on every basis of a block at once.
 
     ``corr`` is (B, C, D): candidate correlations with directions 1..D.
     Returns ``picks`` (B, D), the candidate matched to each direction or -1
-    where the direction stays unfilled, and ``best`` (B, D), the weight of
-    each direction's best candidate. A step costs one comparison per
-    candidate still available in its basis.
+    where the direction stays unfilled, and per basis the list of weights
+    of its filled directions, in direction order, and its comparison count:
+    a step costs one comparison per candidate still available.
     """
     n_bases, n_cand, n_steps = corr.shape
     rows = np.arange(n_bases)
@@ -266,8 +353,9 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, alpha: float, ledger:
         picks[take, k] = pick[take]
         scores[take, pick[take]] = -np.inf
     filled = picks >= 0
-    ledger.comparisons += int((n_cand - (np.cumsum(filled, axis=1) - filled)).sum())
-    return picks, best
+    comparisons = (n_cand - (np.cumsum(filled, axis=1) - filled)).sum(axis=1)
+    accepted = [list(itertools.compress(w, f)) for w, f in zip(best.tolist(), filled.tolist())]
+    return picks, accepted, comparisons.tolist()
 
 
 def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

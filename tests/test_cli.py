@@ -104,6 +104,28 @@ class TestMcCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("grid.m = [4, 4]", "grid.m lists 4 twice"),
+            ("grid.u = [8, 6, 8]", "grid.u lists 8 twice"),
+            ("grid.p0_dbm = [-90, -90.0]", "grid.p0_dbm lists -90.0 twice"),
+            ("select.algorithms = [ssus, gzf, ssus]", "select.algorithms lists ssus twice"),
+            ("ssus.l = [2, 2]", "ssus.l lists 2 twice"),
+            ("ssus.alpha = [0.45, 0.3, 0.45]", "ssus.alpha lists 0.45 twice"),
+        ],
+    )
+    def test_list_value_given_twice_is_one_error_line(self, tmp_path, capsys, line, message):
+        key = line.split("=")[0].strip()
+        lines = [x for x in CONFIG.strip().split("\n") if x.split("=")[0].strip() != key]
+        path = tmp_path / "twice.cfg"
+        path.write_text("\n".join(lines + [line]) + "\n")
+        out = tmp_path / "rows.csv"
+        assert main(["mc", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_hash_in_quoted_output_path(self, config_path, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with open(config_path, "a") as fh:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimosel.channel import generate_iid_rayleigh
-from mimosel.metrics import SingularSetError, sum_spectral_efficiency
+from mimosel.metrics import SingularSetError, sum_spectral_efficiency, zf_post_snr
 from mimosel.numerics import OpLedger, gram_schmidt_extend
 from mimosel.seeding import stream
 from mimosel.selectors import (
@@ -20,6 +20,7 @@ from mimosel.selectors import (
     random_select,
     run_selection,
     ss_us,
+    ss_us_variants,
     sus,
 )
 
@@ -387,3 +388,25 @@ class TestSelectionConfigValidation:
     def test_sus_epsilon(self):
         with pytest.raises(ValueError):
             SelectionConfig(Algorithm.SUS, k_max=4, sus_epsilon=1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 1.0), complex(0.0, -np.inf)]
+)
+def test_non_finite_channel_is_one_value_error(k, bad):
+    h = generate_iid_rayleigh(8, k, stream(5100, k))
+    h[3, k - 1] = bad
+    calls = [
+        lambda: zf_post_snr(h, 1.0, OpLedger()),
+        lambda: sum_spectral_efficiency(h, 1.0, OpLedger()),
+        lambda: ss_us_variants(h, k, 0, 1.0, [(1, 0.45), (9, 0.3)]),
+    ] + [
+        lambda algo=algo: run_selection(h, SelectionConfig(algo, k_max=k), 1.0, OpLedger())
+        for algo in Algorithm
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "channel matrix contains a non-finite entry"

@@ -5,15 +5,19 @@ Householder QR and matches users on every basis of a block at once.
 ``reference_ss_us`` below is the earlier implementation, one modified
 Gram-Schmidt basis and one greedy loop per basis; both must select the same
 users, match them to the same directions and charge the same ledger.
+``ss_us_variants`` runs many (L, alpha) variants on one set of bases, and
+each of its variants must equal a lone ``ss_us`` call.
 """
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import mimosel.selectors as sel
+from mimosel import harness
 from mimosel.channel import generate_iid_rayleigh
 from mimosel.harness import ExperimentConfig, algo_instances, grid_points, run_trial
 from mimosel.numerics import (
@@ -23,7 +27,7 @@ from mimosel.numerics import (
     OpLedger,
     gram_schmidt_extend,
 )
-from mimosel.seeding import stream
+from mimosel.seeding import derive_seed, stream
 from mimosel.selectors import _BASIS_BLOCK, Algorithm, SelectionConfig, ss_us
 from test_numerics import orthonormality_defect
 
@@ -194,7 +198,7 @@ def unit_seed(m, key):
 def bases_as_ss_us_builds_them(v, rng_seed, l):
     return np.concatenate(
         [
-            sel._basis_block(v, rng_seed, range(s, min(s + _BASIS_BLOCK, l)), OpLedger())
+            sel._basis_block(v, rng_seed, range(s, min(s + _BASIS_BLOCK, l)))[0]
             for s in range(0, l, _BASIS_BLOCK)
         ]
     )
@@ -214,7 +218,7 @@ class TestBatchedBases:
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_columns_are_gram_schmidt_columns_up_to_phase(self, m):
         v = unit_seed(m, 1)
-        bases = sel._basis_block(v, 31, range(_BASIS_BLOCK), OpLedger())
+        bases, _, _ = sel._basis_block(v, 31, range(_BASIS_BLOCK))
         for l, basis in enumerate(bases):
             phase0 = np.vdot(v, basis[:, 0])
             assert abs(abs(phase0) - 1.0) <= 1e-12
@@ -233,11 +237,13 @@ class TestBatchedBases:
 
     def test_ledger_charges_gram_schmidt_cost_per_basis(self):
         v = unit_seed(8, 3)
-        block, per_basis = OpLedger(), OpLedger()
-        sel._basis_block(v, 6, range(3), block)
-        for l in range(3):
+        _, charges, failure = sel._basis_block(v, 6, range(3))
+        assert failure is None
+        for l, charge in enumerate(charges):
+            per_basis = OpLedger()
             gram_schmidt_extend(v, sel.basis_stream(6, l), per_basis)
-        assert block == per_basis
+            assert charge == (per_basis.complex_macs, per_basis.divisions)
+            assert per_basis.comparisons == 0
 
 
 class ScriptedStream:
@@ -332,3 +338,140 @@ class TestRedrawGuard:
         assert "redraws" in ssus_cell.error
         assert ssus_cell.selected == () and math.isnan(ssus_cell.se)
         assert sus_cell.error is None
+
+
+def assert_variants_match_lone_calls(h, k_max, rng_seed, variants):
+    """One shared call against one ``ss_us`` call per variant, field by field."""
+    shared = sel.ss_us_variants(h, k_max, rng_seed, N0, variants)
+    assert len(shared) == len(variants)
+    for (l, alpha), (got, got_ledger) in zip(variants, shared):
+        cfg = SelectionConfig(
+            Algorithm.SSUS, k_max=k_max, num_bases=l, alpha=alpha, rng_seed=rng_seed
+        )
+        want_ledger = OpLedger()
+        want = ss_us(h, cfg, N0, want_ledger)
+        assert got.selected == want.selected
+        assert got.matched_direction == want.matched_direction
+        assert got.winning_basis == want.winning_basis
+        assert got_ledger == want_ledger
+        assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
+        assert np.float64(got.mean_metric).tobytes() == np.float64(want.mean_metric).tobytes()
+    return shared
+
+
+# (M, U, k_max): k_max below M, M = 2, and the early returns at U = 1 and at
+# n_dirs = min(k_max, M) <= 1 among them.
+SHARED_GRID = [
+    (1, 6, 1),
+    (2, 10, 2),
+    (2, 40, 2),
+    (3, 7, 2),
+    (4, 1, 4),
+    (4, 20, 4),
+    (4, 20, 3),
+    (5, 2, 5),
+    (8, 30, 1),
+    (8, 50, 4),
+    (8, 100, 8),
+    (12, 60, 12),
+    (16, 30, 9),
+    (16, 100, 16),
+]
+# Every L on both sides of the block edges, two alphas at each, and
+# duplicate (L, alpha) pairs, Ls and alphas.
+SHARED_VARIANTS = [(l, a) for l in (1, 7, 8, 9, 17, 100) for a in (0.3, 0.6)] + [
+    (9, 0.3),
+    (1, 0.6),
+    (100, 0.6),
+    (17, 0.45),
+]
+
+
+@pytest.mark.parametrize("m, u, k_max", SHARED_GRID)
+def test_shared_variants_equal_lone_calls(m, u, k_max):
+    for seed in range(2):
+        h = generate_iid_rayleigh(m, u, stream(4800, m, u, k_max, seed))
+        shared = assert_variants_match_lone_calls(h, k_max, 60 + seed, SHARED_VARIANTS)
+        if m > 2 and u > 1 and min(k_max, m) > 1:
+            # Some longer run wins at a basis a shorter one never built.
+            assert len({result.winning_basis for result, _ in shared}) > 1
+
+
+def test_shared_fallback_charges_only_variants_beyond_it(monkeypatch):
+    m, u, l_bad, rng_seed = 8, 40, 3, 11
+    h = generate_iid_rayleigh(m, u, stream(4900))
+    norms = np.linalg.norm(h, axis=0)
+    v = h[:, np.argmax(norms)] / norms.max()
+    variants = [(2, 0.3), (3, 0.3), (4, 0.3), (3, 0.6), (9, 0.6), (17, 0.3)]
+    clean = sel.ss_us_variants(h, m, rng_seed, N0, variants)
+
+    real_stream = sel.basis_stream
+    prefix = dependent_prefix(v, 2, stream(4901))
+    monkeypatch.setattr(
+        sel,
+        "basis_stream",
+        lambda seed, l: ScriptedStream(prefix if l == l_bad else (), real_stream(seed, l)),
+    )
+    scripted = assert_variants_match_lone_calls(h, m, rng_seed, variants)
+
+    # What the fallback charges beyond a build without redraws.
+    fallback, plain = OpLedger(), OpLedger()
+    gram_schmidt_extend(v, sel.basis_stream(rng_seed, l_bad), fallback)
+    gram_schmidt_extend(v, real_stream(rng_seed, l_bad), plain)
+    assert fallback.complex_macs > plain.complex_macs
+    for (l, _), (_, clean_ledger), (_, ledger) in zip(variants, clean, scripted):
+        if l <= l_bad:
+            assert ledger == clean_ledger
+        else:
+            # The rebuilt basis may match differently, so only the
+            # construction charges are compared.
+            assert ledger.complex_macs - clean_ledger.complex_macs == (
+                fallback.complex_macs - plain.complex_macs
+            )
+            assert ledger.divisions - clean_ledger.divisions == (
+                fallback.divisions - plain.divisions
+            )
+
+
+def test_failed_basis_fails_only_the_variants_that_reach_it(monkeypatch):
+    cfg = ExperimentConfig(
+        m_values=(4,),
+        u_values=(10,),
+        p0_dbm_values=(-90.0,),
+        algorithms=("ssus", "sus"),
+        ssus_num_bases=(2, 5),
+        trials=1,
+    )
+    instances = algo_instances(cfg)
+    short, long, sus_inst = instances
+    assert (short.num_bases, long.num_bases) == (2, 5)
+    point = grid_points(cfg)[0]
+    clean = run_trial(cfg, point, instances, 0)
+
+    real_stream = sel.basis_stream
+    monkeypatch.setattr(
+        sel, "basis_stream", lambda seed, l: ZeroStream() if l == 3 else real_stream(seed, l)
+    )
+    report = run_trial(cfg, point, instances, 0)
+
+    def untimed(cell):
+        return dataclasses.replace(cell, wall_ns=0)
+
+    ledger = OpLedger()
+    select_seed = derive_seed(cfg.master_seed, point.index, 0, harness._ROLE_SELECT)
+    lone = ss_us(
+        generate_iid_rayleigh(
+            point.m, point.u, stream(cfg.master_seed, point.index, 0, harness._ROLE_CHANNEL)
+        ),
+        ssus_cfg(point.m, 2, short.alpha, select_seed),
+        point.n0,
+        ledger,
+    )
+    assert report.cells[short].error is None
+    assert report.cells[short].selected == lone.selected
+    assert report.cells[short].macs == ledger.complex_macs
+    assert untimed(report.cells[short]) == untimed(clean.cells[short])
+    failed = report.cells[long]
+    assert "redraws" in failed.error
+    assert failed.selected == () and math.isnan(failed.se)
+    assert untimed(report.cells[sus_inst]) == untimed(clean.cells[sus_inst])
