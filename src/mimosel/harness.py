@@ -579,7 +579,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
 
     Infeasible cells (for example the exhaustive oracle on a too-large
     pool) become skipped rows with zero trials; the reason is logged to
-    stderr and kept on the row object.
+    stderr and kept on the row object. A row that lost trials to errors
+    logs how many and the first error to stderr.
     """
     instances = algo_instances(cfg)
     points = grid_points(cfg)
@@ -590,6 +591,14 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
         for inst in instances:
             reason = _infeasible_reason(point, inst)
             if reason is None:
+                cells = [r.cells[inst] for r in reports[point]]
+                errors = [c.error for c in cells if c.error is not None]
+                if errors:
+                    print(
+                        f"failed {inst.label} at {point.scenario_id}: "
+                        f"{len(errors)} of {cfg.trials} trials ({errors[0]})",
+                        file=sys.stderr,
+                    )
                 rows.append(_aggregate(point, inst, reports[point], cfg.timing))
             else:
                 print(f"skipped {inst.label} at {point.scenario_id}: {reason}", file=sys.stderr)
@@ -610,7 +619,9 @@ def oracle_check(
 
     Returns one row per algorithm with the paired mean and minimum SE ratio
     against the oracle and the count of bound violations (which should
-    always be zero: the oracle maximizes the same metric).
+    always be zero: the oracle maximizes the same metric). Raises
+    ``ValueError`` naming the first error when some heuristic has no trial
+    left to compare, since its ratios would be undefined.
     """
     cfg = ExperimentConfig(
         m_values=(m,),
@@ -644,6 +655,10 @@ def oracle_check(
             ratios.append(cell.se / oracle.se)
             if cell.se > oracle.se:
                 violations += 1
+        if not ratios:
+            cells = (c for r in reports for c in (r.cells[inst], r.cells[oracle_inst]))
+            first = next(c.error for c in cells if c.error is not None)
+            raise ValueError(f"every trial of {inst.label} failed: {first}")
         rows.append(
             {
                 "algorithm": inst.label,
@@ -651,8 +666,8 @@ def oracle_check(
                 "u": u,
                 "k_max": point.k_max,
                 "trials": len(ratios),
-                "mean_ratio": math.fsum(ratios) / len(ratios) if ratios else float("nan"),
-                "min_ratio": min(ratios) if ratios else float("nan"),
+                "mean_ratio": math.fsum(ratios) / len(ratios),
+                "min_ratio": min(ratios),
                 "violations": violations,
             }
         )

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+import mimosel.selectors as sel
 from mimosel.cli import main
 from mimosel.complexity import CostQuery, relative_cost
 from mimosel.harness import oracle_check
 from mimosel.selectors import Algorithm
+from test_ssus_blocks import ZeroStream
 
 CONFIG = """
 trials = 4
@@ -181,6 +183,17 @@ class TestOracleCheckCommand:
     def test_infeasible_instance_errors(self, capsys):
         assert main(["oracle-check", "--m", "8", "--u", "100", "--trials", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_heuristic_with_no_trial_left_is_one_error_line(self, monkeypatch, capsys, fmt):
+        # Every ssus trial runs out of basis redraws, so it has no ratio.
+        monkeypatch.setattr(sel, "basis_stream", lambda seed, l: ZeroStream())
+        argv = ["oracle-check", "--m", "4", "--u", "6", "--trials", "3", "--format", fmt]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: every trial of ssus failed: ")
+        assert captured.err.count("\n") == 1 and "redraws" in captured.err
 
 
 # CSV of ``cost`` and ``oracle-check`` as the commands wrote it before they

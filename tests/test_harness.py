@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimosel.selectors as sel
 from mimosel import harness
 from mimosel.harness import (
     CSV_COLUMNS,
@@ -20,7 +21,9 @@ from mimosel.harness import (
     run_monte_carlo,
     run_trial,
 )
+from mimosel.seeding import derive_seed
 from mimosel.selectors import Algorithm
+from test_ssus_blocks import ZeroStream
 
 
 def tiny_config(**kw):
@@ -381,6 +384,40 @@ class TestSkippedCells:
         rows = run_monte_carlo(cfg)
         assert rows[0].trials == 0
         assert "min(M, U)" in rows[0].skip_reason
+
+
+class TestFailedTrials:
+    """Trials that raise are counted on stderr, one line per row that lost any."""
+
+    def failing_run(self, monkeypatch, capsys, bad_trials):
+        cfg = tiny_config(trials=3)
+        bad_seeds = {derive_seed(cfg.master_seed, 0, t, harness._ROLE_SELECT) for t in bad_trials}
+        real_stream = sel.basis_stream
+        monkeypatch.setattr(
+            sel,
+            "basis_stream",
+            lambda seed, l: ZeroStream() if seed in bad_seeds else real_stream(seed, l),
+        )
+        report = run_trial(cfg, grid_points(cfg)[0], algo_instances(cfg), min(bad_trials))
+        first_error = report.cells[algo_instances(cfg)[0]].error
+        rows = run_monte_carlo(cfg)
+        return rows, capsys.readouterr().err, first_error
+
+    def test_row_that_lost_some_trials(self, monkeypatch, capsys):
+        rows, err, first_error = self.failing_run(monkeypatch, capsys, [1])
+        assert "redraws" in first_error
+        assert err == f"failed ssus at m4_u10_p-90: 1 of 3 trials ({first_error})\n"
+        assert [r.trials for r in rows] == [2, 3]
+
+    def test_row_that_lost_every_trial(self, monkeypatch, capsys):
+        rows, err, first_error = self.failing_run(monkeypatch, capsys, [0, 1, 2])
+        assert err == f"failed ssus at m4_u10_p-90: 3 of 3 trials ({first_error})\n"
+        assert rows[0].trials == 0 and rows[0].skip_reason == "all trials failed"
+        assert emit(rows, "csv").splitlines()[1].split(",")[8] == "0"
+
+    def test_clean_run_keeps_stderr_empty(self, capsys):
+        run_monte_carlo(tiny_config(trials=3))
+        assert capsys.readouterr().err == ""
 
 
 class TestEmission:

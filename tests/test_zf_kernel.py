@@ -9,7 +9,10 @@ they scored candidates in batches; they score with ``reference_sum_se``.
 ``reference_zf_snr`` is the batched kernel as it was when every set was
 guarded by its eigenvalues; the kernel now certifies most sets from their
 Cholesky factors instead. The package must reproduce their SNRs, masks,
-selections and op-ledger totals exactly, not approximately.
+selections and op-ledger totals exactly, not approximately. ``gzf`` ranks
+most candidates by a bordered Cholesky update instead of the kernel; its
+selections and ledgers must still be ``reference_gzf``'s, and its rates must
+stay well inside the error bound it acts on.
 """
 
 import itertools
@@ -33,6 +36,13 @@ from mimosel.selectors import (
     exhaustive_oracle,
     gzf,
     mcore_plus,
+)
+
+N0_SWEEP = (
+    noise_power(LinkBudget(p0_dbm=-90.0)),
+    noise_power(LinkBudget(p0_dbm=-105.0)),
+    1e-3,
+    1e3,
 )
 
 
@@ -365,3 +375,128 @@ def test_well_conditioned_stack_skips_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     rates = zf_sum_rate_batch(h, list(itertools.combinations(range(6), 4)), n0, OpLedger())
     assert np.isfinite(rates).all()
+
+
+def sweep_instance(i):
+    """Instance i of the ``gzf`` sweep: M cycles through 1-16, U is
+    log-uniform on 1-120 and K_max is at most 8, so below M from M = 9 on.
+    A third of the instances repeat a column and a third hold a
+    near-parallel pair, whose candidate sets sweep the condition guard."""
+    rng = np.random.default_rng(i)
+    m = 1 + i % 16
+    u = int(np.exp(rng.uniform(0.0, np.log(121.0))))
+    k_max = int(rng.integers(1, min(m, 8) + 1))
+    h = complex_normal(rng, (m, u))
+    if u > 2 and i % 3:
+        a, b = rng.choice(u, 2, replace=False)
+        h[:, b] = h[:, a]
+        if i % 3 == 2:
+            h[:, b] += 10.0 ** rng.uniform(-8.0, -2.0) * complex_normal(rng, (m,))
+    return h, N0_SWEEP[(i // 3) % 4], k_max
+
+
+def record_kernel_calls(monkeypatch):
+    """The index sets of every ``zf_sum_rate_batch`` call that ``selectors``
+    makes from now on, one list per call."""
+    real_kernel = selectors.zf_sum_rate_batch
+    scored = []
+
+    def spy(hm, sets, n0, ledger):
+        scored.append(np.asarray(sets).tolist())
+        return real_kernel(hm, sets, n0, ledger)
+
+    monkeypatch.setattr(selectors, "zf_sum_rate_batch", spy)
+    return scored
+
+
+def test_gzf_equals_reference_and_bordered_rates_stay_inside_their_bound(monkeypatch):
+    real_bordered = selectors._bordered_rates
+    worst = {"ratio": 0.0, "sure": 0, "unsure": 0}
+
+    def checked(hm, selected, pool, w_inv, energy, n0):
+        out = real_bordered(hm, selected, pool, w_inv, energy, n0)
+        rates, tol, sure = out[:3]
+        kernel = zf_sum_rate_batch(hm, selectors._grown(selected, pool[sure]), n0, OpLedger())
+        if sure.any():
+            ratio = np.abs(rates[sure] - kernel) / tol[sure]
+            worst["ratio"] = max(worst["ratio"], float(ratio.max()))
+        worst["sure"] += int(np.count_nonzero(sure))
+        worst["unsure"] += int(np.count_nonzero(~sure))
+        return out
+
+    monkeypatch.setattr(selectors, "_bordered_rates", checked)
+    for i in range(1000):
+        h, n0, k_max = sweep_instance(i)
+        got, want = OpLedger(), OpLedger()
+        assert gzf(h, n0, k_max, got).selected == reference_gzf(h, n0, k_max, want), i
+        assert got == want, i
+    # The sweep reaches the kernel fallback, and the largest gap between a
+    # certified bordered rate and the kernel's is 100 times inside its bound.
+    assert worst["sure"] > 20_000 and worst["unsure"] > 100
+    assert worst["ratio"] <= 0.01, worst
+
+
+def test_well_conditioned_gzf_never_calls_the_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("gzf called the ZF kernel on a well-conditioned instance")
+
+    h, n0 = instance(2, 8, 100)
+    expected = reference_gzf(h, n0, 8, OpLedger())
+    monkeypatch.setattr(selectors, "zf_sum_rate_batch", no_kernel)
+    assert gzf(h, n0, 8, OpLedger()).selected == expected
+
+
+def test_tie_between_duplicated_candidates_is_settled_by_the_kernel(monkeypatch):
+    h, n0 = instance(1, 8, 20)
+    seed_user, first_pick = gzf(h, n0, 8, OpLedger()).selected[:2]
+    # A copy of the first pick at a lower index ties with it at step one.
+    low = min(set(range(first_pick)) - {seed_user})
+    h[:, low] = h[:, first_pick]
+    scored = record_kernel_calls(monkeypatch)
+    ledger, expected = OpLedger(), OpLedger()
+    selected = gzf(h, n0, 8, ledger).selected
+    assert sorted(scored[0]) == sorted([[seed_user, low], [seed_user, first_pick]])
+    assert selected[:2] == (seed_user, low)
+    assert selected == reference_gzf(h, n0, 8, expected)
+    assert ledger == expected
+
+
+def test_uncertified_picks_are_made_by_the_kernel(monkeypatch):
+    # Four near-parallel columns: every candidate set has a Gram condition
+    # number near 1e10, inside COND_LIMIT but beyond the bordered
+    # certificate, and a tiny n0 makes each extra stream worth adding.
+    rng = np.random.default_rng(3)
+    a = 2.0 * complex_normal(rng, (3,))
+    h = np.stack([a] + [a + 1e-5 * complex_normal(rng, (3,)) for _ in range(3)], axis=1)
+    scored = record_kernel_calls(monkeypatch)
+    ledger, expected = OpLedger(), OpLedger()
+    selected = gzf(h, 1e-30, 3, ledger).selected
+    assert selected == reference_gzf(h, 1e-30, 3, expected) == (3, 2)
+    assert ledger == expected
+    # Both steps send every candidate to the kernel; the second one borders
+    # a factor rebuilt after the uncertified first pick.
+    assert scored == [[[3, 0], [3, 1], [3, 2]], [[3, 2, 0], [3, 2, 1]]]
+
+
+def test_stop_within_the_error_bound_is_settled_by_the_kernel(monkeypatch):
+    # Two users whose pair gains nothing over the strongest alone, to within
+    # one rounding: the bordered rate cannot tell "stop" from "continue".
+    def channel(theta):
+        return np.array([[2.0, 1.9 * np.cos(theta)], [0.0, 1.9 * np.sin(theta)]], complex)
+
+    def gain(theta):
+        h = channel(theta)
+        pair = zf_sum_rate_batch(h, [[0, 1]], 1.0, OpLedger())[0]
+        return pair - sum_spectral_efficiency(h[:, [0]], 1.0, OpLedger())
+
+    lo, hi = 0.01, np.pi / 2
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gain(mid) <= 0.0 else (lo, mid)
+    h = channel(lo)
+    assert -1e-14 < gain(lo) <= 0.0
+    scored = record_kernel_calls(monkeypatch)
+    ledger, expected = OpLedger(), OpLedger()
+    assert gzf(h, 1.0, 2, ledger).selected == reference_gzf(h, 1.0, 2, expected) == (0,)
+    assert ledger == expected
+    assert scored == [[[0, 1]]]
