@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``mc`` runs the Monte Carlo experiment from a config file,
-``sweep`` does the same with grid overrides from the command line, ``cost``
-prints the closed-form cost-model table, and ``oracle-check`` compares the
-heuristics against the exhaustive oracle on a small instance.
+with overrides from the command line, ``cost`` prints the closed-form
+cost-model table, and ``oracle-check`` compares the heuristics against the
+exhaustive oracle on a small instance.
 
 Exit status is 0 on success and nonzero with a single-line error message
 on stderr otherwise.
@@ -53,7 +53,7 @@ def _config_list(text: str) -> list:
     return parse_value(f"[{text}]")
 
 
-# Flags of ``mc`` and ``sweep`` that override the config key they name:
+# Flags of ``mc`` that override the config key they name:
 # (flag, config key, parser of the flag text, help).
 _RUN_OVERRIDES = (
     ("--seed", "master_seed", parse_value, "override the master seed"),
@@ -62,8 +62,6 @@ _RUN_OVERRIDES = (
      "parallel worker processes, capped at the CPU count"),
     ("--format", "output.format", str, "output format: csv or json"),
     ("--out", "output.path", str, "output path (default: config output.path or stdout)"),
-)
-_SWEEP_OVERRIDES = (
     ("--m", "grid.m", _config_list, "override antenna counts, e.g. 4,8"),
     ("--u", "grid.u", _config_list, "override user-pool sizes"),
     ("--p0", "grid.p0_dbm", _config_list, "override target powers in dBm"),
@@ -72,20 +70,9 @@ _SWEEP_OVERRIDES = (
 )
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, overrides) -> None:
-    parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--timing", dest="timing", action="store_true", default=None,
-                        help="emit measured wall times (off by default so "
-                             "outputs are reproducible byte for byte)")
-    for flag, key, parse, help_text in overrides:
-        parser.add_argument(flag, dest=key, type=parse, metavar=flag[2:].upper(),
-                            help=help_text)
-    parser.set_defaults(func=_cmd_run)
-
-
 def _cmd_run(args) -> int:
-    keys = ["timing"] + [key for _, key, _, _ in _RUN_OVERRIDES + _SWEEP_OVERRIDES]
-    overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    keys = ["timing"] + [key for _, key, _, _ in _RUN_OVERRIDES]
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     cfg = ExperimentConfig.from_file(args.config, overrides)
     rows = run_monte_carlo(cfg)
     text = emit(rows, cfg.output_format, cfg.output_path)
@@ -140,9 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo run over a config file")
-    _add_run_flags(p_mc, _RUN_OVERRIDES)
-    p_sweep = sub.add_parser("sweep", help="grid sweep with command-line overrides")
-    _add_run_flags(p_sweep, _RUN_OVERRIDES + _SWEEP_OVERRIDES)
+    p_mc.add_argument("--config", required=True, help="experiment config file")
+    p_mc.add_argument("--timing", dest="timing", action="store_true", default=None,
+                      help="emit measured wall times (off by default so "
+                           "outputs are reproducible byte for byte)")
+    for flag, key, parse, help_text in _RUN_OVERRIDES:
+        p_mc.add_argument(flag, dest=key, type=parse, metavar=flag[2:].upper(), help=help_text)
+    p_mc.set_defaults(func=_cmd_run)
 
     p_cost = sub.add_parser("cost", help="closed-form cost-model table")
     count = _flag(int, _AT_LEAST_1)

@@ -27,16 +27,9 @@ import numpy as np
 
 from .channel import LinkBudget, generate_iid_rayleigh, noise_power
 from .metrics import sum_spectral_efficiency
-from .numerics import OpLedger, subset_count
+from .numerics import OpLedger
 from .seeding import derive_seed, stream
-from .selectors import (
-    EXHAUSTIVE_SUBSET_CAP,
-    MCORE_MAX_ANTENNAS,
-    Algorithm,
-    SelectionConfig,
-    run_selection,
-    ss_us_variants,
-)
+from .selectors import Algorithm, SelectionConfig, infeasible_reason, run_selection, ss_us_variants
 
 __all__ = [
     "ExperimentConfig",
@@ -400,20 +393,25 @@ def algo_instances(cfg: ExperimentConfig) -> list[AlgoInstance]:
 
 
 def _infeasible_reason(point: GridPoint, inst: AlgoInstance) -> str | None:
-    if inst.algorithm is Algorithm.MCORE_PLUS and point.m > MCORE_MAX_ANTENNAS:
-        return f"mcore_plus requires M <= {MCORE_MAX_ANTENNAS}, scenario has M={point.m}"
-    if inst.algorithm is Algorithm.EXHAUSTIVE:
-        space = subset_count(point.u, min(point.k_max, point.m, point.u))
-        if space > EXHAUSTIVE_SUBSET_CAP:
-            return (
-                f"exhaustive search space {space} exceeds cap {EXHAUSTIVE_SUBSET_CAP}"
-            )
-    if inst.algorithm is Algorithm.RANDOM and point.random_k > min(point.m, point.u):
-        return (
-            f"random selection needs K <= min(M, U) = {min(point.m, point.u)}, "
-            f"configured K={point.random_k}"
+    k = point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max
+    return infeasible_reason(inst.algorithm, point.m, point.u, k)
+
+
+def _report_failures(point: GridPoint, inst: AlgoInstance, reports, trials: int) -> None:
+    """Log to stderr how many trials ``inst`` lost at ``point``, and the first error.
+
+    An ``ssus`` variant is named with its L and alpha.
+    """
+    errors = [r.cells[inst].error for r in reports if r.cells[inst].error is not None]
+    if errors:
+        name = inst.label
+        if inst.num_bases is not None:
+            name += f" (L={inst.num_bases}, alpha={inst.alpha})"
+        print(
+            f"failed {name} at {point.scenario_id}: "
+            f"{len(errors)} of {trials} trials ({errors[0]})",
+            file=sys.stderr,
         )
-    return None
 
 
 def run_trial(
@@ -591,14 +589,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
         for inst in instances:
             reason = _infeasible_reason(point, inst)
             if reason is None:
-                cells = [r.cells[inst] for r in reports[point]]
-                errors = [c.error for c in cells if c.error is not None]
-                if errors:
-                    print(
-                        f"failed {inst.label} at {point.scenario_id}: "
-                        f"{len(errors)} of {cfg.trials} trials ({errors[0]})",
-                        file=sys.stderr,
-                    )
+                _report_failures(point, inst, reports[point], cfg.trials)
                 rows.append(_aggregate(point, inst, reports[point], cfg.timing))
             else:
                 print(f"skipped {inst.label} at {point.scenario_id}: {reason}", file=sys.stderr)
@@ -619,9 +610,12 @@ def oracle_check(
 
     Returns one row per algorithm with the paired mean and minimum SE ratio
     against the oracle and the count of bound violations (which should
-    always be zero: the oracle maximizes the same metric). Raises
-    ``ValueError`` naming the first error when some heuristic has no trial
-    left to compare, since its ratios would be undefined.
+    always be zero: the oracle maximizes the same metric). A trial that
+    failed for the heuristic or the oracle is left out of the pairs, and
+    every algorithm that lost trials, the oracle included, logs them to
+    stderr as ``run_monte_carlo`` does. Raises ``ValueError`` naming the
+    first error instead when some heuristic has no trial left to compare,
+    since its ratios would be undefined.
     """
     cfg = ExperimentConfig(
         m_values=(m,),
@@ -671,6 +665,8 @@ def oracle_check(
                 "violations": violations,
             }
         )
+    for inst in instances:
+        _report_failures(point, inst, reports, trials)
     return rows
 
 

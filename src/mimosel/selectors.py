@@ -45,6 +45,7 @@ __all__ = [
     "random_select",
     "exhaustive_oracle",
     "run_selection",
+    "infeasible_reason",
     "EXHAUSTIVE_SUBSET_CAP",
     "MCORE_MAX_ANTENNAS",
 ]
@@ -123,6 +124,22 @@ class SelectionResult:
         return len(self.selected)
 
 
+def infeasible_reason(algorithm: Algorithm, m: int, u: int, k: int) -> str | None:
+    """Why ``algorithm`` cannot run with K = ``k`` on an M x U channel, or None.
+
+    K is ``random_select``'s subset size and every other selector's ``k_max``.
+    """
+    if algorithm is Algorithm.MCORE_PLUS and m > MCORE_MAX_ANTENNAS:
+        return f"mcore_plus requires M <= {MCORE_MAX_ANTENNAS}, scenario has M={m}"
+    if algorithm is Algorithm.EXHAUSTIVE:
+        space = subset_count(u, min(k, m, u))
+        if space > EXHAUSTIVE_SUBSET_CAP:
+            return f"exhaustive search space {space} exceeds cap {EXHAUSTIVE_SUBSET_CAP}"
+    if algorithm is Algorithm.RANDOM and k > min(m, u):
+        return f"random selection needs K <= min(M, U) = {min(m, u)}, configured K={k}"
+    return None
+
+
 def _as_channel(h) -> np.ndarray:
     arr = np.asarray(h, dtype=np.complex128)
     if arr.ndim != 2:
@@ -186,9 +203,10 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     Basis l depends only on (``rng_seed``, l), and alpha enters only the
     matching, so the seed user, the bases and their correlations are built
     once, for the largest L, ``_BASIS_BLOCK`` bases at a time (see
-    ``_basis_block``). Each distinct alpha then matches users on every
-    block (see ``_match_block``) and keeps a running best basis, which a
-    variant with L bases takes as it stands after basis L - 1.
+    ``_basis_block``), and each distinct alpha matches users on every block
+    (see ``_match_block``). That fills a table with one row per basis: its
+    construction charges and, per alpha, its match. A variant with L bases
+    reads the first L rows.
 
     Returns one (outcome, ledger) pair per variant, in order. The outcome
     is the :class:`SelectionResult` of ``ss_us`` with that variant alone,
@@ -201,13 +219,8 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     """
     hm = _as_channel(h)
     m, u = hm.shape
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     for num_bases, alpha in variants:
-        if num_bases < 1:
-            raise ValueError(f"num_bases must be >= 1, got {num_bases}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        SelectionConfig(Algorithm.SSUS, k_max, num_bases, alpha)  # checks the tunables
     common = OpLedger()
     norms = _column_norms(hm, common)
     common.divisions += u
@@ -235,60 +248,47 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     cand_rates = rates[cand]
     corr_charge = cand.size * (n_dirs - 1)
 
-    # Variants that end after each basis; per alpha, the comparisons so far
-    # and the running best (mean weight, basis, picks, weights).
-    ends: dict[int, list[int]] = {}
-    for v, (num_bases, _) in enumerate(variants):
-        ends.setdefault(num_bases - 1, []).append(v)
-    compared = {alpha: 0 for _, alpha in variants}
-    best = dict.fromkeys(compared)
-    spent = OpLedger()  # construction and correlation charges so far
-    outcomes: list = [None] * len(variants)
-
-    def charged(alpha: float) -> OpLedger:
-        return OpLedger(
-            complex_macs=common.complex_macs + spent.complex_macs,
-            divisions=common.divisions + spent.divisions,
-            comparisons=common.comparisons + compared[alpha],
-        )
-
-    n_bases = max(ends, default=-1) + 1
+    # The table: per basis, its construction (MACs, divisions), and per
+    # alpha and basis, its match. A failed rebuild's charge comes last.
+    charges: list[tuple[int, int]] = []
+    matches = {alpha: [] for _, alpha in variants}
+    n_bases = max((num_bases for num_bases, _ in variants), default=0)
     for start in range(0, n_bases, _BASIS_BLOCK):
         indices = range(start, min(start + _BASIS_BLOCK, n_bases))
-        bases, charges, failure = _basis_block(v_seed, rng_seed, indices)
+        bases, block_charges, error = _basis_block(v_seed, rng_seed, indices)
+        charges += block_charges
         corr = np.abs(h_cand_t @ bases[:, :, 1:n_dirs]) / cand_norms[:, np.newaxis]
         np.clip(corr, 0.0, 1.0, out=corr)
-        matches = {alpha: _match_block(corr, cand_rates, alpha) for alpha in compared}
-        for i, (macs, divisions) in enumerate(charges):
-            l = indices[i]
-            spent.complex_macs += macs + corr_charge * m
-            spent.divisions += divisions + corr_charge
-            for alpha, (picks, accepted, comparisons) in matches.items():
-                compared[alpha] += comparisons[i]
-                weights = [seed_rate, *accepted[i]]
-                mean_w = math.fsum(weights) / len(weights)
-                if best[alpha] is None or mean_w > best[alpha][0]:
-                    best[alpha] = (mean_w, l, picks[i], weights)
-            for v in ends.get(l, ()):
-                alpha = variants[v][1]
-                mean_w, l_star, row, weights = best[alpha]
-                filled = np.flatnonzero(row >= 0)
-                result = SelectionResult(
-                    selected=(seed_user, *cand[row[filled]].tolist()),
-                    matched_direction=(0, *(filled + 1).tolist()),
-                    weights=tuple(weights),
-                    winning_basis=l_star,
-                    mean_metric=mean_w,
-                )
-                outcomes[v] = (result, charged(alpha))
-        if failure is not None:
-            error, (macs, divisions) = failure
-            spent.complex_macs += macs
-            spent.divisions += divisions
-            return [
-                outcome or (error, charged(alpha))
-                for outcome, (_, alpha) in zip(outcomes, variants)
-            ]
+        for alpha, rows in matches.items():
+            rows += _match_block(corr, cand_rates, seed_rate, alpha)
+        if error is not None:
+            break
+
+    outcomes = []
+    for num_bases, alpha in variants:
+        rows = matches[alpha][:num_bases]
+        macs, divisions = map(sum, zip(*charges[:num_bases]))
+        # Only the bases built are correlated, so a failed rebuild is not.
+        ledger = OpLedger(
+            complex_macs=common.complex_macs + macs + len(rows) * corr_charge * m,
+            divisions=common.divisions + divisions + len(rows) * corr_charge,
+            comparisons=common.comparisons + sum(row[3] for row in rows),
+        )
+        if len(rows) < num_bases:
+            outcomes.append((error, ledger))
+            continue
+        # max keeps the first maximum, so ties go to the lowest basis index.
+        l_star = max(range(num_bases), key=lambda l: rows[l][0])
+        mean_w, picks, weights, _ = rows[l_star]
+        filled = np.flatnonzero(picks >= 0)
+        result = SelectionResult(
+            selected=(seed_user, *cand[picks[filled]].tolist()),
+            matched_direction=(0, *(filled + 1).tolist()),
+            weights=weights,
+            winning_basis=l_star,
+            mean_metric=mean_w,
+        )
+        outcomes.append((result, ledger))
     return outcomes
 
 
@@ -305,9 +305,10 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     and is charged what it charges. Every other basis is charged the
     modified Gram-Schmidt cost of a draw without redraws.
 
-    Returns the bases, the (MACs, divisions) charged for each and ``None``;
-    or, when a rebuild exhausts its redraws, the bases before the failing
-    one, their charges and (error, what the failed rebuild charged).
+    Returns the bases, the (MACs, divisions) charged for each and ``None``.
+    When a rebuild exhausts its redraws, the bases stop before the failing
+    one, the charges end with what the failed rebuild charged, and the
+    error comes last.
     """
     m = v_seed.size
     z = np.stack([basis_stream(rng_seed, l).standard_normal((m - 1, 2, m)) for l in indices])
@@ -325,19 +326,20 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
         try:
             bases[i] = gram_schmidt_extend(v_seed, basis_stream(rng_seed, indices[i]), rebuild)
         except BasisConstructionError as exc:
-            return bases[:i], charges[:i], (exc, (rebuild.complex_macs, rebuild.divisions))
+            return bases[:i], [*charges[:i], (rebuild.complex_macs, rebuild.divisions)], exc
         charges[i] = (rebuild.complex_macs, rebuild.divisions)
     return bases, charges, None
 
 
-def _match_block(corr: np.ndarray, cand_rates: np.ndarray, alpha: float):
+def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rate: float, alpha: float):
     """Greedy direction filling of ``ss_us`` on every basis of a block at once.
 
     ``corr`` is (B, C, D): candidate correlations with directions 1..D.
-    Returns ``picks`` (B, D), the candidate matched to each direction or -1
-    where the direction stays unfilled, and per basis the list of weights
-    of its filled directions, in direction order, and its comparison count:
-    a step costs one comparison per candidate still available.
+    Returns one (mean weight, picks, weights, comparisons) row per basis.
+    ``picks`` (D,) holds the candidate matched to each direction, or -1
+    where the direction stays unfilled; ``weights`` holds the seed rate and
+    then the weights of the filled directions, in direction order. A step
+    costs one comparison per candidate still available.
     """
     n_bases, n_cand, n_steps = corr.shape
     rows = np.arange(n_bases)
@@ -354,8 +356,9 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, alpha: float):
         scores[take, pick[take]] = -np.inf
     filled = picks >= 0
     comparisons = (n_cand - (np.cumsum(filled, axis=1) - filled)).sum(axis=1)
-    accepted = [list(itertools.compress(w, f)) for w, f in zip(best.tolist(), filled.tolist())]
-    return picks, accepted, comparisons.tolist()
+    weights = [(seed_rate, *w) for w in map(itertools.compress, best.tolist(), filled.tolist())]
+    means = [math.fsum(w) / len(w) for w in weights]
+    return list(zip(means, picks, weights, comparisons.tolist()))
 
 
 def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
@@ -557,10 +560,8 @@ def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     m, u = hm.shape
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if m > MCORE_MAX_ANTENNAS:
-        raise ValueError(
-            f"mcore_plus exhaustive stage requires M <= {MCORE_MAX_ANTENNAS}, got M={m}"
-        )
+    if reason := infeasible_reason(Algorithm.MCORE_PLUS, m, u, k_max):
+        raise ValueError(reason)
     norms = _column_norms(hm, ledger)
     order = np.argsort(-norms, kind="stable")
     ledger.comparisons += u * max(1, math.ceil(math.log2(max(u, 2))))
@@ -621,8 +622,10 @@ def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:
     """Uniform random K-subset of the users, deterministic given the stream."""
     hm = _as_channel(h)
     m, u = hm.shape
-    if not 1 <= k <= min(m, u):
-        raise ValueError(f"require 1 <= k <= min(M, U) = {min(m, u)}, got k={k}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if reason := infeasible_reason(Algorithm.RANDOM, m, u, k):
+        raise ValueError(reason)
     picks = np.sort(rng.choice(u, size=k, replace=False))
     return SelectionResult(selected=tuple(int(i) for i in picks))
 
@@ -638,13 +641,9 @@ def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionRe
     m, u = hm.shape
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    k_cap = min(k_max, m, u)
-    space = subset_count(u, k_cap)
-    if space > EXHAUSTIVE_SUBSET_CAP:
-        raise ValueError(
-            f"exhaustive search space {space} exceeds cap {EXHAUSTIVE_SUBSET_CAP}"
-        )
-    return SelectionResult(selected=_best_subset(hm, range(u), k_cap, n0, ledger))
+    if reason := infeasible_reason(Algorithm.EXHAUSTIVE, m, u, k_max):
+        raise ValueError(reason)
+    return SelectionResult(selected=_best_subset(hm, range(u), min(k_max, m, u), n0, ledger))
 
 
 def run_selection(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

@@ -1,11 +1,14 @@
 import json
+import re
 
 import pytest
 
 import mimosel.selectors as sel
+from mimosel import harness
 from mimosel.cli import main
 from mimosel.complexity import CostQuery, relative_cost
 from mimosel.harness import oracle_check
+from mimosel.seeding import derive_seed
 from mimosel.selectors import Algorithm
 from test_ssus_blocks import ZeroStream
 
@@ -138,15 +141,17 @@ class TestMcCommand:
 
 
 class TestSweepCommand:
+    """Grid overrides of ``mc`` from the command line."""
+
     def test_grid_override(self, config_path, capsys):
-        assert main(["sweep", "--config", config_path, "--l", "1,2", "--u", "6"]) == 0
+        assert main(["mc", "--config", config_path, "--l", "1,2", "--u", "6"]) == 0
         out = capsys.readouterr().out
         lines = out.strip().split("\n")
         assert len(lines) == 4  # header + ssus L=1, ssus L=2, gzf
         assert "m4_u6_p-90" in lines[1]
 
     def test_alpha_override_validated(self, config_path, capsys):
-        assert main(["sweep", "--config", config_path, "--alpha", "2.0"]) == 1
+        assert main(["mc", "--config", config_path, "--alpha", "2.0"]) == 1
         assert "alpha" in capsys.readouterr().err
 
 
@@ -194,6 +199,24 @@ class TestOracleCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: every trial of ssus failed: ")
         assert captured.err.count("\n") == 1 and "redraws" in captured.err
+
+    def test_failed_trials_are_reported(self, monkeypatch, capsys):
+        # Trial 2 of ssus runs out of basis redraws; the other four compare.
+        bad_seed = derive_seed(1234, 0, 2, harness._ROLE_SELECT)
+        real_stream = sel.basis_stream
+        monkeypatch.setattr(
+            sel,
+            "basis_stream",
+            lambda seed, l: ZeroStream() if seed == bad_seed else real_stream(seed, l),
+        )
+        assert main(["oracle-check", "--m", "4", "--u", "6", "--trials", "5"]) == 0
+        captured = capsys.readouterr()
+        trials = {line.split(",")[0]: line.split(",")[4] for line in captured.out.split()[1:]}
+        assert trials == {"ssus": "4", "sus": "5", "gzf": "5", "mcore_plus": "5", "random": "5"}
+        assert re.fullmatch(
+            r"failed ssus \(L=10, alpha=0\.45\) at m4_u6_p-90: 1 of 5 trials \(.*redraws.*\)\n",
+            captured.err,
+        )
 
 
 # CSV of ``cost`` and ``oracle-check`` as the commands wrote it before they

@@ -1,6 +1,8 @@
 """Every name a module exports exists, so ``import *`` cannot break."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,24 @@ def test_package_star_import():
     namespace = {}
     exec("from mimosel import *", namespace)
     assert {"ss_us", "emit", "zf_post_snr", "OpLedger", "LinkBudget"} <= set(namespace)
+
+
+def test_benchmark_hooks_resolve():
+    """Every package name the benchmark wraps or replaces still exists.
+
+    ``perfbench/tracer.py`` wraps the names in its ``TARGETS`` and
+    ``harness._trial_chunk``; ``perfbench/child.py`` times
+    ``cli.run_monte_carlo``. A rename would break ``--trace 1`` runs.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hooks = [(module, attr) for module, attr, _ in tracer.TARGETS]
+    hooks += [("harness", "_trial_chunk"), ("cli", "run_monte_carlo")]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in hooks
+        if not callable(getattr(importlib.import_module(f"mimosel.{module}"), attr, None))
+    ]
+    assert tracer.TARGETS and missing == []

@@ -406,14 +406,30 @@ class TestFailedTrials:
     def test_row_that_lost_some_trials(self, monkeypatch, capsys):
         rows, err, first_error = self.failing_run(monkeypatch, capsys, [1])
         assert "redraws" in first_error
-        assert err == f"failed ssus at m4_u10_p-90: 1 of 3 trials ({first_error})\n"
+        assert err == (
+            f"failed ssus (L=2, alpha=0.45) at m4_u10_p-90: 1 of 3 trials ({first_error})\n"
+        )
         assert [r.trials for r in rows] == [2, 3]
 
     def test_row_that_lost_every_trial(self, monkeypatch, capsys):
         rows, err, first_error = self.failing_run(monkeypatch, capsys, [0, 1, 2])
-        assert err == f"failed ssus at m4_u10_p-90: 3 of 3 trials ({first_error})\n"
+        assert err == (
+            f"failed ssus (L=2, alpha=0.45) at m4_u10_p-90: 3 of 3 trials ({first_error})\n"
+        )
         assert rows[0].trials == 0 and rows[0].skip_reason == "all trials failed"
         assert emit(rows, "csv").splitlines()[1].split(",")[8] == "0"
+
+    def test_line_names_the_variant_that_lost_trials(self, monkeypatch, capsys):
+        # Basis 3 cannot be built, so only L = 5 of ssus.l = [2, 5] fails.
+        real_stream = sel.basis_stream
+        monkeypatch.setattr(
+            sel, "basis_stream", lambda seed, l: ZeroStream() if l == 3 else real_stream(seed, l)
+        )
+        rows = run_monte_carlo(tiny_config(ssus_num_bases=(2, 5), trials=3))
+        assert [(r.num_bases, r.trials) for r in rows] == [(2, 3), (5, 0), (None, 3)]
+        err = capsys.readouterr().err
+        assert err.startswith("failed ssus (L=5, alpha=0.45) at m4_u10_p-90: 3 of 3 trials (")
+        assert err.count("\n") == 1 and "redraws" in err
 
     def test_clean_run_keeps_stderr_empty(self, capsys):
         run_monte_carlo(tiny_config(trials=3))
@@ -499,3 +515,20 @@ class TestOracleCheck:
     def test_rejects_infeasible_oracle(self):
         with pytest.raises(ValueError, match="infeasible"):
             oracle_check(m=8, u=100, trials=1)
+
+    def test_oracle_failures_are_reported(self, monkeypatch, capsys):
+        real_oracle = sel.exhaustive_oracle
+        calls = []
+
+        def oracle_failing_on_trial_1(h, n0, k_max, ledger):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("oracle broke")
+            return real_oracle(h, n0, k_max, ledger)
+
+        monkeypatch.setattr(sel, "exhaustive_oracle", oracle_failing_on_trial_1)
+        rows = oracle_check(m=4, u=6, trials=5)
+        assert len(calls) == 5
+        assert {row["trials"] for row in rows} == {4}
+        err = capsys.readouterr().err
+        assert err == "failed exhaustive at m4_u6_p-90: 1 of 5 trials (oracle broke)\n"

@@ -475,3 +475,38 @@ def test_failed_basis_fails_only_the_variants_that_reach_it(monkeypatch):
     assert "redraws" in failed.error
     assert failed.selected == () and math.isnan(failed.se)
     assert untimed(report.cells[sus_inst]) == untimed(clean.cells[sus_inst])
+
+
+@pytest.mark.parametrize("l_bad", [0, _BASIS_BLOCK - 1, _BASIS_BLOCK, 2 * _BASIS_BLOCK - 1])
+def test_exhausted_redraws_at_block_edges_equal_lone_calls(monkeypatch, l_bad):
+    real_stream = sel.basis_stream
+    monkeypatch.setattr(
+        sel, "basis_stream", lambda seed, l: ZeroStream() if l == l_bad else real_stream(seed, l)
+    )
+    variants = [(l, a) for l in (1, 7, 8, 9, 16, 17) for a in (0.3, 0.6)]
+    for m, u in ((4, 20), (8, 30)):
+        h = generate_iid_rayleigh(m, u, stream(5000, m, l_bad))
+        shared = sel.ss_us_variants(h, m, 70 + l_bad, N0, variants)
+        for (l, alpha), (got, got_ledger) in zip(variants, shared):
+            cfg = ssus_cfg(m, l, alpha, 70 + l_bad)
+            want_ledger = OpLedger()
+            try:
+                want = ss_us(h, cfg, N0, want_ledger)
+            except BasisConstructionError as exc:
+                want = exc
+            assert isinstance(want, BasisConstructionError) == (l > l_bad)
+            assert type(got) is type(want)
+            assert got_ledger == want_ledger
+            if l <= l_bad:
+                assert got.selected == want.selected
+                assert got.matched_direction == want.matched_direction
+                assert got.winning_basis == want.winning_basis
+                assert got.weights == want.weights and got.mean_metric == want.mean_metric
+                assert_same_as_reference(h, cfg)
+            else:
+                # The reference charges every basis before the failing one,
+                # then what the failing rebuild charged before it raised.
+                reference_ledger = OpLedger()
+                with pytest.raises(BasisConstructionError):
+                    reference_ss_us(h, cfg, N0, reference_ledger)
+                assert got_ledger == reference_ledger
