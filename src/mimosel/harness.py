@@ -614,8 +614,8 @@ def oracle_check(
     failed for the heuristic or the oracle is left out of the pairs, and
     every algorithm that lost trials, the oracle included, logs them to
     stderr as ``run_monte_carlo`` does. Raises ``ValueError`` naming the
-    first error instead when some heuristic has no trial left to compare,
-    since its ratios would be undefined.
+    first error instead when the oracle, or else some heuristic, has no
+    trial left to compare, since the ratios would be undefined.
     """
     cfg = ExperimentConfig(
         m_values=(m,),
@@ -635,6 +635,9 @@ def oracle_check(
         raise ValueError(f"oracle infeasible at M={m}, U={u}, K_max={point.k_max}: {reason}")
     instances = [i for i in algo_instances(cfg) if _infeasible_reason(point, i) is None]
     reports = _run_trials(cfg, {point: instances})[point]
+    oracle_errors = [report.cells[oracle_inst].error for report in reports]
+    if None not in oracle_errors:
+        raise ValueError(f"every trial of {oracle_inst.label} failed: {oracle_errors[0]}")
     rows = []
     for inst in instances:
         if inst.algorithm is Algorithm.EXHAUSTIVE:

@@ -61,9 +61,11 @@ MCORE_MAX_ANTENNAS = 12
 #: their memory flat in the size of the search space.
 _SUBSET_BLOCK = 1024
 
-#: Bases that ``ss_us`` builds and matches per batch; it bounds the size of
-#: the stacked draws, QR factors and correlations at large L.
-_BASIS_BLOCK = 8
+#: Float64 elements (560 kB) that the largest stack of one ``ss_us`` block
+#: may hold; it sizes the block (see ``_bases_per_block``) and so bounds its
+#: working set. Chosen by measurement: at U = 100 it holds the 100 bases of
+#: M = 8 in one block and those of M = 16 in three.
+_BLOCK_BUDGET = 70_000
 
 
 class Algorithm(str, Enum):
@@ -202,11 +204,13 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
 
     Basis l depends only on (``rng_seed``, l), and alpha enters only the
     matching, so the seed user, the bases and their correlations are built
-    once, for the largest L, ``_BASIS_BLOCK`` bases at a time (see
-    ``_basis_block``), and each distinct alpha matches users on every block
-    (see ``_match_block``). That fills a table with one row per basis: its
-    construction charges and, per alpha, its match. A variant with L bases
-    reads the first L rows.
+    once, for the largest L, a block at a time (see ``_basis_block`` and
+    ``_correlations``), and each distinct alpha matches users on every block
+    (see ``_match_block``). A block holds as many bases as its largest
+    stack fits in ``_BLOCK_BUDGET`` (see ``_bases_per_block``); its size
+    changes no outcome and no charge. That fills a table with one row per
+    basis: its construction charges and, per alpha, its match. A variant
+    with L bases reads the first L rows.
 
     Returns one (outcome, ledger) pair per variant, in order. The outcome
     is the :class:`SelectionResult` of ``ss_us`` with that variant alone,
@@ -253,16 +257,19 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     charges: list[tuple[int, int]] = []
     matches = {alpha: [] for _, alpha in variants}
     n_bases = max((num_bases for num_bases, _ in variants), default=0)
-    for start in range(0, n_bases, _BASIS_BLOCK):
-        indices = range(start, min(start + _BASIS_BLOCK, n_bases))
+    block = _bases_per_block(m, cand.size, n_dirs - 1)
+    for start in range(0, n_bases, block):
+        indices = range(start, min(start + block, n_bases))
         bases, block_charges, error = _basis_block(v_seed, rng_seed, indices)
         charges += block_charges
-        corr = np.abs(h_cand_t @ bases[:, :, 1:n_dirs]) / cand_norms[:, np.newaxis]
-        np.clip(corr, 0.0, 1.0, out=corr)
+        corr = _correlations(h_cand_t, bases[:, :, 1:n_dirs], cand_norms)
         for alpha, rows in matches.items():
             rows += _match_block(corr, cand_rates, seed_rate, alpha)
         if error is not None:
             break
+        # Free this block before the next one is built, so that the budget
+        # bounds the working set of one block, not of two.
+        del bases, corr
 
     outcomes = []
     for num_bases, alpha in variants:
@@ -292,6 +299,17 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     return outcomes
 
 
+def _bases_per_block(m: int, n_cand: int, n_steps: int) -> int:
+    """Bases per ``ss_us`` block, at least one, whose stacks fit ``_BLOCK_BUDGET``.
+
+    A basis takes C x D float64 elements of the (B, C, D) correlations, for
+    C candidates and D directions, and 8 M^2 of the QR's four (B, M, M)
+    complex stacks: the matrix ``_basis_block`` builds, the copy that
+    ``np.linalg.qr`` factors, Q and R. The larger of the two sizes the block.
+    """
+    return max(1, _BLOCK_BUDGET // max(n_cand * n_steps, 8 * m * m))
+
+
 def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     """Orthonormal bases ``indices`` of ``ss_us`` as a (B, M, M) stack.
 
@@ -308,13 +326,17 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     Returns the bases, the (MACs, divisions) charged for each and ``None``.
     When a rebuild exhausts its redraws, the bases stop before the failing
     one, the charges end with what the failed rebuild charged, and the
-    error comes last.
+    error comes last; the bases drawn past it are dropped. The draws are
+    copied into one complex stack and freed before the QR, so the block's
+    peak is the QR's four (B, M, M) stacks (see ``_bases_per_block``).
     """
     m = v_seed.size
     z = np.stack([basis_stream(rng_seed, l).standard_normal((m - 1, 2, m)) for l in indices])
     a = np.empty((len(indices), m, m), dtype=np.complex128)
     a[:, :, 0] = v_seed
-    a[:, :, 1:] = (z[:, :, 0] + 1j * z[:, :, 1]).transpose(0, 2, 1)
+    a.real[:, :, 1:] = z[:, :, 0].transpose(0, 2, 1)
+    a.imag[:, :, 1:] = z[:, :, 1].transpose(0, 2, 1)
+    del z  # before the QR makes its own copies of a
     bases, r = np.linalg.qr(a)
     # Seed norm check, then per column j: j projections of 2M MACs and a norm.
     charges = [(m + (m - 1) * m * (m + 1), m * (m - 1))] * len(indices)
@@ -331,10 +353,31 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     return bases, charges, None
 
 
+def _correlations(h_cand_t: np.ndarray, directions: np.ndarray, cand_norms: np.ndarray):
+    """|h_c^H v| / |h_c|, clipped to [0, 1], for every candidate c and direction v.
+
+    ``directions`` is a (B, M, D) stack and the result is (B, C, D). The
+    complex products are formed a few bases at a time, each within a
+    quarter of ``_BLOCK_BUDGET`` float64 elements, so only the float result
+    exists at full block size.
+    """
+    n_bases, _, n_steps = directions.shape
+    corr = np.empty((n_bases, len(h_cand_t), n_steps))
+    step = max(1, _BLOCK_BUDGET // (8 * len(h_cand_t) * n_steps))
+    for s in range(0, n_bases, step):
+        np.abs(h_cand_t @ directions[s : s + step], out=corr[s : s + step])
+    corr /= cand_norms[:, np.newaxis]
+    np.clip(corr, 0.0, 1.0, out=corr)
+    return corr
+
+
 def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rate: float, alpha: float):
     """Greedy direction filling of ``ss_us`` on every basis of a block at once.
 
-    ``corr`` is (B, C, D): candidate correlations with directions 1..D.
+    ``corr`` is (B, C, D): candidate correlations with directions 1..D. It
+    is only read, so every alpha matches on the same stack; step k scores
+    direction k as ``corr[:, :, k]`` times the candidate rates, with the
+    candidates already matched in that basis masked to -inf.
     Returns one (mean weight, picks, weights, comparisons) row per basis.
     ``picks`` (D,) holds the candidate matched to each direction, or -1
     where the direction stays unfilled; ``weights`` holds the seed rate and
@@ -343,17 +386,17 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rate: float, alp
     """
     n_bases, n_cand, n_steps = corr.shape
     rows = np.arange(n_bases)
-    clears = corr >= alpha
-    # A matched candidate's scores drop to -inf, so argmax skips it later.
-    scores = corr * cand_rates[:, np.newaxis]
+    used = np.zeros((n_bases, n_cand), dtype=bool)
     picks = np.full((n_bases, n_steps), -1)
     best = np.empty((n_bases, n_steps))
     for k in range(n_steps):
-        pick = scores[:, :, k].argmax(axis=1)
-        best[:, k] = scores[rows, pick, k]
-        take = rows[(best[:, k] > -np.inf) & clears[rows, pick, k]]
+        scores = corr[:, :, k] * cand_rates
+        scores[used] = -np.inf
+        pick = scores.argmax(axis=1)
+        best[:, k] = scores[rows, pick]
+        take = rows[(best[:, k] > -np.inf) & (corr[rows, pick, k] >= alpha)]
         picks[take, k] = pick[take]
-        scores[take, pick[take]] = -np.inf
+        used[take, pick[take]] = True
     filled = picks >= 0
     comparisons = (n_cand - (np.cumsum(filled, axis=1) - filled)).sum(axis=1)
     weights = [(seed_rate, *w) for w in map(itertools.compress, best.tolist(), filled.tolist())]

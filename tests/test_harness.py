@@ -532,3 +532,12 @@ class TestOracleCheck:
         assert {row["trials"] for row in rows} == {4}
         err = capsys.readouterr().err
         assert err == "failed exhaustive at m4_u6_p-90: 1 of 5 trials (oracle broke)\n"
+
+    def test_oracle_with_no_trial_left_is_named(self, monkeypatch):
+        # Every heuristic trial succeeds; the oracle is what has no trial.
+        def broken_oracle(h, n0, k_max, ledger):
+            raise ValueError("oracle broke")
+
+        monkeypatch.setattr(sel, "exhaustive_oracle", broken_oracle)
+        with pytest.raises(ValueError, match="^every trial of exhaustive failed: oracle broke$"):
+            oracle_check(m=4, u=6, trials=3)

@@ -1,17 +1,21 @@
 """Block construction of the ``ss_us`` bases against the per-basis reference.
 
-``ss_us`` builds its bases ``_BASIS_BLOCK`` at a time by one batched
-Householder QR and matches users on every basis of a block at once.
-``reference_ss_us`` below is the earlier implementation, one modified
-Gram-Schmidt basis and one greedy loop per basis; both must select the same
-users, match them to the same directions and charge the same ledger.
-``ss_us_variants`` runs many (L, alpha) variants on one set of bases, and
-each of its variants must equal a lone ``ss_us`` call.
+``ss_us`` builds its bases a block at a time by one batched Householder QR
+and matches users on every basis of a block at once; ``_bases_per_block``
+sizes the block from its working set. ``reference_ss_us`` below is the
+earlier implementation, one modified Gram-Schmidt basis and one greedy loop
+per basis; both must select the same users, match them to the same
+directions and charge the same ledger. ``ss_us_variants`` runs many
+(L, alpha) variants on one set of bases, and each of its variants must equal
+a lone ``ss_us`` call. The block size must not change any of it: tests that
+need block edges at known bases fix the size to ``BLOCK`` with the
+``fixed_blocks`` fixture.
 """
 
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +32,23 @@ from mimosel.numerics import (
     gram_schmidt_extend,
 )
 from mimosel.seeding import derive_seed, stream
-from mimosel.selectors import _BASIS_BLOCK, Algorithm, SelectionConfig, ss_us
+from mimosel.selectors import Algorithm, SelectionConfig, ss_us
 from test_numerics import orthonormality_defect
 
 N0 = 0.25
+
+#: Bases per block where a test fixes the block size with ``fixed_blocks``.
+BLOCK = 8
+
+
+def set_block_size(monkeypatch, size):
+    monkeypatch.setattr(sel, "_bases_per_block", lambda m, n_cand, n_steps: size)
+
+
+@pytest.fixture
+def fixed_blocks(monkeypatch):
+    """Blocks of ``BLOCK`` bases, whatever the shape of the instance."""
+    set_block_size(monkeypatch, BLOCK)
 
 
 def reference_ss_us(h, cfg, n0, ledger):
@@ -152,10 +169,8 @@ def test_matches_reference(m, u):
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
-@pytest.mark.parametrize(
-    "l", [_BASIS_BLOCK - 1, _BASIS_BLOCK, _BASIS_BLOCK + 1, 2 * _BASIS_BLOCK + 1]
-)
-def test_matches_reference_across_block_edges(m, l):
+@pytest.mark.parametrize("l", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_matches_reference_across_block_edges(fixed_blocks, m, l):
     for alpha in ALPHAS:
         for seed in range(2):
             h = generate_iid_rayleigh(m, 20, stream(4300, m, l, seed))
@@ -196,10 +211,11 @@ def unit_seed(m, key):
 
 
 def bases_as_ss_us_builds_them(v, rng_seed, l):
+    """The first ``l`` bases, built in blocks of ``BLOCK``."""
     return np.concatenate(
         [
-            sel._basis_block(v, rng_seed, range(s, min(s + _BASIS_BLOCK, l)))[0]
-            for s in range(0, l, _BASIS_BLOCK)
+            sel._basis_block(v, rng_seed, range(s, min(s + BLOCK, l)))[0]
+            for s in range(0, l, BLOCK)
         ]
     )
 
@@ -218,7 +234,7 @@ class TestBatchedBases:
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_columns_are_gram_schmidt_columns_up_to_phase(self, m):
         v = unit_seed(m, 1)
-        bases, _, _ = sel._basis_block(v, 31, range(_BASIS_BLOCK))
+        bases, _, _ = sel._basis_block(v, 31, range(BLOCK))
         for l, basis in enumerate(bases):
             phase0 = np.vdot(v, basis[:, 0])
             assert abs(abs(phase0) - 1.0) <= 1e-12
@@ -228,7 +244,7 @@ class TestBatchedBases:
             np.testing.assert_allclose(np.abs(phases), 1.0, rtol=0, atol=1e-10)
             np.testing.assert_allclose(basis, mgs * phases, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("l", [1, _BASIS_BLOCK - 1, _BASIS_BLOCK + 3, 40])
+    @pytest.mark.parametrize("l", [1, BLOCK - 1, BLOCK + 3, 40])
     def test_first_l_of_2l_bases_equal_a_run_with_l(self, l):
         v = unit_seed(8, 2)
         np.testing.assert_array_equal(
@@ -280,7 +296,7 @@ def dependent_prefix(v, j, rng):
 
 class TestRedrawGuard:
     @pytest.mark.parametrize("j", [1, 2, 5])
-    def test_dependent_draw_takes_gram_schmidt_fallback(self, monkeypatch, j):
+    def test_dependent_draw_takes_gram_schmidt_fallback(self, monkeypatch, fixed_blocks, j):
         m, u, l_bad = 8, 40, 3
         h = generate_iid_rayleigh(m, u, stream(4600, j))
         norms = np.linalg.norm(h, axis=0)
@@ -302,7 +318,7 @@ class TestRedrawGuard:
             return real_extend(*args)
 
         monkeypatch.setattr(sel, "gram_schmidt_extend", counting_extend)
-        cfg = ssus_cfg(m, 2 * _BASIS_BLOCK, 0.3, 11)
+        cfg = ssus_cfg(m, 2 * BLOCK, 0.3, 11)
         ss_us(h, cfg, N0, OpLedger())
         # One rebuild, on a second stream of basis l_bad and of no other.
         assert len(rebuilds) == 1
@@ -377,8 +393,8 @@ SHARED_GRID = [
     (16, 30, 9),
     (16, 100, 16),
 ]
-# Every L on both sides of the block edges, two alphas at each, and
-# duplicate (L, alpha) pairs, Ls and alphas.
+# Every L on both sides of the edges of fixed blocks, two alphas at each,
+# and duplicate (L, alpha) pairs, Ls and alphas.
 SHARED_VARIANTS = [(l, a) for l in (1, 7, 8, 9, 17, 100) for a in (0.3, 0.6)] + [
     (9, 0.3),
     (1, 0.6),
@@ -388,7 +404,7 @@ SHARED_VARIANTS = [(l, a) for l in (1, 7, 8, 9, 17, 100) for a in (0.3, 0.6)] + 
 
 
 @pytest.mark.parametrize("m, u, k_max", SHARED_GRID)
-def test_shared_variants_equal_lone_calls(m, u, k_max):
+def test_shared_variants_equal_lone_calls(fixed_blocks, m, u, k_max):
     for seed in range(2):
         h = generate_iid_rayleigh(m, u, stream(4800, m, u, k_max, seed))
         shared = assert_variants_match_lone_calls(h, k_max, 60 + seed, SHARED_VARIANTS)
@@ -477,8 +493,8 @@ def test_failed_basis_fails_only_the_variants_that_reach_it(monkeypatch):
     assert untimed(report.cells[sus_inst]) == untimed(clean.cells[sus_inst])
 
 
-@pytest.mark.parametrize("l_bad", [0, _BASIS_BLOCK - 1, _BASIS_BLOCK, 2 * _BASIS_BLOCK - 1])
-def test_exhausted_redraws_at_block_edges_equal_lone_calls(monkeypatch, l_bad):
+@pytest.mark.parametrize("l_bad", [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
+def test_exhausted_redraws_at_block_edges_equal_lone_calls(monkeypatch, fixed_blocks, l_bad):
     real_stream = sel.basis_stream
     monkeypatch.setattr(
         sel, "basis_stream", lambda seed, l: ZeroStream() if l == l_bad else real_stream(seed, l)
@@ -510,3 +526,117 @@ def test_exhausted_redraws_at_block_edges_equal_lone_calls(monkeypatch, l_bad):
                 with pytest.raises(BasisConstructionError):
                     reference_ss_us(h, cfg, N0, reference_ledger)
                 assert got_ledger == reference_ledger
+
+
+@pytest.mark.parametrize(
+    "m, n_cand, n_steps",
+    [(2, 9, 1), (4, 9, 3), (4, 99, 3), (8, 19, 7), (8, 99, 7), (16, 19, 15), (16, 99, 15),
+     (64, 999, 63)],
+)
+def test_block_fills_the_budget_with_its_largest_stack(m, n_cand, n_steps):
+    # A basis needs its correlations or the QR's 8 M^2 floats, whichever is more.
+    per_basis = max(n_cand * n_steps, 8 * m * m)
+    size = sel._bases_per_block(m, n_cand, n_steps)
+    assert size >= 1
+    assert size == 1 or size * per_basis <= sel._BLOCK_BUDGET
+    assert (size + 1) * per_basis > sel._BLOCK_BUDGET
+
+
+def test_block_sizes_of_the_committed_workloads():
+    # L = 10 at the paper's M and U (and the oracle's M = 4, U = 10) is one
+    # block; L = 100 at U = 100 is one block at M = 8 and three at M = 16.
+    for m, u in ((4, 10), (4, 20), (4, 100), (8, 20), (8, 100), (16, 100)):
+        assert sel._bases_per_block(m, u - 1, m - 1) >= 10
+    assert sel._bases_per_block(8, 99, 7) >= 100
+    assert math.ceil(100 / sel._bases_per_block(16, 99, 15)) == 3
+
+
+def outcome_key(outcome, ledger):
+    """Everything a variant returns, with floats as bytes."""
+    if isinstance(outcome, BasisConstructionError):
+        return type(outcome), str(outcome), ledger
+    return (
+        outcome.selected,
+        outcome.matched_direction,
+        outcome.winning_basis,
+        np.array(outcome.weights).tobytes(),
+        np.float64(outcome.mean_metric).tobytes(),
+        ledger,
+    )
+
+
+@pytest.mark.parametrize("m, u, k_max", [(2, 10, 2), (4, 20, 3), (8, 100, 8), (16, 30, 9)])
+@pytest.mark.parametrize("l_bad", [None, 5])
+def test_block_size_does_not_change_the_answer(monkeypatch, m, u, k_max, l_bad):
+    if l_bad is not None:
+        real_stream = sel.basis_stream
+        monkeypatch.setattr(
+            sel,
+            "basis_stream",
+            lambda seed, l: ZeroStream() if l == l_bad else real_stream(seed, l),
+        )
+    variants = [(1, 0.3), (4, 0.6), (5, 0.3), (6, 0.45), (11, 0.3), (23, 0.6)]
+    h = generate_iid_rayleigh(m, u, stream(5100, m, u, k_max))
+    want = [outcome_key(*v) for v in sel.ss_us_variants(h, k_max, 80, N0, variants)]
+    # An exhausted rebuild at basis l_bad fails exactly the variants with L > l_bad.
+    assert [len(key) == 3 for key in want] == [
+        l_bad is not None and l > l_bad for l, _ in variants
+    ]
+    for size in (1, 3, 23):
+        set_block_size(monkeypatch, size)
+        got = [outcome_key(*v) for v in sel.ss_us_variants(h, k_max, 80, N0, variants)]
+        assert got == want
+
+
+def test_correlations_equal_the_unchunked_product(monkeypatch):
+    m, u, n_dirs = 8, 40, 6
+    h = generate_iid_rayleigh(m, u, stream(5200))
+    h_cand_t = h[:, 1:].conj().T
+    norms = np.linalg.norm(h[:, 1:], axis=0)
+    v = unit_seed(m, 4)
+    directions = sel._basis_block(v, 9, range(13))[0][:, :, 1:n_dirs]
+    want = np.clip(np.abs(h_cand_t @ directions) / norms[:, np.newaxis], 0.0, 1.0)
+    # A budget this small forms the complex products one basis at a time.
+    monkeypatch.setattr(sel, "_BLOCK_BUDGET", 1)
+    assert sel._correlations(h_cand_t, directions, norms).tobytes() == want.tobytes()
+    monkeypatch.undo()
+    assert sel._correlations(h_cand_t, directions, norms).tobytes() == want.tobytes()
+
+
+def test_match_block_leaves_corr_unchanged():
+    m, u = 8, 60
+    h = generate_iid_rayleigh(m, u, stream(5300))
+    norms = np.linalg.norm(h, axis=0)
+    rates = np.log2(1.0 + norms**2 / N0)
+    directions = sel._basis_block(unit_seed(m, 5), 12, range(9))[0][:, :, 1:]
+    corr = sel._correlations(h[:, 1:].conj().T, directions, norms[1:])
+    before = corr.copy()
+    rows = {alpha: sel._match_block(corr, rates[1:], rates[0], alpha) for alpha in (0.6, 0.3)}
+    assert corr.tobytes() == before.tobytes()
+    for alpha, got in rows.items():
+        want = sel._match_block(before.copy(), rates[1:], rates[0], alpha)
+        assert [(w[0], w[1].tolist(), w[2], w[3]) for w in got] == [
+            (w[0], w[1].tolist(), w[2], w[3]) for w in want
+        ]
+    # Both alphas matched something, and differently.
+    assert rows[0.6] != rows[0.3]
+
+
+# Peak bytes that tracemalloc sees in one ss_us_variants call at U = 100 with
+# variants L 1/10/100: measured 0.72 MB at M = 16 (three blocks) and 0.93 MB
+# at M = 8 (one block of 100 bases). Blocks of 8 peaked at 0.51 and 0.24 MB.
+PEAK_BOUND_MB = {16: 0.8, 8: 1.0}
+
+
+@pytest.mark.parametrize("m", sorted(PEAK_BOUND_MB))
+def test_working_set_of_one_call_is_bounded(m):
+    h = generate_iid_rayleigh(m, 100, stream(5400, m))
+    variants = [(1, 0.45), (10, 0.45), (100, 0.45)]
+    sel.ss_us_variants(h, m, 3, N0, variants)
+    tracemalloc.start()
+    try:
+        sel.ss_us_variants(h, m, 3, N0, variants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND_MB[m] * 1e6
