@@ -30,7 +30,7 @@ from .numerics import (
     gram_schmidt_extend,
     subset_count,
 )
-from .seeding import derive_seed, splitmix64, stream
+from .seeding import derive_seed, stream
 from .selectors import (
     Algorithm,
     SelectionConfig,

@@ -30,7 +30,7 @@ from .numerics import (
     gram_schmidt_extend,
     subset_count,
 )
-from .seeding import stream
+from .seeding import _stacked_normals, stream
 
 __all__ = [
     "Algorithm",
@@ -209,8 +209,9 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     (see ``_match_block``). A block holds as many bases as its largest
     stack fits in ``_BLOCK_BUDGET`` (see ``_bases_per_block``); its size
     changes no outcome and no charge. That fills a table with one row per
-    basis: its construction charges and, per alpha, its match. A variant
-    with L bases reads the first L rows.
+    basis: its construction charges and, per alpha, its match, held as one
+    array per field of the match. A variant with L bases reads the first L
+    rows; only its winner's weights become a tuple.
 
     Returns one (outcome, ledger) pair per variant, in order. The outcome
     is the :class:`SelectionResult` of ``ss_us`` with that variant alone,
@@ -250,21 +251,34 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     h_cand_t = hm[:, cand].conj().T
     cand_norms = norms[cand]
     cand_rates = rates[cand]
-    corr_charge = cand.size * (n_dirs - 1)
+    n_steps = n_dirs - 1
+    corr_charge = cand.size * n_steps
 
     # The table: per basis, its construction (MACs, divisions), and per
-    # alpha and basis, its match. A failed rebuild's charge comes last.
+    # alpha and basis, its match (see ``_match_block``). A failed rebuild's
+    # charge comes last.
     charges: list[tuple[int, int]] = []
-    matches = {alpha: [] for _, alpha in variants}
     n_bases = max((num_bases for num_bases, _ in variants), default=0)
-    block = _bases_per_block(m, cand.size, n_dirs - 1)
+    table = {
+        alpha: (
+            np.empty(n_bases),
+            np.empty((n_bases, n_steps), dtype=np.intp),
+            np.empty((n_bases, n_steps)),
+            np.empty(n_bases, dtype=np.intp),
+        )
+        for _, alpha in variants
+    }
+    built = 0
+    block = _bases_per_block(m, cand.size, n_steps)
     for start in range(0, n_bases, block):
         indices = range(start, min(start + block, n_bases))
         bases, block_charges, error = _basis_block(v_seed, rng_seed, indices)
         charges += block_charges
         corr = _correlations(h_cand_t, bases[:, :, 1:n_dirs], cand_norms)
-        for alpha, rows in matches.items():
-            rows += _match_block(corr, cand_rates, seed_rate, alpha)
+        built = start + len(bases)
+        for alpha, columns in table.items():
+            for column, part in zip(columns, _match_block(corr, cand_rates, seed_rate, alpha)):
+                column[start:built] = part
         if error is not None:
             break
         # Free this block before the next one is built, so that the budget
@@ -273,27 +287,27 @@ def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
 
     outcomes = []
     for num_bases, alpha in variants:
-        rows = matches[alpha][:num_bases]
+        means, picks, best, comparisons = table[alpha]
+        rows = min(num_bases, built)
         macs, divisions = map(sum, zip(*charges[:num_bases]))
         # Only the bases built are correlated, so a failed rebuild is not.
         ledger = OpLedger(
-            complex_macs=common.complex_macs + macs + len(rows) * corr_charge * m,
-            divisions=common.divisions + divisions + len(rows) * corr_charge,
-            comparisons=common.comparisons + sum(row[3] for row in rows),
+            complex_macs=common.complex_macs + macs + rows * corr_charge * m,
+            divisions=common.divisions + divisions + rows * corr_charge,
+            comparisons=common.comparisons + int(comparisons[:rows].sum()),
         )
-        if len(rows) < num_bases:
+        if rows < num_bases:
             outcomes.append((error, ledger))
             continue
-        # max keeps the first maximum, so ties go to the lowest basis index.
-        l_star = max(range(num_bases), key=lambda l: rows[l][0])
-        mean_w, picks, weights, _ = rows[l_star]
-        filled = np.flatnonzero(picks >= 0)
+        # argmax keeps the first maximum, so ties go to the lowest basis index.
+        l_star = int(np.argmax(means[:num_bases]))
+        filled = np.flatnonzero(picks[l_star] >= 0)
         result = SelectionResult(
-            selected=(seed_user, *cand[picks[filled]].tolist()),
+            selected=(seed_user, *cand[picks[l_star, filled]].tolist()),
             matched_direction=(0, *(filled + 1).tolist()),
-            weights=weights,
+            weights=(seed_rate, *best[l_star, filled].tolist()),
             winning_basis=l_star,
-            mean_metric=mean_w,
+            mean_metric=float(means[l_star]),
         )
         outcomes.append((result, ledger))
     return outcomes
@@ -317,11 +331,15 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     ``basis_stream(rng_seed, l)`` in the order ``gram_schmidt_extend`` draws
     it: column by column, the real parts and then the imaginary parts. Its
     columns therefore equal Gram-Schmidt's on the same draws up to
-    unit-modulus factors, which the correlations |h^H v| do not see. A basis
-    whose draw is numerically dependent (some |R_jj| < ``RESIDUAL_FLOOR``)
-    is rebuilt by ``gram_schmidt_extend`` on a fresh stream, which redraws
-    and is charged what it charges. Every other basis is charged the
-    modified Gram-Schmidt cost of a draw without redraws.
+    unit-modulus factors, which the correlations |h^H v| do not see. The
+    block's draws come from ``_stacked_normals`` as one (B, M-1, 2, M)
+    array, byte for byte those of the per-basis streams; from a few bases
+    up it seeds them together rather than by one ``default_rng`` per basis
+    (see ``seeding``). A basis whose draw is numerically dependent (some
+    |R_jj| < ``RESIDUAL_FLOOR``) is rebuilt by ``gram_schmidt_extend`` on a
+    fresh ``basis_stream``, which redraws and is charged what it charges.
+    Every other basis is charged the modified Gram-Schmidt cost of a draw
+    without redraws.
 
     Returns the bases, the (MACs, divisions) charged for each and ``None``.
     When a rebuild exhausts its redraws, the bases stop before the failing
@@ -331,7 +349,7 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     peak is the QR's four (B, M, M) stacks (see ``_bases_per_block``).
     """
     m = v_seed.size
-    z = np.stack([basis_stream(rng_seed, l).standard_normal((m - 1, 2, m)) for l in indices])
+    z = _stacked_normals(rng_seed, indices, (m - 1, 2, m))
     a = np.empty((len(indices), m, m), dtype=np.complex128)
     a[:, :, 0] = v_seed
     a.real[:, :, 1:] = z[:, :, 0].transpose(0, 2, 1)
@@ -378,11 +396,13 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rate: float, alp
     is only read, so every alpha matches on the same stack; step k scores
     direction k as ``corr[:, :, k]`` times the candidate rates, with the
     candidates already matched in that basis masked to -inf.
-    Returns one (mean weight, picks, weights, comparisons) row per basis.
-    ``picks`` (D,) holds the candidate matched to each direction, or -1
-    where the direction stays unfilled; ``weights`` holds the seed rate and
-    then the weights of the filled directions, in direction order. A step
-    costs one comparison per candidate still available.
+    Returns four arrays, one row per basis: the mean weight (B,), the picks
+    (B, D), the best scores (B, D) and the comparisons (B,). ``picks`` holds
+    the candidate matched to each direction, or -1 where the direction
+    stays unfilled; the weights of a basis are the seed rate and then the
+    best scores of its filled directions, in direction order, and its mean
+    weight is their ``math.fsum`` over their count. A step costs one
+    comparison per candidate still available.
     """
     n_bases, n_cand, n_steps = corr.shape
     rows = np.arange(n_bases)
@@ -399,9 +419,11 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rate: float, alp
         used[take, pick[take]] = True
     filled = picks >= 0
     comparisons = (n_cand - (np.cumsum(filled, axis=1) - filled)).sum(axis=1)
-    weights = [(seed_rate, *w) for w in map(itertools.compress, best.tolist(), filled.tolist())]
-    means = [math.fsum(w) / len(w) for w in weights]
-    return list(zip(means, picks, weights, comparisons.tolist()))
+    sums = [
+        math.fsum((seed_rate, *itertools.compress(w, f)))
+        for w, f in zip(best.tolist(), filled.tolist())
+    ]
+    return np.array(sums) / (1 + filled.sum(axis=1)), picks, best, comparisons
 
 
 def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

@@ -3,14 +3,13 @@ import re
 
 import pytest
 
-import mimosel.selectors as sel
 from mimosel import harness
 from mimosel.cli import main
 from mimosel.complexity import CostQuery, relative_cost
 from mimosel.harness import oracle_check
 from mimosel.seeding import derive_seed
 from mimosel.selectors import Algorithm
-from test_ssus_blocks import ZeroStream
+from test_ssus_blocks import ZeroStream, script_bases
 
 CONFIG = """
 trials = 4
@@ -192,7 +191,7 @@ class TestOracleCheckCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_heuristic_with_no_trial_left_is_one_error_line(self, monkeypatch, capsys, fmt):
         # Every ssus trial runs out of basis redraws, so it has no ratio.
-        monkeypatch.setattr(sel, "basis_stream", lambda seed, l: ZeroStream())
+        script_bases(monkeypatch, lambda seed, l: ZeroStream())
         argv = ["oracle-check", "--m", "4", "--u", "6", "--trials", "3", "--format", fmt]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -203,12 +202,7 @@ class TestOracleCheckCommand:
     def test_failed_trials_are_reported(self, monkeypatch, capsys):
         # Trial 2 of ssus runs out of basis redraws; the other four compare.
         bad_seed = derive_seed(1234, 0, 2, harness._ROLE_SELECT)
-        real_stream = sel.basis_stream
-        monkeypatch.setattr(
-            sel,
-            "basis_stream",
-            lambda seed, l: ZeroStream() if seed == bad_seed else real_stream(seed, l),
-        )
+        script_bases(monkeypatch, lambda seed, l: ZeroStream() if seed == bad_seed else None)
         assert main(["oracle-check", "--m", "4", "--u", "6", "--trials", "5"]) == 0
         captured = capsys.readouterr()
         trials = {line.split(",")[0]: line.split(",")[4] for line in captured.out.split()[1:]}

@@ -23,7 +23,7 @@ from mimosel.harness import (
 )
 from mimosel.seeding import derive_seed
 from mimosel.selectors import Algorithm
-from test_ssus_blocks import ZeroStream
+from test_ssus_blocks import ZeroStream, script_bases
 
 
 def tiny_config(**kw):
@@ -392,12 +392,7 @@ class TestFailedTrials:
     def failing_run(self, monkeypatch, capsys, bad_trials):
         cfg = tiny_config(trials=3)
         bad_seeds = {derive_seed(cfg.master_seed, 0, t, harness._ROLE_SELECT) for t in bad_trials}
-        real_stream = sel.basis_stream
-        monkeypatch.setattr(
-            sel,
-            "basis_stream",
-            lambda seed, l: ZeroStream() if seed in bad_seeds else real_stream(seed, l),
-        )
+        script_bases(monkeypatch, lambda seed, l: ZeroStream() if seed in bad_seeds else None)
         report = run_trial(cfg, grid_points(cfg)[0], algo_instances(cfg), min(bad_trials))
         first_error = report.cells[algo_instances(cfg)[0]].error
         rows = run_monte_carlo(cfg)
@@ -421,10 +416,7 @@ class TestFailedTrials:
 
     def test_line_names_the_variant_that_lost_trials(self, monkeypatch, capsys):
         # Basis 3 cannot be built, so only L = 5 of ssus.l = [2, 5] fails.
-        real_stream = sel.basis_stream
-        monkeypatch.setattr(
-            sel, "basis_stream", lambda seed, l: ZeroStream() if l == 3 else real_stream(seed, l)
-        )
+        script_bases(monkeypatch, lambda seed, l: ZeroStream() if l == 3 else None)
         rows = run_monte_carlo(tiny_config(ssus_num_bases=(2, 5), trials=3))
         assert [(r.num_bases, r.trials) for r in rows] == [(2, 3), (5, 0), (None, 3)]
         err = capsys.readouterr().err

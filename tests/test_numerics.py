@@ -9,7 +9,9 @@ from mimosel.numerics import (
     gram_schmidt_extend,
     subset_count,
 )
-from mimosel.seeding import derive_seed, splitmix64, stream
+from mimosel import seeding
+from mimosel.seeding import _splitmix64, derive_seed, stream
+from mimosel.selectors import basis_stream
 
 
 def orthonormality_defect(matrix: np.ndarray) -> tuple[float, float]:
@@ -112,7 +114,7 @@ class TestOpLedger:
 class TestSeeding:
     def test_splitmix_is_64_bit(self):
         for x in (0, 1, 2**63, 2**64 - 1):
-            assert 0 <= splitmix64(x) < 2**64
+            assert 0 <= _splitmix64(x) < 2**64
 
     def test_derive_distinguishes_parts(self):
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
@@ -123,3 +125,59 @@ class TestSeeding:
         a = stream(42, 7).standard_normal(5)
         b = stream(42, 7).standard_normal(5)
         assert np.array_equal(a, b)
+
+
+# The seeds of 0, 1 and 2 words (SeedSequence splits a seed into uint32
+# words) and the edges between them.
+EDGE_SEEDS = [*range(50), 2**32 - 1, 2**32, 2**64 - 1]
+# Trial seeds whose basis keys 0..999 the port is checked on.
+KEY_SEEDS = (0, 1234, 2**64 - 1)
+
+
+class TestStackedNormals:
+    """``seeding._stacked_normals`` copies numpy's seeding of ``default_rng``.
+
+    It ports the ``SeedSequence`` hash constants and the PCG64 set-seed
+    step, so a numpy that changes either must fail here, by name.
+    """
+
+    NUMPY = f"the default_rng seeding port no longer matches numpy {np.__version__}"
+
+    def test_vectorised_seeds_equal_derive_seed(self):
+        for rng_seed in KEY_SEEDS:
+            got = seeding._stream_seeds(rng_seed, range(1000)).tolist()
+            assert got == [derive_seed(rng_seed, l) for l in range(1000)], self.NUMPY
+
+    def test_states_and_draws_equal_default_rng(self):
+        seeds = np.concatenate(
+            [seeding._stream_seeds(rng_seed, range(1000)) for rng_seed in KEY_SEEDS]
+            + [np.array(EDGE_SEEDS, dtype=np.uint64)]
+        )
+        assert seeds.size >= 3000
+        ported = np.random.Generator(np.random.PCG64())
+        mismatched = []
+        for seed, (state, inc) in zip(seeds.tolist(), seeding._pcg64_states(seeds)):
+            want = np.random.PCG64(seed).state["state"]
+            ported.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draws = np.random.default_rng(seed).standard_normal(3)
+            if (state, inc) != (want["state"], want["inc"]) or not np.array_equal(
+                ported.standard_normal(3), draws
+            ):
+                mismatched.append(seed)
+        assert mismatched == [], f"{self.NUMPY}: seeds {mismatched[:5]}"
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 16])
+    def test_block_equals_stacked_basis_streams(self, m):
+        cross = seeding._PORT_MIN_BLOCK
+        shape = (m - 1, 2, m)
+        for size in (1, cross - 1, cross, cross + 1, 34, 100):
+            for start in (0, 997):
+                indices = range(start, start + size)
+                got = seeding._stacked_normals(31 + m, indices, shape)
+                want = np.stack([basis_stream(31 + m, l).standard_normal(shape) for l in indices])
+                assert got.tobytes() == want.tobytes(), f"{self.NUMPY} (B = {size})"

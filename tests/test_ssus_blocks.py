@@ -285,6 +285,32 @@ class ZeroStream:
         return np.zeros(size)
 
 
+def script_bases(monkeypatch, script):
+    """Feed basis l the draws of ``script(seed, l)``, or its own where that is None.
+
+    A block draws its bases through ``sel._stacked_normals`` and a
+    Gram-Schmidt fallback opens its basis afresh through
+    ``sel.basis_stream``; both are patched, and ``script`` is called on
+    every opening, so a scripted basis starts its script again in each.
+    """
+    real_normals, real_stream = sel._stacked_normals, sel.basis_stream
+
+    def scripted_normals(seed, indices, shape):
+        z = real_normals(seed, indices, shape)
+        for row, l in zip(z, indices):
+            scripted = script(seed, l)
+            if scripted is not None:
+                row[...] = scripted.standard_normal(shape)
+        return z
+
+    def scripted_stream(seed, l):
+        scripted = script(seed, l)
+        return real_stream(seed, l) if scripted is None else scripted
+
+    monkeypatch.setattr(sel, "_stacked_normals", scripted_normals)
+    monkeypatch.setattr(sel, "basis_stream", scripted_stream)
+
+
 def dependent_prefix(v, j, rng):
     """Draws whose column j is a combination of the seed and columns 1..j-1."""
     columns = [
@@ -305,11 +331,11 @@ class TestRedrawGuard:
         real_stream = sel.basis_stream
         opened = collections.Counter()
 
-        def scripted_stream(seed, l):
+        def script(seed, l):
             opened[l] += 1
-            return ScriptedStream(prefix if l == l_bad else (), real_stream(seed, l))
+            return ScriptedStream(prefix, real_stream(seed, l)) if l == l_bad else None
 
-        monkeypatch.setattr(sel, "basis_stream", scripted_stream)
+        script_bases(monkeypatch, script)
         rebuilds = []
         real_extend = sel.gram_schmidt_extend
 
@@ -320,7 +346,8 @@ class TestRedrawGuard:
         monkeypatch.setattr(sel, "gram_schmidt_extend", counting_extend)
         cfg = ssus_cfg(m, 2 * BLOCK, 0.3, 11)
         ss_us(h, cfg, N0, OpLedger())
-        # One rebuild, on a second stream of basis l_bad and of no other.
+        # One rebuild, on a second stream of basis l_bad and of no other: the
+        # block draw opens each basis once, the fallback opens l_bad again.
         assert len(rebuilds) == 1
         assert opened == {l: 1 + (l == l_bad) for l in range(cfg.num_bases)}
         assert_same_as_reference(h, cfg)
@@ -333,13 +360,13 @@ class TestRedrawGuard:
         assert led.complex_macs > clean.complex_macs
 
     def test_exhausted_redraws_raise(self, monkeypatch):
-        monkeypatch.setattr(sel, "basis_stream", lambda seed, l: ZeroStream())
+        script_bases(monkeypatch, lambda seed, l: ZeroStream())
         h = generate_iid_rayleigh(4, 10, stream(4700))
         with pytest.raises(BasisConstructionError, match=f"after {MAX_REDRAWS} redraws"):
             ss_us(h, ssus_cfg(4, 3, 0.3, 0), N0, OpLedger())
 
     def test_exhausted_redraws_become_a_cell_error(self, monkeypatch):
-        monkeypatch.setattr(sel, "basis_stream", lambda seed, l: ZeroStream())
+        script_bases(monkeypatch, lambda seed, l: ZeroStream())
         cfg = ExperimentConfig(
             m_values=(4,),
             u_values=(10,),
@@ -423,10 +450,9 @@ def test_shared_fallback_charges_only_variants_beyond_it(monkeypatch):
 
     real_stream = sel.basis_stream
     prefix = dependent_prefix(v, 2, stream(4901))
-    monkeypatch.setattr(
-        sel,
-        "basis_stream",
-        lambda seed, l: ScriptedStream(prefix if l == l_bad else (), real_stream(seed, l)),
+    script_bases(
+        monkeypatch,
+        lambda seed, l: ScriptedStream(prefix, real_stream(seed, l)) if l == l_bad else None,
     )
     scripted = assert_variants_match_lone_calls(h, m, rng_seed, variants)
 
@@ -464,10 +490,7 @@ def test_failed_basis_fails_only_the_variants_that_reach_it(monkeypatch):
     point = grid_points(cfg)[0]
     clean = run_trial(cfg, point, instances, 0)
 
-    real_stream = sel.basis_stream
-    monkeypatch.setattr(
-        sel, "basis_stream", lambda seed, l: ZeroStream() if l == 3 else real_stream(seed, l)
-    )
+    script_bases(monkeypatch, lambda seed, l: ZeroStream() if l == 3 else None)
     report = run_trial(cfg, point, instances, 0)
 
     def untimed(cell):
@@ -495,10 +518,7 @@ def test_failed_basis_fails_only_the_variants_that_reach_it(monkeypatch):
 
 @pytest.mark.parametrize("l_bad", [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
 def test_exhausted_redraws_at_block_edges_equal_lone_calls(monkeypatch, fixed_blocks, l_bad):
-    real_stream = sel.basis_stream
-    monkeypatch.setattr(
-        sel, "basis_stream", lambda seed, l: ZeroStream() if l == l_bad else real_stream(seed, l)
-    )
+    script_bases(monkeypatch, lambda seed, l: ZeroStream() if l == l_bad else None)
     variants = [(l, a) for l in (1, 7, 8, 9, 16, 17) for a in (0.3, 0.6)]
     for m, u in ((4, 20), (8, 30)):
         h = generate_iid_rayleigh(m, u, stream(5000, m, l_bad))
@@ -569,12 +589,7 @@ def outcome_key(outcome, ledger):
 @pytest.mark.parametrize("l_bad", [None, 5])
 def test_block_size_does_not_change_the_answer(monkeypatch, m, u, k_max, l_bad):
     if l_bad is not None:
-        real_stream = sel.basis_stream
-        monkeypatch.setattr(
-            sel,
-            "basis_stream",
-            lambda seed, l: ZeroStream() if l == l_bad else real_stream(seed, l),
-        )
+        script_bases(monkeypatch, lambda seed, l: ZeroStream() if l == l_bad else None)
     variants = [(1, 0.3), (4, 0.6), (5, 0.3), (6, 0.45), (11, 0.3), (23, 0.6)]
     h = generate_iid_rayleigh(m, u, stream(5100, m, u, k_max))
     want = [outcome_key(*v) for v in sel.ss_us_variants(h, k_max, 80, N0, variants)]
@@ -615,23 +630,28 @@ def test_match_block_leaves_corr_unchanged():
     assert corr.tobytes() == before.tobytes()
     for alpha, got in rows.items():
         want = sel._match_block(before.copy(), rates[1:], rates[0], alpha)
-        assert [(w[0], w[1].tolist(), w[2], w[3]) for w in got] == [
-            (w[0], w[1].tolist(), w[2], w[3]) for w in want
-        ]
+        assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
     # Both alphas matched something, and differently.
-    assert rows[0.6] != rows[0.3]
+    picks = {alpha: got[1] for alpha, got in rows.items()}
+    assert (picks[0.6] >= 0).any() and (picks[0.3] >= 0).any()
+    assert not np.array_equal(picks[0.6], picks[0.3])
 
 
-# Peak bytes that tracemalloc sees in one ss_us_variants call at U = 100 with
-# variants L 1/10/100: measured 0.72 MB at M = 16 (three blocks) and 0.93 MB
-# at M = 8 (one block of 100 bases). Blocks of 8 peaked at 0.51 and 0.24 MB.
-PEAK_BOUND_MB = {16: 0.8, 8: 1.0}
+# Peak bytes that tracemalloc sees in one ss_us_variants call at U = 100.
+# With variants L 1/10/100: measured 0.73 MB at M = 16 (three blocks) and
+# 0.94 MB at M = 8 (one block of 100 bases); blocks of 8 peaked at 0.51 and
+# 0.24 MB. With L = 1,000 at three alphas, M = 16: measured 1.48 MB, where
+# one Python tuple per basis and alpha peaked at 2.36 MB.
+PEAK_CASES = [
+    pytest.param(16, [(1, 0.45), (10, 0.45), (100, 0.45)], 0.8, id="16"),
+    pytest.param(8, [(1, 0.45), (10, 0.45), (100, 0.45)], 1.0, id="8"),
+    pytest.param(16, [(1000, 0.3), (1000, 0.45), (1000, 0.6)], 1.6, id="16-L1000-3alphas"),
+]
 
 
-@pytest.mark.parametrize("m", sorted(PEAK_BOUND_MB))
-def test_working_set_of_one_call_is_bounded(m):
+@pytest.mark.parametrize("m, variants, bound_mb", PEAK_CASES)
+def test_working_set_of_one_call_is_bounded(m, variants, bound_mb):
     h = generate_iid_rayleigh(m, 100, stream(5400, m))
-    variants = [(1, 0.45), (10, 0.45), (100, 0.45)]
     sel.ss_us_variants(h, m, 3, N0, variants)
     tracemalloc.start()
     try:
@@ -639,4 +659,4 @@ def test_working_set_of_one_call_is_bounded(m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= PEAK_BOUND_MB[m] * 1e6
+    assert peak <= bound_mb * 1e6
