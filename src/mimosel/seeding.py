@@ -8,13 +8,12 @@ do not depend on execution order or worker count. A stream is numpy's
 
 The ``ss_us`` bases of one trial take one stream each, keyed by (trial
 seed, basis index), and a block of them is drawn by ``_stacked_normals``.
-Below ``_PORT_MIN_BLOCK`` streams it opens one ``default_rng`` per basis.
-From there it seeds the whole block at once: the last splitmix64 step, the
+It seeds the whole block at once: the last splitmix64 step, the
 ``SeedSequence`` hash (``mix_entropy`` and ``generate_state``) on ``uint32``
 arrays, and the PCG64 set-seed step (O'Neill, "PCG: A Family of Simple
 Fast Space-Efficient Statistically Good Algorithms for Random Number
 Generation", 2014), then draws the block from one ``Generator`` whose state
-it sets to each stream's in turn. Both paths give the draws of
+it sets to each stream's in turn. The draws equal those of
 ``default_rng`` byte for byte. The constants below are numpy's, and a test
 pins them against the numpy in use.
 """
@@ -37,12 +36,6 @@ _XSHIFT = 16
 _POOL_SIZE = 4
 # PCG64's default 128-bit LCG multiplier.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-#: Streams per block from which ``_stacked_normals`` seeds them all at once.
-#: The port has a fixed cost of 60-80 us. Measured per stream with its draw
-#: at M = 4, 8 and 16, it ties or beats one ``default_rng`` per stream from
-#: 9 streams on, and loses at some M below.
-_PORT_MIN_BLOCK = 9
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -145,14 +138,10 @@ def _stacked_normals(rng_seed: int, indices: range, shape: tuple[int, ...]) -> n
     """(B, *shape) float64: ``stream(rng_seed, l).standard_normal(shape)`` per l.
 
     Byte for byte ``np.stack`` of those draws, one row per index of
-    ``indices``, written in place. Blocks of ``_PORT_MIN_BLOCK`` or more
-    streams are seeded at once (see the module docstring).
+    ``indices``, written in place. The block's streams are seeded at once
+    (see the module docstring).
     """
     z = np.empty((len(indices), *shape))
-    if len(indices) < _PORT_MIN_BLOCK:
-        for row, l in zip(z, indices):
-            stream(rng_seed, l).standard_normal(out=row)
-        return z
     # One generator draws every stream, its state set to that stream's.
     generator = np.random.Generator(np.random.PCG64(0))
     for row, (state, inc) in zip(z, _pcg64_states(_stream_seeds(rng_seed, indices))):

@@ -333,9 +333,9 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     columns therefore equal Gram-Schmidt's on the same draws up to
     unit-modulus factors, which the correlations |h^H v| do not see. The
     block's draws come from ``_stacked_normals`` as one (B, M-1, 2, M)
-    array, byte for byte those of the per-basis streams; from a few bases
-    up it seeds them together rather than by one ``default_rng`` per basis
-    (see ``seeding``). A basis whose draw is numerically dependent (some
+    array, byte for byte those of the per-basis streams, which it seeds
+    together rather than by one ``default_rng`` per basis (see
+    ``seeding``). A basis whose draw is numerically dependent (some
     |R_jj| < ``RESIDUAL_FLOOR``) is rebuilt by ``gram_schmidt_extend`` on a
     fresh ``basis_stream``, which redraws and is charged what it charges.
     Every other basis is charged the modified Gram-Schmidt cost of a draw
