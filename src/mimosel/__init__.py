@@ -35,7 +35,6 @@ from .selectors import (
     Algorithm,
     SelectionConfig,
     SelectionResult,
-    basis_stream,
     exhaustive_oracle,
     gzf,
     mcore_plus,

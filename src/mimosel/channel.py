@@ -22,6 +22,23 @@ __all__ = [
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
+# Range rules of the package's settings and arguments: the test of a value
+# and the phrase that names it in the error (see ``_require``).
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_UNIT_OPEN = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+
+def _require(name: str, value, rule) -> None:
+    """Raise the ``ValueError`` naming ``name`` unless ``value`` meets ``rule``.
+
+    NaN meets none of the rules. A string value is shown quoted.
+    """
+    test, phrase = rule
+    if not test(value):
+        shown = repr(value) if isinstance(value, str) else value
+        raise ValueError(f"{name} {phrase}, got {shown}")
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -32,8 +49,7 @@ class LinkBudget:
     noise_figure_db: float = 5.0
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
+        _require("bandwidth_hz", self.bandwidth_hz, _POSITIVE)
 
 
 def noise_power_dbm(budget: LinkBudget) -> float:

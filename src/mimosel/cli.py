@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .complexity import CostQuery, relative_cost
+from .channel import _AT_LEAST_1, _UNIT_OPEN
+from .complexity import _COST_COLUMNS, _MODELED, CostQuery, relative_cost
 from .harness import (
-    _AT_LEAST_1,
-    _UNIT_OPEN,
+    _ORACLE_COLUMNS,
     ExperimentConfig,
     _typed,
     emit,
@@ -27,7 +27,6 @@ from .harness import (
     table_text,
     write_text,
 )
-from .selectors import Algorithm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,11 +84,9 @@ def _cmd_cost(args) -> int:
     queries = []
     for m in args.m:
         k = max(1, m // 2) if args.k_mode == "half" else m
-        for method in (Algorithm.SUS, Algorithm.GZF, Algorithm.MCORE_PLUS, Algorithm.SSUS):
+        for method in _MODELED:
             queries.append(CostQuery(method=method, u=args.u, m=m, k=k, l=args.l))
-    rows = relative_cost(queries)
-    columns = ("method", "u", "m", "k", "l", "cost", "relative_to_sus")
-    _write(table_text(rows, columns, args.format), args.out)
+    _write(table_text(relative_cost(queries), _COST_COLUMNS, args.format), args.out)
     return 0
 
 
@@ -103,8 +100,7 @@ def _cmd_oracle_check(args) -> int:
         num_bases=args.l,
         alpha=args.alpha,
     )
-    columns = ("algorithm", "m", "u", "k_max", "trials", "mean_ratio", "min_ratio", "violations")
-    _write(table_text(rows, columns, args.format), args.out)
+    _write(table_text(rows, _ORACLE_COLUMNS, args.format), args.out)
     violations = sum(r["violations"] for r in rows)
     if violations:
         print(f"error: {violations} trials beat the exhaustive oracle", file=sys.stderr)

@@ -25,6 +25,7 @@ __all__ = [
 #: A measured/model ratio outside these bounds is flagged as suspicious.
 RECONCILE_BOUNDS = (0.1, 10.0)
 
+#: Selectors with a cost model, in the row order of ``mimosel cost``.
 _MODELED = (Algorithm.SUS, Algorithm.GZF, Algorithm.MCORE_PLUS, Algorithm.SSUS)
 
 
@@ -78,10 +79,15 @@ def model_cost(query: CostQuery) -> int:
     raise ValueError(f"no cost model for algorithm {query.method.value!r}")
 
 
+#: Keys of a ``relative_cost`` row, in the column order of ``mimosel cost``.
+_COST_COLUMNS = ("method", "u", "m", "k", "l", "cost", "relative_to_sus")
+
+
 def relative_cost(queries: list[CostQuery]) -> list[dict]:
     """Each query's cost normalized by the SUS cost at the same (U, M, K).
 
-    Raises if any (U, M, K) combination lacks a SUS reference entry.
+    A row holds the ``_COST_COLUMNS``. Raises if any (U, M, K) combination
+    lacks a SUS reference entry.
     """
     sus_cost = {
         (q.u, q.m, q.k): model_cost(q) for q in queries if q.method is Algorithm.SUS
@@ -94,17 +100,8 @@ def relative_cost(queries: list[CostQuery]) -> list[dict]:
                 f"no SUS reference for (U={q.u}, M={q.m}, K={q.k}) in the query list"
             )
         cost = model_cost(q)
-        rows.append(
-            {
-                "method": q.method.value,
-                "u": q.u,
-                "m": q.m,
-                "k": q.k,
-                "l": q.l,
-                "cost": cost,
-                "relative_to_sus": cost / sus_cost[key],
-            }
-        )
+        values = (q.method.value, q.u, q.m, q.k, q.l, cost, cost / sus_cost[key])
+        rows.append(dict(zip(_COST_COLUMNS, values, strict=True)))
     return rows
 
 

@@ -21,11 +21,12 @@ import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .channel import LinkBudget, generate_iid_rayleigh, noise_power
+from .channel import LinkBudget, generate_iid_rayleigh, noise_power, noise_power_dbm
+from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
 from .metrics import sum_spectral_efficiency
 from .numerics import OpLedger
 from .seeding import derive_seed, stream
@@ -57,22 +58,10 @@ _ROLE_CHANNEL = 0
 _ROLE_SELECT = 1
 _ROLE_RANDOM = 2
 
-CSV_COLUMNS = (
-    "scenario_id",
-    "algorithm",
-    "M",
-    "U",
-    "K_max",
-    "L",
-    "alpha",
-    "p0_dbm",
-    "trials",
-    "mean_se",
-    "stderr_se",
-    "mean_kb",
-    "mean_macs",
-    "mean_wall_us",
-)
+#: The SNR p0_dbm - noise_power_dbm of every grid point must lie within this
+#: many dB of 0, so that the normalized noise power and the rates stay
+#: finite and nonzero in float64.
+_SNR_LIMIT_DB = 300.0
 
 _ALGORITHM_NAMES = tuple(a.value for a in Algorithm)
 
@@ -88,10 +77,6 @@ def _setting(key: str, default, check=None):
     return field(default=default, metadata={"key": key, "check": check})
 
 
-_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
-_UNIT_OPEN = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment grid, per-algorithm tunables, and run controls.
@@ -99,15 +84,14 @@ class ExperimentConfig:
     Construction converts and checks every setting, so an instance is always
     valid: int settings take integers only, float settings finite numbers,
     bool settings true or false, list settings a non-empty list or a scalar
-    with no value listed twice.
+    with no value listed twice. The link budget must put the SNR of every
+    ``grid.p0_dbm`` within ``_SNR_LIMIT_DB`` of 0 dB.
     """
 
     m_values: tuple[int, ...] = _setting("grid.m", (4, 8), _AT_LEAST_1)
     u_values: tuple[int, ...] = _setting("grid.u", (20, 50, 100), _AT_LEAST_1)
     p0_dbm_values: tuple[float, ...] = _setting("grid.p0_dbm", (-90.0, -95.0))
-    bandwidth_hz: float = _setting(
-        "link.bandwidth_hz", 20e6, (lambda v: v > 0, "must be positive")
-    )
+    bandwidth_hz: float = _setting("link.bandwidth_hz", 20e6, _POSITIVE)
     noise_figure_db: float = _setting("link.noise_figure_db", 5.0)
     algorithms: tuple[str, ...] = _setting(
         "select.algorithms",
@@ -154,6 +138,15 @@ class ExperimentConfig:
             if bad:
                 raise ValueError(
                     f"select.k_max={self.k_max} exceeds antenna count for M in {bad}"
+                )
+        noise_dbm = float(noise_power_dbm(LinkBudget(0.0, self.bandwidth_hz, self.noise_figure_db)))
+        for p0 in self.p0_dbm_values:
+            snr = p0 - noise_dbm
+            if not -_SNR_LIMIT_DB <= snr <= _SNR_LIMIT_DB:
+                raise ValueError(
+                    f"grid.p0_dbm={p0}, link.bandwidth_hz={self.bandwidth_hz} and "
+                    f"link.noise_figure_db={self.noise_figure_db} give an SNR of "
+                    f"{snr:.6g} dB, outside [-{_SNR_LIMIT_DB:g}, {_SNR_LIMIT_DB:g}] dB"
                 )
 
     @classmethod
@@ -209,8 +202,8 @@ def _typed(key: str, kind: type, check, value):
     if not ok:
         raise ValueError(f"{key} must be {_TYPE_RULES[kind]}, got {value!r}")
     value = kind(value)
-    if check is not None and not check[0](value):
-        raise ValueError(f"{key} {check[1]}, got {value!r}")
+    if check is not None:
+        _require(key, value, check)
     return value
 
 
@@ -325,25 +318,41 @@ class TrialReport:
     cells: dict[AlgoInstance, CellResult] = field(default_factory=dict)
 
 
+def _column(name: str, default=MISSING):
+    """Field of the output column ``name`` of ``mc``."""
+    return field(default=default, metadata={"column": name})
+
+
 @dataclass(frozen=True)
 class AggregateRow:
-    """One output row: an algorithm variant aggregated at one grid point."""
+    """One output row: an algorithm variant aggregated at one grid point.
 
-    scenario_id: str
-    algorithm: str
-    m: int
-    u: int
-    k_max: int
-    num_bases: int | None
-    alpha: float | None
-    p0_dbm: float
-    trials: int = 0
-    mean_se: float | None = None
-    stderr_se: float | None = None
-    mean_kb: float | None = None
-    mean_macs: float | None = None
-    mean_wall_us: float | None = None
+    Every field but ``skip_reason`` is the output column named in its
+    metadata, and the fields come in column order.
+    """
+
+    scenario_id: str = _column("scenario_id")
+    algorithm: str = _column("algorithm")
+    m: int = _column("M")
+    u: int = _column("U")
+    k_max: int = _column("K_max")
+    num_bases: int | None = _column("L")
+    alpha: float | None = _column("alpha")
+    p0_dbm: float = _column("p0_dbm")
+    trials: int = _column("trials", 0)
+    mean_se: float | None = _column("mean_se", None)
+    stderr_se: float | None = _column("stderr_se", None)
+    mean_kb: float | None = _column("mean_kb", None)
+    mean_macs: float | None = _column("mean_macs", None)
+    mean_wall_us: float | None = _column("mean_wall_us", None)
     skip_reason: str | None = None
+
+
+# Output column -> field of ``AggregateRow``, in column order.
+_COLUMN_FIELDS = {
+    f.metadata["column"]: f.name for f in fields(AggregateRow) if "column" in f.metadata
+}
+CSV_COLUMNS = tuple(_COLUMN_FIELDS)
 
 
 def grid_points(cfg: ExperimentConfig) -> list[GridPoint]:
@@ -392,9 +401,18 @@ def algo_instances(cfg: ExperimentConfig) -> list[AlgoInstance]:
     return instances
 
 
+def _cell_k(point: GridPoint, inst: AlgoInstance) -> int:
+    """K of ``inst`` at ``point``: the subset size of ``random``, else ``k_max``."""
+    return point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max
+
+
 def _infeasible_reason(point: GridPoint, inst: AlgoInstance) -> str | None:
-    k = point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max
-    return infeasible_reason(inst.algorithm, point.m, point.u, k)
+    return infeasible_reason(inst.algorithm, point.m, point.u, _cell_k(point, inst))
+
+
+def _report_skip(point: GridPoint, inst: AlgoInstance, reason: str) -> None:
+    """Log to stderr that ``inst`` is left out at ``point``, and why."""
+    print(f"skipped {inst.label} at {point.scenario_id}: {reason}", file=sys.stderr)
 
 
 def _report_failures(point: GridPoint, inst: AlgoInstance, reports, trials: int) -> None:
@@ -450,7 +468,7 @@ def run_trial(
         ledger = OpLedger()
         sel_cfg = SelectionConfig(
             algorithm=inst.algorithm,
-            k_max=point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max,
+            k_max=_cell_k(point, inst),
             sus_epsilon=cfg.sus_epsilon,
             rng_seed=random_seed if inst.algorithm is Algorithm.RANDOM else select_seed,
         )
@@ -582,19 +600,24 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
     """
     instances = algo_instances(cfg)
     points = grid_points(cfg)
-    feasible = {p: [i for i in instances if _infeasible_reason(p, i) is None] for p in points}
+    reasons = {(p, i): _infeasible_reason(p, i) for p in points for i in instances}
+    feasible = {p: [i for i in instances if reasons[p, i] is None] for p in points}
     reports = _run_trials(cfg, {p: insts for p, insts in feasible.items() if insts})
     rows: list[AggregateRow] = []
-    for point in points:
-        for inst in instances:
-            reason = _infeasible_reason(point, inst)
-            if reason is None:
-                _report_failures(point, inst, reports[point], cfg.trials)
-                rows.append(_aggregate(point, inst, reports[point], cfg.timing))
-            else:
-                print(f"skipped {inst.label} at {point.scenario_id}: {reason}", file=sys.stderr)
-                rows.append(_row(point, inst, skip_reason=reason))
+    for (point, inst), reason in reasons.items():
+        if reason is None:
+            _report_failures(point, inst, reports[point], cfg.trials)
+            rows.append(_aggregate(point, inst, reports[point], cfg.timing))
+        else:
+            _report_skip(point, inst, reason)
+            rows.append(_row(point, inst, skip_reason=reason))
     return rows
+
+
+#: Keys of an ``oracle_check`` row, in the column order of ``oracle-check``.
+_ORACLE_COLUMNS = (
+    "algorithm", "m", "u", "k_max", "trials", "mean_ratio", "min_ratio", "violations",
+)
 
 
 def oracle_check(
@@ -608,14 +631,16 @@ def oracle_check(
 ) -> list[dict]:
     """Compare every feasible heuristic with the exhaustive oracle.
 
-    Returns one row per algorithm with the paired mean and minimum SE ratio
-    against the oracle and the count of bound violations (which should
-    always be zero: the oracle maximizes the same metric). A trial that
-    failed for the heuristic or the oracle is left out of the pairs, and
-    every algorithm that lost trials, the oracle included, logs them to
-    stderr as ``run_monte_carlo`` does. Raises ``ValueError`` naming the
-    first error instead when the oracle, or else some heuristic, has no
-    trial left to compare, since the ratios would be undefined.
+    Returns one row per algorithm, keyed by ``_ORACLE_COLUMNS``, with the
+    paired mean and minimum SE ratio against the oracle and the count of
+    bound violations (which should always be zero: the oracle maximizes the
+    same metric). A trial that failed for the heuristic or the oracle is
+    left out of the pairs. As in ``run_monte_carlo``, every algorithm that
+    lost trials, the oracle included, logs them to stderr, and every
+    infeasible heuristic logs a ``skipped`` line and has no row. Raises
+    ``ValueError`` naming the first error instead when the oracle, or else
+    some heuristic, has no trial left to compare, since the ratios would be
+    undefined.
     """
     cfg = ExperimentConfig(
         m_values=(m,),
@@ -629,11 +654,13 @@ def oracle_check(
         master_seed=master_seed,
     )
     point = grid_points(cfg)[0]
+    reasons = {inst: _infeasible_reason(point, inst) for inst in algo_instances(cfg)}
     oracle_inst = AlgoInstance(Algorithm.EXHAUSTIVE)
-    reason = _infeasible_reason(point, oracle_inst)
-    if reason is not None:
-        raise ValueError(f"oracle infeasible at M={m}, U={u}, K_max={point.k_max}: {reason}")
-    instances = [i for i in algo_instances(cfg) if _infeasible_reason(point, i) is None]
+    if reasons[oracle_inst] is not None:
+        raise ValueError(
+            f"oracle infeasible at M={m}, U={u}, K_max={point.k_max}: {reasons[oracle_inst]}"
+        )
+    instances = [inst for inst, reason in reasons.items() if reason is None]
     reports = _run_trials(cfg, {point: instances})[point]
     oracle_errors = [report.cells[oracle_inst].error for report in reports]
     if None not in oracle_errors:
@@ -656,20 +683,14 @@ def oracle_check(
             cells = (c for r in reports for c in (r.cells[inst], r.cells[oracle_inst]))
             first = next(c.error for c in cells if c.error is not None)
             raise ValueError(f"every trial of {inst.label} failed: {first}")
-        rows.append(
-            {
-                "algorithm": inst.label,
-                "m": m,
-                "u": u,
-                "k_max": point.k_max,
-                "trials": len(ratios),
-                "mean_ratio": math.fsum(ratios) / len(ratios),
-                "min_ratio": min(ratios),
-                "violations": violations,
-            }
-        )
-    for inst in instances:
-        _report_failures(point, inst, reports, trials)
+        mean_ratio = math.fsum(ratios) / len(ratios)
+        values = (inst.label, m, u, point.k_max, len(ratios), mean_ratio, min(ratios), violations)
+        rows.append(dict(zip(_ORACLE_COLUMNS, values, strict=True)))
+    for inst, reason in reasons.items():
+        if reason is None:
+            _report_failures(point, inst, reports, trials)
+        else:
+            _report_skip(point, inst, reason)
     return rows
 
 
@@ -683,25 +704,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"
-
-
-def _row_values(row: AggregateRow) -> dict:
-    return {
-        "scenario_id": row.scenario_id,
-        "algorithm": row.algorithm,
-        "M": row.m,
-        "U": row.u,
-        "K_max": row.k_max,
-        "L": row.num_bases,
-        "alpha": row.alpha,
-        "p0_dbm": row.p0_dbm,
-        "trials": row.trials,
-        "mean_se": row.mean_se,
-        "stderr_se": row.stderr_se,
-        "mean_kb": row.mean_kb,
-        "mean_macs": row.mean_macs,
-        "mean_wall_us": row.mean_wall_us,
-    }
 
 
 def table_text(records: list[dict], columns, fmt: str) -> str:
@@ -730,7 +732,8 @@ def emit(rows: list[AggregateRow], fmt: str = "csv", path=None) -> str:
 
     Returns the serialized text either way.
     """
-    text = table_text([_row_values(r) for r in rows], CSV_COLUMNS, fmt)
+    records = [{column: getattr(r, name) for column, name in _COLUMN_FIELDS.items()} for r in rows]
+    text = table_text(records, CSV_COLUMNS, fmt)
     if path is not None:
         write_text(text, path)
     return text

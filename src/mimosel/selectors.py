@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import sum_spectral_efficiency, zf_sum_rate_batch
+from .channel import _AT_LEAST_1, _UNIT_OPEN, _require
+from .metrics import COND_LIMIT, sum_spectral_efficiency, zf_sum_rate_batch
 from .numerics import (
     RESIDUAL_FLOOR,
     BasisConstructionError,
@@ -36,7 +37,6 @@ __all__ = [
     "Algorithm",
     "SelectionConfig",
     "SelectionResult",
-    "basis_stream",
     "ss_us",
     "ss_us_variants",
     "sus",
@@ -94,14 +94,10 @@ class SelectionConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.num_bases < 1:
-            raise ValueError(f"num_bases must be >= 1, got {self.num_bases}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.sus_epsilon < 1.0:
-            raise ValueError(f"sus_epsilon must lie in (0, 1), got {self.sus_epsilon}")
+        _require("k_max", self.k_max, _AT_LEAST_1)
+        _require("num_bases", self.num_bases, _AT_LEAST_1)
+        _require("alpha", self.alpha, _UNIT_OPEN)
+        _require("sus_epsilon", self.sus_epsilon, _UNIT_OPEN)
 
 
 @dataclass(frozen=True)
@@ -160,15 +156,6 @@ def _column_norms(h: np.ndarray, ledger: OpLedger) -> np.ndarray:
     m, u = h.shape
     ledger.complex_macs += u * m
     return np.linalg.norm(h, axis=0)
-
-
-def basis_stream(rng_seed: int, basis_index: int) -> np.random.Generator:
-    """Random stream feeding basis ``basis_index``.
-
-    Streams depend only on (rng_seed, basis_index), so the first L bases of
-    a run with more bases are identical to a run with exactly L.
-    """
-    return stream(rng_seed, basis_index)
 
 
 def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
@@ -328,7 +315,7 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     """Orthonormal bases ``indices`` of ``ss_us`` as a (B, M, M) stack.
 
     Basis l is the Householder QR of [v_seed | Z], with Z drawn from
-    ``basis_stream(rng_seed, l)`` in the order ``gram_schmidt_extend`` draws
+    ``stream(rng_seed, l)`` in the order ``gram_schmidt_extend`` draws
     it: column by column, the real parts and then the imaginary parts. Its
     columns therefore equal Gram-Schmidt's on the same draws up to
     unit-modulus factors, which the correlations |h^H v| do not see. The
@@ -337,9 +324,9 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     together rather than by one ``default_rng`` per basis (see
     ``seeding``). A basis whose draw is numerically dependent (some
     |R_jj| < ``RESIDUAL_FLOOR``) is rebuilt by ``gram_schmidt_extend`` on a
-    fresh ``basis_stream``, which redraws and is charged what it charges.
-    Every other basis is charged the modified Gram-Schmidt cost of a draw
-    without redraws.
+    fresh ``stream(rng_seed, l)``, which redraws and is charged what it
+    charges. Every other basis is charged the modified Gram-Schmidt cost of
+    a draw without redraws.
 
     Returns the bases, the (MACs, divisions) charged for each and ``None``.
     When a rebuild exhausts its redraws, the bases stop before the failing
@@ -364,7 +351,7 @@ def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
     for i in dependent:
         rebuild = OpLedger()
         try:
-            bases[i] = gram_schmidt_extend(v_seed, basis_stream(rng_seed, indices[i]), rebuild)
+            bases[i] = gram_schmidt_extend(v_seed, stream(rng_seed, indices[i]), rebuild)
         except BasisConstructionError as exc:
             return bases[:i], [*charges[:i], (rebuild.complex_macs, rebuild.divisions)], exc
         charges[i] = (rebuild.complex_macs, rebuild.divisions)
@@ -491,8 +478,7 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     """
     hm = _as_channel(h)
     m, u = hm.shape
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _require("k_max", k_max, _AT_LEAST_1)
     norms = _column_norms(hm, ledger)
     seed_user = int(np.argmax(norms))
     ledger.comparisons += max(u - 1, 0)
@@ -554,9 +540,9 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
 
 
 #: ``gzf`` ranks a candidate set without the kernel only when the bordered
-#: trace(G)·trace(G⁻¹) is at most this, 1/1000 of ``COND_LIMIT``: such a set
-#: passes the kernel's condition guard whatever rounding either path makes.
-_BORDER_CERT_LIMIT = 1e9
+#: trace(G)·trace(G⁻¹) is at most this: such a set passes the kernel's
+#: condition guard whatever rounding either path makes.
+_BORDER_CERT_LIMIT = COND_LIMIT / 1000
 
 _EPS = float(np.finfo(float).eps)
 
@@ -623,8 +609,7 @@ def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     """
     hm = _as_channel(h)
     m, u = hm.shape
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _require("k_max", k_max, _AT_LEAST_1)
     if reason := infeasible_reason(Algorithm.MCORE_PLUS, m, u, k_max):
         raise ValueError(reason)
     norms = _column_norms(hm, ledger)
@@ -687,8 +672,7 @@ def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:
     """Uniform random K-subset of the users, deterministic given the stream."""
     hm = _as_channel(h)
     m, u = hm.shape
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require("k", k, _AT_LEAST_1)
     if reason := infeasible_reason(Algorithm.RANDOM, m, u, k):
         raise ValueError(reason)
     picks = np.sort(rng.choice(u, size=k, replace=False))
@@ -704,8 +688,7 @@ def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionRe
     """
     hm = _as_channel(h)
     m, u = hm.shape
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _require("k_max", k_max, _AT_LEAST_1)
     if reason := infeasible_reason(Algorithm.EXHAUSTIVE, m, u, k_max):
         raise ValueError(reason)
     return SelectionResult(selected=_best_subset(hm, range(u), min(k_max, m, u), n0, ledger))

@@ -28,7 +28,6 @@ from mimosel.seeding import stream
 from mimosel.selectors import (
     Algorithm,
     SelectionConfig,
-    basis_stream,
     ss_us,
     sus,
 )
@@ -260,7 +259,7 @@ def test_criterion_6_algorithmic_invariants():
             assert res.selected[0] == int(np.argmax(norms))
             basis = gram_schmidt_extend(
                 h[:, res.selected[0]] / norms[res.selected[0]],
-                basis_stream(cfg.rng_seed, res.winning_basis),
+                stream(cfg.rng_seed, res.winning_basis),
                 OpLedger(),
             )
             for user, direction in zip(res.selected[1:], res.matched_direction[1:]):

@@ -11,7 +11,6 @@ from mimosel.numerics import (
 )
 from mimosel import seeding
 from mimosel.seeding import _splitmix64, derive_seed, stream
-from mimosel.selectors import basis_stream
 
 
 def orthonormality_defect(matrix: np.ndarray) -> tuple[float, float]:
@@ -172,11 +171,11 @@ class TestStackedNormals:
         assert mismatched == [], f"{self.NUMPY}: seeds {mismatched[:5]}"
 
     @pytest.mark.parametrize("m", [2, 3, 8, 16])
-    def test_block_equals_stacked_basis_streams(self, m):
+    def test_block_equals_stacked_streams(self, m):
         shape = (m - 1, 2, m)
         for size in (1, 2, 3, 8, 10, 34, 100):
             for start in (0, 997):
                 indices = range(start, start + size)
                 got = seeding._stacked_normals(31 + m, indices, shape)
-                want = np.stack([basis_stream(31 + m, l).standard_normal(shape) for l in indices])
+                want = np.stack([stream(31 + m, l).standard_normal(shape) for l in indices])
                 assert got.tobytes() == want.tobytes(), f"{self.NUMPY} (B = {size})"

@@ -1,0 +1,201 @@
+"""Literal pins of the output schemas, the range-rule messages and the link-budget rule.
+
+The column lists and the rule phrases are each declared once and derived
+everywhere else, so these tests spell out, as literal strings, what the
+derivations must reproduce byte for byte.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from mimosel import harness
+from mimosel.channel import LinkBudget
+from mimosel.cli import main
+from mimosel.harness import ExperimentConfig, emit, run_monte_carlo
+from mimosel.numerics import OpLedger
+from mimosel.seeding import stream
+from mimosel.selectors import (
+    Algorithm,
+    SelectionConfig,
+    exhaustive_oracle,
+    gzf,
+    mcore_plus,
+    random_select,
+)
+
+MC_COLUMNS = [
+    "scenario_id", "algorithm", "M", "U", "K_max", "L", "alpha", "p0_dbm", "trials",
+    "mean_se", "stderr_se", "mean_kb", "mean_macs", "mean_wall_us",
+]
+MC_HEADER = (
+    "scenario_id,algorithm,M,U,K_max,L,alpha,p0_dbm,trials,"
+    "mean_se,stderr_se,mean_kb,mean_macs,mean_wall_us"
+)
+COST_HEADER = "method,u,m,k,l,cost,relative_to_sus"
+ORACLE_HEADER = "algorithm,m,u,k_max,trials,mean_ratio,min_ratio,violations"
+
+
+@pytest.fixture(scope="module")
+def mc_rows():
+    cfg = ExperimentConfig(
+        m_values=(2,), u_values=(3,), p0_dbm_values=(-90.0,), algorithms=("ssus", "sus"),
+        ssus_num_bases=(1,), trials=1,
+    )
+    return run_monte_carlo(cfg)
+
+
+class TestTableSchemas:
+    def test_mc_csv_header(self, mc_rows):
+        assert emit(mc_rows, "csv").split("\n")[0] == MC_HEADER
+
+    def test_mc_json_keys(self, mc_rows):
+        payload = json.loads(emit(mc_rows, "json"))
+        assert [list(entry) for entry in payload] == [MC_COLUMNS] * len(mc_rows)
+
+    def test_mc_columns_read_their_fields(self, mc_rows):
+        [entry, _] = json.loads(emit(mc_rows, "json"))
+        row = mc_rows[0]
+        assert (entry["M"], entry["U"], entry["K_max"], entry["L"]) == (2, 3, 2, 1)
+        assert (entry["scenario_id"], entry["algorithm"]) == ("m2_u3_p-90", "ssus")
+        assert (entry["alpha"], entry["p0_dbm"], entry["trials"]) == (0.45, -90.0, 1)
+        assert entry["mean_kb"] == row.mean_kb and entry["mean_macs"] == row.mean_macs
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["cost", "--m", "2"], COST_HEADER),
+            (["oracle-check", "--m", "2", "--u", "3", "--trials", "1", "--l", "1"], ORACLE_HEADER),
+        ],
+        ids=["cost", "oracle-check"],
+    )
+    def test_cost_and_oracle_check_headers(self, capsys, argv, header):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split("\n")[0] == header
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [list(entry) for entry in payload] == [header.split(",")] * len(payload)
+
+
+def raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+H = np.array([[1.0, 0.5j, 0.2], [0.3, 1.0, -0.4j]])
+
+
+class TestRuleMessages:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(m_values=(0,)), "grid.m must be >= 1, got 0"),
+            (dict(u_values=(3, 0)), "grid.u must be >= 1, got 0"),
+            (dict(ssus_num_bases=(0,)), "ssus.l must be >= 1, got 0"),
+            (dict(k_max=0), "select.k_max must be >= 1, got 0"),
+            (dict(random_k=-2), "random.k must be >= 1, got -2"),
+            (dict(trials=0), "trials must be >= 1, got 0"),
+            (dict(workers=0), "workers must be >= 1, got 0"),
+            (dict(ssus_alpha=(1.5,)), "ssus.alpha must lie in (0, 1), got 1.5"),
+            (dict(sus_epsilon=0), "sus.epsilon must lie in (0, 1), got 0.0"),
+            (dict(bandwidth_hz=-1), "link.bandwidth_hz must be positive, got -1.0"),
+            (dict(output_format="xml"), "output.format must be csv or json, got 'xml'"),
+            (
+                dict(algorithms=("warp",)),
+                "select.algorithms names an unknown algorithm (choose from ssus, sus, gzf, "
+                "mcore_plus, random, exhaustive), got 'warp'",
+            ),
+        ],
+    )
+    def test_config_settings(self, kw, message):
+        raises(lambda: ExperimentConfig(**kw), message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cost", "--u", "0"], "error: argument --u: value must be >= 1, got 0\n"),
+            (["cost", "--m", "4,0"], "error: argument --m: value must be >= 1, got 0\n"),
+            (["oracle-check", "--alpha", "1"],
+             "error: argument --alpha: value must lie in (0, 1), got 1.0\n"),
+        ],
+    )
+    def test_cli_flags(self, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(k_max=0), "k_max must be >= 1, got 0"),
+            (dict(k_max=2, num_bases=0), "num_bases must be >= 1, got 0"),
+            (dict(k_max=2, alpha=1.0), "alpha must lie in (0, 1), got 1.0"),
+            (dict(k_max=2, sus_epsilon=-0.5), "sus_epsilon must lie in (0, 1), got -0.5"),
+            (dict(k_max=math.nan), "k_max must be >= 1, got nan"),
+            (dict(k_max=2, num_bases=math.nan), "num_bases must be >= 1, got nan"),
+        ],
+    )
+    def test_selection_config(self, kw, message):
+        raises(lambda: SelectionConfig(Algorithm.SUS, **kw), message)
+
+    @pytest.mark.parametrize("selector", [gzf, mcore_plus, exhaustive_oracle])
+    @pytest.mark.parametrize("k_max", [0, math.nan])
+    def test_selector_k_max(self, selector, k_max):
+        raises(lambda: selector(H, 0.25, k_max, OpLedger()), f"k_max must be >= 1, got {k_max}")
+
+    @pytest.mark.parametrize("k", [0, math.nan])
+    def test_random_k(self, k):
+        raises(lambda: random_select(H, k, stream(1)), f"k must be >= 1, got {k}")
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -3, math.nan])
+    def test_link_budget_bandwidth(self, bandwidth):
+        raises(
+            lambda: LinkBudget(-90.0, bandwidth_hz=bandwidth),
+            f"bandwidth_hz must be positive, got {bandwidth}",
+        )
+
+
+class TestLinkBudgetRule:
+    """A link budget whose SNR leaves +-300 dB is one error line, before any trial."""
+
+    @pytest.mark.parametrize(
+        "line, settings, snr",
+        [
+            ("grid.p0_dbm = [1e308]", "grid.p0_dbm=1e+308, link.bandwidth_hz=20000000.0", "1e+308"),
+            ("grid.p0_dbm = [-1e308]", "grid.p0_dbm=-1e+308, link.bandwidth_hz=20000000.0",
+             "-1e+308"),
+            ("link.bandwidth_hz = 1e-300", "grid.p0_dbm=-90.0, link.bandwidth_hz=1e-300", "3079"),
+        ],
+        ids=["p0_1e308", "p0_minus_1e308", "bandwidth_1e-300"],
+    )
+    def test_float64_breaking_budget_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, line, settings, snr
+    ):
+        monkeypatch.setattr(harness, "_run_trials", lambda *a: pytest.fail("trials ran"))
+        path = tmp_path / "budget.cfg"
+        path.write_text(f"trials = 1\ngrid.m = [2]\ngrid.u = [3]\n{line}\n")
+        assert main(["mc", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {settings} and link.noise_figure_db=5.0 give an SNR of {snr} dB, "
+            "outside [-300, 300] dB\n"
+        )
+
+    def test_budget_within_300_db_is_accepted(self):
+        # The default budget puts the noise at -95.99 dBm.
+        ExperimentConfig(p0_dbm_values=(204.01, -395.98))
+
+
+def test_oracle_check_names_each_heuristic_it_leaves_out(capsys):
+    assert main(["oracle-check", "--m", "13", "--u", "3", "--trials", "1", "--l", "1"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[0] for line in captured.out.split()[1:]] == [
+        "ssus", "sus", "gzf", "random",
+    ]
+    assert captured.err == (
+        "skipped mcore_plus at m13_u3_p-90: mcore_plus requires M <= 12, scenario has M=13\n"
+    )

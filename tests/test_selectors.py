@@ -13,7 +13,6 @@ from mimosel.seeding import stream
 from mimosel.selectors import (
     Algorithm,
     SelectionConfig,
-    basis_stream,
     exhaustive_oracle,
     gzf,
     mcore_plus,
@@ -115,7 +114,7 @@ class TestSpaceSplitSelection:
             assert res.selected[0] == seed_user
             basis = gram_schmidt_extend(
                 h[:, seed_user] / norms[seed_user],
-                basis_stream(cfg.rng_seed, res.winning_basis),
+                stream(cfg.rng_seed, res.winning_basis),
                 OpLedger(),
             )
             for user, direction in zip(res.selected[1:], res.matched_direction[1:]):

@@ -81,7 +81,7 @@ def reference_ss_us(h, cfg, n0, ledger):
 
     best = None
     for l in range(cfg.num_bases):
-        basis = gram_schmidt_extend(v_seed, sel.basis_stream(cfg.rng_seed, l), ledger)
+        basis = gram_schmidt_extend(v_seed, sel.stream(cfg.rng_seed, l), ledger)
         directions = basis[:, 1:n_dirs]
         corr = np.abs(h_cand.conj().T @ directions) / cand_norms[:, np.newaxis]
         np.clip(corr, 0.0, 1.0, out=corr)
@@ -197,8 +197,8 @@ def test_edge_cases_match_reference(m, u, k_max):
 
 @pytest.mark.parametrize("m", [2, 3, 8, 16])
 def test_block_draw_equals_per_column_draw(m):
-    block = sel.basis_stream(77, 5).standard_normal((m - 1, 2, m))
-    rng = sel.basis_stream(77, 5)
+    block = sel.stream(77, 5).standard_normal((m - 1, 2, m))
+    rng = sel.stream(77, 5)
     for j in range(1, m):
         column = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert np.array_equal(block[j - 1, 0] + 1j * block[j - 1, 1], column)
@@ -239,7 +239,7 @@ class TestBatchedBases:
             phase0 = np.vdot(v, basis[:, 0])
             assert abs(abs(phase0) - 1.0) <= 1e-12
             np.testing.assert_allclose(basis[:, 0], phase0 * v, rtol=0, atol=1e-12)
-            mgs = gram_schmidt_extend(v, sel.basis_stream(31, l), OpLedger())
+            mgs = gram_schmidt_extend(v, sel.stream(31, l), OpLedger())
             phases = np.einsum("ij,ij->j", mgs.conj(), basis)
             np.testing.assert_allclose(np.abs(phases), 1.0, rtol=0, atol=1e-10)
             np.testing.assert_allclose(basis, mgs * phases, rtol=0, atol=1e-10)
@@ -257,7 +257,7 @@ class TestBatchedBases:
         assert failure is None
         for l, charge in enumerate(charges):
             per_basis = OpLedger()
-            gram_schmidt_extend(v, sel.basis_stream(6, l), per_basis)
+            gram_schmidt_extend(v, sel.stream(6, l), per_basis)
             assert charge == (per_basis.complex_macs, per_basis.divisions)
             assert per_basis.comparisons == 0
 
@@ -290,10 +290,12 @@ def script_bases(monkeypatch, script):
 
     A block draws its bases through ``sel._stacked_normals`` and a
     Gram-Schmidt fallback opens its basis afresh through
-    ``sel.basis_stream``; both are patched, and ``script`` is called on
+    ``sel.stream(seed, l)``; both are patched, and ``script`` is called on
     every opening, so a scripted basis starts its script again in each.
+    Calls of ``sel.stream`` with another key, such as ``random``'s
+    ``stream(seed)``, pass through.
     """
-    real_normals, real_stream = sel._stacked_normals, sel.basis_stream
+    real_normals, real_stream = sel._stacked_normals, sel.stream
 
     def scripted_normals(seed, indices, shape):
         z = real_normals(seed, indices, shape)
@@ -303,12 +305,12 @@ def script_bases(monkeypatch, script):
                 row[...] = scripted.standard_normal(shape)
         return z
 
-    def scripted_stream(seed, l):
-        scripted = script(seed, l)
-        return real_stream(seed, l) if scripted is None else scripted
+    def scripted_stream(seed, *key):
+        scripted = script(seed, *key) if len(key) == 1 else None
+        return real_stream(seed, *key) if scripted is None else scripted
 
     monkeypatch.setattr(sel, "_stacked_normals", scripted_normals)
-    monkeypatch.setattr(sel, "basis_stream", scripted_stream)
+    monkeypatch.setattr(sel, "stream", scripted_stream)
 
 
 def dependent_prefix(v, j, rng):
@@ -328,7 +330,7 @@ class TestRedrawGuard:
         norms = np.linalg.norm(h, axis=0)
         v = h[:, np.argmax(norms)] / norms.max()
         prefix = dependent_prefix(v, j, stream(4601, j))
-        real_stream = sel.basis_stream
+        real_stream = sel.stream
         opened = collections.Counter()
 
         def script(seed, l):
@@ -354,7 +356,7 @@ class TestRedrawGuard:
 
         # The fallback redrew: its ledger holds more than the no-redraw cost.
         led = OpLedger()
-        real_extend(v, sel.basis_stream(cfg.rng_seed, l_bad), led)
+        real_extend(v, sel.stream(cfg.rng_seed, l_bad), led)
         clean = OpLedger()
         real_extend(v, real_stream(cfg.rng_seed, l_bad), clean)
         assert led.complex_macs > clean.complex_macs
@@ -371,16 +373,17 @@ class TestRedrawGuard:
             m_values=(4,),
             u_values=(10,),
             p0_dbm_values=(-90.0,),
-            algorithms=("ssus", "sus"),
+            algorithms=("ssus", "sus", "random"),
             ssus_num_bases=(3,),
             trials=1,
         )
         instances = algo_instances(cfg)
         report = run_trial(cfg, grid_points(cfg)[0], instances, 0)
-        ssus_cell, sus_cell = (report.cells[i] for i in instances)
+        ssus_cell, sus_cell, random_cell = (report.cells[i] for i in instances)
         assert "redraws" in ssus_cell.error
         assert ssus_cell.selected == () and math.isnan(ssus_cell.se)
-        assert sus_cell.error is None
+        # ``random`` draws from ``sel.stream(seed)``, which the seam passes through.
+        assert sus_cell.error is None and random_cell.error is None
 
 
 def assert_variants_match_lone_calls(h, k_max, rng_seed, variants):
@@ -448,7 +451,7 @@ def test_shared_fallback_charges_only_variants_beyond_it(monkeypatch):
     variants = [(2, 0.3), (3, 0.3), (4, 0.3), (3, 0.6), (9, 0.6), (17, 0.3)]
     clean = sel.ss_us_variants(h, m, rng_seed, N0, variants)
 
-    real_stream = sel.basis_stream
+    real_stream = sel.stream
     prefix = dependent_prefix(v, 2, stream(4901))
     script_bases(
         monkeypatch,
@@ -458,7 +461,7 @@ def test_shared_fallback_charges_only_variants_beyond_it(monkeypatch):
 
     # What the fallback charges beyond a build without redraws.
     fallback, plain = OpLedger(), OpLedger()
-    gram_schmidt_extend(v, sel.basis_stream(rng_seed, l_bad), fallback)
+    gram_schmidt_extend(v, sel.stream(rng_seed, l_bad), fallback)
     gram_schmidt_extend(v, real_stream(rng_seed, l_bad), plain)
     assert fallback.complex_macs > plain.complex_macs
     for (l, _), (_, clean_ledger), (_, ledger) in zip(variants, clean, scripted):
