@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _POSITIVE, _require
 from .numerics import OpLedger
 
 __all__ = [
@@ -79,8 +80,7 @@ def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
     p, m, k = h_stack.shape
     if not 1 <= k <= m:
         raise ValueError(f"require 1 <= K <= M for zero forcing, got K={k}, M={m}")
-    if n0 <= 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
+    _require("n0", n0, _POSITIVE)
     gram = h_stack.conj().transpose(0, 2, 1) @ h_stack
     ledger.complex_macs += p * k * k * m
     try:

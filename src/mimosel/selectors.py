@@ -15,6 +15,7 @@ Conventions shared by every selector:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import _AT_LEAST_1, _UNIT_OPEN, _require
+from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
 from .metrics import COND_LIMIT, sum_spectral_efficiency, zf_sum_rate_batch
 from .numerics import (
     RESIDUAL_FLOOR,
@@ -57,8 +58,10 @@ EXHAUSTIVE_SUBSET_CAP = 1_000_000
 #: 2**M - 1 candidates; beyond 12 antennas that is no longer desk scale.
 MCORE_MAX_ANTENNAS = 12
 
-#: Subsets scored per kernel call by the enumerating selectors, which keeps
-#: their memory flat in the size of the search space.
+#: Block size of the subset enumeration of ``mcore_plus`` and
+#: ``exhaustive_oracle``: a block holds at most this many subsets of size K
+#: over K (at least one), so that their K x K factors hold at most this many
+#: times K entries, and memory stays flat in the size of the search space.
 _SUBSET_BLOCK = 1024
 
 #: Float64 elements (560 kB) that the largest stack of one ``ss_us`` block
@@ -501,7 +504,15 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
         if rebuild:
             h_sel = hm[:, selected]
             w_inv[...] = np.linalg.inv(np.linalg.cholesky(h_sel.conj().T @ h_sel))
-        rates, tol, sure, v, schur = _bordered_rates(hm, selected, pool, w_inv, energy, n0)
+        rates, tol, sure, v_bar, schur, _ = _bordered_rates(
+            w_inv,
+            (w_inv.real**2 + w_inv.imag**2).sum(axis=0),
+            hm[:, selected].conj().T @ hm[:, pool],
+            energy[pool],
+            energy[selected].sum() + energy[pool],
+            m,
+            n0,
+        )
         n_sure = int(np.count_nonzero(sure))
         ledger.complex_macs += n_sure * (k * k * m + k**3)
         ledger.divisions += n_sure * k
@@ -531,7 +542,7 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
         if not rebuild:
             # Bordered row of the pick: [-v^H, 1] / sqrt(s).
             root = math.sqrt(schur[pick])
-            factor[k - 1, : k - 1] = v[:, pick].conj() / -root
+            factor[k - 1, : k - 1] = v_bar[:, pick] / -root
             factor[k - 1, k - 1] = 1.0 / root
         selected.append(int(pool[pick]))
         pool = np.delete(pool, pick)
@@ -557,19 +568,29 @@ def _exact_rates(hm: np.ndarray, sets, n0: float) -> np.ndarray:
     return zf_sum_rate_batch(hm, sets, n0, OpLedger())
 
 
-def _bordered_rates(hm, selected, pool, w_inv, energy, n0):
-    """Approximate ZF sum rates of ``selected`` plus each candidate in ``pool``.
+def _bordered_rates(w_inv, inv_diag, cross, cand_energy, trace, m, n0):
+    """Approximate ZF sum rates of prefix sets S, each bordered by candidates c.
 
-    W = ``w_inv`` is L_S⁻¹ for the selected Gram matrix G_S = L_S L_S^H.
-    Candidate c with b = H_S^H h_c borders L_S by l = W b and the Schur
-    complement s = |h_c|² - |l|²; with v = W^H l = G_S⁻¹ b the inverse Gram
-    diagonal of the grown set is diag(G_S⁻¹) + |v|²/s, then 1/s. That gives
-    its rate R and t = trace(G) trace(G⁻¹) >= cond(G), for all candidates
-    from one (K-1) x P product and no per-set LAPACK call.
+    The leading axes index a stack of prefixes and broadcast; the last axis
+    of ``cross``, ``cand_energy`` and ``trace`` indexes the candidates of
+    each prefix. Prefix S has W = ``w_inv`` = L_S⁻¹, the inverse Cholesky
+    factor of its Gram matrix G_S = L_S L_S^H, and the inverse diagonal
+    ``inv_diag`` = diag(G_S⁻¹). Candidate c has b = H_S^H h_c, a column of
+    ``cross``, |h_c|², an entry of ``cand_energy``, and the trace of the
+    grown Gram matrix, trace(G_S) + |h_c|², an entry of ``trace``.
+    Bordering L_S by l = W b gives the Schur complement s = |h_c|² - |l|²;
+    with v = W^H l = G_S⁻¹ b the inverse Gram diagonal of the grown set is
+    diag(G_S⁻¹) + |v|²/s, then 1/s, and its inverse factor is W with the
+    row [-v^H, 1] / sqrt(s) below it. That gives the rate R of every grown
+    set and t = trace(G) trace(G⁻¹) >= cond(G) from two stacked products
+    and no per-set LAPACK call.
 
-    Returns (rates, tol, sure, v, s). A candidate is ``sure`` when s > 0
-    and t <= ``_BORDER_CERT_LIMIT``; its R is then within
-    tol = C K t eps (1 + R) of the kernel's rate, with C = 8 (M + 4K + 12).
+    Returns (rates, tol, sure, v_bar, s, diag) per candidate: the rate, its
+    tolerance, whether it is certified, conj(v), s and the grown inverse
+    diagonal (v_bar and diag hold one column per candidate). A candidate
+    is ``sure`` when s > 0 and t <= ``_BORDER_CERT_LIMIT``; its R is then
+    within tol = C K t eps (1 + R) of the kernel's rate, with K the grown
+    size and C = 8 (M + 4K + 12).
     Both paths compute the inverse diagonal of some G + E, |E| <= n u tr(G)
     to first order in the unit roundoff u = eps/2: the Gram products
     (n = M + 2, complex inner products, Higham 2nd ed. §3.6), the Cholesky
@@ -583,20 +604,20 @@ def _bordered_rates(hm, selected, pool, w_inv, energy, n0):
     products with an explicit inverse. The other entries of ``rates`` and
     ``tol`` are finite and meaningless.
     """
-    k = len(selected) + 1
-    proj = (w_inv @ hm[:, selected].conj().T) @ hm[:, pool]
-    cand_energy = energy[pool]
-    schur = cand_energy - (proj.real**2 + proj.imag**2).sum(axis=0)
-    v = w_inv.conj().T @ proj
+    k = w_inv.shape[-1] + 1
+    proj = w_inv @ cross
+    proj_bar = proj.conj()
+    schur = cand_energy - (proj * proj_bar).real.sum(axis=-2)
+    v_bar = w_inv.swapaxes(-1, -2) @ proj_bar
     positive = schur > 0.0
-    inv_diag = np.empty((k, pool.size))
-    inv_diag[-1] = 1.0 / np.where(positive, schur, 1.0)
-    np.multiply(v.real**2 + v.imag**2, inv_diag[-1], out=inv_diag[:-1])
-    inv_diag[:-1] += (w_inv.real**2 + w_inv.imag**2).sum(axis=0)[:, np.newaxis]
-    bound = (energy[selected].sum() + cand_energy) * inv_diag.sum(axis=0)
-    rates = np.log2(1.0 + (1.0 / n0) / inv_diag).sum(axis=0)
-    tol = (8.0 * (hm.shape[0] + 4 * k + 12) * k * _EPS) * bound * (1.0 + rates)
-    return rates, tol, positive & (bound <= _BORDER_CERT_LIMIT), v, schur
+    last = np.reciprocal(schur, out=np.ones_like(schur), where=positive)[..., np.newaxis, :]
+    diag = np.concatenate(
+        (inv_diag[..., np.newaxis] + (v_bar * v_bar.conj()).real * last, last), axis=-2
+    )
+    bound = trace * diag.sum(axis=-2)
+    rates = np.log2(1.0 + (1.0 / n0) / diag).sum(axis=-2)
+    tol = (8.0 * (m + 4 * k + 12) * k * _EPS) * bound * (1.0 + rates)
+    return rates, tol, positive & (bound <= _BORDER_CERT_LIMIT), v_bar, schur, diag
 
 
 def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
@@ -647,25 +668,185 @@ def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
 def _best_subset(hm: np.ndarray, users, max_size: int, n0: float, ledger: OpLedger):
     """Subset of ``users`` with 1..``max_size`` members and the highest ZF sum SE.
 
-    Subsets are scored in blocks of at most ``_SUBSET_BLOCK``. Singular
-    subsets are skipped; every other scored subset costs one comparison.
-    Ties break toward the lexicographically smallest subset.
+    The answer, the ties and the charges are those of scoring every subset
+    with ``zf_sum_rate_batch``: singular subsets are skipped, every other
+    subset costs one comparison, and ties break toward the lexicographically
+    smallest subset, across sizes. Most subsets never reach the kernel.
+
+    Subsets are enumerated level by level, depth first, in blocks of at most
+    ``_SUBSET_BLOCK`` // k subsets of size k: level k borders each
+    size-(k-1) prefix by every user after its last one, through
+    ``_bordered_rates``, with the cross terms taken from one Gram matrix of
+    ``users``. A block's certified subsets carry their factor, inverse
+    diagonal and trace to the next level as its prefixes. A subset the bound
+    does not certify is scored by the kernel, and so is every subset it is
+    a prefix of, since trace(G) trace(G⁻¹) does not fall when a column is
+    added. Every subset is charged what the kernel charges for it. The
+    subsets whose error intervals reach the largest lower bound of any
+    subset are the only ones that may win; when more than one is left,
+    those not yet exact are rescored by the kernel, and the highest rate
+    wins, then the smallest subset.
     """
-    best_rate = -np.inf
-    best_set: tuple[int, ...] = ()
-    for size in range(1, max_size + 1):
-        combos = itertools.combinations(users, size)
-        while block := list(itertools.islice(combos, _SUBSET_BLOCK)):
-            rates = zf_sum_rate_batch(hm, block, n0, ledger)
-            ledger.comparisons += int(np.count_nonzero(rates > -np.inf))
-            # argmax is the first maximum: the smallest subset of this size
-            # in lexicographic order, since combinations come in that order.
-            pick = int(np.argmax(rates))
-            rate, combo = float(rates[pick]), block[pick]
-            if rate > best_rate or (rate == best_rate and combo < best_set):
-                best_rate = rate
-                best_set = combo
-    return best_set
+    _require("n0", n0, _POSITIVE)
+    winner = _SubsetSearch(hm[:, users], max_size, n0, ledger).run()
+    return tuple(users[i] for i in winner)
+
+
+class _SubsetSearch:
+    """The enumeration of ``_best_subset`` over the columns of ``h``.
+
+    Subsets are rows of column positions into ``h``. Scored blocks are
+    queued and weighed together once they hold ``_SUBSET_BLOCK`` subsets,
+    and at the end. ``floor`` is a lower bound, rate - tol, of the highest
+    rate of any subset weighed so far (tol is 0 for kernel rates), and
+    ``kept`` holds the subsets whose intervals still reach it: only they may
+    win. When more than ``_SUBSET_BLOCK`` are kept, and at the end, they are
+    settled: those not yet exact are rescored by the kernel, already
+    charged, and the highest rate wins, then the smallest subset.
+    """
+
+    def __init__(self, h: np.ndarray, max_size: int, n0: float, ledger: OpLedger):
+        self.h, self.max_size, self.n0, self.ledger = h, max_size, n0, ledger
+        self.gram = h.conj().T @ h
+        self.energy = self.gram.diagonal().real
+        self.positions = np.arange(h.shape[1])
+        self.floor = -np.inf
+        self.kept: list[tuple[tuple[int, ...], float, float]] = []
+        self.queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.queued = 0
+
+    def run(self) -> tuple[int, ...]:
+        """The winning subset, or () when every subset is singular."""
+        # Level 1 borders the empty prefix by every column at once.
+        n = len(self.energy)
+        rates, tol, sure, v_bar, _, diag = _bordered_rates(
+            np.empty((0, 0)), np.empty(0), np.empty((0, n)), self.energy, self.energy,
+            self.h.shape[0], self.n0,
+        )
+        for child in self._score(
+            self.positions[:, np.newaxis], rates, tol, sure,
+            np.empty((n, 0, 0)), self.energy, v_bar.T, diag.T,
+        ):
+            self._grow(*child)
+        self._weigh()
+        if self.floor == -np.inf:
+            return ()
+        self.kept = [s for s in self.kept if s[1] + s[2] >= self.floor]
+        if len(self.kept) > 1:
+            self._settle()
+        return self.kept[0][0]
+
+    def _grow(self, members: np.ndarray, factor) -> None:
+        """Score every child of the prefixes ``members``, then their children.
+
+        ``factor`` holds the prefixes' inverse Cholesky factors, inverse
+        diagonals and traces, or is None when their children go to the
+        kernel. Each block's children are grown after the block's own
+        working arrays are freed.
+        """
+        parent, cand = (self.positions > members[:, -1:]).nonzero()
+        block = max(1, _SUBSET_BLOCK // (members.shape[1] + 1))
+        for lo in range(0, parent.size, block):
+            p, c = parent[lo : lo + block], cand[lo : lo + block]
+            for child in self._block(members, factor, p, c):
+                self._grow(*child)
+
+    def _block(self, members, factor, p, c) -> list:
+        """Score the subsets ``members[p]`` + ``c``; return their prefixes to grow."""
+        sets = np.concatenate((members[p], c[:, np.newaxis]), axis=1)
+        if factor is None:
+            self._keep(sets, self._kernel(sets), np.zeros(len(sets)))
+            return [(sets, None)] if sets.shape[1] < self.max_size else []
+        w_inv, inv_diag, trace = factor
+        # Row i: G[S_i, c_i], then |h_c|^2 = G[c_i, c_i].
+        cross = self.gram[sets, c[:, np.newaxis], np.newaxis]
+        w, energy = w_inv[p], cross[:, -1, :].real
+        trace = trace[p, np.newaxis] + energy
+        rates, tol, sure, v_bar, _, diag = _bordered_rates(
+            w, inv_diag[p], cross[:, :-1], energy, trace, self.h.shape[0], self.n0
+        )
+        return self._score(
+            sets, rates[:, 0], tol[:, 0], sure[:, 0], w, trace[:, 0], v_bar[..., 0], diag[..., 0]
+        )
+
+    def _score(self, sets, rates, tol, sure, w, trace, v_bar, diag) -> list:
+        """Charge and keep one bordered block of subsets; return its prefixes.
+
+        Row i of each argument belongs to subset ``sets[i]``: its bordered
+        rate, tolerance and certificate, its prefix's inverse factor, and its
+        trace, conj(v) and inverse diagonal (see ``_bordered_rates``). The
+        kernel scores the subsets that are not ``sure``. Below ``max_size``,
+        the block's subsets are the next level's prefixes, as (members,
+        factor) pairs; the factor is None for those the kernel scored.
+        """
+        m, k = self.h.shape[0], sets.shape[1]
+        grown = k < self.max_size
+        n_sure = int(np.count_nonzero(sure))
+        self.ledger.complex_macs += n_sure * (k * k * m + k**3)
+        self.ledger.divisions += n_sure * k
+        self.ledger.comparisons += n_sure
+        prefixes = []
+        if n_sure < len(sets):
+            unsure = ~sure
+            rates[unsure], tol[unsure] = self._kernel(sets[unsure]), 0.0
+            if grown:
+                prefixes.append((sets[unsure], None))
+        self._keep(sets, rates, tol)
+        if not grown or not n_sure:
+            return prefixes
+        if n_sure < len(sets):
+            sets, w, trace, v_bar, diag = (a[sure] for a in (sets, w, trace, v_bar, diag))
+        # The bordered factor: W with the row [-v^H, 1] / sqrt(s) below it.
+        scale = np.sqrt(diag[:, -1])
+        w_next = np.zeros((len(sets), k, k), dtype=np.complex128)
+        w_next[:, :-1, :-1] = w
+        np.multiply(v_bar, -scale[:, np.newaxis], out=w_next[:, -1, :-1])
+        w_next[:, -1, -1] = scale
+        prefixes.append((sets, (w_next, diag, trace)))
+        return prefixes
+
+    def _kernel(self, sets: np.ndarray) -> np.ndarray:
+        """Kernel rates of ``sets``, charged with a comparison per finite rate."""
+        rates = zf_sum_rate_batch(self.h, sets, self.n0, self.ledger)
+        self.ledger.comparisons += int(np.count_nonzero(rates > -np.inf))
+        return rates
+
+    def _keep(self, sets: np.ndarray, rates: np.ndarray, tol: np.ndarray) -> None:
+        """Queue a scored block; the queue is weighed once it holds a block's worth."""
+        self.queue.append((sets, rates, tol))
+        self.queued += len(sets)
+        if self.queued >= _SUBSET_BLOCK:
+            self._weigh()
+
+    def _weigh(self) -> None:
+        """Raise ``floor`` by the queued subsets and keep those that reach it."""
+        if not self.queue:
+            return
+        rates = np.concatenate([rates for _, rates, _ in self.queue])
+        tol = np.concatenate([tol for _, _, tol in self.queue])
+        top = rates.argmax()
+        self.floor = max(self.floor, float(rates[top] - tol[top]))
+        reach = (rates + tol >= self.floor).nonzero()[0].tolist()
+        if reach:
+            self.kept = [s for s in self.kept if s[1] + s[2] >= self.floor]
+            starts = list(itertools.accumulate((len(r) for _, r, _ in self.queue), initial=0))
+            for i in reach:
+                block = bisect.bisect_right(starts, i) - 1
+                row = self.queue[block][0][i - starts[block]]
+                self.kept.append((tuple(row.tolist()), float(rates[i]), float(tol[i])))
+        self.queue, self.queued = [], 0
+        if len(self.kept) > _SUBSET_BLOCK:
+            self._settle()
+
+    def _settle(self) -> None:
+        """Rescore the kept subsets exactly and keep the winner among them."""
+        exact = {}
+        for size in {len(s) for s, _, tol in self.kept if tol > 0.0}:
+            sets = [s for s, _, tol in self.kept if tol > 0.0 and len(s) == size]
+            exact.update(zip(sets, _exact_rates(self.h, sets, self.n0).tolist()))
+        scored = [(exact.get(s, rate), s) for s, rate, _ in self.kept]
+        best = max(rate for rate, _ in scored)
+        self.kept = [(min(s for rate, s in scored if rate == best), best, 0.0)]
 
 
 def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:

@@ -15,6 +15,7 @@ from mimosel import harness
 from mimosel.channel import LinkBudget
 from mimosel.cli import main
 from mimosel.harness import ExperimentConfig, emit, run_monte_carlo
+from mimosel.metrics import sum_spectral_efficiency, zf_sum_rate_batch
 from mimosel.numerics import OpLedger
 from mimosel.seeding import stream
 from mimosel.selectors import (
@@ -156,6 +157,21 @@ class TestRuleMessages:
             lambda: LinkBudget(-90.0, bandwidth_hz=bandwidth),
             f"bandwidth_hz must be positive, got {bandwidth}",
         )
+
+    @pytest.mark.parametrize("n0", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda n0: sum_spectral_efficiency(H[:, :2], n0, OpLedger()),
+            lambda n0: zf_sum_rate_batch(H, [[0, 2]], n0, OpLedger()),
+            lambda n0: gzf(H, n0, 2, OpLedger()),
+            lambda n0: mcore_plus(H, n0, 2, OpLedger()),
+            lambda n0: exhaustive_oracle(H, n0, 2, OpLedger()),
+        ],
+        ids=["sum_se", "kernel", "gzf", "mcore_plus", "exhaustive"],
+    )
+    def test_noise_power(self, score, n0):
+        raises(lambda: score(n0), f"n0 must be positive, got {n0}")
 
 
 class TestLinkBudgetRule:

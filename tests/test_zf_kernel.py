@@ -12,10 +12,14 @@ Cholesky factors instead. The package must reproduce their SNRs, masks,
 selections and op-ledger totals exactly, not approximately. ``gzf`` ranks
 most candidates by a bordered Cholesky update instead of the kernel; its
 selections and ledgers must still be ``reference_gzf``'s, and its rates must
-stay well inside the error bound it acts on.
+stay well inside the error bound it acts on. The subset enumeration of
+``mcore_plus`` and ``exhaustive_oracle`` borders the inverse Cholesky factors
+of every prefix the same way; its selections and ledgers must still be
+``reference_best_subset``'s, with the same margin on its certified rates.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from mimosel.metrics import (
     zf_post_snr,
     zf_sum_rate_batch,
 )
-from mimosel.numerics import OpLedger
+from mimosel.numerics import OpLedger, subset_count
 from mimosel.seeding import stream
 from mimosel.selectors import (
     MCORE_MAX_ANTENNAS,
@@ -226,6 +230,7 @@ def test_repeated_column_scores_minus_inf_and_is_charged_the_gram_only():
         ([0, 1], 0.1, "2-D"),
         ([[0, 1, 2, 3, 4]], 0.1, "1 <= K <= M"),
         ([[0]], 0.0, "n0 must be positive"),
+        ([[0]], float("nan"), "n0 must be positive, got nan"),
     ],
 )
 def test_kernel_rejects_bad_arguments(sets, n0, message):
@@ -234,18 +239,26 @@ def test_kernel_rejects_bad_arguments(sets, n0, message):
         zf_sum_rate_batch(h, sets, n0, OpLedger())
 
 
-def test_tie_across_sizes_resolves_to_smaller_tuple(monkeypatch):
-    # (2,) and (0, 3) share the best rate; (0, 3) < (2,) as tuples. (1, 2)
-    # ties too but comes later in the same size. Singular sets score -inf.
-    rate_of = {(2,): 5.0, (0, 3): 5.0, (1, 2): 5.0, (0, 1): -np.inf}
-
-    def fake_kernel(h, sets, n0, ledger):
-        return np.array([rate_of.get(tuple(s), 1.0) for s in sets])
-
-    monkeypatch.setattr(selectors, "zf_sum_rate_batch", fake_kernel)
-    ledger = OpLedger()
-    assert selectors._best_subset(None, range(4), 2, 1.0, ledger) == (0, 3)
-    assert ledger.comparisons == 4 + 6 - 1
+def test_tie_across_sizes_resolves_to_smaller_tuple():
+    # User 0 is orthogonal to the others and so weak that it adds exactly
+    # nothing to a rate (1 + snr rounds to 1); users 2 and 3 are one channel
+    # and user 1 is half of it. So (2,), (3,), (0, 2) and (0, 3) share the
+    # highest rate bit for bit, and (0, 2) < (2,) as tuples. Every entry is
+    # a power of two, so each of those rates is exact in both paths' kernel.
+    # The singletons are certified by bordering; (0, 1), (0, 2) and (0, 3)
+    # are not (cond 2^34 and 2^36, inside COND_LIMIT) and reach the kernel;
+    # (1, 2), (1, 3) and (2, 3) are singular.
+    h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0**17, 2.0**18, 2.0**18]], dtype=complex)
+    n0 = 2.0**57
+    single = zf_sum_rate_batch(h, [[2], [3]], n0, OpLedger())
+    pair = zf_sum_rate_batch(h, [[0, 2], [0, 3], [0, 1], [1, 2], [2, 3]], n0, OpLedger())
+    assert single.tolist() == pair[:2].tolist() and pair[0] > pair[2] > -np.inf
+    assert pair[3] == pair[4] == -np.inf
+    ledger, expected = OpLedger(), OpLedger()
+    assert selectors._best_subset(h, range(4), 2, n0, ledger) == (0, 2)
+    assert reference_best_subset(h, range(4), 2, n0, expected) == (0, 2)
+    assert ledger == expected
+    assert ledger.comparisons == 4 + 3
 
 
 @pytest.mark.parametrize("block", [1, 7, 50])
@@ -258,6 +271,26 @@ def test_block_boundaries_do_not_change_the_answer(monkeypatch, block):
     split = OpLedger()
     assert exhaustive_oracle(h, n0, 4, split).selected == expected
     assert split == whole
+
+
+# Peak bytes that tracemalloc sees in one exhaustive_oracle call at M = 8,
+# U = 16, K_max = 8 (39,202 subsets): 4.90 MB when every subset went through
+# the kernel in blocks of _SUBSET_BLOCK, 0.92 MB with the bordered search.
+EXHAUSTIVE_PEAK_MB = 4.9
+
+
+def test_working_set_of_one_exhaustive_call_is_bounded():
+    h = generate_iid_rayleigh(8, 16, stream(5500, 8, 16))
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    expected = exhaustive_oracle(h, n0, 8, OpLedger()).selected
+    tracemalloc.start()
+    try:
+        selected = exhaustive_oracle(h, n0, 8, OpLedger()).selected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert selected == expected
+    assert peak <= EXHAUSTIVE_PEAK_MB * 1e6
 
 
 def reference_zf_snr(h_stack, n0, ledger):
@@ -412,11 +445,19 @@ def record_kernel_calls(monkeypatch):
 def test_gzf_equals_reference_and_bordered_rates_stay_inside_their_bound(monkeypatch):
     real_bordered = selectors._bordered_rates
     worst = {"ratio": 0.0, "sure": 0, "unsure": 0}
+    run = {}
 
-    def checked(hm, selected, pool, w_inv, energy, n0):
-        out = real_bordered(hm, selected, pool, w_inv, energy, n0)
+    def checked(*args):
+        out = real_bordered(*args)
         rates, tol, sure = out[:3]
-        kernel = zf_sum_rate_batch(hm, selectors._grown(selected, pool[sure]), n0, OpLedger())
+        # gzf's picks are the reference's, so its step i borders the first
+        # i + 1 of them by every other user, in index order.
+        h, picks, step = run["h"], run["picks"], run["step"]
+        selected = list(picks[: step + 1])
+        pool = np.setdiff1d(np.arange(h.shape[1]), selected)
+        assert pool.size == rates.size
+        run["step"] += 1
+        kernel = zf_sum_rate_batch(h, selectors._grown(selected, pool[sure]), args[-1], OpLedger())
         if sure.any():
             ratio = np.abs(rates[sure] - kernel) / tol[sure]
             worst["ratio"] = max(worst["ratio"], float(ratio.max()))
@@ -428,11 +469,67 @@ def test_gzf_equals_reference_and_bordered_rates_stay_inside_their_bound(monkeyp
     for i in range(1000):
         h, n0, k_max = sweep_instance(i)
         got, want = OpLedger(), OpLedger()
-        assert gzf(h, n0, k_max, got).selected == reference_gzf(h, n0, k_max, want), i
+        expected = reference_gzf(h, n0, k_max, want)
+        run.update(h=h, picks=expected, step=0)
+        assert gzf(h, n0, k_max, got).selected == expected, i
         assert got == want, i
     # The sweep reaches the kernel fallback, and the largest gap between a
     # certified bordered rate and the kernel's is 100 times inside its bound.
     assert worst["sure"] > 20_000 and worst["unsure"] > 100
+    assert worst["ratio"] <= 0.01, worst
+
+
+def subset_instance(i):
+    """Instance i of the subset-search sweep: M cycles through 2-8 and K_max
+    through 1..M, and U is uniform on M..16 with the search space kept to at
+    most 600 subsets, so that the reference loop stays quick. A third of the
+    instances repeat a column and a third hold a near-parallel pair, whose
+    subsets have Gram condition numbers of about 1e10 to 1e14."""
+    rng = np.random.default_rng(7000 + i)
+    m = 2 + i % 7
+    k_max = 1 + (i // 7) % m
+    u_max = max(u for u in range(m, 17) if u == m or subset_count(u, k_max) <= 600)
+    u = int(rng.integers(m, u_max + 1))
+    h = complex_normal(rng, (m, u))
+    if i % 3:
+        a, b = rng.choice(u, 2, replace=False)
+        h[:, b] = h[:, a]
+        if i % 3 == 2:
+            # cond(G) is about 4 / delta^2 for columns a and a + delta z.
+            h[:, b] += 2.0 * 10.0 ** rng.uniform(-7.0, -5.0) * complex_normal(rng, (m,))
+    return h, N0_SWEEP[(i // 3) % 4], k_max
+
+
+def test_subset_search_equals_reference_and_bordered_rates_stay_inside_their_bound(
+    monkeypatch,
+):
+    real_keep = selectors._SubsetSearch._keep
+    worst = {"ratio": 0.0, "sure": 0, "unsure": 0}
+
+    def checked(search, sets, rates, tol):
+        # Certified subsets carry a positive tolerance; kernel rates carry 0.
+        sure = tol > 0.0
+        if sure.any():
+            kernel = zf_sum_rate_batch(search.h, sets[sure], search.n0, OpLedger())
+            ratio = np.abs(rates[sure] - kernel) / tol[sure]
+            worst["ratio"] = max(worst["ratio"], float(ratio.max()))
+        worst["sure"] += int(np.count_nonzero(sure))
+        worst["unsure"] += int(np.count_nonzero(~sure))
+        return real_keep(search, sets, rates, tol)
+
+    monkeypatch.setattr(selectors._SubsetSearch, "_keep", checked)
+    sizes = set()
+    for i in range(168):
+        h, n0, k_max = subset_instance(i)
+        sizes.add((h.shape[0], k_max))
+        got, ref = batched_and_reference(exhaustive_oracle, h, n0, k_max)
+        assert got == ref, i
+        got, ref = batched_and_reference(mcore_plus, h, n0, k_max)
+        assert got == ref, i
+    # Every K_max <= M for M = 2-8; both paths score; the certified rates
+    # stay 100 times inside their bound.
+    assert sizes == {(m, k) for m in range(2, 9) for k in range(1, m + 1)}
+    assert worst["sure"] > 20_000 and worst["unsure"] > 1_000
     assert worst["ratio"] <= 0.01, worst
 
 
