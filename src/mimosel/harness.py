@@ -2,11 +2,16 @@
 
 One trial draws a single channel matrix (from a seed derived from the
 master seed, grid point, and trial index) and runs every configured
-algorithm on that identical matrix, so comparisons are paired. The ``ssus``
-variants of a trial share one selection call that builds their bases once
-and charges each variant what it would cost alone. Trials are independent
-tasks; results are post-sorted by trial index before aggregation, which
-makes the output invariant to worker count.
+algorithm on that identical matrix, so comparisons are paired. Trials run
+in chunks: a chunk draws each of its trials' channels from that trial's own
+stream, then makes one ``ss_us_trials`` call that builds every trial's
+bases once and matches every ``ssus`` variant, charging each variant what
+it would cost alone; then ``run_trial`` runs the other algorithms of each
+trial and scores all of its final sets. A chunk holds as many trials as
+their channel stack fits in ``_BLOCK_BUDGET``, and a trial's results do
+not depend on which trials share its chunk. Results are post-sorted by
+trial index before aggregation, which makes the output invariant to worker
+count.
 """
 
 from __future__ import annotations
@@ -27,10 +32,19 @@ import numpy as np
 
 from .channel import LinkBudget, generate_iid_rayleigh, noise_power, noise_power_dbm
 from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
+from .metrics import _ill_conditioned, zf_sum_rate_batch
+# Scores no cell any more; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
 from .numerics import OpLedger
 from .seeding import derive_seed, stream
-from .selectors import Algorithm, SelectionConfig, infeasible_reason, run_selection, ss_us_variants
+from .selectors import (
+    _BLOCK_BUDGET,
+    Algorithm,
+    SelectionConfig,
+    infeasible_reason,
+    run_selection,
+    ss_us_trials,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -437,33 +451,30 @@ def run_trial(
     point: GridPoint,
     instances: list[AlgoInstance],
     trial_index: int,
+    drawn: tuple | None = None,
 ) -> TrialReport:
     """Run every algorithm variant on one freshly drawn channel matrix.
 
-    All ``ssus`` variants share one ``ss_us_variants`` call, so their bases
-    are built once; each cell's wall time holds an even share of that call.
-    Every other variant runs through ``run_selection`` on its own.
+    ``drawn`` is this trial's entry of ``_draw_chunk`` for the chunk it
+    belongs to: its channel and its ``ssus`` outcomes. Without it, the trial
+    is drawn as a chunk of its own. Every other variant runs through
+    ``run_selection`` on its own; then every final set is scored (see
+    ``_cells``).
     """
-    rng = stream(cfg.master_seed, point.index, trial_index, _ROLE_CHANNEL)
-    h = generate_iid_rayleigh(point.m, point.u, rng)
+    if drawn is None:
+        [drawn] = _draw_chunk(cfg, point, instances, [trial_index])
+    h, ssus_outcomes, ssus_ns = drawn
     channel_hash = hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
     select_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_SELECT)
     random_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_RANDOM)
 
-    cells: dict[AlgoInstance, CellResult] = {}
-    ssus = [inst for inst in instances if inst.algorithm is Algorithm.SSUS]
-    if ssus:
-        start = time.perf_counter_ns()
-        variants = [(inst.num_bases, inst.alpha) for inst in ssus]
-        try:
-            outcomes = ss_us_variants(h, point.k_max, select_seed, point.n0, variants)
-        except ValueError as exc:
-            outcomes = [(exc, OpLedger()) for _ in ssus]
-        share_ns = (time.perf_counter_ns() - start) // len(ssus)
-        for inst, (outcome, ledger) in zip(ssus, outcomes):
-            cells[inst] = _cell(h, point, outcome, ledger, time.perf_counter_ns() - share_ns)
+    # Per variant: its outcome (a result or the error it raised), its
+    # ledger and its wall time.
+    selections = {}
+    ssus = iter(ssus_outcomes)
     for inst in instances:
         if inst.algorithm is Algorithm.SSUS:
+            selections[inst] = (*next(ssus), ssus_ns)
             continue
         ledger = OpLedger()
         sel_cfg = SelectionConfig(
@@ -477,45 +488,110 @@ def run_trial(
             outcome = run_selection(h, sel_cfg, point.n0, ledger)
         except ValueError as exc:
             outcome = exc
-        cells[inst] = _cell(h, point, outcome, ledger, start)
+        selections[inst] = (outcome, ledger, time.perf_counter_ns() - start)
     return TrialReport(
         trial_index=trial_index,
         scenario_id=point.scenario_id,
         channel_hash=channel_hash,
-        cells={inst: cells[inst] for inst in instances},
+        cells=_cells(h, point.n0, selections),
     )
 
 
-def _cell(h, point: GridPoint, outcome, ledger: OpLedger, start: int) -> CellResult:
-    """Cell of a selection ``outcome`` (a result or the error it raised).
+def _cells(h, n0: float, selections: dict) -> dict[AlgoInstance, CellResult]:
+    """Cells of one trial's ``selections``: (outcome, ledger, wall ns) per variant.
 
-    Evaluation of the final set is measurement, not selection: it goes to
+    Evaluation of the final sets is measurement, not selection: it goes to
     a throwaway ledger so MAC counts stay comparable with the selection
-    cost models, and columns are passed in sorted order so every
+    cost models. The sets of each size K are scored by one
+    ``zf_sum_rate_batch`` call, columns in sorted order, so every
     algorithm's set is scored bit for bit like the oracle's enumeration of
-    the same subset.
+    the same subset; each cell's wall time adds an even share of that call.
+    A set the kernel scores minus infinity fails its cell with the
+    ``SingularSetError`` that ``sum_spectral_efficiency`` raises for it.
     """
-    error = outcome if isinstance(outcome, Exception) else None
-    if error is None:
+    by_size: dict[int, list[AlgoInstance]] = {}
+    for inst, (outcome, _, _) in selections.items():
+        if not isinstance(outcome, Exception):
+            by_size.setdefault(len(outcome.selected), []).append(inst)
+    scores = {}
+    for k, insts in by_size.items():
+        start = time.perf_counter_ns()
+        sets = [sorted(selections[inst][0].selected) for inst in insts]
         try:
-            se = sum_spectral_efficiency(h[:, sorted(outcome.selected)], point.n0, OpLedger())
+            rates = [
+                rate if rate > -math.inf else _ill_conditioned(h.shape[0], k)
+                for rate in zf_sum_rate_batch(h, sets, n0, OpLedger()).tolist()
+            ]
         except ValueError as exc:
-            error = exc
-    failed = error is not None
-    return CellResult(
-        selected=() if failed else outcome.selected,
-        se=float("nan") if failed else se,
-        macs=ledger.complex_macs,
-        divisions=ledger.divisions,
-        comparisons=ledger.comparisons,
-        wall_ns=time.perf_counter_ns() - start,
-        error=str(error) if failed else None,
-    )
+            rates = [exc] * len(insts)
+        share_ns = (time.perf_counter_ns() - start) // len(insts)
+        scores.update((inst, (rate, share_ns)) for inst, rate in zip(insts, rates))
+
+    cells = {}
+    for inst, (outcome, ledger, wall_ns) in selections.items():
+        # A selection that failed keeps its error and scores nothing.
+        se, score_ns = scores.get(inst, (outcome, 0))
+        failed = isinstance(se, Exception)
+        cells[inst] = CellResult(
+            selected=() if failed else outcome.selected,
+            se=float("nan") if failed else se,
+            macs=ledger.complex_macs,
+            divisions=ledger.divisions,
+            comparisons=ledger.comparisons,
+            wall_ns=wall_ns + score_ns,
+            error=str(se) if failed else None,
+        )
+    return cells
+
+
+def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> list[tuple]:
+    """Channel and ``ssus`` outcomes of each trial of ``indices``, drawn as one chunk.
+
+    Each trial's channel comes from its own stream, as in a lone trial;
+    then one ``ss_us_trials`` call builds the bases of every trial and
+    matches every ``ssus`` variant. Returns one (channel, outcomes, wall
+    ns) triple per trial: the (outcome, ledger) pair of each ``ssus``
+    variant, in instance order, and the wall time of each, which is the
+    call's split evenly across the trials and then across their variants.
+    """
+    hs = np.empty((len(indices), point.m, point.u), dtype=np.complex128)
+    for h, t in zip(hs, indices):
+        h[...] = generate_iid_rayleigh(
+            point.m, point.u, stream(cfg.master_seed, point.index, t, _ROLE_CHANNEL)
+        )
+    variants = [(i.num_bases, i.alpha) for i in instances if i.algorithm is Algorithm.SSUS]
+    if not variants:
+        return [(h, [], 0) for h in hs]
+    seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_SELECT) for t in indices]
+    start = time.perf_counter_ns()
+    try:
+        outcomes = ss_us_trials(hs, point.k_max, seeds, point.n0, variants)
+    except ValueError as exc:
+        outcomes = [[(exc, OpLedger())] * len(variants) for _ in indices]
+    share_ns = (time.perf_counter_ns() - start) // (len(indices) * len(variants))
+    return [(h, trial, share_ns) for h, trial in zip(hs, outcomes)]
+
+
+def _trials_per_chunk(point: GridPoint) -> int:
+    """Trials per chunk at ``point``: as many as fit their channel stack in
+    ``_BLOCK_BUDGET`` float64 elements, and at least one."""
+    return max(1, _BLOCK_BUDGET // (2 * point.m * point.u))
 
 
 def _trial_chunk(args) -> list[TrialReport]:
+    """Reports of the trials ``indices`` at ``point``, in index order.
+
+    The trials are drawn ``_trials_per_chunk`` at a time by
+    ``_draw_chunk``, and ``run_trial`` runs once per trial.
+    """
     cfg, point, instances, indices = args
-    return [run_trial(cfg, point, instances, t) for t in indices]
+    size = _trials_per_chunk(point)
+    reports = []
+    for lo in range(0, len(indices), size):
+        chunk = indices[lo : lo + size]
+        drawn = _draw_chunk(cfg, point, instances, chunk)
+        reports += [run_trial(cfg, point, instances, t, d) for t, d in zip(chunk, drawn)]
+    return reports
 
 
 def _run_trials(
@@ -523,12 +599,13 @@ def _run_trials(
 ) -> dict[GridPoint, list[TrialReport]]:
     """Reports of every trial at each grid point of ``jobs``, by trial index.
 
-    With more than one worker, the trial chunks of all points go to one
-    process pool.
+    With one worker, each point's trials run through ``_trial_chunk`` in
+    this process. With more, the strided trial chunks of all points go to
+    one process pool.
     """
     indices = list(range(cfg.trials))
     if cfg.workers <= 1 or cfg.trials <= 1:
-        return {p: [run_trial(cfg, p, insts, t) for t in indices] for p, insts in jobs.items()}
+        return {p: _trial_chunk((cfg, p, insts, indices)) for p, insts in jobs.items()}
     n_workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
     n_chunks = n_workers * 4
     chunks = [indices[i::n_chunks] for i in range(n_chunks) if indices[i::n_chunks]]

@@ -49,7 +49,7 @@ def _eigen_guard(gram: np.ndarray) -> np.ndarray:
     """The ``COND_LIMIT`` guard of a (P, K, K) Gram stack, from its eigenvalues."""
     eigs = np.linalg.eigvalsh(gram)
     # Negated as a whole, so that a NaN Gram matrix passes the guard.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return ~((eigs[:, 0] <= 0.0) | (eigs[:, -1] / eigs[:, 0] > COND_LIMIT))
 
 
@@ -57,7 +57,10 @@ def _gram_inv_diag(gram: np.ndarray) -> np.ndarray:
     """Diagonals of the inverses of a (P, K, K) Gram stack, via Cholesky."""
     chol = np.linalg.cholesky(gram)
     chol_inv = np.linalg.solve(chol, np.eye(gram.shape[-1], dtype=np.complex128))
-    return (np.abs(chol_inv) ** 2).sum(axis=-2)
+    # A column near the float64 floor overflows its entry to infinity,
+    # which the condition guard then rejects.
+    with np.errstate(over="ignore"):
+        return (np.abs(chol_inv) ** 2).sum(axis=-2)
 
 
 def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
@@ -110,11 +113,13 @@ def zf_post_snr(h_sel, n0: float, ledger: OpLedger) -> np.ndarray:
     h = _as_selected(h_sel)
     ok, snr = _zf_snr(h[np.newaxis], n0, ledger)
     if not ok[0]:
-        m, k = h.shape
-        raise SingularSetError(
-            f"gram matrix of the selected set is ill conditioned (K={k}, M={m})"
-        )
+        raise _ill_conditioned(*h.shape)
     return snr[0]
+
+
+def _ill_conditioned(m: int, k: int) -> SingularSetError:
+    """The error of an M x K selected set that fails the ``COND_LIMIT`` guard."""
+    return SingularSetError(f"gram matrix of the selected set is ill conditioned (K={k}, M={m})")
 
 
 def sum_spectral_efficiency(h_sel, n0: float, ledger: OpLedger) -> float:

@@ -7,15 +7,15 @@ do not depend on execution order or worker count. A stream is numpy's
 ``default_rng`` seeded with the chain's 64-bit value.
 
 The ``ss_us`` bases of one trial take one stream each, keyed by (trial
-seed, basis index), and a block of them is drawn by ``_stacked_normals``.
-It seeds the whole block at once: the last splitmix64 step, the
-``SeedSequence`` hash (``mix_entropy`` and ``generate_state``) on ``uint32``
-arrays, and the PCG64 set-seed step (O'Neill, "PCG: A Family of Simple
-Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014), then draws the block from one ``Generator`` whose state
-it sets to each stream's in turn. The draws equal those of
-``default_rng`` byte for byte. The constants below are numpy's, and a test
-pins them against the numpy in use.
+seed, basis index), and a block of them, which may span the trials of a
+chunk, is drawn by ``_stacked_normals``. It seeds the whole block at once:
+the last splitmix64 step, the ``SeedSequence`` hash (``mix_entropy`` and
+``generate_state``) on ``uint32`` arrays, and the PCG64 set-seed step
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", 2014), then draws the block from
+one ``Generator`` whose state it sets to each stream's in turn. The draws
+equal those of ``default_rng`` byte for byte. The constants below are
+numpy's, and a test pins them against the numpy in use.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ def stream(*parts: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
-def _stream_seeds(rng_seed: int, indices: range) -> np.ndarray:
-    """uint64 ``derive_seed(rng_seed, l)`` for every l of ``indices``."""
-    prefix = derive_seed(rng_seed)
+def _stream_seeds(rng_seeds, indices: range) -> np.ndarray:
+    """(T, B) uint64 ``derive_seed(s, l)`` for every seed s of ``rng_seeds``
+    and every l of ``indices``."""
+    prefixes = np.array([derive_seed(rng_seed) for rng_seed in rng_seeds], dtype=np.uint64)
     keys = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64)
-    return _splitmix64(keys ^ np.uint64(prefix))
+    return _splitmix64(keys ^ prefixes[:, np.newaxis])
 
 
 def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
@@ -134,17 +135,18 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _stacked_normals(rng_seed: int, indices: range, shape: tuple[int, ...]) -> np.ndarray:
-    """(B, *shape) float64: ``stream(rng_seed, l).standard_normal(shape)`` per l.
+def _stacked_normals(rng_seeds, indices: range, shape: tuple[int, ...]) -> np.ndarray:
+    """(T, B, *shape) float64: ``stream(s, l).standard_normal(shape)`` per (s, l).
 
-    Byte for byte ``np.stack`` of those draws, one row per index of
-    ``indices``, written in place. The block's streams are seeded at once
-    (see the module docstring).
+    Row (t, i) holds the draw of seed ``rng_seeds[t]`` and basis
+    ``indices[i]``, byte for byte, written in place. The streams of every
+    (seed, index) pair are seeded at once (see the module docstring).
     """
-    z = np.empty((len(indices), *shape))
+    seeds = _stream_seeds(rng_seeds, indices)
+    z = np.empty((*seeds.shape, *shape))
     # One generator draws every stream, its state set to that stream's.
     generator = np.random.Generator(np.random.PCG64(0))
-    for row, (state, inc) in zip(z, _pcg64_states(_stream_seeds(rng_seed, indices))):
+    for row, (state, inc) in zip(z.reshape(-1, *shape), _pcg64_states(seeds.ravel())):
         generator.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},

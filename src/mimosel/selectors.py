@@ -40,6 +40,7 @@ __all__ = [
     "SelectionResult",
     "ss_us",
     "ss_us_variants",
+    "ss_us_trials",
     "sus",
     "gzf",
     "mcore_plus",
@@ -192,203 +193,291 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
 def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
     """``ss_us`` for every (num_bases, alpha) pair of ``variants`` in one pass.
 
-    Basis l depends only on (``rng_seed``, l), and alpha enters only the
-    matching, so the seed user, the bases and their correlations are built
-    once, for the largest L, a block at a time (see ``_basis_block`` and
-    ``_correlations``), and each distinct alpha matches users on every block
-    (see ``_match_block``). A block holds as many bases as its largest
-    stack fits in ``_BLOCK_BUDGET`` (see ``_bases_per_block``); its size
-    changes no outcome and no charge. That fills a table with one row per
-    basis: its construction charges and, per alpha, its match, held as one
-    array per field of the match. A variant with L bases reads the first L
-    rows; only its winner's weights become a tuple.
-
-    Returns one (outcome, ledger) pair per variant, in order. The outcome
-    is the :class:`SelectionResult` of ``ss_us`` with that variant alone,
-    or the :class:`BasisConstructionError` it would raise: a fallback that
-    exhausts its redraws at basis j fails only the variants with L > j.
-    The ledger holds what that call charges: the common charges plus, for
-    each of its first L bases, the basis's construction and correlation
-    charges and the match comparisons at its alpha. A failed variant's
-    ledger stops at the failing basis, which adds what its fallback charged.
+    This is ``ss_us_trials`` on a chunk of one trial: the channel ``h``,
+    with its bases drawn from ``rng_seed``. The seed user, the bases and
+    their correlations are built once, for the largest L, and each distinct
+    alpha matches users on them; every variant's outcome and ledger are
+    those of ``ss_us`` with that variant alone. A channel that ``ss_us``
+    rejects raises its ``ValueError`` here.
     """
-    hm = _as_channel(h)
-    m, u = hm.shape
+    [outcomes] = ss_us_trials(_as_channel(h)[np.newaxis], k_max, [rng_seed], n0, variants)
+    return outcomes
+
+
+def ss_us_trials(hs, k_max: int, rng_seeds, n0: float, variants):
+    """``ss_us`` for every trial of a chunk and every (num_bases, alpha) pair of ``variants``.
+
+    ``hs`` is a (T, M, U) stack of channels and trial t draws its bases
+    from ``rng_seeds[t]``. Basis l of a trial depends only on (its seed, l),
+    and alpha enters only the matching, so each trial's seed user, bases and
+    correlations are built once, for the largest L, a block at a time (see
+    ``_basis_block`` and ``_correlations``), and each distinct alpha matches
+    users on every block (see ``_match_block``). A block holds as many bases
+    as its largest stack fits in ``_BLOCK_BUDGET`` (see
+    ``_bases_per_block``): the L bases of as many trials as fit, or part of
+    one trial's bases where its L bases do not fit. Neither the block size
+    nor the trials that share a block change any outcome or charge. That
+    fills a table with one row per basis of each trial: its construction
+    charges and, per alpha, its match, held as one array per field of the
+    match. A variant with L bases reads its trial's first L rows; only its
+    winner's weights become a tuple.
+
+    Returns, per trial, one (outcome, ledger) pair per variant, in order.
+    The outcome is the :class:`SelectionResult` of ``ss_us`` with that
+    variant alone, or the error it would raise. A channel that ``ss_us``
+    rejects fails its own trial: each variant gets the ``ValueError`` and an
+    empty ledger. A fallback that exhausts its redraws at basis j fails only
+    the variants of its trial with L > j. The ledger holds what that call
+    charges: the common charges plus, for each of its first L bases, the
+    basis's construction and correlation charges and the match comparisons
+    at its alpha. A failed variant's ledger stops at the failing basis,
+    which adds what its fallback charged.
+    """
+    hs = np.asarray(hs, dtype=np.complex128)
+    if hs.ndim != 3:
+        raise ValueError(f"channel stack must be 3-D, got shape {hs.shape}")
+    if len(rng_seeds) != len(hs):
+        raise ValueError(f"{len(hs)} channels need as many seeds, got {len(rng_seeds)}")
     for num_bases, alpha in variants:
         SelectionConfig(Algorithm.SSUS, k_max, num_bases, alpha)  # checks the tunables
-    common = OpLedger()
-    norms = _column_norms(hm, common)
-    common.divisions += u
+    outcomes: list = [None] * len(hs)
+    valid = []
+    for t, h in enumerate(hs):
+        try:
+            _as_channel(h)
+        except ValueError as exc:
+            outcomes[t] = [(exc, OpLedger()) for _ in variants]
+        else:
+            valid.append(t)
+    _, m, u = hs.shape
+    n_bases = max((num_bases for num_bases, _ in variants), default=1)
+    # A group's trials share each block, so their bases must fit one.
+    per_group = max(1, _bases_per_block(m, u - 1, min(k_max, m) - 1) // n_bases)
+    for lo in range(0, len(valid), per_group):
+        group = valid[lo : lo + per_group]
+        seeds = [rng_seeds[t] for t in group]
+        for t, trial in zip(group, _ss_us_group(hs[group], k_max, seeds, n0, variants)):
+            outcomes[t] = trial
+    return outcomes
+
+
+def _ss_us_group(hs, k_max: int, rng_seeds, n0: float, variants) -> list:
+    """``ss_us_trials`` on a (G, M, U) stack of valid channels that share blocks.
+
+    Either one trial, whose bases may span several blocks, or several whose
+    bases all fit one block.
+    """
+    n_trials, m, u = hs.shape
+    trials = np.arange(n_trials)
+    common = OpLedger(complex_macs=u * m, divisions=u, comparisons=max(u - 1, 0))
+    norms = np.linalg.norm(hs, axis=1)
     rates = np.log2(1.0 + norms**2 / n0)
-    seed_user = int(np.argmax(norms))
-    common.comparisons += max(u - 1, 0)
-    seed_rate = float(rates[seed_user])
+    seed_users = norms.argmax(axis=1)
+    seed_rates = rates[trials, seed_users]
 
     n_dirs = min(k_max, m)
     if u == 1 or n_dirs <= 1:
-        result = SelectionResult(
-            selected=(seed_user,),
-            matched_direction=(0,),
-            weights=(seed_rate,),
-            winning_basis=0,
-            mean_metric=seed_rate,
-        )
-        return [(result, replace(common)) for _ in variants]
+        return [
+            [
+                (
+                    SelectionResult(
+                        selected=(seed_user,),
+                        matched_direction=(0,),
+                        weights=(seed_rate,),
+                        winning_basis=0,
+                        mean_metric=seed_rate,
+                    ),
+                    replace(common),
+                )
+                for _ in variants
+            ]
+            for seed_user, seed_rate in zip(seed_users.tolist(), seed_rates.tolist())
+        ]
 
-    v_seed = hm[:, seed_user] / norms[seed_user]
+    v_seeds = hs[trials, :, seed_users] / norms[trials, seed_users][:, np.newaxis]
     common.divisions += m
-    cand = np.delete(np.arange(u), seed_user)
-    h_cand_t = hm[:, cand].conj().T
-    cand_norms = norms[cand]
-    cand_rates = rates[cand]
+    # Row t: every user but trial t's seed, in order.
+    cand = np.arange(u - 1) + (np.arange(u - 1) >= seed_users[:, np.newaxis])
+    # C-contiguous (C, M) matrices, laid out as h[:, cand].conj().T is.
+    h_cand_t = np.take_along_axis(hs.swapaxes(1, 2), cand[:, :, np.newaxis], axis=1).conj()
+    cand_norms = np.take_along_axis(norms, cand, axis=1)
+    cand_rates = np.take_along_axis(rates, cand, axis=1)
     n_steps = n_dirs - 1
-    corr_charge = cand.size * n_steps
+    corr_charge = (u - 1) * n_steps
 
-    # The table: per basis, its construction (MACs, divisions), and per
-    # alpha and basis, its match (see ``_match_block``). A failed rebuild's
-    # charge comes last.
-    charges: list[tuple[int, int]] = []
+    # The table: per trial and basis, its construction (MACs, divisions),
+    # and per alpha, its match (see ``_match_block``).
     n_bases = max((num_bases for num_bases, _ in variants), default=0)
+    charges = np.empty((n_trials, n_bases, 2), dtype=np.int64)
     table = {
         alpha: (
-            np.empty(n_bases),
-            np.empty((n_bases, n_steps), dtype=np.intp),
-            np.empty((n_bases, n_steps)),
-            np.empty(n_bases, dtype=np.intp),
+            np.empty((n_trials, n_bases)),
+            np.empty((n_trials, n_bases, n_steps), dtype=np.intp),
+            np.empty((n_trials, n_bases, n_steps)),
+            np.empty((n_trials, n_bases), dtype=np.intp),
         )
         for _, alpha in variants
     }
-    built = 0
-    block = _bases_per_block(m, cand.size, n_steps)
+    built = [n_bases] * n_trials
+    errors: list = [None] * n_trials
+    block = max(1, _bases_per_block(m, u - 1, n_steps) // n_trials)
     for start in range(0, n_bases, block):
         indices = range(start, min(start + block, n_bases))
-        bases, block_charges, error = _basis_block(v_seed, rng_seed, indices)
-        charges += block_charges
-        corr = _correlations(h_cand_t, bases[:, :, 1:n_dirs], cand_norms)
-        built = start + len(bases)
+        bases, block_charges, failures = _basis_block(v_seeds, rng_seeds, indices)
+        charges[:, indices.start : indices.stop] = block_charges
+        corr = _correlations(h_cand_t, bases[..., 1:n_dirs], cand_norms)
+        flat = corr.reshape(-1, u - 1, n_steps)
+        row_rates = np.repeat(cand_rates, len(indices), axis=0)
+        row_seed_rates = np.repeat(seed_rates, len(indices))
         for alpha, columns in table.items():
-            for column, part in zip(columns, _match_block(corr, cand_rates, seed_rate, alpha)):
-                column[start:built] = part
-        if error is not None:
+            for column, part in zip(columns, _match_block(flat, row_rates, row_seed_rates, alpha)):
+                column[:, indices.start : indices.stop] = part.reshape(
+                    n_trials, len(indices), *part.shape[1:]
+                )
+        for t, (i, error) in failures.items():
+            built[t], errors[t] = start + i, error
+        if failures:
+            # Only a lone trial's bases span blocks, so none is left to build.
             break
         # Free this block before the next one is built, so that the budget
         # bounds the working set of one block, not of two.
-        del bases, corr
+        del bases, corr, flat, row_rates
 
     outcomes = []
-    for num_bases, alpha in variants:
-        means, picks, best, comparisons = table[alpha]
-        rows = min(num_bases, built)
-        macs, divisions = map(sum, zip(*charges[:num_bases]))
-        # Only the bases built are correlated, so a failed rebuild is not.
-        ledger = OpLedger(
-            complex_macs=common.complex_macs + macs + rows * corr_charge * m,
-            divisions=common.divisions + divisions + rows * corr_charge,
-            comparisons=common.comparisons + int(comparisons[:rows].sum()),
-        )
-        if rows < num_bases:
-            outcomes.append((error, ledger))
-            continue
-        # argmax keeps the first maximum, so ties go to the lowest basis index.
-        l_star = int(np.argmax(means[:num_bases]))
-        filled = np.flatnonzero(picks[l_star] >= 0)
-        result = SelectionResult(
-            selected=(seed_user, *cand[picks[l_star, filled]].tolist()),
-            matched_direction=(0, *(filled + 1).tolist()),
-            weights=(seed_rate, *best[l_star, filled].tolist()),
-            winning_basis=l_star,
-            mean_metric=float(means[l_star]),
-        )
-        outcomes.append((result, ledger))
+    for t in range(n_trials):
+        # A failed trial is also charged its failed rebuild, after its bases.
+        charged = built[t] + (errors[t] is not None)
+        trial = []
+        for num_bases, alpha in variants:
+            means, picks, best, comparisons = (column[t] for column in table[alpha])
+            rows = min(num_bases, built[t])
+            macs, divisions = charges[t, : min(num_bases, charged)].sum(axis=0).tolist()
+            # Only the bases built are correlated, so a failed rebuild is not.
+            ledger = OpLedger(
+                complex_macs=common.complex_macs + macs + rows * corr_charge * m,
+                divisions=common.divisions + divisions + rows * corr_charge,
+                comparisons=common.comparisons + int(comparisons[:rows].sum()),
+            )
+            if rows < num_bases:
+                trial.append((errors[t], ledger))
+                continue
+            # argmax keeps the first maximum, so ties go to the lowest basis index.
+            l_star = int(np.argmax(means[:num_bases]))
+            filled = np.flatnonzero(picks[l_star] >= 0)
+            seed_rate = float(seed_rates[t])
+            result = SelectionResult(
+                selected=(int(seed_users[t]), *cand[t, picks[l_star, filled]].tolist()),
+                matched_direction=(0, *(filled + 1).tolist()),
+                weights=(seed_rate, *best[l_star, filled].tolist()),
+                winning_basis=l_star,
+                mean_metric=float(means[l_star]),
+            )
+            trial.append((result, ledger))
+        outcomes.append(trial)
     return outcomes
 
 
 def _bases_per_block(m: int, n_cand: int, n_steps: int) -> int:
     """Bases per ``ss_us`` block, at least one, whose stacks fit ``_BLOCK_BUDGET``.
 
-    A basis takes C x D float64 elements of the (B, C, D) correlations, for
-    C candidates and D directions, and 8 M^2 of the QR's four (B, M, M)
-    complex stacks: the matrix ``_basis_block`` builds, the copy that
+    A basis takes C x D float64 elements of the correlations, for C
+    candidates and D directions, and 8 M^2 of the QR's four (M, M) complex
+    stacks: the matrix ``_basis_block`` builds, the copy that
     ``np.linalg.qr`` factors, Q and R. The larger of the two sizes the block.
     """
     return max(1, _BLOCK_BUDGET // max(n_cand * n_steps, 8 * m * m))
 
 
-def _basis_block(v_seed: np.ndarray, rng_seed: int, indices: range):
-    """Orthonormal bases ``indices`` of ``ss_us`` as a (B, M, M) stack.
+def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range):
+    """Orthonormal bases ``indices`` of ``ss_us`` for G trials, as a (G, B, M, M) stack.
 
-    Basis l is the Householder QR of [v_seed | Z], with Z drawn from
-    ``stream(rng_seed, l)`` in the order ``gram_schmidt_extend`` draws
-    it: column by column, the real parts and then the imaginary parts. Its
-    columns therefore equal Gram-Schmidt's on the same draws up to
-    unit-modulus factors, which the correlations |h^H v| do not see. The
-    block's draws come from ``_stacked_normals`` as one (B, M-1, 2, M)
-    array, byte for byte those of the per-basis streams, which it seeds
-    together rather than by one ``default_rng`` per basis (see
-    ``seeding``). A basis whose draw is numerically dependent (some
-    |R_jj| < ``RESIDUAL_FLOOR``) is rebuilt by ``gram_schmidt_extend`` on a
-    fresh ``stream(rng_seed, l)``, which redraws and is charged what it
-    charges. Every other basis is charged the modified Gram-Schmidt cost of
-    a draw without redraws.
+    Trial t's basis l is the Householder QR of [v_seeds[t] | Z], with Z
+    drawn from ``stream(rng_seeds[t], l)`` in the order
+    ``gram_schmidt_extend`` draws it: column by column, the real parts and
+    then the imaginary parts. Its columns therefore equal Gram-Schmidt's on
+    the same draws up to unit-modulus factors, which the correlations
+    |h^H v| do not see. The block's draws come from ``_stacked_normals`` as
+    one (G, B, M-1, 2, M) array, byte for byte those of the per-basis
+    streams, which it seeds together rather than by one ``default_rng`` per
+    basis (see ``seeding``). A basis whose draw is numerically dependent
+    (some |R_jj| < ``RESIDUAL_FLOOR``) is rebuilt by ``gram_schmidt_extend``
+    on a fresh ``stream(rng_seeds[t], l)``, which redraws and is charged
+    what it charges. Every other basis is charged the modified Gram-Schmidt
+    cost of a draw without redraws.
 
-    Returns the bases, the (MACs, divisions) charged for each and ``None``.
-    When a rebuild exhausts its redraws, the bases stop before the failing
-    one, the charges end with what the failed rebuild charged, and the
-    error comes last; the bases drawn past it are dropped. The draws are
-    copied into one complex stack and freed before the QR, so the block's
-    peak is the QR's four (B, M, M) stacks (see ``_bases_per_block``).
+    Returns the bases, the (MACs, divisions) charged for each as a
+    (G, B, 2) array, and the failures: trial t maps to (i, error) when the
+    rebuild of its basis ``indices[i]`` exhausts its redraws. Its charge i is
+    then what the failed rebuild charged, and its later bases are neither
+    rebuilt nor meaningful. The draws are copied into one complex stack and
+    freed before the QR, so the block's peak is the QR's four (G, B, M, M)
+    stacks (see ``_bases_per_block``).
     """
-    m = v_seed.size
-    z = _stacked_normals(rng_seed, indices, (m - 1, 2, m))
-    a = np.empty((len(indices), m, m), dtype=np.complex128)
-    a[:, :, 0] = v_seed
-    a.real[:, :, 1:] = z[:, :, 0].transpose(0, 2, 1)
-    a.imag[:, :, 1:] = z[:, :, 1].transpose(0, 2, 1)
+    n_trials, m = v_seeds.shape
+    z = _stacked_normals(rng_seeds, indices, (m - 1, 2, m))
+    a = np.empty((n_trials, len(indices), m, m), dtype=np.complex128)
+    a[..., 0] = v_seeds[:, np.newaxis]
+    a.real[..., 1:] = z[:, :, :, 0].swapaxes(-1, -2)
+    a.imag[..., 1:] = z[:, :, :, 1].swapaxes(-1, -2)
     del z  # before the QR makes its own copies of a
     bases, r = np.linalg.qr(a)
     # Seed norm check, then per column j: j projections of 2M MACs and a norm.
-    charges = [(m + (m - 1) * m * (m + 1), m * (m - 1))] * len(indices)
-    dependent = np.flatnonzero(
-        np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) < RESIDUAL_FLOOR
-    )
-    for i in dependent:
+    charges = np.empty((n_trials, len(indices), 2), dtype=np.int64)
+    charges[...] = (m + (m - 1) * m * (m + 1), m * (m - 1))
+    dependent = np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1) < RESIDUAL_FLOOR
+    failures = {}
+    for t, i in zip(*(axis.tolist() for axis in dependent.nonzero())):
+        if t in failures:
+            continue
         rebuild = OpLedger()
         try:
-            bases[i] = gram_schmidt_extend(v_seed, stream(rng_seed, indices[i]), rebuild)
+            bases[t, i] = gram_schmidt_extend(v_seeds[t], stream(rng_seeds[t], indices[i]), rebuild)
         except BasisConstructionError as exc:
-            return bases[:i], [*charges[:i], (rebuild.complex_macs, rebuild.divisions)], exc
-        charges[i] = (rebuild.complex_macs, rebuild.divisions)
-    return bases, charges, None
+            failures[t] = (i, exc)
+        charges[t, i] = (rebuild.complex_macs, rebuild.divisions)
+    return bases, charges, failures
 
 
 def _correlations(h_cand_t: np.ndarray, directions: np.ndarray, cand_norms: np.ndarray):
-    """|h_c^H v| / |h_c|, clipped to [0, 1], for every candidate c and direction v.
+    """|h_c^H v| / |h_c|, clipped to [0, 1], for every candidate c and direction v of each trial.
 
-    ``directions`` is a (B, M, D) stack and the result is (B, C, D). The
-    complex products are formed a few bases at a time, each within a
-    quarter of ``_BLOCK_BUDGET`` float64 elements, so only the float result
-    exists at full block size.
+    ``h_cand_t`` is a (G, C, M) stack of conjugated candidate channels,
+    ``directions`` a (G, B, M, D) stack and ``cand_norms`` (G, C); the
+    result is (G, B, C, D). The complex products are formed a few bases at
+    a time, each within a quarter of ``_BLOCK_BUDGET`` float64 elements, as
+    (G', 1, C, M) @ (G', B', M, D) over the whole bases of as many trials as
+    fit, or part of one trial's; so only the float result exists at full
+    block size.
     """
-    n_bases, _, n_steps = directions.shape
-    corr = np.empty((n_bases, len(h_cand_t), n_steps))
-    step = max(1, _BLOCK_BUDGET // (8 * len(h_cand_t) * n_steps))
-    for s in range(0, n_bases, step):
-        np.abs(h_cand_t @ directions[s : s + step], out=corr[s : s + step])
-    corr /= cand_norms[:, np.newaxis]
+    n_trials, n_bases, _, n_steps = directions.shape
+    n_cand = h_cand_t.shape[1]
+    corr = np.empty((n_trials, n_bases, n_cand, n_steps))
+    step = max(1, _BLOCK_BUDGET // (8 * n_cand * n_steps))
+    bases_step, trials_step = min(step, n_bases), max(1, step // n_bases)
+    for t in range(0, n_trials, trials_step):
+        for s in range(0, n_bases, bases_step):
+            np.abs(
+                h_cand_t[t : t + trials_step, np.newaxis]
+                @ directions[t : t + trials_step, s : s + bases_step],
+                out=corr[t : t + trials_step, s : s + bases_step],
+            )
+    corr /= cand_norms[:, np.newaxis, :, np.newaxis]
     np.clip(corr, 0.0, 1.0, out=corr)
     return corr
 
 
-def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rate: float, alpha: float):
+def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rates: np.ndarray, alpha: float):
     """Greedy direction filling of ``ss_us`` on every basis of a block at once.
 
-    ``corr`` is (B, C, D): candidate correlations with directions 1..D. It
-    is only read, so every alpha matches on the same stack; step k scores
-    direction k as ``corr[:, :, k]`` times the candidate rates, with the
-    candidates already matched in that basis masked to -inf.
-    Returns four arrays, one row per basis: the mean weight (B,), the picks
-    (B, D), the best scores (B, D) and the comparisons (B,). ``picks`` holds
-    the candidate matched to each direction, or -1 where the direction
+    ``corr`` is (B, C, D): candidate correlations with directions 1..D, one
+    row per basis, whichever trial it belongs to; ``cand_rates`` (B, C) and
+    ``seed_rates`` (B,) are the rates of that trial's candidates and seed
+    user. ``corr`` is only read, so every alpha matches on the same stack;
+    step k scores direction k as ``corr[:, :, k]`` times the candidate
+    rates, with the candidates already matched in that basis masked to
+    -inf. Returns four arrays, one row per basis: the mean weight (B,), the
+    picks (B, D), the best scores (B, D) and the comparisons (B,). ``picks``
+    holds the candidate matched to each direction, or -1 where the direction
     stays unfilled; the weights of a basis are the seed rate and then the
     best scores of its filled directions, in direction order, and its mean
     weight is their ``math.fsum`` over their count. A step costs one
@@ -411,7 +500,7 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rate: float, alp
     comparisons = (n_cand - (np.cumsum(filled, axis=1) - filled)).sum(axis=1)
     sums = [
         math.fsum((seed_rate, *itertools.compress(w, f)))
-        for w, f in zip(best.tolist(), filled.tolist())
+        for seed_rate, w, f in zip(seed_rates.tolist(), best.tolist(), filled.tolist())
     ]
     return np.array(sums) / (1 + filled.sum(axis=1)), picks, best, comparisons
 
@@ -610,7 +699,10 @@ def _bordered_rates(w_inv, inv_diag, cross, cand_energy, trace, m, n0):
     schur = cand_energy - (proj * proj_bar).real.sum(axis=-2)
     v_bar = w_inv.swapaxes(-1, -2) @ proj_bar
     positive = schur > 0.0
-    last = np.reciprocal(schur, out=np.ones_like(schur), where=positive)[..., np.newaxis, :]
+    # A Schur complement near the float64 floor overflows to an infinite
+    # inverse diagonal, whose bound then certifies nothing.
+    with np.errstate(over="ignore"):
+        last = np.reciprocal(schur, out=np.ones_like(schur), where=positive)[..., np.newaxis, :]
     diag = np.concatenate(
         (inv_diag[..., np.newaxis] + (v_bar * v_bar.conj()).real * last, last), axis=-2
     )

@@ -21,7 +21,7 @@ from mimosel.harness import (
     run_monte_carlo,
     run_trial,
 )
-from mimosel.seeding import derive_seed
+from mimosel.seeding import derive_seed, stream
 from mimosel.selectors import Algorithm
 from test_ssus_blocks import ZeroStream, script_bases
 
@@ -259,6 +259,92 @@ class TestRunTrial:
         full = run_trial(cfg, point, algo_instances(cfg), 0)
         only_sus = run_trial(cfg, point, [AlgoInstance(Algorithm.SUS)], 0)
         assert full.channel_hash == only_sus.channel_hash
+
+
+class TestTrialChunks:
+    """``_trial_chunk`` draws its trials a chunk at a time and runs each one.
+
+    The benchmark's span tracer replaces ``harness._trial_chunk`` and counts
+    the calls of the module-level ``harness.run_trial``, one per trial. A
+    trial's report must not depend on which trials share its chunk. Trial 3
+    exhausts its redraws at basis 3, so its L = 5 cell fails and its L = 2
+    cell does not, and trial 5 has a non-finite channel, so all its cells
+    fail.
+    """
+
+    CFG = tiny_config(
+        trials=7,
+        algorithms=("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive"),
+        ssus_num_bases=(2, 5),
+    )
+
+    @pytest.fixture
+    def failing_trials(self, monkeypatch):
+        cfg = self.CFG
+        bad_seed = derive_seed(cfg.master_seed, 0, 3, harness._ROLE_SELECT)
+        script_bases(
+            monkeypatch, lambda seed, l: ZeroStream() if (seed, l) == (bad_seed, 3) else None
+        )
+        real_generate = harness.generate_iid_rayleigh
+        nan_channel = real_generate(4, 10, stream(cfg.master_seed, 0, 5, harness._ROLE_CHANNEL))
+
+        def generate(m, u, rng):
+            h = real_generate(m, u, rng)
+            if np.array_equal(h, nan_channel):
+                h[0, 0] = np.nan
+            return h
+
+        monkeypatch.setattr(harness, "generate_iid_rayleigh", generate)
+
+    def run_chunks(self, monkeypatch, size):
+        monkeypatch.setattr(harness, "_trials_per_chunk", lambda point: size)
+        point = grid_points(self.CFG)[0]
+        indices = list(range(self.CFG.trials))
+        return harness._trial_chunk((self.CFG, point, algo_instances(self.CFG), indices))
+
+    @staticmethod
+    def key(report):
+        """The report without wall times, with each SE as its bytes."""
+        cells = {
+            inst: dataclasses.replace(cell, se=np.float64(cell.se).tobytes(), wall_ns=0)
+            for inst, cell in report.cells.items()
+        }
+        return report.trial_index, report.channel_hash, cells
+
+    def test_run_trial_runs_once_per_trial(self, monkeypatch):
+        calls = []
+        real_run_trial = harness.run_trial
+
+        def counting(cfg, point, instances, trial_index, *drawn):
+            calls.append(trial_index)
+            return real_run_trial(cfg, point, instances, trial_index, *drawn)
+
+        monkeypatch.setattr(harness, "run_trial", counting)
+        for size in (1, 3, self.CFG.trials):
+            calls.clear()
+            reports = self.run_chunks(monkeypatch, size)
+            assert calls == list(range(self.CFG.trials))
+            assert [r.trial_index for r in reports] == calls
+
+    def test_chunk_size_does_not_change_the_reports(self, monkeypatch, failing_trials):
+        point = grid_points(self.CFG)[0]
+        instances = algo_instances(self.CFG)
+        want = [self.key(run_trial(self.CFG, point, instances, t)) for t in range(self.CFG.trials)]
+        short, long = instances[:2]
+        errors = {t: {i for i, cell in cells.items() if cell.error} for t, _, cells in want}
+        assert errors == {t: set() for t in range(7)} | {3: {long}, 5: set(instances)}
+        assert (short.num_bases, long.num_bases) == (2, 5)
+        for size in (1, 3, self.CFG.trials):
+            assert [self.key(r) for r in self.run_chunks(monkeypatch, size)] == want
+
+    def test_workers_do_not_change_the_output(self, failing_trials, capsys):
+        outputs = []
+        for workers in (1, 2):
+            rows = run_monte_carlo(dataclasses.replace(self.CFG, workers=workers))
+            outputs.append((emit(rows, "csv"), emit(rows, "json"), capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2].count("\n") == 7  # every row lost trial 5, L = 5 lost trial 3 too
+        assert "failed ssus (L=5, alpha=0.45) at m4_u10_p-90: 2 of 7 trials" in outputs[0][2]
 
 
 class TestAggregation:

@@ -143,14 +143,16 @@ class TestStackedNormals:
     NUMPY = f"the default_rng seeding port no longer matches numpy {np.__version__}"
 
     def test_vectorised_seeds_equal_derive_seed(self):
-        for rng_seed in KEY_SEEDS:
-            got = seeding._stream_seeds(rng_seed, range(1000)).tolist()
-            assert got == [derive_seed(rng_seed, l) for l in range(1000)], self.NUMPY
+        got = seeding._stream_seeds(KEY_SEEDS, range(1000)).tolist()
+        want = [[derive_seed(rng_seed, l) for l in range(1000)] for rng_seed in KEY_SEEDS]
+        assert got == want, self.NUMPY
 
     def test_states_and_draws_equal_default_rng(self):
         seeds = np.concatenate(
-            [seeding._stream_seeds(rng_seed, range(1000)) for rng_seed in KEY_SEEDS]
-            + [np.array(EDGE_SEEDS, dtype=np.uint64)]
+            [
+                seeding._stream_seeds(KEY_SEEDS, range(1000)).ravel(),
+                np.array(EDGE_SEEDS, dtype=np.uint64),
+            ]
         )
         assert seeds.size >= 3000
         ported = np.random.Generator(np.random.PCG64())
@@ -173,9 +175,15 @@ class TestStackedNormals:
     @pytest.mark.parametrize("m", [2, 3, 8, 16])
     def test_block_equals_stacked_streams(self, m):
         shape = (m - 1, 2, m)
-        for size in (1, 2, 3, 8, 10, 34, 100):
-            for start in (0, 997):
-                indices = range(start, start + size)
-                got = seeding._stacked_normals(31 + m, indices, shape)
-                want = np.stack([stream(31 + m, l).standard_normal(shape) for l in indices])
-                assert got.tobytes() == want.tobytes(), f"{self.NUMPY} (B = {size})"
+        for rng_seeds in ([31 + m], [31 + m, 2**64 - 1, 0]):
+            for size in (1, 2, 3, 8, 10, 34, 100):
+                for start in (0, 997):
+                    indices = range(start, start + size)
+                    got = seeding._stacked_normals(rng_seeds, indices, shape)
+                    want = np.stack(
+                        [
+                            [stream(rng_seed, l).standard_normal(shape) for l in indices]
+                            for rng_seed in rng_seeds
+                        ]
+                    )
+                    assert got.tobytes() == want.tobytes(), f"{self.NUMPY} (B = {size})"

@@ -214,7 +214,7 @@ def bases_as_ss_us_builds_them(v, rng_seed, l):
     """The first ``l`` bases, built in blocks of ``BLOCK``."""
     return np.concatenate(
         [
-            sel._basis_block(v, rng_seed, range(s, min(s + BLOCK, l)))[0]
+            sel._basis_block(v[np.newaxis], [rng_seed], range(s, min(s + BLOCK, l)))[0][0]
             for s in range(0, l, BLOCK)
         ]
     )
@@ -234,7 +234,7 @@ class TestBatchedBases:
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_columns_are_gram_schmidt_columns_up_to_phase(self, m):
         v = unit_seed(m, 1)
-        bases, _, _ = sel._basis_block(v, 31, range(BLOCK))
+        [bases], _, _ = sel._basis_block(v[np.newaxis], [31], range(BLOCK))
         for l, basis in enumerate(bases):
             phase0 = np.vdot(v, basis[:, 0])
             assert abs(abs(phase0) - 1.0) <= 1e-12
@@ -253,12 +253,12 @@ class TestBatchedBases:
 
     def test_ledger_charges_gram_schmidt_cost_per_basis(self):
         v = unit_seed(8, 3)
-        _, charges, failure = sel._basis_block(v, 6, range(3))
-        assert failure is None
-        for l, charge in enumerate(charges):
+        _, [charges], failures = sel._basis_block(v[np.newaxis], [6], range(3))
+        assert failures == {}
+        for l, charge in enumerate(charges.tolist()):
             per_basis = OpLedger()
             gram_schmidt_extend(v, sel.stream(6, l), per_basis)
-            assert charge == (per_basis.complex_macs, per_basis.divisions)
+            assert charge == [per_basis.complex_macs, per_basis.divisions]
             assert per_basis.comparisons == 0
 
 
@@ -288,21 +288,22 @@ class ZeroStream:
 def script_bases(monkeypatch, script):
     """Feed basis l the draws of ``script(seed, l)``, or its own where that is None.
 
-    A block draws its bases through ``sel._stacked_normals`` and a
-    Gram-Schmidt fallback opens its basis afresh through
-    ``sel.stream(seed, l)``; both are patched, and ``script`` is called on
-    every opening, so a scripted basis starts its script again in each.
-    Calls of ``sel.stream`` with another key, such as ``random``'s
+    A block draws the bases of one or more trials through
+    ``sel._stacked_normals`` and a Gram-Schmidt fallback opens its basis
+    afresh through ``sel.stream(seed, l)``; both are patched, and ``script``
+    is called on every opening, so a scripted basis starts its script again
+    in each. Calls of ``sel.stream`` with another key, such as ``random``'s
     ``stream(seed)``, pass through.
     """
     real_normals, real_stream = sel._stacked_normals, sel.stream
 
-    def scripted_normals(seed, indices, shape):
-        z = real_normals(seed, indices, shape)
-        for row, l in zip(z, indices):
-            scripted = script(seed, l)
-            if scripted is not None:
-                row[...] = scripted.standard_normal(shape)
+    def scripted_normals(seeds, indices, shape):
+        z = real_normals(seeds, indices, shape)
+        for rows, seed in zip(z, seeds):
+            for row, l in zip(rows, indices):
+                scripted = script(seed, l)
+                if scripted is not None:
+                    row[...] = scripted.standard_normal(shape)
         return z
 
     def scripted_stream(seed, *key):
@@ -576,7 +577,7 @@ def test_block_sizes_of_the_committed_workloads():
 
 def outcome_key(outcome, ledger):
     """Everything a variant returns, with floats as bytes."""
-    if isinstance(outcome, BasisConstructionError):
+    if isinstance(outcome, Exception):
         return type(outcome), str(outcome), ledger
     return (
         outcome.selected,
@@ -606,33 +607,76 @@ def test_block_size_does_not_change_the_answer(monkeypatch, m, u, k_max, l_bad):
         assert got == want
 
 
+@pytest.mark.parametrize("m, u, k_max", [(2, 10, 2), (4, 10, 4), (8, 30, 5), (16, 100, 16)])
+def test_chunk_does_not_change_the_answer(monkeypatch, m, u, k_max):
+    """Each trial of a chunk gets what a lone call on its channel gets.
+
+    Whatever the chunk and block sizes: blocks of whole trials (the
+    default, and 23 bases, which hold two trials' 11 bases) and blocks of
+    part of one trial's bases (1 and 3). Trial 2 exhausts its redraws at
+    basis 5 and trial 4 has a non-finite channel; each fails alone.
+    """
+    n_trials = 7
+    hs = np.stack([generate_iid_rayleigh(m, u, stream(5500, m, u, t)) for t in range(n_trials)])
+    hs[4, 0, 1] = np.nan
+    seeds = [90 + t for t in range(n_trials)]
+    script_bases(monkeypatch, lambda seed, l: ZeroStream() if (seed, l) == (92, 5) else None)
+    variants = [(1, 0.3), (4, 0.6), (6, 0.45), (11, 0.3)]
+    want = []
+    for h, seed in zip(hs, seeds):
+        try:
+            want.append([outcome_key(*v) for v in sel.ss_us_variants(h, k_max, seed, N0, variants)])
+        except ValueError as exc:
+            want.append([outcome_key(exc, OpLedger())] * len(variants))
+    assert [len(key) for key in want[2]] == [6, 6, 3, 3] and len(want[4][0]) == 3
+    for block in (None, 1, 3, 23):
+        if block is not None:
+            set_block_size(monkeypatch, block)
+        for size in (1, 3, n_trials):
+            got = []
+            for lo in range(0, n_trials, size):
+                part = slice(lo, lo + size)
+                chunk = sel.ss_us_trials(hs[part], k_max, seeds[part], N0, variants)
+                got += [[outcome_key(*v) for v in trial] for trial in chunk]
+            assert got == want, (block, size)
+
+
 def test_correlations_equal_the_unchunked_product(monkeypatch):
-    m, u, n_dirs = 8, 40, 6
-    h = generate_iid_rayleigh(m, u, stream(5200))
-    h_cand_t = h[:, 1:].conj().T
-    norms = np.linalg.norm(h[:, 1:], axis=0)
-    v = unit_seed(m, 4)
-    directions = sel._basis_block(v, 9, range(13))[0][:, :, 1:n_dirs]
-    want = np.clip(np.abs(h_cand_t @ directions) / norms[:, np.newaxis], 0.0, 1.0)
-    # A budget this small forms the complex products one basis at a time.
-    monkeypatch.setattr(sel, "_BLOCK_BUDGET", 1)
+    m, u, n_dirs, n_bases = 8, 40, 6, 13
+    hs = np.stack([generate_iid_rayleigh(m, u, stream(5200, t)) for t in range(3)])
+    h_cand_t = np.ascontiguousarray(hs[:, :, 1:].conj().swapaxes(1, 2))
+    norms = np.linalg.norm(hs[:, :, 1:], axis=1)
+    v = np.stack([unit_seed(m, 4 + t) for t in range(3)])
+    directions = sel._basis_block(v, [9, 10, 11], range(n_bases))[0][..., 1:n_dirs]
+    want = np.stack(
+        [
+            np.clip(np.abs(h_cand_t[t] @ directions[t]) / norms[t, :, np.newaxis], 0.0, 1.0)
+            for t in range(3)
+        ]
+    )
     assert sel._correlations(h_cand_t, directions, norms).tobytes() == want.tobytes()
-    monkeypatch.undo()
-    assert sel._correlations(h_cand_t, directions, norms).tobytes() == want.tobytes()
+    # Budgets this small form the products of one basis, of part of a
+    # trial's bases, and of the bases of two trials.
+    for step in (1, 5, 26):
+        monkeypatch.setattr(sel, "_BLOCK_BUDGET", 8 * (u - 1) * (n_dirs - 1) * step)
+        assert sel._correlations(h_cand_t, directions, norms).tobytes() == want.tobytes()
 
 
 def test_match_block_leaves_corr_unchanged():
-    m, u = 8, 60
+    m, u, n_bases = 8, 60, 9
     h = generate_iid_rayleigh(m, u, stream(5300))
     norms = np.linalg.norm(h, axis=0)
     rates = np.log2(1.0 + norms**2 / N0)
-    directions = sel._basis_block(unit_seed(m, 5), 12, range(9))[0][:, :, 1:]
-    corr = sel._correlations(h[:, 1:].conj().T, directions, norms[1:])
+    directions = sel._basis_block(unit_seed(m, 5)[np.newaxis], [12], range(n_bases))[0][..., 1:]
+    corr = sel._correlations(
+        h[np.newaxis, :, 1:].conj().swapaxes(1, 2), directions, norms[np.newaxis, 1:]
+    ).reshape(n_bases, u - 1, m - 1)
+    cand_rates, seed_rates = np.tile(rates[1:], (n_bases, 1)), np.full(n_bases, rates[0])
     before = corr.copy()
-    rows = {alpha: sel._match_block(corr, rates[1:], rates[0], alpha) for alpha in (0.6, 0.3)}
+    rows = {alpha: sel._match_block(corr, cand_rates, seed_rates, alpha) for alpha in (0.6, 0.3)}
     assert corr.tobytes() == before.tobytes()
     for alpha, got in rows.items():
-        want = sel._match_block(before.copy(), rates[1:], rates[0], alpha)
+        want = sel._match_block(before.copy(), cand_rates, seed_rates, alpha)
         assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
     # Both alphas matched something, and differently.
     picks = {alpha: got[1] for alpha, got in rows.items()}
@@ -663,3 +707,21 @@ def test_working_set_of_one_call_is_bounded(m, variants, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mb * 1e6
+
+
+def test_working_set_of_a_chunk_is_bounded_by_the_budget():
+    # What a chunk call of 64 trials holds beyond the outcomes it returns
+    # stays within the bound of one trial's call (PEAK_CASES "16"): the
+    # blocks, not the number of trials, set the working set.
+    m, variants = 16, [(1, 0.45), (10, 0.45), (100, 0.45)]
+    hs = np.stack([generate_iid_rayleigh(m, 100, stream(5400, m, t)) for t in range(64)])
+    seeds = list(range(64))
+    sel.ss_us_trials(hs[:2], m, seeds[:2], N0, variants)
+    tracemalloc.start()
+    try:
+        outcomes = sel.ss_us_trials(hs, m, seeds, N0, variants)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == 64
+    assert peak - kept <= 0.8e6

@@ -597,3 +597,26 @@ def test_stop_within_the_error_bound_is_settled_by_the_kernel(monkeypatch):
     assert gzf(h, 1.0, 2, ledger).selected == reference_gzf(h, 1.0, 2, expected) == (0,)
     assert ledger == expected
     assert scored == [[[0, 1]]]
+
+
+def test_column_near_the_float64_floor_selects_without_warnings():
+    # A column of norm about 1e-160 has an energy near the float64 floor:
+    # its bordered inverse diagonal and its kernel entries overflow to
+    # infinity, and the guards must reject its sets without a warning,
+    # which pyproject's filter turns into an error.
+    h = generate_iid_rayleigh(4, 12, stream(6100))
+    h[:, 5] *= 1e-160
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    # The per-set references overflow as well; only the package must not warn.
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+        want = [(reference_gzf(h, n0, 4, ledger := OpLedger()), ledger)]
+        mp.setattr(selectors, "_best_subset", reference_best_subset)
+        want += [
+            (fn(h, n0, 4, ledger := OpLedger()).selected, ledger)
+            for fn in (exhaustive_oracle, mcore_plus)
+        ]
+    got = [
+        (fn(h, n0, 4, ledger := OpLedger()).selected, ledger)
+        for fn in (gzf, exhaustive_oracle, mcore_plus)
+    ]
+    assert got == want
