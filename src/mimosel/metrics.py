@@ -67,9 +67,8 @@ def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
     """ZF post-processing SNRs of a (P, M, K) stack of selected channels.
 
     Returns ``ok``, a (P,) mask of the sets that pass the ``COND_LIMIT``
-    guard, and ``snr``, the (n_ok, K) per-stream SNRs of those sets. Each
-    set is charged its Gram matrix, and each set that passes its Cholesky
-    inverse and K divisions.
+    guard, and ``snr``, the (n_ok, K) per-stream SNRs of those sets, charged
+    by ``_charge_zf``.
 
     The whole stack is factored first. A set is certified when
     trace(G) trace(inv(G)), an upper bound on cond(G), is at most
@@ -85,7 +84,6 @@ def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
         raise ValueError(f"require 1 <= K <= M for zero forcing, got K={k}, M={m}")
     _require("n0", n0, _POSITIVE)
     gram = h_stack.conj().transpose(0, 2, 1) @ h_stack
-    ledger.complex_macs += p * k * k * m
     try:
         gram_inv_diag = _gram_inv_diag(gram)
     except np.linalg.LinAlgError:
@@ -98,10 +96,20 @@ def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
             unsure = ~ok
             ok[unsure] = _eigen_guard(gram[unsure])
             gram_inv_diag = gram_inv_diag[ok]
-    n_ok = len(gram_inv_diag)
-    ledger.complex_macs += n_ok * k**3
-    ledger.divisions += n_ok * k
+    _charge_zf(ledger, m, k, p, len(gram_inv_diag))
     return ok, 1.0 / (n0 * gram_inv_diag)
+
+
+def _charge_zf(ledger: OpLedger, m: int, k: int, scored: int, passed: int) -> None:
+    """Charge the ZF price of ``scored`` M x K sets, of which ``passed`` pass the guard.
+
+    Each set costs its Gram matrix, K^2 M MACs; each that passes, its
+    Cholesky inverse, K^3 MACs, and K divisions. Paths that rank a set
+    without the kernel charge it here too, so ledgers do not depend on the
+    path.
+    """
+    ledger.complex_macs += scored * k * k * m + passed * k**3
+    ledger.divisions += passed * k
 
 
 def zf_post_snr(h_sel, n0: float, ledger: OpLedger) -> np.ndarray:

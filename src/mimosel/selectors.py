@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
-from .metrics import COND_LIMIT, sum_spectral_efficiency, zf_sum_rate_batch
+from .metrics import COND_LIMIT, _charge_zf, sum_spectral_efficiency, zf_sum_rate_batch
 from .numerics import (
     RESIDUAL_FLOOR,
     BasisConstructionError,
@@ -39,7 +39,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionResult",
     "ss_us",
-    "ss_us_variants",
     "ss_us_trials",
     "sus",
     "gzf",
@@ -142,24 +141,25 @@ def infeasible_reason(algorithm: Algorithm, m: int, u: int, k: int) -> str | Non
     return None
 
 
-def _as_channel(h) -> np.ndarray:
+def _as_channel(h) -> tuple[np.ndarray, np.ndarray]:
+    """The channel ``h`` as a checked complex (M, U) array, and its column norms."""
     arr = np.asarray(h, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"channel matrix must be 2-D, got shape {arr.shape}")
     m, u = arr.shape
     if m < 1 or u < 1:
         raise ValueError(f"channel matrix must be at least 1x1, got {m}x{u}")
-    if not np.isfinite(arr).all():
-        raise ValueError("channel matrix contains a non-finite entry")
-    if not arr.any(axis=0).all():
-        raise ValueError("channel matrix contains an all-zero column")
-    return arr
-
-
-def _column_norms(h: np.ndarray, ledger: OpLedger) -> np.ndarray:
-    m, u = h.shape
-    ledger.complex_macs += u * m
-    return np.linalg.norm(h, axis=0)
+    # A non-finite entry makes its column's norm non-finite, so one check on
+    # the norms covers both; the entries are looked at only on failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(arr, axis=0)
+    if not np.isfinite(norms).all():
+        if not np.isfinite(arr).all():
+            raise ValueError("channel matrix contains a non-finite entry")
+        raise ValueError("channel matrix contains a column whose norm overflows")
+    if not norms.all():
+        raise ValueError("channel matrix contains an all-zero column, or one whose norm underflows")
+    return arr, norms
 
 
 def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
@@ -175,12 +175,14 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     basis is the same up to phase and rounding decides which index wins;
     the selection, weights and metric are the same whichever it is.
 
-    This is ``ss_us_variants`` with the single variant of ``cfg``; the
-    ledger is charged what that variant is charged there, and a
-    :class:`BasisConstructionError` is raised after the charges.
+    This is ``ss_us_trials`` on a chunk of one trial, the channel ``h``,
+    with the single variant of ``cfg``; the ledger is charged what that
+    variant is charged there, and a :class:`BasisConstructionError` is
+    raised after the charges. A channel that ``ss_us_trials`` would fail
+    raises its ``ValueError`` here.
     """
-    [(outcome, charged)] = ss_us_variants(
-        h, cfg.k_max, cfg.rng_seed, n0, [(cfg.num_bases, cfg.alpha)]
+    [[(outcome, charged)]] = ss_us_trials(
+        _as_channel(h)[0][np.newaxis], cfg.k_max, [cfg.rng_seed], n0, [(cfg.num_bases, cfg.alpha)]
     )
     ledger.complex_macs += charged.complex_macs
     ledger.divisions += charged.divisions
@@ -190,54 +192,45 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     return outcome
 
 
-def ss_us_variants(h, k_max: int, rng_seed: int, n0: float, variants):
-    """``ss_us`` for every (num_bases, alpha) pair of ``variants`` in one pass.
-
-    This is ``ss_us_trials`` on a chunk of one trial: the channel ``h``,
-    with its bases drawn from ``rng_seed``. The seed user, the bases and
-    their correlations are built once, for the largest L, and each distinct
-    alpha matches users on them; every variant's outcome and ledger are
-    those of ``ss_us`` with that variant alone. A channel that ``ss_us``
-    rejects raises its ``ValueError`` here.
-    """
-    [outcomes] = ss_us_trials(_as_channel(h)[np.newaxis], k_max, [rng_seed], n0, variants)
-    return outcomes
-
-
 def ss_us_trials(hs, k_max: int, rng_seeds, n0: float, variants):
     """``ss_us`` for every trial of a chunk and every (num_bases, alpha) pair of ``variants``.
 
-    ``hs`` is a (T, M, U) stack of channels and trial t draws its bases
-    from ``rng_seeds[t]``. Basis l of a trial depends only on (its seed, l),
-    and alpha enters only the matching, so each trial's seed user, bases and
-    correlations are built once, for the largest L, a block at a time (see
-    ``_basis_block`` and ``_correlations``), and each distinct alpha matches
-    users on every block (see ``_match_block``). A block holds as many bases
-    as its largest stack fits in ``_BLOCK_BUDGET`` (see
-    ``_bases_per_block``): the L bases of as many trials as fit, or part of
-    one trial's bases where its L bases do not fit. Neither the block size
-    nor the trials that share a block change any outcome or charge. That
-    fills a table with one row per basis of each trial: its construction
-    charges and, per alpha, its match, held as one array per field of the
-    match. A variant with L bases reads its trial's first L rows; only its
-    winner's weights become a tuple.
+    This is the one entry point of the space-splitting engine; ``ss_us`` is
+    its case of one trial and one variant. ``hs`` is a (T, M, U) stack of
+    channels and trial t draws its bases from ``rng_seeds[t]``. Basis l of
+    a trial depends only on (its seed, l), and alpha enters only the
+    matching, so each trial's seed user, bases and correlations are built
+    once, for the largest L, a block at a time (see ``_basis_block`` and
+    ``_correlations``), and each distinct alpha matches users on every
+    block (see ``_match_block``). A block holds as many bases as its
+    largest stack fits in ``_BLOCK_BUDGET`` (see ``_bases_per_block``): the
+    L bases of as many trials as fit, or part of one trial's bases where
+    its L bases do not fit. Neither the block size nor the trials that
+    share a block change any outcome or charge. That fills a table with one
+    row per basis of each trial: its construction charges and, per alpha,
+    its match, held as one array per field of the match. A variant with L
+    bases reads its trial's first L rows; only its winner's weights become
+    a tuple.
 
     Returns, per trial, one (outcome, ledger) pair per variant, in order.
     The outcome is the :class:`SelectionResult` of ``ss_us`` with that
     variant alone, or the error it would raise. A channel that ``ss_us``
     rejects fails its own trial: each variant gets the ``ValueError`` and an
-    empty ledger. A fallback that exhausts its redraws at basis j fails only
-    the variants of its trial with L > j. The ledger holds what that call
-    charges: the common charges plus, for each of its first L bases, the
-    basis's construction and correlation charges and the match comparisons
-    at its alpha. A failed variant's ledger stops at the failing basis,
-    which adds what its fallback charged.
+    empty ledger. A fallback that exhausts its redraws at basis j fails
+    only the variants of its trial with L > j. The ledger holds what that
+    call charges: the common charges plus, for each of its first L bases,
+    the basis's construction and correlation charges and the match
+    comparisons at its alpha. A failed variant's ledger stops at the
+    failing basis, which adds what its fallback charged. A stack that is
+    not 3-D, a seed count that does not match it, a bad tunable or an
+    ``n0`` that is not positive raises ``ValueError`` for the whole call.
     """
     hs = np.asarray(hs, dtype=np.complex128)
     if hs.ndim != 3:
         raise ValueError(f"channel stack must be 3-D, got shape {hs.shape}")
     if len(rng_seeds) != len(hs):
         raise ValueError(f"{len(hs)} channels need as many seeds, got {len(rng_seeds)}")
+    _require("n0", n0, _POSITIVE)
     for num_bases, alpha in variants:
         SelectionConfig(Algorithm.SSUS, k_max, num_bases, alpha)  # checks the tunables
     outcomes: list = [None] * len(hs)
@@ -513,9 +506,9 @@ def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult
     candidates whose correlation to that span exceeds ``cfg.sus_epsilon``,
     and selects the survivor with the largest residual norm.
     """
-    hm = _as_channel(h)
+    hm, norms = _as_channel(h)
     m, u = hm.shape
-    norms = _column_norms(hm, ledger)
+    ledger.complex_macs += u * m  # the column norms
     seed_user = int(np.argmax(norms))
     ledger.comparisons += max(u - 1, 0)
 
@@ -568,10 +561,10 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     kernel charges for it, so the ledger does not depend on which path
     scored it.
     """
-    hm = _as_channel(h)
+    hm, norms = _as_channel(h)
     m, u = hm.shape
     _require("k_max", k_max, _AT_LEAST_1)
-    norms = _column_norms(hm, ledger)
+    ledger.complex_macs += u * m  # the column norms
     seed_user = int(np.argmax(norms))
     ledger.comparisons += max(u - 1, 0)
 
@@ -603,8 +596,7 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
             n0,
         )
         n_sure = int(np.count_nonzero(sure))
-        ledger.complex_macs += n_sure * (k * k * m + k**3)
-        ledger.divisions += n_sure * k
+        _charge_zf(ledger, m, k, n_sure, n_sure)
         ledger.comparisons += pool.size
         if n_sure < pool.size:
             unsure = ~sure
@@ -720,12 +712,12 @@ def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     user, then enumerates every shortlist subset of 1..``k_max`` users and
     returns the one with the highest ZF sum spectral efficiency.
     """
-    hm = _as_channel(h)
+    hm, norms = _as_channel(h)
     m, u = hm.shape
     _require("k_max", k_max, _AT_LEAST_1)
     if reason := infeasible_reason(Algorithm.MCORE_PLUS, m, u, k_max):
         raise ValueError(reason)
-    norms = _column_norms(hm, ledger)
+    ledger.complex_macs += u * m  # the column norms
     order = np.argsort(-norms, kind="stable")
     ledger.comparisons += u * max(1, math.ceil(math.log2(max(u, 2))))
     pool = np.sort(order[: min(2 * m, u)])
@@ -874,8 +866,7 @@ class _SubsetSearch:
         m, k = self.h.shape[0], sets.shape[1]
         grown = k < self.max_size
         n_sure = int(np.count_nonzero(sure))
-        self.ledger.complex_macs += n_sure * (k * k * m + k**3)
-        self.ledger.divisions += n_sure * k
+        _charge_zf(self.ledger, m, k, n_sure, n_sure)
         self.ledger.comparisons += n_sure
         prefixes = []
         if n_sure < len(sets):
@@ -943,7 +934,7 @@ class _SubsetSearch:
 
 def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:
     """Uniform random K-subset of the users, deterministic given the stream."""
-    hm = _as_channel(h)
+    hm, _ = _as_channel(h)
     m, u = hm.shape
     _require("k", k, _AT_LEAST_1)
     if reason := infeasible_reason(Algorithm.RANDOM, m, u, k):
@@ -959,7 +950,7 @@ def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionRe
     ``EXHAUSTIVE_SUBSET_CAP`` subsets. Ties break toward the
     lexicographically smallest index list.
     """
-    hm = _as_channel(h)
+    hm, _ = _as_channel(h)
     m, u = hm.shape
     _require("k_max", k_max, _AT_LEAST_1)
     if reason := infeasible_reason(Algorithm.EXHAUSTIVE, m, u, k_max):

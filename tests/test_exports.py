@@ -18,6 +18,26 @@ def test_all_names_resolve(module):
     assert set(mod.__all__) <= set(namespace)
 
 
+def test_selectors_exports_are_pinned():
+    # A public selector name is added or removed only on purpose.
+    assert importlib.import_module("mimosel.selectors").__all__ == [
+        "Algorithm",
+        "SelectionConfig",
+        "SelectionResult",
+        "ss_us",
+        "ss_us_trials",
+        "sus",
+        "gzf",
+        "mcore_plus",
+        "random_select",
+        "exhaustive_oracle",
+        "run_selection",
+        "infeasible_reason",
+        "EXHAUSTIVE_SUBSET_CAP",
+        "MCORE_MAX_ANTENNAS",
+    ]
+
+
 def test_package_star_import():
     namespace = {}
     exec("from mimosel import *", namespace)

@@ -509,6 +509,18 @@ class TestFailedTrials:
         assert err.startswith("failed ssus (L=5, alpha=0.45) at m4_u10_p-90: 3 of 3 trials (")
         assert err.count("\n") == 1 and "redraws" in err
 
+    def test_non_positive_noise_fails_every_cell(self):
+        # ``ssus`` fails in its chunk call, ``gzf``, ``mcore_plus`` and
+        # ``exhaustive`` in selection, and ``sus`` and ``random``, which do
+        # not read n0, when their final sets are scored.
+        cfg = tiny_config(algorithms=("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive"))
+        point = dataclasses.replace(grid_points(cfg)[0], n0=0.0)
+        report = run_trial(cfg, point, algo_instances(cfg), 0)
+        assert len(report.cells) == 6
+        for cell in report.cells.values():
+            assert cell.error == "n0 must be positive, got 0.0"
+            assert cell.selected == () and math.isnan(cell.se)
+
     def test_clean_run_keeps_stderr_empty(self, capsys):
         run_monte_carlo(tiny_config(trials=3))
         assert capsys.readouterr().err == ""

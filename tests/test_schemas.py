@@ -25,6 +25,8 @@ from mimosel.selectors import (
     gzf,
     mcore_plus,
     random_select,
+    ss_us,
+    ss_us_trials,
 )
 
 MC_COLUMNS = [
@@ -167,8 +169,10 @@ class TestRuleMessages:
             lambda n0: gzf(H, n0, 2, OpLedger()),
             lambda n0: mcore_plus(H, n0, 2, OpLedger()),
             lambda n0: exhaustive_oracle(H, n0, 2, OpLedger()),
+            lambda n0: ss_us(H, SelectionConfig(Algorithm.SSUS, k_max=2), n0, OpLedger()),
+            lambda n0: ss_us_trials(H[np.newaxis], 2, [0], n0, [(1, 0.45)]),
         ],
-        ids=["sum_se", "kernel", "gzf", "mcore_plus", "exhaustive"],
+        ids=["sum_se", "kernel", "gzf", "mcore_plus", "exhaustive", "ss_us", "ss_us_trials"],
     )
     def test_noise_power(self, score, n0):
         raises(lambda: score(n0), f"n0 must be positive, got {n0}")

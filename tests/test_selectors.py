@@ -19,7 +19,7 @@ from mimosel.selectors import (
     random_select,
     run_selection,
     ss_us,
-    ss_us_variants,
+    ss_us_trials,
     sus,
 )
 
@@ -399,7 +399,6 @@ def test_non_finite_channel_is_one_value_error(k, bad):
     calls = [
         lambda: zf_post_snr(h, 1.0, OpLedger()),
         lambda: sum_spectral_efficiency(h, 1.0, OpLedger()),
-        lambda: ss_us_variants(h, k, 0, 1.0, [(1, 0.45), (9, 0.3)]),
     ] + [
         lambda algo=algo: run_selection(h, SelectionConfig(algo, k_max=k), 1.0, OpLedger())
         for algo in Algorithm
@@ -409,3 +408,29 @@ def test_non_finite_channel_is_one_value_error(k, bad):
             call()
         assert type(exc.value) is ValueError
         assert str(exc.value) == "channel matrix contains a non-finite entry"
+    # The chunk engine fails the trial, with that error for every variant.
+    [trial] = ss_us_trials(h[np.newaxis], k, [0], 1.0, [(1, 0.45), (9, 0.3)])
+    for outcome, ledger in trial:
+        assert type(outcome) is ValueError
+        assert str(outcome) == "channel matrix contains a non-finite entry"
+        assert ledger == OpLedger()
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        (1e-170, "channel matrix contains an all-zero column, or one whose norm underflows"),
+        (1e160, "channel matrix contains a column whose norm overflows"),
+    ],
+)
+def test_column_norm_out_of_float64_range_is_one_value_error(scale, message):
+    # At 1e-170 every entry squares to below the smallest subnormal, so each
+    # column norm is 0.0 although no entry is zero; at 1e160 each overflows.
+    h = generate_iid_rayleigh(4, 6, stream(1)) * scale
+    assert np.isfinite(h).all() and h.all()
+    for algo in Algorithm:
+        with pytest.raises(ValueError) as exc:
+            run_selection(h, SelectionConfig(algo, k_max=4), 1.0, OpLedger())
+        assert str(exc.value) == message
+    [trial] = ss_us_trials(h[np.newaxis], 4, [0], 1.0, [(1, 0.45), (3, 0.3)])
+    assert [(str(outcome), ledger) for outcome, ledger in trial] == [(message, OpLedger())] * 2

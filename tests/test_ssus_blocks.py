@@ -5,11 +5,12 @@ and matches users on every basis of a block at once; ``_bases_per_block``
 sizes the block from its working set. ``reference_ss_us`` below is the
 earlier implementation, one modified Gram-Schmidt basis and one greedy loop
 per basis; both must select the same users, match them to the same
-directions and charge the same ledger. ``ss_us_variants`` runs many
-(L, alpha) variants on one set of bases, and each of its variants must equal
-a lone ``ss_us`` call. The block size must not change any of it: tests that
-need block edges at known bases fix the size to ``BLOCK`` with the
-``fixed_blocks`` fixture.
+directions and charge the same ledger. ``ss_us_trials`` runs many
+(L, alpha) variants on one set of bases per trial; on a one-trial stack each
+of its variants must equal a lone ``ss_us`` call, and each trial of a larger
+stack must get what its one-trial stack gets. The block size must not change
+any of it: tests that need block edges at known bases fix the size to
+``BLOCK`` with the ``fixed_blocks`` fixture.
 """
 
 import collections
@@ -53,9 +54,9 @@ def fixed_blocks(monkeypatch):
 
 def reference_ss_us(h, cfg, n0, ledger):
     """Per-basis ``ss_us``: one Gram-Schmidt basis and one greedy loop each."""
-    hm = sel._as_channel(h)
+    hm, norms = sel._as_channel(h)
     m, u = hm.shape
-    norms = sel._column_norms(hm, ledger)
+    ledger.complex_macs += u * m  # the column norms
     ledger.divisions += u
     rates = np.log2(1.0 + norms**2 / n0)
     seed_user = int(np.argmax(norms))
@@ -389,7 +390,7 @@ class TestRedrawGuard:
 
 def assert_variants_match_lone_calls(h, k_max, rng_seed, variants):
     """One shared call against one ``ss_us`` call per variant, field by field."""
-    shared = sel.ss_us_variants(h, k_max, rng_seed, N0, variants)
+    [shared] = sel.ss_us_trials(h[np.newaxis], k_max, [rng_seed], N0, variants)
     assert len(shared) == len(variants)
     for (l, alpha), (got, got_ledger) in zip(variants, shared):
         cfg = SelectionConfig(
@@ -450,7 +451,7 @@ def test_shared_fallback_charges_only_variants_beyond_it(monkeypatch):
     norms = np.linalg.norm(h, axis=0)
     v = h[:, np.argmax(norms)] / norms.max()
     variants = [(2, 0.3), (3, 0.3), (4, 0.3), (3, 0.6), (9, 0.6), (17, 0.3)]
-    clean = sel.ss_us_variants(h, m, rng_seed, N0, variants)
+    [clean] = sel.ss_us_trials(h[np.newaxis], m, [rng_seed], N0, variants)
 
     real_stream = sel.stream
     prefix = dependent_prefix(v, 2, stream(4901))
@@ -526,7 +527,7 @@ def test_exhausted_redraws_at_block_edges_equal_lone_calls(monkeypatch, fixed_bl
     variants = [(l, a) for l in (1, 7, 8, 9, 16, 17) for a in (0.3, 0.6)]
     for m, u in ((4, 20), (8, 30)):
         h = generate_iid_rayleigh(m, u, stream(5000, m, l_bad))
-        shared = sel.ss_us_variants(h, m, 70 + l_bad, N0, variants)
+        [shared] = sel.ss_us_trials(h[np.newaxis], m, [70 + l_bad], N0, variants)
         for (l, alpha), (got, got_ledger) in zip(variants, shared):
             cfg = ssus_cfg(m, l, alpha, 70 + l_bad)
             want_ledger = OpLedger()
@@ -596,14 +597,16 @@ def test_block_size_does_not_change_the_answer(monkeypatch, m, u, k_max, l_bad):
         script_bases(monkeypatch, lambda seed, l: ZeroStream() if l == l_bad else None)
     variants = [(1, 0.3), (4, 0.6), (5, 0.3), (6, 0.45), (11, 0.3), (23, 0.6)]
     h = generate_iid_rayleigh(m, u, stream(5100, m, u, k_max))
-    want = [outcome_key(*v) for v in sel.ss_us_variants(h, k_max, 80, N0, variants)]
+    [trial] = sel.ss_us_trials(h[np.newaxis], k_max, [80], N0, variants)
+    want = [outcome_key(*v) for v in trial]
     # An exhausted rebuild at basis l_bad fails exactly the variants with L > l_bad.
     assert [len(key) == 3 for key in want] == [
         l_bad is not None and l > l_bad for l, _ in variants
     ]
     for size in (1, 3, 23):
         set_block_size(monkeypatch, size)
-        got = [outcome_key(*v) for v in sel.ss_us_variants(h, k_max, 80, N0, variants)]
+        [trial] = sel.ss_us_trials(h[np.newaxis], k_max, [80], N0, variants)
+        got = [outcome_key(*v) for v in trial]
         assert got == want
 
 
@@ -624,11 +627,10 @@ def test_chunk_does_not_change_the_answer(monkeypatch, m, u, k_max):
     variants = [(1, 0.3), (4, 0.6), (6, 0.45), (11, 0.3)]
     want = []
     for h, seed in zip(hs, seeds):
-        try:
-            want.append([outcome_key(*v) for v in sel.ss_us_variants(h, k_max, seed, N0, variants)])
-        except ValueError as exc:
-            want.append([outcome_key(exc, OpLedger())] * len(variants))
-    assert [len(key) for key in want[2]] == [6, 6, 3, 3] and len(want[4][0]) == 3
+        [trial] = sel.ss_us_trials(h[np.newaxis], k_max, [seed], N0, variants)
+        want.append([outcome_key(*v) for v in trial])
+    assert [len(key) for key in want[2]] == [6, 6, 3, 3]
+    assert want[4][0] == (ValueError, "channel matrix contains a non-finite entry", OpLedger())
     for block in (None, 1, 3, 23):
         if block is not None:
             set_block_size(monkeypatch, block)
@@ -684,7 +686,7 @@ def test_match_block_leaves_corr_unchanged():
     assert not np.array_equal(picks[0.6], picks[0.3])
 
 
-# Peak bytes that tracemalloc sees in one ss_us_variants call at U = 100.
+# Peak bytes that tracemalloc sees in one ss_us_trials call on one trial at U = 100.
 # With variants L 1/10/100: measured 0.73 MB at M = 16 (three blocks) and
 # 0.94 MB at M = 8 (one block of 100 bases); blocks of 8 peaked at 0.51 and
 # 0.24 MB. With L = 1,000 at three alphas, M = 16: measured 1.48 MB, where
@@ -698,11 +700,11 @@ PEAK_CASES = [
 
 @pytest.mark.parametrize("m, variants, bound_mb", PEAK_CASES)
 def test_working_set_of_one_call_is_bounded(m, variants, bound_mb):
-    h = generate_iid_rayleigh(m, 100, stream(5400, m))
-    sel.ss_us_variants(h, m, 3, N0, variants)
+    hs = generate_iid_rayleigh(m, 100, stream(5400, m))[np.newaxis]
+    sel.ss_us_trials(hs, m, [3], N0, variants)
     tracemalloc.start()
     try:
-        sel.ss_us_variants(h, m, 3, N0, variants)
+        sel.ss_us_trials(hs, m, [3], N0, variants)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

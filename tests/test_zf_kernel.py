@@ -599,6 +599,35 @@ def test_stop_within_the_error_bound_is_settled_by_the_kernel(monkeypatch):
     assert scored == [[[0, 1]]]
 
 
+def test_stop_after_a_certified_pick_rescores_the_current_rate(monkeypatch):
+    # User 1 is orthogonal to users 0 and 2, so {0, 1} is certified at step
+    # two and its rate carries a bordered tolerance. Adding user 2 then
+    # gains nothing to within one rounding, so the stop is settled by the
+    # kernel's rates of both {0, 1, 2} and the current set {0, 1}.
+    def channel(theta):
+        return np.array(
+            [[2.0, 0.0, 1.8 * np.cos(theta)], [0.0, 1.9, 0.0], [0.0, 0.0, 1.8 * np.sin(theta)]],
+            complex,
+        )
+
+    def gain(theta):
+        h = channel(theta)
+        rates = [zf_sum_rate_batch(h, [s], 1.0, OpLedger())[0] for s in ([0, 1, 2], [0, 1])]
+        return rates[0] - rates[1]
+
+    lo, hi = 0.01, np.pi / 2
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gain(mid) <= 0.0 else (lo, mid)
+    h = channel(lo)
+    assert -1e-14 < gain(lo) <= 0.0
+    scored = record_kernel_calls(monkeypatch)
+    ledger, expected = OpLedger(), OpLedger()
+    assert gzf(h, 1.0, 3, ledger).selected == reference_gzf(h, 1.0, 3, expected) == (0, 1)
+    assert ledger == expected
+    assert scored == [[[0, 1, 2]], [[0, 1]]]
+
+
 def test_column_near_the_float64_floor_selects_without_warnings():
     # A column of norm about 1e-160 has an energy near the float64 floor:
     # its bordered inverse diagonal and its kernel entries overflow to
