@@ -6,7 +6,8 @@ algorithm on that identical matrix, so comparisons are paired. Trials run
 in chunks: a chunk draws each of its trials' channels from that trial's own
 stream, then makes one ``ss_us_trials`` call that builds every trial's
 bases once and matches every ``ssus`` variant, charging each variant what
-it would cost alone; then ``run_trial`` runs the other algorithms of each
+it would cost alone, and one ``gzf_trials`` call that runs ``gzf`` on every
+trial in lockstep; then ``run_trial`` runs the other algorithms of each
 trial and scores all of its final sets. A chunk holds as many trials as
 their channel stack fits in ``_BLOCK_BUDGET``, and a trial's results do
 not depend on which trials share its chunk. Results are post-sorted by
@@ -41,6 +42,7 @@ from .selectors import (
     _BLOCK_BUDGET,
     Algorithm,
     SelectionConfig,
+    gzf_trials,
     infeasible_reason,
     run_selection,
     ss_us_trials,
@@ -456,14 +458,14 @@ def run_trial(
     """Run every algorithm variant on one freshly drawn channel matrix.
 
     ``drawn`` is this trial's entry of ``_draw_chunk`` for the chunk it
-    belongs to: its channel and its ``ssus`` outcomes. Without it, the trial
-    is drawn as a chunk of its own. Every other variant runs through
-    ``run_selection`` on its own; then every final set is scored (see
-    ``_cells``).
+    belongs to: its channel and the selections its chunk made for it, those
+    of the ``ssus`` variants and ``gzf``. Without it, the trial is drawn as
+    a chunk of its own. Every other variant runs through ``run_selection``
+    on its own; then every final set is scored (see ``_cells``).
     """
     if drawn is None:
         [drawn] = _draw_chunk(cfg, point, instances, [trial_index])
-    h, ssus_outcomes, ssus_ns = drawn
+    h, chunk_selections = drawn
     channel_hash = hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
     select_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_SELECT)
     random_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_RANDOM)
@@ -471,10 +473,9 @@ def run_trial(
     # Per variant: its outcome (a result or the error it raised), its
     # ledger and its wall time.
     selections = {}
-    ssus = iter(ssus_outcomes)
     for inst in instances:
-        if inst.algorithm is Algorithm.SSUS:
-            selections[inst] = (*next(ssus), ssus_ns)
+        if inst in chunk_selections:
+            selections[inst] = chunk_selections[inst]
             continue
         ledger = OpLedger()
         sel_cfg = SelectionConfig(
@@ -545,31 +546,43 @@ def _cells(h, n0: float, selections: dict) -> dict[AlgoInstance, CellResult]:
 
 
 def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> list[tuple]:
-    """Channel and ``ssus`` outcomes of each trial of ``indices``, drawn as one chunk.
+    """Channel and chunk selections of each trial of ``indices``, drawn as one chunk.
 
     Each trial's channel comes from its own stream, as in a lone trial;
     then one ``ss_us_trials`` call builds the bases of every trial and
-    matches every ``ssus`` variant. Returns one (channel, outcomes, wall
-    ns) triple per trial: the (outcome, ledger) pair of each ``ssus``
-    variant, in instance order, and the wall time of each, which is the
-    call's split evenly across the trials and then across their variants.
+    matches every ``ssus`` variant, and one ``gzf_trials`` call runs
+    ``gzf`` on every trial. Returns one (channel, selections) pair per
+    trial: the selections map each of those variants to its (outcome,
+    ledger, wall ns), the wall time being the engine call's split evenly
+    across the trials and then across the variants it ran.
     """
     hs = np.empty((len(indices), point.m, point.u), dtype=np.complex128)
     for h, t in zip(hs, indices):
         h[...] = generate_iid_rayleigh(
             point.m, point.u, stream(cfg.master_seed, point.index, t, _ROLE_CHANNEL)
         )
-    variants = [(i.num_bases, i.alpha) for i in instances if i.algorithm is Algorithm.SSUS]
-    if not variants:
-        return [(h, [], 0) for h in hs]
-    seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_SELECT) for t in indices]
-    start = time.perf_counter_ns()
-    try:
-        outcomes = ss_us_trials(hs, point.k_max, seeds, point.n0, variants)
-    except ValueError as exc:
-        outcomes = [[(exc, OpLedger())] * len(variants) for _ in indices]
-    share_ns = (time.perf_counter_ns() - start) // (len(indices) * len(variants))
-    return [(h, trial, share_ns) for h, trial in zip(hs, outcomes)]
+    chunk = [{} for _ in indices]
+    # Per engine: the variants it runs, and its call, which returns per
+    # trial one (outcome, ledger) pair per variant.
+    engines = []
+    ssus = [i for i in instances if i.algorithm is Algorithm.SSUS]
+    if ssus:
+        seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_SELECT) for t in indices]
+        variants = [(i.num_bases, i.alpha) for i in ssus]
+        engines.append((ssus, lambda: ss_us_trials(hs, point.k_max, seeds, point.n0, variants)))
+    gzf = [i for i in instances if i.algorithm is Algorithm.GZF]
+    if gzf:
+        engines.append((gzf, lambda: [[pair] for pair in gzf_trials(hs, point.n0, point.k_max)]))
+    for insts, call in engines:
+        start = time.perf_counter_ns()
+        try:
+            outcomes = call()
+        except ValueError as exc:
+            outcomes = [[(exc, OpLedger())] * len(insts)] * len(indices)
+        share_ns = (time.perf_counter_ns() - start) // (len(indices) * len(insts))
+        for selections, trial in zip(chunk, outcomes):
+            selections.update((inst, (*pair, share_ns)) for inst, pair in zip(insts, trial))
+    return list(zip(hs, chunk))
 
 
 def _trials_per_chunk(point: GridPoint) -> int:
@@ -600,15 +613,15 @@ def _run_trials(
     """Reports of every trial at each grid point of ``jobs``, by trial index.
 
     With one worker, each point's trials run through ``_trial_chunk`` in
-    this process. With more, the strided trial chunks of all points go to
-    one process pool.
+    this process. With more, each point's trials are split into one strided
+    chunk per worker, so that the chunk engines batch as many trials as the
+    pool allows, and the chunks of all points go to one process pool.
     """
     indices = list(range(cfg.trials))
     if cfg.workers <= 1 or cfg.trials <= 1:
         return {p: _trial_chunk((cfg, p, insts, indices)) for p, insts in jobs.items()}
     n_workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
-    n_chunks = n_workers * 4
-    chunks = [indices[i::n_chunks] for i in range(n_chunks) if indices[i::n_chunks]]
+    chunks = [indices[i::n_workers] for i in range(n_workers)]
     tasks = [(cfg, point, insts, chunk) for point, insts in jobs.items() for chunk in chunks]
     reports: dict[GridPoint, list[TrialReport]] = {point: [] for point in jobs}
     with ProcessPoolExecutor(max_workers=n_workers) as pool:

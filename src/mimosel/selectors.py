@@ -6,6 +6,10 @@ greedy zero-forcing (``gzf``), a chordal-distance shortlist method
 (``mcore_plus``), uniform random selection, and a brute-force oracle for
 small instances.
 
+``ss_us`` and ``gzf`` run on one channel; their engines, ``ss_us_trials``
+and ``gzf_trials``, run every trial of a (T, M, U) stack of channels at
+once, each trial's outcome and charges being those of a lone call.
+
 Conventions shared by every selector:
 
 * user indices and basis-direction indices are 0-based,
@@ -24,7 +28,9 @@ from enum import Enum
 import numpy as np
 
 from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
-from .metrics import COND_LIMIT, _charge_zf, sum_spectral_efficiency, zf_sum_rate_batch
+from .metrics import COND_LIMIT, _charge_zf, _ill_conditioned, _zf_snr, zf_sum_rate_batch
+# Not called here; the benchmark's span tracer wraps it by this name.
+from .metrics import sum_spectral_efficiency
 from .numerics import (
     RESIDUAL_FLOOR,
     BasisConstructionError,
@@ -42,6 +48,7 @@ __all__ = [
     "ss_us_trials",
     "sus",
     "gzf",
+    "gzf_trials",
     "mcore_plus",
     "random_select",
     "exhaustive_oracle",
@@ -162,6 +169,16 @@ def _as_channel(h) -> tuple[np.ndarray, np.ndarray]:
     return arr, norms
 
 
+def _lone(outcome, charged: OpLedger, ledger: OpLedger):
+    """A one-trial outcome of a chunk engine, its charges added to ``ledger``."""
+    ledger.complex_macs += charged.complex_macs
+    ledger.divisions += charged.divisions
+    ledger.comparisons += charged.comparisons
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
     """Space-splitting selection.
 
@@ -184,12 +201,7 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     [[(outcome, charged)]] = ss_us_trials(
         _as_channel(h)[0][np.newaxis], cfg.k_max, [cfg.rng_seed], n0, [(cfg.num_bases, cfg.alpha)]
     )
-    ledger.complex_macs += charged.complex_macs
-    ledger.divisions += charged.divisions
-    ledger.comparisons += charged.comparisons
-    if isinstance(outcome, BasisConstructionError):
-        raise outcome
-    return outcome
+    return _lone(outcome, charged, ledger)
 
 
 def ss_us_trials(hs, k_max: int, rng_seeds, n0: float, variants):
@@ -504,9 +516,11 @@ def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult
     Starting from the strongest user, each iteration projects the remaining
     pool onto the span of the selected channels, permanently drops
     candidates whose correlation to that span exceeds ``cfg.sus_epsilon``,
-    and selects the survivor with the largest residual norm.
+    and selects the survivor with the largest residual norm. ``n0`` is not
+    read, but it must be positive, as for every other selector.
     """
     hm, norms = _as_channel(h)
+    _require("n0", n0, _POSITIVE)
     m, u = hm.shape
     ledger.complex_macs += u * m  # the column norms
     seed_user = int(np.argmax(norms))
@@ -551,84 +565,194 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     soon as no candidate strictly improves it. Rank-deficient candidate
     sets score minus infinity.
 
-    Picks, ties (to the lowest index) and the stop follow the rates that
-    ``zf_sum_rate_batch`` gives each candidate set, yet most sets never
-    reach the kernel: ``_bordered_rates`` borders the selected set's
-    inverse Cholesky factor by every candidate at once and bounds how far
-    its rate can be from the kernel's. The kernel scores the candidates
+    This is ``gzf_trials`` on a stack of one trial, the channel ``h``; the
+    ledger is charged what that trial is charged there, and its error is
+    raised after the charges.
+    """
+    [(outcome, charged)] = gzf_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
+    return _lone(outcome, charged, ledger)
+
+
+def gzf_trials(hs, n0: float, k_max: int) -> list:
+    """``gzf`` for every trial of a (T, M, U) stack of channels, in lockstep.
+
+    This is the one entry point of the greedy ZF engine; ``gzf`` is its
+    case of one trial. Picks, ties (to the lowest index) and the stop follow
+    the rates that ``zf_sum_rate_batch`` gives each candidate set, yet most
+    sets never reach the kernel: ``_bordered_rates`` borders the selected
+    set's inverse Cholesky factor by every candidate at once and bounds how
+    far its rate can be from the kernel's. The kernel scores the candidates
     that bound does not certify, and those whose error intervals leave the
     pick or the stop undecided. Every candidate set is charged what the
     kernel charges for it, so the ledger does not depend on which path
     scored it.
-    """
-    hm, norms = _as_channel(h)
-    m, u = hm.shape
-    _require("k_max", k_max, _AT_LEAST_1)
-    ledger.complex_macs += u * m  # the column norms
-    seed_user = int(np.argmax(norms))
-    ledger.comparisons += max(u - 1, 0)
 
-    selected = [seed_user]
-    current = sum_spectral_efficiency(hm[:, selected], n0, ledger)
-    current_tol = 0.0
-    pool = np.delete(np.arange(u), seed_user)
+    The trials step together: the seed sets are scored by one stacked
+    ``_zf_snr`` call, and each step borders the factors of every trial still
+    running by its pool in one ``_bordered_rates`` call, the pools being
+    the same size. Trials that stop leave the stack. Factor rebuilds, the
+    kernel fallback and exact rescoring run trial by trial, for the few
+    trials that need them, so no trial's outcome depends on the others.
+
+    Returns one (outcome, ledger) pair per trial: the
+    :class:`SelectionResult` of ``gzf``, or the error it would raise, and
+    what that call charges. A channel that ``gzf`` rejects fails its own
+    trial with an empty ledger; a seed set that fails the ``COND_LIMIT``
+    guard fails it after the charges. A stack that is not 3-D, a bad
+    ``k_max`` or an ``n0`` that is not positive raises ``ValueError`` for
+    the whole call.
+    """
+    hs = np.asarray(hs, dtype=np.complex128)
+    if hs.ndim != 3:
+        raise ValueError(f"channel stack must be 3-D, got shape {hs.shape}")
+    _require("k_max", k_max, _AT_LEAST_1)
+    _require("n0", n0, _POSITIVE)
+    outcomes: list = [None] * len(hs)
+    valid, norms = [], []
+    for t, h in enumerate(hs):
+        try:
+            norms.append(_as_channel(h)[1])
+        except ValueError as exc:
+            outcomes[t] = (exc, OpLedger())
+        else:
+            valid.append(t)
+    if valid:
+        for t, outcome in zip(valid, _gzf_lockstep(hs[valid], np.array(norms), n0, k_max)):
+            outcomes[t] = outcome
+    return outcomes
+
+
+def _gzf_lockstep(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> list:
+    """``gzf_trials`` on a (T, M, U) stack of valid channels with (T, U) column norms.
+
+    Row i of the state arrays is the trial ``trial[i]`` still running, and
+    the rows of the trials that stop are dropped.
+    """
+    n_trials, m, u = hs.shape
+    trials = np.arange(n_trials)
     k_cap = min(k_max, m, u)
-    energy = norms**2
-    # The leading block holds L_S⁻¹, the inverse Cholesky factor of the
-    # selected set's Gram matrix. After an uncertified pick it is rebuilt
-    # from a fresh factorisation.
-    factor = np.zeros((k_cap, k_cap), dtype=np.complex128)
-    factor[0, 0] = 1.0 / norms[seed_user]
-    rebuild = False
-    while len(selected) < k_cap and pool.size:
-        k = len(selected) + 1
-        w_inv = factor[: k - 1, : k - 1]
-        if rebuild:
-            h_sel = hm[:, selected]
-            w_inv[...] = np.linalg.inv(np.linalg.cholesky(h_sel.conj().T @ h_sel))
+    # Per trial: the complex MACs, divisions and comparisons charged, and per
+    # set size k the (scored, passed) counts of its seed set and its
+    # certified sets, which ``_charge_zf`` prices at the end.
+    charged = np.zeros((n_trials, 3), dtype=np.int64)
+    charged[:, 0] = u * m  # the column norms
+    charged[:, 2] = max(u - 1, 0)
+    priced = np.zeros((n_trials, k_cap + 1, 2), dtype=np.int64)
+    seeds = norms.argmax(axis=1)
+    users = hs.swapaxes(1, 2)  # (T, U, M): row j is user j's channel
+    ok, snr = _zf_snr(users[trials, seeds][..., np.newaxis], n0, OpLedger())
+    priced[:, 1, 0] = 1
+    priced[:, 1, 1] = ok
+    selected = np.empty((n_trials, k_cap), dtype=np.intp)
+    sizes = np.ones(n_trials, dtype=np.intp)
+
+    trial = trials[ok]
+    n_rows = trial.size
+    seeds, energy = seeds[ok], norms**2
+    current = np.log2(1.0 + snr).sum(axis=-1)
+    current_tol = np.zeros(n_rows)
+    # The selected users, and the candidates in index order.
+    sel = np.empty((n_rows, k_cap), dtype=np.intp)
+    sel[:, 0] = seeds
+    pool = np.arange(u - 1) + (np.arange(u - 1) >= seeds[:, np.newaxis])
+    # Each row's leading block holds L_S⁻¹, the inverse Cholesky factor of
+    # its selected set's Gram matrix. After an uncertified pick it is
+    # rebuilt from a fresh factorisation.
+    factor = np.zeros((n_rows, k_cap, k_cap), dtype=np.complex128)
+    factor[:, 0, 0] = 1.0 / norms[trial, seeds]
+    rebuild = np.zeros(n_rows, dtype=bool)
+    for k in range(2, k_cap + 1):
+        if not n_rows:
+            break
+        rows, of_row = np.arange(n_rows), trial[:, np.newaxis]
+        w_inv = factor[:, : k - 1, : k - 1]
+        for i in rebuild.nonzero()[0]:
+            h_sel = hs[trial[i]][:, sel[i, : k - 1]]
+            w_inv[i] = np.linalg.inv(np.linalg.cholesky(h_sel.conj().T @ h_sel))
+        pool_e = energy[of_row, pool]
         rates, tol, sure, v_bar, schur, _ = _bordered_rates(
             w_inv,
-            (w_inv.real**2 + w_inv.imag**2).sum(axis=0),
-            hm[:, selected].conj().T @ hm[:, pool],
-            energy[pool],
-            energy[selected].sum() + energy[pool],
+            (w_inv.real**2 + w_inv.imag**2).sum(axis=-2),
+            users[of_row, sel[:, : k - 1]].conj() @ users[of_row, pool].swapaxes(-1, -2),
+            pool_e,
+            energy[of_row, sel[:, : k - 1]].sum(axis=-1)[:, np.newaxis] + pool_e,
             m,
             n0,
         )
-        n_sure = int(np.count_nonzero(sure))
-        _charge_zf(ledger, m, k, n_sure, n_sure)
-        ledger.comparisons += pool.size
-        if n_sure < pool.size:
-            unsure = ~sure
-            rates[unsure] = zf_sum_rate_batch(hm, _grown(selected, pool[unsure]), n0, ledger)
-            tol[unsure] = 0.0
-        pick = int(np.argmax(rates))
+        n_sure = sure.sum(axis=-1)
+        priced[trial, k] = n_sure[:, np.newaxis]
+        charged[trial, 2] += pool.shape[1]
+        for i in (n_sure < pool.shape[1]).nonzero()[0]:
+            unsure = ~sure[i]
+            step = OpLedger()
+            rates[i, unsure] = zf_sum_rate_batch(
+                hs[trial[i]], _grown(sel[i, : k - 1], pool[i, unsure]), n0, step
+            )
+            tol[i, unsure] = 0.0
+            charged[trial[i]] += (step.complex_macs, step.divisions, step.comparisons)
+        pick = rates.argmax(axis=-1)
+        best, best_tol = rates[rows, pick], tol[rows, pick]
         # Any candidate whose interval reaches the pick's may hold the
         # kernel's first maximum; then all of them are scored exactly.
-        reach = rates + tol >= rates[pick] - tol[pick]
-        if np.count_nonzero(reach) > 1 and (rescore := reach & (tol > 0.0)).any():
-            rates[rescore] = _exact_rates(hm, _grown(selected, pool[rescore]), n0)
-            tol[rescore] = 0.0
-            pick = int(np.argmax(rates))
-        best, best_tol = float(rates[pick]), float(tol[pick])
+        reach = rates + tol >= (best - best_tol)[:, np.newaxis]
+        for i in (reach.sum(axis=-1) > 1).nonzero()[0]:
+            rescore = reach[i] & (tol[i] > 0.0)
+            if rescore.any():
+                rates[i, rescore] = _exact_rates(
+                    hs[trial[i]], _grown(sel[i, : k - 1], pool[i, rescore]), n0
+                )
+                tol[i, rescore] = 0.0
+                pick[i] = rates[i].argmax()
+                best[i], best_tol[i] = rates[i, pick[i]], tol[i, pick[i]]
         # Where the intervals of the pick and the current rate overlap, only
         # exact rates can tell "stop" (best <= current) from "continue".
-        if -(best_tol + current_tol) < best - current <= best_tol + current_tol:
-            best, best_tol = float(_exact_rates(hm, _grown(selected, pool[[pick]]), n0)[0]), 0.0
-            if current_tol:
-                current, current_tol = float(_exact_rates(hm, [selected], n0)[0]), 0.0
-        if best + best_tol <= current - current_tol:
-            break
-        rebuild = not sure[pick]
-        if not rebuild:
-            # Bordered row of the pick: [-v^H, 1] / sqrt(s).
-            root = math.sqrt(schur[pick])
-            factor[k - 1, : k - 1] = v_bar[:, pick] / -root
-            factor[k - 1, k - 1] = 1.0 / root
-        selected.append(int(pool[pick]))
-        pool = np.delete(pool, pick)
+        margin, gain = best_tol + current_tol, best - current
+        for i in ((-margin < gain) & (gain <= margin)).nonzero()[0]:
+            hm = hs[trial[i]]
+            best[i] = _exact_rates(hm, _grown(sel[i, : k - 1], pool[i, pick[i : i + 1]]), n0)[0]
+            best_tol[i] = 0.0
+            if current_tol[i]:
+                current[i] = _exact_rates(hm, sel[np.newaxis, i, : k - 1], n0)[0]
+                current_tol[i] = 0.0
+        stop = best + best_tol <= current - current_tol
+
+        # Every row takes its pick; those that stop are dropped after.
+        certified = sure[rows, pick]
+        rebuild = ~certified
+        grown = certified.nonzero()[0]
+        root = np.sqrt(schur[grown, pick[grown]])
+        # Bordered row of each certified pick: [-v^H, 1] / sqrt(s).
+        factor[grown, k - 1, : k - 1] = v_bar[grown, :, pick[grown]] / -root[:, np.newaxis]
+        factor[grown, k - 1, k - 1] = 1.0 / root
+        sel[:, k - 1] = pool[rows, pick]
         current, current_tol = best, best_tol
-    return SelectionResult(selected=tuple(selected))
+        kept = np.ones(pool.shape, dtype=bool)
+        kept[rows, pick] = False
+        pool = pool[kept].reshape(n_rows, pool.shape[1] - 1)
+        if stop.any():
+            selected[trial[stop], : k - 1] = sel[stop, : k - 1]
+            sizes[trial[stop]] = k - 1
+            go = ~stop
+            n_rows = int(np.count_nonzero(go))
+            trial, sel, pool, factor, rebuild, current, current_tol = (
+                a[go] for a in (trial, sel, pool, factor, rebuild, current, current_tol)
+            )
+    selected[trial] = sel
+    sizes[trial] = k_cap
+
+    price = OpLedger()
+    _charge_zf(price, m, np.arange(k_cap + 1), priced[..., 0], priced[..., 1])
+    charged[:, 0] += price.complex_macs.sum(axis=-1)
+    charged[:, 1] += price.divisions.sum(axis=-1)
+    return [
+        (
+            SelectionResult(selected=tuple(selected[t, : sizes[t]].tolist()))
+            if ok[t]
+            else _ill_conditioned(m, 1),
+            OpLedger(*charged[t].tolist()),
+        )
+        for t in trials
+    ]
 
 
 #: ``gzf`` ranks a candidate set without the kernel only when the bordered
@@ -969,9 +1093,12 @@ def run_selection(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> Selec
     if cfg.algorithm is Algorithm.MCORE_PLUS:
         return mcore_plus(h, n0, cfg.k_max, ledger)
     if cfg.algorithm is Algorithm.RANDOM:
-        # random_select validates the channel; K only needs its shape.
+        # random_select validates the channel; K only needs its shape. n0 is
+        # checked after it, so that a bad channel is named first, as elsewhere.
         k = min((cfg.k_max, *np.shape(h)))
-        return random_select(h, k, stream(cfg.rng_seed))
+        result = random_select(h, k, stream(cfg.rng_seed))
+        _require("n0", n0, _POSITIVE)
+        return result
     if cfg.algorithm is Algorithm.EXHAUSTIVE:
         return exhaustive_oracle(h, n0, cfg.k_max, ledger)
     raise ValueError(f"unknown algorithm: {cfg.algorithm!r}")

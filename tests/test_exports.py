@@ -28,6 +28,7 @@ def test_selectors_exports_are_pinned():
         "ss_us_trials",
         "sus",
         "gzf",
+        "gzf_trials",
         "mcore_plus",
         "random_select",
         "exhaustive_oracle",

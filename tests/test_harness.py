@@ -424,13 +424,20 @@ class TestAggregation:
             def map(self, fn, tasks):
                 tasks = list(tasks)
                 self.points.update(task[1].scenario_id for task in tasks)
+                self.chunks = {}
+                for task in tasks:
+                    self.chunks.setdefault(task[1].scenario_id, []).append(task[3])
                 return map(fn, tasks)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        cfg = tiny_config(m_values=(4, 8), u_values=(6, 10), trials=4, workers=2)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        cfg = tiny_config(m_values=(4, 8), u_values=(6, 10), trials=7, workers=3)
         rows = run_monte_carlo(cfg)
         assert len(pools) == 1
         assert pools[0].points == {p.scenario_id for p in grid_points(cfg)}
+        # Each point's trials go out as one strided chunk per worker.
+        strided = [[0, 3, 6], [1, 4], [2, 5]]
+        assert pools[0].chunks == {p.scenario_id: strided for p in grid_points(cfg)}
         serial = run_monte_carlo(dataclasses.replace(cfg, workers=1))
         assert emit(rows, "csv") == emit(serial, "csv")
         run_monte_carlo(cfg)
@@ -510,9 +517,8 @@ class TestFailedTrials:
         assert err.count("\n") == 1 and "redraws" in err
 
     def test_non_positive_noise_fails_every_cell(self):
-        # ``ssus`` fails in its chunk call, ``gzf``, ``mcore_plus`` and
-        # ``exhaustive`` in selection, and ``sus`` and ``random``, which do
-        # not read n0, when their final sets are scored.
+        # ``ssus`` and ``gzf`` fail in their chunk calls, and the other
+        # selectors in selection.
         cfg = tiny_config(algorithms=("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive"))
         point = dataclasses.replace(grid_points(cfg)[0], n0=0.0)
         report = run_trial(cfg, point, algo_instances(cfg), 0)

@@ -434,3 +434,13 @@ def test_column_norm_out_of_float64_range_is_one_value_error(scale, message):
         assert str(exc.value) == message
     [trial] = ss_us_trials(h[np.newaxis], 4, [0], 1.0, [(1, 0.45), (3, 0.3)])
     assert [(str(outcome), ledger) for outcome, ledger in trial] == [(message, OpLedger())] * 2
+
+
+@pytest.mark.parametrize("n0", [math.nan, 0.0, -1.0])
+def test_noise_power_that_is_not_positive_is_one_value_error(n0):
+    # ``sus`` and ``random`` do not read n0, yet reject it as the others do.
+    h = generate_iid_rayleigh(4, 6, stream(2))
+    for algo in Algorithm:
+        with pytest.raises(ValueError) as exc:
+            run_selection(h, SelectionConfig(algo, k_max=4), n0, OpLedger())
+        assert str(exc.value) == f"n0 must be positive, got {n0}", algo

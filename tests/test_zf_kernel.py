@@ -39,6 +39,7 @@ from mimosel.selectors import (
     MCORE_MAX_ANTENNAS,
     exhaustive_oracle,
     gzf,
+    gzf_trials,
     mcore_plus,
 )
 
@@ -449,7 +450,8 @@ def test_gzf_equals_reference_and_bordered_rates_stay_inside_their_bound(monkeyp
 
     def checked(*args):
         out = real_bordered(*args)
-        rates, tol, sure = out[:3]
+        # A lone gzf call borders a stack of one trial.
+        rates, tol, sure = (a[0] for a in out[:3])
         # gzf's picks are the reference's, so its step i borders the first
         # i + 1 of them by every other user, in index order.
         h, picks, step = run["h"], run["picks"], run["step"]
@@ -543,12 +545,18 @@ def test_well_conditioned_gzf_never_calls_the_kernel(monkeypatch):
     assert gzf(h, n0, 8, OpLedger()).selected == expected
 
 
-def test_tie_between_duplicated_candidates_is_settled_by_the_kernel(monkeypatch):
+def tie_channel():
+    """Channel, n0 and (seed user, low, first pick) of the tie test: a copy
+    of gzf's first pick at a lower index ties with it at step one."""
     h, n0 = instance(1, 8, 20)
     seed_user, first_pick = gzf(h, n0, 8, OpLedger()).selected[:2]
-    # A copy of the first pick at a lower index ties with it at step one.
     low = min(set(range(first_pick)) - {seed_user})
     h[:, low] = h[:, first_pick]
+    return h, n0, (seed_user, low, first_pick)
+
+
+def test_tie_between_duplicated_candidates_is_settled_by_the_kernel(monkeypatch):
+    h, n0, (seed_user, low, first_pick) = tie_channel()
     scored = record_kernel_calls(monkeypatch)
     ledger, expected = OpLedger(), OpLedger()
     selected = gzf(h, n0, 8, ledger).selected
@@ -558,13 +566,17 @@ def test_tie_between_duplicated_candidates_is_settled_by_the_kernel(monkeypatch)
     assert ledger == expected
 
 
-def test_uncertified_picks_are_made_by_the_kernel(monkeypatch):
-    # Four near-parallel columns: every candidate set has a Gram condition
-    # number near 1e10, inside COND_LIMIT but beyond the bordered
-    # certificate, and a tiny n0 makes each extra stream worth adding.
+def near_parallel_channel():
+    """Four near-parallel columns: every candidate set has a Gram condition
+    number near 1e10, inside COND_LIMIT but beyond the bordered
+    certificate, and at n0 = 1e-30 each extra stream is worth adding."""
     rng = np.random.default_rng(3)
     a = 2.0 * complex_normal(rng, (3,))
-    h = np.stack([a] + [a + 1e-5 * complex_normal(rng, (3,)) for _ in range(3)], axis=1)
+    return np.stack([a] + [a + 1e-5 * complex_normal(rng, (3,)) for _ in range(3)], axis=1)
+
+
+def test_uncertified_picks_are_made_by_the_kernel(monkeypatch):
+    h = near_parallel_channel()
     scored = record_kernel_calls(monkeypatch)
     ledger, expected = OpLedger(), OpLedger()
     selected = gzf(h, 1e-30, 3, ledger).selected
@@ -575,9 +587,19 @@ def test_uncertified_picks_are_made_by_the_kernel(monkeypatch):
     assert scored == [[[3, 0], [3, 1], [3, 2]], [[3, 2, 0], [3, 2, 1]]]
 
 
-def test_stop_within_the_error_bound_is_settled_by_the_kernel(monkeypatch):
-    # Two users whose pair gains nothing over the strongest alone, to within
-    # one rounding: the bordered rate cannot tell "stop" from "continue".
+def no_gain_channel(channel, gain):
+    """``channel(theta)`` at the largest theta in [0.01, pi/2] that bisection
+    finds with ``gain(theta)`` <= 0, and that gain."""
+    lo, hi = 0.01, np.pi / 2
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gain(mid) <= 0.0 else (lo, mid)
+    return channel(lo), gain(lo)
+
+
+def stop_within_bound_channel():
+    """Two users whose pair gains nothing over the strongest alone, to within
+    one rounding: the bordered rate cannot tell "stop" from "continue"."""
     def channel(theta):
         return np.array([[2.0, 1.9 * np.cos(theta)], [0.0, 1.9 * np.sin(theta)]], complex)
 
@@ -586,12 +608,12 @@ def test_stop_within_the_error_bound_is_settled_by_the_kernel(monkeypatch):
         pair = zf_sum_rate_batch(h, [[0, 1]], 1.0, OpLedger())[0]
         return pair - sum_spectral_efficiency(h[:, [0]], 1.0, OpLedger())
 
-    lo, hi = 0.01, np.pi / 2
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if gain(mid) <= 0.0 else (lo, mid)
-    h = channel(lo)
-    assert -1e-14 < gain(lo) <= 0.0
+    return no_gain_channel(channel, gain)
+
+
+def test_stop_within_the_error_bound_is_settled_by_the_kernel(monkeypatch):
+    h, gain = stop_within_bound_channel()
+    assert -1e-14 < gain <= 0.0
     scored = record_kernel_calls(monkeypatch)
     ledger, expected = OpLedger(), OpLedger()
     assert gzf(h, 1.0, 2, ledger).selected == reference_gzf(h, 1.0, 2, expected) == (0,)
@@ -599,11 +621,11 @@ def test_stop_within_the_error_bound_is_settled_by_the_kernel(monkeypatch):
     assert scored == [[[0, 1]]]
 
 
-def test_stop_after_a_certified_pick_rescores_the_current_rate(monkeypatch):
-    # User 1 is orthogonal to users 0 and 2, so {0, 1} is certified at step
-    # two and its rate carries a bordered tolerance. Adding user 2 then
-    # gains nothing to within one rounding, so the stop is settled by the
-    # kernel's rates of both {0, 1, 2} and the current set {0, 1}.
+def stop_after_certified_pick_channel():
+    """User 1 is orthogonal to users 0 and 2, so {0, 1} is certified at step
+    two and its rate carries a bordered tolerance. Adding user 2 then gains
+    nothing to within one rounding, so the stop is settled by the kernel's
+    rates of both {0, 1, 2} and the current set {0, 1}."""
     def channel(theta):
         return np.array(
             [[2.0, 0.0, 1.8 * np.cos(theta)], [0.0, 1.9, 0.0], [0.0, 0.0, 1.8 * np.sin(theta)]],
@@ -615,17 +637,92 @@ def test_stop_after_a_certified_pick_rescores_the_current_rate(monkeypatch):
         rates = [zf_sum_rate_batch(h, [s], 1.0, OpLedger())[0] for s in ([0, 1, 2], [0, 1])]
         return rates[0] - rates[1]
 
-    lo, hi = 0.01, np.pi / 2
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if gain(mid) <= 0.0 else (lo, mid)
-    h = channel(lo)
-    assert -1e-14 < gain(lo) <= 0.0
+    return no_gain_channel(channel, gain)
+
+
+def test_stop_after_a_certified_pick_rescores_the_current_rate(monkeypatch):
+    h, gain = stop_after_certified_pick_channel()
+    assert -1e-14 < gain <= 0.0
     scored = record_kernel_calls(monkeypatch)
     ledger, expected = OpLedger(), OpLedger()
     assert gzf(h, 1.0, 3, ledger).selected == reference_gzf(h, 1.0, 3, expected) == (0, 1)
     assert ledger == expected
     assert scored == [[[0, 1, 2]], [[0, 1]]]
+
+
+def beside_ordinary_trials(h, seed):
+    """A stack of five trials of the shape of ``h``: ordinary Gaussian
+    channels, with ``h`` in the middle."""
+    hs = complex_normal(np.random.default_rng(seed), (5, *h.shape))
+    hs[2] = h
+    return hs
+
+
+def chunked(hs, n0, k_max, size):
+    """(selection, ledger) of each trial of ``gzf_trials`` on ``hs`` in chunks of ``size``."""
+    return [
+        (outcome.selected, ledger)
+        for lo in range(0, len(hs), size)
+        for outcome, ledger in gzf_trials(hs[lo : lo + size], n0, k_max)
+    ]
+
+
+def assert_chunks_equal_reference(hs, n0, k_max):
+    """``gzf_trials`` on ``hs`` in chunks of 1, 3 and all its trials gives
+    each trial the selection and ledger of a lone ``reference_gzf`` call."""
+    want = [(reference_gzf(h, n0, k_max, ledger := OpLedger()), ledger) for h in hs]
+    for size in (1, 3, len(hs)):
+        assert chunked(hs, n0, k_max, size) == want, size
+
+
+def test_gzf_trials_equal_reference_at_every_chunk_size():
+    # Each sweep instance, which may stop at any step or reach any path of
+    # the engine, runs beside ordinary trials. It must get the reference's
+    # selection and ledger in every chunk, and so must the ordinary trials,
+    # whose lone runs the sweep of the lone ``gzf`` above checks against
+    # the reference on instances drawn the same way.
+    for i in range(1000):
+        h, n0, k_max = sweep_instance(i)
+        hs = beside_ordinary_trials(h, 9000 + i)
+        want = chunked(hs, n0, k_max, 1)
+        assert want[2] == (reference_gzf(h, n0, k_max, ledger := OpLedger()), ledger), i
+        for size in (3, len(hs)):
+            assert chunked(hs, n0, k_max, size) == want, (i, size)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: (*tie_channel()[:2], 8),
+        lambda: (near_parallel_channel(), 1e-30, 3),
+        lambda: (stop_within_bound_channel()[0], 1.0, 2),
+        lambda: (stop_after_certified_pick_channel()[0], 1.0, 3),
+    ],
+    ids=["tie", "uncertified picks", "stop within the bound", "stop after a certified pick"],
+)
+def test_gzf_trials_settle_ties_and_stops_beside_ordinary_trials(build):
+    h, n0, k_max = build()
+    assert_chunks_equal_reference(beside_ordinary_trials(h, 9500), n0, k_max)
+
+
+def test_gzf_trials_fail_only_the_trial_with_a_bad_channel():
+    hs = complex_normal(np.random.default_rng(9600), (5, 4, 10))
+    hs[2, 1, 3] = np.nan
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    outcomes = gzf_trials(hs, n0, 4)
+    assert [(str(outcome), ledger) for outcome, ledger in outcomes[2:3]] == [
+        ("channel matrix contains a non-finite entry", OpLedger())
+    ]
+    for t in (0, 1, 3, 4):
+        assert outcomes[t] == (gzf(hs[t], n0, 4, ledger := OpLedger()), ledger), t
+
+
+@pytest.mark.parametrize("n0", [np.nan, 0.0, -1.0])
+def test_gzf_trials_reject_a_bad_noise_power_for_the_whole_call(n0):
+    hs = complex_normal(np.random.default_rng(9700), (3, 4, 10))
+    with pytest.raises(ValueError) as exc:
+        gzf_trials(hs, n0, 4)
+    assert str(exc.value) == f"n0 must be positive, got {n0}"
 
 
 def test_column_near_the_float64_floor_selects_without_warnings():
