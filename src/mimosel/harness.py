@@ -100,7 +100,8 @@ class ExperimentConfig:
     Construction converts and checks every setting, so an instance is always
     valid: int settings take integers only, float settings finite numbers,
     bool settings true or false, list settings a non-empty list or a scalar
-    with no value listed twice. The link budget must put the SNR of every
+    with no value listed twice. No two ``grid.p0_dbm`` values may print as
+    one scenario id. The link budget must put the SNR of every
     ``grid.p0_dbm`` within ``_SNR_LIMIT_DB`` of 0 dB.
     """
 
@@ -154,6 +155,14 @@ class ExperimentConfig:
             if bad:
                 raise ValueError(
                     f"select.k_max={self.k_max} exceeds antenna count for M in {bad}"
+                )
+        tags: dict[str, float] = {}
+        for p0 in self.p0_dbm_values:
+            first = tags.setdefault(_p0_tag(p0), p0)
+            if first != p0:
+                raise ValueError(
+                    f"grid.p0_dbm values {first} and {p0} both print as {_p0_tag(p0)} "
+                    "in scenario ids"
                 )
         noise_dbm = float(noise_power_dbm(LinkBudget(0.0, self.bandwidth_hz, self.noise_figure_db)))
         for p0 in self.p0_dbm_values:
@@ -371,6 +380,11 @@ _COLUMN_FIELDS = {
 CSV_COLUMNS = tuple(_COLUMN_FIELDS)
 
 
+def _p0_tag(p0: float) -> str:
+    """The P0 part of a scenario id; ``ExperimentConfig`` keeps it unique."""
+    return f"p{p0:g}"
+
+
 def grid_points(cfg: ExperimentConfig) -> list[GridPoint]:
     """Expand the scenario grid in declaration order (M outer, then U, P0)."""
     points = []
@@ -396,7 +410,7 @@ def grid_points(cfg: ExperimentConfig) -> list[GridPoint]:
                         k_max=k_max,
                         random_k=random_k,
                         n0=n0,
-                        scenario_id=f"m{m}_u{u}_p{p0:g}",
+                        scenario_id=f"m{m}_u{u}_{_p0_tag(p0)}",
                     )
                 )
                 index += 1
@@ -612,15 +626,16 @@ def _run_trials(
 ) -> dict[GridPoint, list[TrialReport]]:
     """Reports of every trial at each grid point of ``jobs``, by trial index.
 
-    With one worker, each point's trials run through ``_trial_chunk`` in
+    The pool has ``cfg.workers`` workers, capped by the trial count and the
+    CPU count. With one, each point's trials run through ``_trial_chunk`` in
     this process. With more, each point's trials are split into one strided
     chunk per worker, so that the chunk engines batch as many trials as the
     pool allows, and the chunks of all points go to one process pool.
     """
     indices = list(range(cfg.trials))
-    if cfg.workers <= 1 or cfg.trials <= 1:
-        return {p: _trial_chunk((cfg, p, insts, indices)) for p, insts in jobs.items()}
     n_workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    if n_workers == 1:
+        return {p: _trial_chunk((cfg, p, insts, indices)) for p, insts in jobs.items()}
     chunks = [indices[i::n_workers] for i in range(n_workers)]
     tasks = [(cfg, point, insts, chunk) for point, insts in jobs.items() for chunk in chunks]
     reports: dict[GridPoint, list[TrialReport]] = {point: [] for point in jobs}

@@ -579,20 +579,20 @@ def gzf_trials(hs, n0: float, k_max: int) -> list:
     This is the one entry point of the greedy ZF engine; ``gzf`` is its
     case of one trial. Picks, ties (to the lowest index) and the stop follow
     the rates that ``zf_sum_rate_batch`` gives each candidate set, yet most
-    sets never reach the kernel: ``_bordered_rates`` borders the selected
+    steps never reach the kernel: ``_bordered_rates`` borders the selected
     set's inverse Cholesky factor by every candidate at once and bounds how
-    far its rate can be from the kernel's. The kernel scores the candidates
-    that bound does not certify, and those whose error intervals leave the
-    pick or the stop undecided. Every candidate set is charged what the
-    kernel charges for it, so the ledger does not depend on which path
-    scored it.
+    far each rate can be from the kernel's. One rule settles a step: the
+    bounds decide it, or the kernel scores it whole, every set of the pool
+    and the current set if its rate is not yet exact. Either way
+    ``_charge_zf`` prices every candidate set as the kernel would, so the
+    ledger does not depend on which path scored it.
 
     The trials step together: the seed sets are scored by one stacked
     ``_zf_snr`` call, and each step borders the factors of every trial still
     running by its pool in one ``_bordered_rates`` call, the pools being
-    the same size. Trials that stop leave the stack. Factor rebuilds, the
-    kernel fallback and exact rescoring run trial by trial, for the few
-    trials that need them, so no trial's outcome depends on the others.
+    the same size. Trials that stop leave the stack. Factor rebuilds and
+    the kernel's steps run trial by trial, for the few trials that need
+    them, so no trial's outcome depends on the others.
 
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``gzf``, or the error it would raise, and
@@ -632,8 +632,8 @@ def _gzf_lockstep(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> l
     trials = np.arange(n_trials)
     k_cap = min(k_max, m, u)
     # Per trial: the complex MACs, divisions and comparisons charged, and per
-    # set size k the (scored, passed) counts of its seed set and its
-    # certified sets, which ``_charge_zf`` prices at the end.
+    # set size k the (scored, passed) counts of its candidate sets, which
+    # ``_charge_zf`` prices at the end.
     charged = np.zeros((n_trials, 3), dtype=np.int64)
     charged[:, 0] = u * m  # the column norms
     charged[:, 2] = max(u - 1, 0)
@@ -679,38 +679,26 @@ def _gzf_lockstep(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> l
             m,
             n0,
         )
-        n_sure = sure.sum(axis=-1)
-        priced[trial, k] = n_sure[:, np.newaxis]
-        charged[trial, 2] += pool.shape[1]
-        for i in (n_sure < pool.shape[1]).nonzero()[0]:
-            unsure = ~sure[i]
-            step = OpLedger()
-            rates[i, unsure] = zf_sum_rate_batch(
-                hs[trial[i]], _grown(sel[i, : k - 1], pool[i, unsure]), n0, step
-            )
-            tol[i, unsure] = 0.0
-            charged[trial[i]] += (step.complex_macs, step.divisions, step.comparisons)
         pick = rates.argmax(axis=-1)
         best, best_tol = rates[rows, pick], tol[rows, pick]
-        # Any candidate whose interval reaches the pick's may hold the
-        # kernel's first maximum; then all of them are scored exactly.
-        reach = rates + tol >= (best - best_tol)[:, np.newaxis]
-        for i in (reach.sum(axis=-1) > 1).nonzero()[0]:
-            rescore = reach[i] & (tol[i] > 0.0)
-            if rescore.any():
-                rates[i, rescore] = _exact_rates(
-                    hs[trial[i]], _grown(sel[i, : k - 1], pool[i, rescore]), n0
-                )
-                tol[i, rescore] = 0.0
-                pick[i] = rates[i].argmax()
-                best[i], best_tol[i] = rates[i, pick[i]], tol[i, pick[i]]
-        # Where the intervals of the pick and the current rate overlap, only
-        # exact rates can tell "stop" (best <= current) from "continue".
+        # The bounds decide a step when every candidate is certified, no
+        # other candidate's interval reaches the pick's, and the pick's
+        # interval clears the current rate's. Otherwise the kernel scores
+        # the row's whole pool, and its current set if that is not exact.
+        reach = (rates + tol >= (best - best_tol)[:, np.newaxis]).sum(axis=-1) > 1
         margin, gain = best_tol + current_tol, best - current
-        for i in ((-margin < gain) & (gain <= margin)).nonzero()[0]:
+        undecided = ~sure.all(axis=-1) | reach | ((-margin < gain) & (gain <= margin))
+        # Every set of the pool is scored. A certified set passes the
+        # kernel's guard, and a set the kernel scores passes where its rate
+        # is finite.
+        priced[trial, k] = pool.shape[1]
+        charged[trial, 2] += pool.shape[1]
+        for i in undecided.nonzero()[0]:
             hm = hs[trial[i]]
-            best[i] = _exact_rates(hm, _grown(sel[i, : k - 1], pool[i, pick[i : i + 1]]), n0)[0]
-            best_tol[i] = 0.0
+            rates[i] = _exact_rates(hm, _grown(sel[i, : k - 1], pool[i]), n0)
+            priced[trial[i], k, 1] = np.count_nonzero(rates[i] > -np.inf)
+            pick[i] = rates[i].argmax()
+            best[i], best_tol[i] = rates[i, pick[i]], 0.0
             if current_tol[i]:
                 current[i] = _exact_rates(hm, sel[np.newaxis, i, : k - 1], n0)[0]
                 current_tol[i] = 0.0
@@ -769,7 +757,11 @@ def _grown(selected: list[int], cands: np.ndarray) -> np.ndarray:
 
 
 def _exact_rates(hm: np.ndarray, sets, n0: float) -> np.ndarray:
-    """Kernel rates of sets whose charges are already on the ledger."""
+    """Kernel rates of ``sets``, uncharged.
+
+    This is the one caller of ``zf_sum_rate_batch`` here; the searches ask
+    it only for rates and price every set they score through ``_charge_zf``.
+    """
     return zf_sum_rate_batch(hm, sets, n0, OpLedger())
 
 
@@ -886,14 +878,14 @@ def _best_subset(hm: np.ndarray, users, max_size: int, n0: float, ledger: OpLedg
     size-(k-1) prefix by every user after its last one, through
     ``_bordered_rates``, with the cross terms taken from one Gram matrix of
     ``users``. A block's certified subsets carry their factor, inverse
-    diagonal and trace to the next level as its prefixes. A subset the bound
-    does not certify is scored by the kernel, and so is every subset it is
-    a prefix of, since trace(G) trace(G⁻¹) does not fall when a column is
-    added. Every subset is charged what the kernel charges for it. The
-    subsets whose error intervals reach the largest lower bound of any
-    subset are the only ones that may win; when more than one is left,
-    those not yet exact are rescored by the kernel, and the highest rate
-    wins, then the smallest subset.
+    diagonal and trace to the next level as its prefixes. One rule scores a
+    subset: its bound certifies its rate, or the kernel scores it, and so
+    every subset it is a prefix of, since trace(G) trace(G⁻¹) does not fall
+    when a column is added. ``_charge_zf`` prices every subset as the kernel
+    would, whichever path scored it. The subsets whose error intervals reach
+    the largest lower bound of any subset are the only ones that may win;
+    when more than one is left, those not yet exact are rescored by the
+    kernel, and the highest rate wins, then the smallest subset.
     """
     _require("n0", n0, _POSITIVE)
     winner = _SubsetSearch(hm[:, users], max_size, n0, ledger).run()
@@ -933,7 +925,7 @@ class _SubsetSearch:
         )
         for child in self._score(
             self.positions[:, np.newaxis], rates, tol, sure,
-            np.empty((n, 0, 0)), self.energy, v_bar.T, diag.T,
+            (np.empty((n, 0, 0)), self.energy, v_bar.T, diag.T),
         ):
             self._grow(*child)
         self._weigh()
@@ -963,8 +955,8 @@ class _SubsetSearch:
         """Score the subsets ``members[p]`` + ``c``; return their prefixes to grow."""
         sets = np.concatenate((members[p], c[:, np.newaxis]), axis=1)
         if factor is None:
-            self._keep(sets, self._kernel(sets), np.zeros(len(sets)))
-            return [(sets, None)] if sets.shape[1] < self.max_size else []
+            n = len(sets)
+            return self._score(sets, np.empty(n), np.empty(n), np.zeros(n, dtype=bool))
         w_inv, inv_diag, trace = factor
         # Row i: G[S_i, c_i], then |h_c|^2 = G[c_i, c_i].
         cross = self.gram[sets, c[:, np.newaxis], np.newaxis]
@@ -974,33 +966,41 @@ class _SubsetSearch:
             w, inv_diag[p], cross[:, :-1], energy, trace, self.h.shape[0], self.n0
         )
         return self._score(
-            sets, rates[:, 0], tol[:, 0], sure[:, 0], w, trace[:, 0], v_bar[..., 0], diag[..., 0]
+            sets, rates[:, 0], tol[:, 0], sure[:, 0],
+            (w, trace[:, 0], v_bar[..., 0], diag[..., 0]),
         )
 
-    def _score(self, sets, rates, tol, sure, w, trace, v_bar, diag) -> list:
-        """Charge and keep one bordered block of subsets; return its prefixes.
+    def _score(self, sets, rates, tol, sure, bordered=None) -> list:
+        """Price and keep one block of subsets; return its prefixes.
 
         Row i of each argument belongs to subset ``sets[i]``: its bordered
-        rate, tolerance and certificate, its prefix's inverse factor, and its
-        trace, conj(v) and inverse diagonal (see ``_bordered_rates``). The
-        kernel scores the subsets that are not ``sure``. Below ``max_size``,
-        the block's subsets are the next level's prefixes, as (members,
-        factor) pairs; the factor is None for those the kernel scored.
+        rate, tolerance and certificate, and in ``bordered`` its prefix's
+        inverse factor, its trace, conj(v) and inverse diagonal (see
+        ``_bordered_rates``), which only ``sure`` rows need. ``_exact_rates``
+        scores the subsets that are not ``sure``, and ``_charge_zf`` prices
+        the whole block: every subset, and each finite rate as one that
+        passes the kernel's guard, since a certified rate is finite. Below
+        ``max_size``, the block's subsets are the next level's prefixes, as
+        (members, factor) pairs; the factor is None for those the kernel
+        scored.
         """
         m, k = self.h.shape[0], sets.shape[1]
         grown = k < self.max_size
-        n_sure = int(np.count_nonzero(sure))
-        _charge_zf(self.ledger, m, k, n_sure, n_sure)
-        self.ledger.comparisons += n_sure
+        passed = n_sure = int(np.count_nonzero(sure))
         prefixes = []
         if n_sure < len(sets):
             unsure = ~sure
-            rates[unsure], tol[unsure] = self._kernel(sets[unsure]), 0.0
+            exact = _exact_rates(self.h, sets[unsure], self.n0)
+            rates[unsure], tol[unsure] = exact, 0.0
+            passed += int(np.count_nonzero(exact > -np.inf))
             if grown:
                 prefixes.append((sets[unsure], None))
+        _charge_zf(self.ledger, m, k, len(sets), passed)
+        self.ledger.comparisons += passed
         self._keep(sets, rates, tol)
         if not grown or not n_sure:
             return prefixes
+        w, trace, v_bar, diag = bordered
         if n_sure < len(sets):
             sets, w, trace, v_bar, diag = (a[sure] for a in (sets, w, trace, v_bar, diag))
         # The bordered factor: W with the row [-v^H, 1] / sqrt(s) below it.
@@ -1011,12 +1011,6 @@ class _SubsetSearch:
         w_next[:, -1, -1] = scale
         prefixes.append((sets, (w_next, diag, trace)))
         return prefixes
-
-    def _kernel(self, sets: np.ndarray) -> np.ndarray:
-        """Kernel rates of ``sets``, charged with a comparison per finite rate."""
-        rates = zf_sum_rate_batch(self.h, sets, self.n0, self.ledger)
-        self.ledger.comparisons += int(np.count_nonzero(rates > -np.inf))
-        return rates
 
     def _keep(self, sets: np.ndarray, rates: np.ndarray, tol: np.ndarray) -> None:
         """Queue a scored block; the queue is weighed once it holds a block's worth."""

@@ -114,6 +114,11 @@ class TestMcCommand:
             ("grid.m = [4, 4]", "grid.m lists 4 twice"),
             ("grid.u = [8, 6, 8]", "grid.u lists 8 twice"),
             ("grid.p0_dbm = [-90, -90.0]", "grid.p0_dbm lists -90.0 twice"),
+            # Distinct values whose scenario ids would be the same.
+            (
+                "grid.p0_dbm = [-90.5, -90.5000001]",
+                "grid.p0_dbm values -90.5 and -90.5000001 both print as p-90.5 in scenario ids",
+            ),
             ("select.algorithms = [ssus, gzf, ssus]", "select.algorithms lists ssus twice"),
             ("ssus.l = [2, 2]", "ssus.l lists 2 twice"),
             ("ssus.alpha = [0.45, 0.3, 0.45]", "ssus.alpha lists 0.45 twice"),

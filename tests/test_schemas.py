@@ -111,6 +111,10 @@ class TestRuleMessages:
                 "select.algorithms names an unknown algorithm (choose from ssus, sus, gzf, "
                 "mcore_plus, random, exhaustive), got 'warp'",
             ),
+            (
+                dict(p0_dbm_values=(-80.0, -90.5, -90.5000001)),
+                "grid.p0_dbm values -90.5 and -90.5000001 both print as p-90.5 in scenario ids",
+            ),
         ],
     )
     def test_config_settings(self, kw, message):
