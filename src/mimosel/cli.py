@@ -58,7 +58,7 @@ _RUN_OVERRIDES = (
     ("--seed", "master_seed", parse_value, "override the master seed"),
     ("--trials", "trials", parse_value, "override the trial count"),
     ("--workers", "workers", parse_value,
-     "parallel worker processes, capped at the CPU count"),
+     "parallel worker processes, capped at the CPUs this process may use"),
     ("--format", "output.format", str, "output format: csv or json"),
     ("--out", "output.path", str, "output path (default: config output.path or stdout)"),
     ("--m", "grid.m", _config_list, "override antenna counts, e.g. 4,8"),

@@ -440,28 +440,6 @@ def _infeasible_reason(point: GridPoint, inst: AlgoInstance) -> str | None:
     return infeasible_reason(inst.algorithm, point.m, point.u, _cell_k(point, inst))
 
 
-def _report_skip(point: GridPoint, inst: AlgoInstance, reason: str) -> None:
-    """Log to stderr that ``inst`` is left out at ``point``, and why."""
-    print(f"skipped {inst.label} at {point.scenario_id}: {reason}", file=sys.stderr)
-
-
-def _report_failures(point: GridPoint, inst: AlgoInstance, reports, trials: int) -> None:
-    """Log to stderr how many trials ``inst`` lost at ``point``, and the first error.
-
-    An ``ssus`` variant is named with its L and alpha.
-    """
-    errors = [r.cells[inst].error for r in reports if r.cells[inst].error is not None]
-    if errors:
-        name = inst.label
-        if inst.num_bases is not None:
-            name += f" (L={inst.num_bases}, alpha={inst.alpha})"
-        print(
-            f"failed {name} at {point.scenario_id}: "
-            f"{len(errors)} of {trials} trials ({errors[0]})",
-            file=sys.stderr,
-        )
-
-
 def run_trial(
     cfg: ExperimentConfig,
     point: GridPoint,
@@ -481,7 +459,7 @@ def run_trial(
         [drawn] = _draw_chunk(cfg, point, instances, [trial_index])
     h, chunk_selections = drawn
     channel_hash = hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
-    select_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_SELECT)
+    # The ``ssus`` variants ran in the chunk, so ``random`` alone reads a seed.
     random_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_RANDOM)
 
     # Per variant: its outcome (a result or the error it raised), its
@@ -496,7 +474,7 @@ def run_trial(
             algorithm=inst.algorithm,
             k_max=_cell_k(point, inst),
             sus_epsilon=cfg.sus_epsilon,
-            rng_seed=random_seed if inst.algorithm is Algorithm.RANDOM else select_seed,
+            rng_seed=random_seed,
         )
         start = time.perf_counter_ns()
         try:
@@ -627,13 +605,15 @@ def _run_trials(
     """Reports of every trial at each grid point of ``jobs``, by trial index.
 
     The pool has ``cfg.workers`` workers, capped by the trial count and the
-    CPU count. With one, each point's trials run through ``_trial_chunk`` in
-    this process. With more, each point's trials are split into one strided
-    chunk per worker, so that the chunk engines batch as many trials as the
-    pool allows, and the chunks of all points go to one process pool.
+    count of CPUs this process may run on. With one, each point's trials
+    run through ``_trial_chunk`` in this process. With more, each point's
+    trials are split into one strided chunk per worker, so that the chunk
+    engines batch as many trials as the pool allows, and the chunks of all
+    points go to one process pool.
     """
     indices = list(range(cfg.trials))
-    n_workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(cfg.workers, cfg.trials, cpus or 1)
     if n_workers == 1:
         return {p: _trial_chunk((cfg, p, insts, indices)) for p, insts in jobs.items()}
     chunks = [indices[i::n_workers] for i in range(n_workers)]
@@ -695,6 +675,40 @@ def _aggregate(
     )
 
 
+def _sweep(cfg: ExperimentConfig) -> tuple[dict, dict[GridPoint, list[TrialReport]]]:
+    """Run every feasible (grid point, variant) pair of ``cfg``.
+
+    Returns the infeasibility reason (None if feasible) of every pair, keyed
+    by (point, variant) in grid and then variant order, and the reports of
+    ``_run_trials`` at each point where some variant is feasible.
+    """
+    instances = algo_instances(cfg)
+    points = grid_points(cfg)
+    reasons = {(p, i): _infeasible_reason(p, i) for p in points for i in instances}
+    feasible = {p: [i for i in instances if reasons[p, i] is None] for p in points}
+    return reasons, _run_trials(cfg, {p: insts for p, insts in feasible.items() if insts})
+
+
+def _log_sweep(reasons: dict, reports: dict, trials: int) -> None:
+    """Log each pair of a ``_sweep`` that needs it to stderr, in pair order.
+
+    An infeasible pair logs why it was skipped; a feasible pair that lost
+    trials to errors logs how many of ``trials`` and the first error, an
+    ``ssus`` variant being named with its L and alpha.
+    """
+    for (point, inst), reason in reasons.items():
+        if reason is not None:
+            print(f"skipped {inst.label} at {point.scenario_id}: {reason}", file=sys.stderr)
+            continue
+        errors = [r.cells[inst].error for r in reports[point] if r.cells[inst].error is not None]
+        if errors:
+            name = inst.label
+            if inst.num_bases is not None:
+                name += f" (L={inst.num_bases}, alpha={inst.alpha})"
+            lost = f"{len(errors)} of {trials} trials ({errors[0]})"
+            print(f"failed {name} at {point.scenario_id}: {lost}", file=sys.stderr)
+
+
 def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
     """Cross the grid with every algorithm variant, one aggregate row each.
 
@@ -703,20 +717,12 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[AggregateRow]:
     stderr and kept on the row object. A row that lost trials to errors
     logs how many and the first error to stderr.
     """
-    instances = algo_instances(cfg)
-    points = grid_points(cfg)
-    reasons = {(p, i): _infeasible_reason(p, i) for p in points for i in instances}
-    feasible = {p: [i for i in instances if reasons[p, i] is None] for p in points}
-    reports = _run_trials(cfg, {p: insts for p, insts in feasible.items() if insts})
-    rows: list[AggregateRow] = []
-    for (point, inst), reason in reasons.items():
-        if reason is None:
-            _report_failures(point, inst, reports[point], cfg.trials)
-            rows.append(_aggregate(point, inst, reports[point], cfg.timing))
-        else:
-            _report_skip(point, inst, reason)
-            rows.append(_row(point, inst, skip_reason=reason))
-    return rows
+    reasons, reports = _sweep(cfg)
+    _log_sweep(reasons, reports, cfg.trials)
+    return [
+        _aggregate(p, i, reports[p], cfg.timing) if r is None else _row(p, i, skip_reason=r)
+        for (p, i), r in reasons.items()
+    ]
 
 
 #: Keys of an ``oracle_check`` row, in the column order of ``oracle-check``.
@@ -758,25 +764,22 @@ def oracle_check(
         trials=trials,
         master_seed=master_seed,
     )
-    point = grid_points(cfg)[0]
-    reasons = {inst: _infeasible_reason(point, inst) for inst in algo_instances(cfg)}
+    [point] = grid_points(cfg)
     oracle_inst = AlgoInstance(Algorithm.EXHAUSTIVE)
-    if reasons[oracle_inst] is not None:
-        raise ValueError(
-            f"oracle infeasible at M={m}, U={u}, K_max={point.k_max}: {reasons[oracle_inst]}"
-        )
-    instances = [inst for inst, reason in reasons.items() if reason is None]
-    reports = _run_trials(cfg, {point: instances})[point]
-    oracle_errors = [report.cells[oracle_inst].error for report in reports]
+    reason = _infeasible_reason(point, oracle_inst)
+    if reason is not None:
+        raise ValueError(f"oracle infeasible at M={m}, U={u}, K_max={point.k_max}: {reason}")
+    reasons, reports = _sweep(cfg)
+    oracle_errors = [report.cells[oracle_inst].error for report in reports[point]]
     if None not in oracle_errors:
         raise ValueError(f"every trial of {oracle_inst.label} failed: {oracle_errors[0]}")
     rows = []
-    for inst in instances:
-        if inst.algorithm is Algorithm.EXHAUSTIVE:
+    for (_, inst), reason in reasons.items():
+        if reason is not None or inst == oracle_inst:
             continue
         ratios = []
         violations = 0
-        for report in reports:
+        for report in reports[point]:
             cell = report.cells[inst]
             oracle = report.cells[oracle_inst]
             if cell.error is not None or oracle.error is not None:
@@ -785,17 +788,13 @@ def oracle_check(
             if cell.se > oracle.se:
                 violations += 1
         if not ratios:
-            cells = (c for r in reports for c in (r.cells[inst], r.cells[oracle_inst]))
+            cells = (c for r in reports[point] for c in (r.cells[inst], r.cells[oracle_inst]))
             first = next(c.error for c in cells if c.error is not None)
             raise ValueError(f"every trial of {inst.label} failed: {first}")
         mean_ratio = math.fsum(ratios) / len(ratios)
         values = (inst.label, m, u, point.k_max, len(ratios), mean_ratio, min(ratios), violations)
         rows.append(dict(zip(_ORACLE_COLUMNS, values, strict=True)))
-    for inst, reason in reasons.items():
-        if reason is None:
-            _report_failures(point, inst, reports, trials)
-        else:
-            _report_skip(point, inst, reason)
+    _log_sweep(reasons, reports, trials)
     return rows
 
 

@@ -245,37 +245,38 @@ def ss_us_trials(hs, k_max: int, rng_seeds, n0: float, variants):
     _require("n0", n0, _POSITIVE)
     for num_bases, alpha in variants:
         SelectionConfig(Algorithm.SSUS, k_max, num_bases, alpha)  # checks the tunables
-    outcomes: list = [None] * len(hs)
-    valid = []
-    for t, h in enumerate(hs):
-        try:
-            _as_channel(h)
-        except ValueError as exc:
-            outcomes[t] = [(exc, OpLedger()) for _ in variants]
-        else:
-            valid.append(t)
-    _, m, u = hs.shape
+    n_trials, m, u = hs.shape
     n_bases = max((num_bases for num_bases, _ in variants), default=1)
     # A group's trials share each block, so their bases must fit one.
     per_group = max(1, _bases_per_block(m, u - 1, min(k_max, m) - 1) // n_bases)
-    for lo in range(0, len(valid), per_group):
-        group = valid[lo : lo + per_group]
-        seeds = [rng_seeds[t] for t in group]
-        for t, trial in zip(group, _ss_us_group(hs[group], k_max, seeds, n0, variants)):
-            outcomes[t] = trial
+    outcomes: list = [None] * n_trials
+    # The valid trials are grouped as they are checked, so that only one
+    # group's column norms are held at a time.
+    group, norms = [], []
+    for t, h in enumerate(hs):
+        try:
+            norms.append(_as_channel(h)[1])
+            group.append(t)
+        except ValueError as exc:
+            outcomes[t] = [(exc, OpLedger()) for _ in variants]
+        if group and (len(group) == per_group or t == n_trials - 1):
+            seeds = [rng_seeds[i] for i in group]
+            trials = _ss_us_group(hs[group], np.array(norms), k_max, seeds, n0, variants)
+            for i, trial in zip(group, trials):
+                outcomes[i] = trial
+            group, norms = [], []
     return outcomes
 
 
-def _ss_us_group(hs, k_max: int, rng_seeds, n0: float, variants) -> list:
+def _ss_us_group(hs, norms, k_max: int, rng_seeds, n0: float, variants) -> list:
     """``ss_us_trials`` on a (G, M, U) stack of valid channels that share blocks.
 
-    Either one trial, whose bases may span several blocks, or several whose
-    bases all fit one block.
+    ``norms`` holds their (G, U) column norms. Either one trial, whose bases
+    may span several blocks, or several whose bases all fit one block.
     """
     n_trials, m, u = hs.shape
     trials = np.arange(n_trials)
     common = OpLedger(complex_macs=u * m, divisions=u, comparisons=max(u - 1, 0))
-    norms = np.linalg.norm(hs, axis=1)
     rates = np.log2(1.0 + norms**2 / n0)
     seed_users = norms.argmax(axis=1)
     seed_rates = rates[trials, seed_users]
@@ -877,15 +878,16 @@ def _best_subset(hm: np.ndarray, users, max_size: int, n0: float, ledger: OpLedg
     ``_SUBSET_BLOCK`` // k subsets of size k: level k borders each
     size-(k-1) prefix by every user after its last one, through
     ``_bordered_rates``, with the cross terms taken from one Gram matrix of
-    ``users``. A block's certified subsets carry their factor, inverse
-    diagonal and trace to the next level as its prefixes. One rule scores a
-    subset: its bound certifies its rate, or the kernel scores it, and so
-    every subset it is a prefix of, since trace(G) trace(G⁻¹) does not fall
-    when a column is added. ``_charge_zf`` prices every subset as the kernel
-    would, whichever path scored it. The subsets whose error intervals reach
-    the largest lower bound of any subset are the only ones that may win;
-    when more than one is left, those not yet exact are rescored by the
-    kernel, and the highest rate wins, then the smallest subset.
+    ``users``; level 1 borders the empty prefix like any other level. A
+    block's certified subsets carry their factor, inverse diagonal and trace
+    to the next level as its prefixes. One rule scores a subset: its bound
+    certifies its rate, or the kernel scores it, and so every subset it is a
+    prefix of, since trace(G) trace(G⁻¹) does not fall when a column is
+    added. ``_charge_zf`` prices every subset as the kernel would, whichever
+    path scored it. The subsets whose error intervals reach the largest
+    lower bound of any subset are the only ones that may win; when more than
+    one is left, those not yet exact are rescored by the kernel, and the
+    highest rate wins, then the smallest subset.
     """
     _require("n0", n0, _POSITIVE)
     winner = _SubsetSearch(hm[:, users], max_size, n0, ledger).run()
@@ -895,20 +897,21 @@ def _best_subset(hm: np.ndarray, users, max_size: int, n0: float, ledger: OpLedg
 class _SubsetSearch:
     """The enumeration of ``_best_subset`` over the columns of ``h``.
 
-    Subsets are rows of column positions into ``h``. Scored blocks are
-    queued and weighed together once they hold ``_SUBSET_BLOCK`` subsets,
-    and at the end. ``floor`` is a lower bound, rate - tol, of the highest
-    rate of any subset weighed so far (tol is 0 for kernel rates), and
-    ``kept`` holds the subsets whose intervals still reach it: only they may
-    win. When more than ``_SUBSET_BLOCK`` are kept, and at the end, they are
-    settled: those not yet exact are rescored by the kernel, already
-    charged, and the highest rate wins, then the smallest subset.
+    Subsets are rows of column positions into ``h``. The search grows from
+    the empty prefix, whose inverse factor is 0 x 0 and whose trace is 0, so
+    level 1 borders it like any other level. Scored blocks are queued and
+    weighed together once they hold ``_SUBSET_BLOCK`` subsets, and at the
+    end. ``floor`` is a lower bound, rate - tol, of the highest rate of any
+    subset weighed so far (tol is 0 for kernel rates), and ``kept`` holds
+    the subsets whose intervals still reach it: only they may win. When more
+    than ``_SUBSET_BLOCK`` are kept, and at the end, they are settled: those
+    not yet exact are rescored by the kernel, already charged, and the
+    highest rate wins, then the smallest subset.
     """
 
     def __init__(self, h: np.ndarray, max_size: int, n0: float, ledger: OpLedger):
         self.h, self.max_size, self.n0, self.ledger = h, max_size, n0, ledger
         self.gram = h.conj().T @ h
-        self.energy = self.gram.diagonal().real
         self.positions = np.arange(h.shape[1])
         self.floor = -np.inf
         self.kept: list[tuple[tuple[int, ...], float, float]] = []
@@ -917,17 +920,9 @@ class _SubsetSearch:
 
     def run(self) -> tuple[int, ...]:
         """The winning subset, or () when every subset is singular."""
-        # Level 1 borders the empty prefix by every column at once.
-        n = len(self.energy)
-        rates, tol, sure, v_bar, _, diag = _bordered_rates(
-            np.empty((0, 0)), np.empty(0), np.empty((0, n)), self.energy, self.energy,
-            self.h.shape[0], self.n0,
+        self._grow(
+            np.empty((1, 0), dtype=np.intp), (np.empty((1, 0, 0)), np.empty((1, 0)), np.zeros(1))
         )
-        for child in self._score(
-            self.positions[:, np.newaxis], rates, tol, sure,
-            (np.empty((n, 0, 0)), self.energy, v_bar.T, diag.T),
-        ):
-            self._grow(*child)
         self._weigh()
         if self.floor == -np.inf:
             return ()
@@ -944,7 +939,9 @@ class _SubsetSearch:
         kernel. Each block's children are grown after the block's own
         working arrays are freed.
         """
-        parent, cand = (self.positions > members[:, -1:]).nonzero()
+        # A child adds a column after its prefix's last; any column to the root.
+        last = members[:, -1:] if members.shape[1] else [[-1]]
+        parent, cand = (self.positions > last).nonzero()
         block = max(1, _SUBSET_BLOCK // (members.shape[1] + 1))
         for lo in range(0, parent.size, block):
             p, c = parent[lo : lo + block], cand[lo : lo + block]
@@ -953,17 +950,19 @@ class _SubsetSearch:
 
     def _block(self, members, factor, p, c) -> list:
         """Score the subsets ``members[p]`` + ``c``; return their prefixes to grow."""
-        sets = np.concatenate((members[p], c[:, np.newaxis]), axis=1)
+        # ``take`` gathers the prefixes' rows at under half the fixed cost of
+        # fancy indexing, which a search pays on every block.
+        sets = np.concatenate((members.take(p, axis=0), c[:, np.newaxis]), axis=1)
         if factor is None:
             n = len(sets)
             return self._score(sets, np.empty(n), np.empty(n), np.zeros(n, dtype=bool))
         w_inv, inv_diag, trace = factor
         # Row i: G[S_i, c_i], then |h_c|^2 = G[c_i, c_i].
         cross = self.gram[sets, c[:, np.newaxis], np.newaxis]
-        w, energy = w_inv[p], cross[:, -1, :].real
-        trace = trace[p, np.newaxis] + energy
+        w, energy = w_inv.take(p, axis=0), cross[:, -1, :].real
+        trace = trace.take(p)[:, np.newaxis] + energy
         rates, tol, sure, v_bar, _, diag = _bordered_rates(
-            w, inv_diag[p], cross[:, :-1], energy, trace, self.h.shape[0], self.n0
+            w, inv_diag.take(p, axis=0), cross[:, :-1], energy, trace, self.h.shape[0], self.n0
         )
         return self._score(
             sets, rates[:, 0], tol[:, 0], sure[:, 0],

@@ -206,16 +206,26 @@ class TestOracleCheckCommand:
 
     def test_failed_trials_are_reported(self, monkeypatch, capsys):
         # Trial 2 of ssus runs out of basis redraws; the other four compare.
+        # At M = 13 mcore_plus is skipped too, and its line comes after
+        # ssus's, in instance order.
         bad_seed = derive_seed(1234, 0, 2, harness._ROLE_SELECT)
         script_bases(monkeypatch, lambda seed, l: ZeroStream() if seed == bad_seed else None)
-        assert main(["oracle-check", "--m", "4", "--u", "6", "--trials", "5"]) == 0
-        captured = capsys.readouterr()
-        trials = {line.split(",")[0]: line.split(",")[4] for line in captured.out.split()[1:]}
-        assert trials == {"ssus": "4", "sus": "5", "gzf": "5", "mcore_plus": "5", "random": "5"}
-        assert re.fullmatch(
-            r"failed ssus \(L=10, alpha=0\.45\) at m4_u6_p-90: 1 of 5 trials \(.*redraws.*\)\n",
-            captured.err,
+        skip_13 = (
+            "skipped mcore_plus at m13_u6_p-90: mcore_plus requires M <= 12, scenario has M=13\n"
         )
+        for m, rows, skipped in (
+            (4, ("ssus", "sus", "gzf", "mcore_plus", "random"), ""),
+            (13, ("ssus", "sus", "gzf", "random"), skip_13),
+        ):
+            assert main(["oracle-check", "--m", str(m), "--u", "6", "--trials", "5"]) == 0
+            captured = capsys.readouterr()
+            trials = {line.split(",")[0]: line.split(",")[4] for line in captured.out.split()[1:]}
+            assert trials == {name: "4" if name == "ssus" else "5" for name in rows}
+            assert re.fullmatch(
+                rf"failed ssus \(L=10, alpha=0\.45\) at m{m}_u6_p-90: 1 of 5 trials "
+                r"\(.*redraws.*\)\n" + re.escape(skipped),
+                captured.err,
+            )
 
 
 # CSV of ``cost`` and ``oracle-check`` as the commands wrote it before they

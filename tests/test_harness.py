@@ -384,10 +384,23 @@ class TestAggregation:
         cfg4 = tiny_config(trials=12, workers=4, algorithms=("ssus", "gzf", "random"))
         assert emit(run_monte_carlo(cfg1), "csv") == emit(run_monte_carlo(cfg4), "csv")
 
-    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 6), (None, 1), (1, 1)])
-    def test_pool_capped_at_trials_and_cpu_count(self, monkeypatch, cpus, expected):
+    # Ids are "<cpu_count>-<expected>"; ``affinity`` None stands for an OS
+    # without ``sched_getaffinity``.
+    @pytest.mark.parametrize(
+        "affinity, cpus, expected",
+        [
+            pytest.param({0, 1}, 2, 2, id="2-2"),
+            pytest.param(set(range(64)), 64, 6, id="64-6"),
+            pytest.param(None, None, 1, id="None-1"),
+            pytest.param(None, 1, 1, id="1-1"),
+            pytest.param({0}, 2, 1, id="pinned_to_one-2-1"),
+            pytest.param(None, 64, 6, id="no_affinity-64-6"),
+        ],
+    )
+    def test_pool_capped_at_trials_and_cpu_count(self, monkeypatch, affinity, cpus, expected):
         # ``expected`` workers after the caps; one of them runs in this
-        # process and starts no pool.
+        # process and starts no pool. The CPUs are those of the affinity
+        # mask where the OS has one, else the CPU count.
         sizes = []
 
         class InProcessPool:
@@ -405,6 +418,12 @@ class TestAggregation:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                harness.os, "sched_getaffinity", lambda pid: affinity, raising=False
+            )
         rows = run_monte_carlo(tiny_config(trials=6, workers=5000))
         assert sizes == ([expected] if expected > 1 else [])
         assert emit(rows, "csv") == emit(run_monte_carlo(tiny_config(trials=6)), "csv")
@@ -433,6 +452,9 @@ class TestAggregation:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+        )
         cfg = tiny_config(m_values=(4, 8), u_values=(6, 10), trials=7, workers=3)
         rows = run_monte_carlo(cfg)
         assert len(pools) == 1

@@ -269,9 +269,20 @@ def test_block_boundaries_do_not_change_the_answer(monkeypatch, block):
     whole = OpLedger()
     expected = exhaustive_oracle(h, n0, 4, whole).selected
     monkeypatch.setattr(selectors, "_SUBSET_BLOCK", block)
+    queued = []
+    keep = selectors._SubsetSearch._keep
+
+    def spy(search, sets, rates, tol):
+        queued.append(sets.shape)
+        keep(search, sets, rates, tol)
+
+    monkeypatch.setattr(selectors._SubsetSearch, "_keep", spy)
     split = OpLedger()
     assert exhaustive_oracle(h, n0, 4, split).selected == expected
     assert split == whole
+    # Every level, the first included, queues blocks of its own size.
+    assert {k for _, k in queued} == {1, 2, 3, 4}
+    assert all(rows <= max(1, block // k) for rows, k in queued)
 
 
 # Peak bytes that tracemalloc sees in one exhaustive_oracle call at M = 8,
