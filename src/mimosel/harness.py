@@ -7,12 +7,13 @@ in chunks: a chunk draws each of its trials' channels from that trial's own
 stream, then makes one ``ss_us_trials`` call that builds every trial's
 bases once and matches every ``ssus`` variant, charging each variant what
 it would cost alone, and one ``gzf_trials`` call that runs ``gzf`` on every
-trial in lockstep; then ``run_trial`` runs the other algorithms of each
-trial and scores all of its final sets. A chunk holds as many trials as
-their channel stack fits in ``_BLOCK_BUDGET``, and a trial's results do
-not depend on which trials share its chunk. Results are post-sorted by
-trial index before aggregation, which makes the output invariant to worker
-count.
+trial in lockstep, and runs the other algorithms of each trial on their
+own. It scores the final sets of all its trials with one ZF kernel call
+per set size, and ``run_trial`` builds each trial's report. A chunk holds
+as many trials as their channel stack fits in ``_BLOCK_BUDGET``, and a
+trial's results do not depend on which trials share its chunk. Results are
+post-sorted by trial index before aggregation, which makes the output
+invariant to worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .channel import LinkBudget, generate_iid_rayleigh, noise_power, noise_power_dbm
 from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
-from .metrics import _ill_conditioned, zf_sum_rate_batch
+from .metrics import _ill_conditioned, _zf_sum_rates
 # Scores no cell any more; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
 from .numerics import OpLedger
@@ -445,115 +446,52 @@ def run_trial(
     point: GridPoint,
     instances: list[AlgoInstance],
     trial_index: int,
-    drawn: tuple | None = None,
+    scored: tuple | None = None,
 ) -> TrialReport:
     """Run every algorithm variant on one freshly drawn channel matrix.
 
-    ``drawn`` is this trial's entry of ``_draw_chunk`` for the chunk it
-    belongs to: its channel and the selections its chunk made for it, those
-    of the ``ssus`` variants and ``gzf``. Without it, the trial is drawn as
-    a chunk of its own. Every other variant runs through ``run_selection``
-    on its own; then every final set is scored (see ``_cells``).
+    ``scored`` is this trial's entry of ``_scored_chunk`` for the chunk it
+    belongs to: its channel and its cells, selected and scored with the
+    rest of the chunk. Without it, the trial is drawn, selected and scored
+    as a chunk of its own.
     """
-    if drawn is None:
-        [drawn] = _draw_chunk(cfg, point, instances, [trial_index])
-    h, chunk_selections = drawn
-    channel_hash = hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
-    # The ``ssus`` variants ran in the chunk, so ``random`` alone reads a seed.
-    random_seed = derive_seed(cfg.master_seed, point.index, trial_index, _ROLE_RANDOM)
-
-    # Per variant: its outcome (a result or the error it raised), its
-    # ledger and its wall time.
-    selections = {}
-    for inst in instances:
-        if inst in chunk_selections:
-            selections[inst] = chunk_selections[inst]
-            continue
-        ledger = OpLedger()
-        sel_cfg = SelectionConfig(
-            algorithm=inst.algorithm,
-            k_max=_cell_k(point, inst),
-            sus_epsilon=cfg.sus_epsilon,
-            rng_seed=random_seed,
-        )
-        start = time.perf_counter_ns()
-        try:
-            outcome = run_selection(h, sel_cfg, point.n0, ledger)
-        except ValueError as exc:
-            outcome = exc
-        selections[inst] = (outcome, ledger, time.perf_counter_ns() - start)
+    if scored is None:
+        [scored] = _scored_chunk(cfg, point, instances, [trial_index])
+    h, cells = scored
     return TrialReport(
         trial_index=trial_index,
         scenario_id=point.scenario_id,
-        channel_hash=channel_hash,
-        cells=_cells(h, point.n0, selections),
+        channel_hash=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16],
+        cells=cells,
     )
 
 
-def _cells(h, n0: float, selections: dict) -> dict[AlgoInstance, CellResult]:
-    """Cells of one trial's ``selections``: (outcome, ledger, wall ns) per variant.
-
-    Evaluation of the final sets is measurement, not selection: it goes to
-    a throwaway ledger so MAC counts stay comparable with the selection
-    cost models. The sets of each size K are scored by one
-    ``zf_sum_rate_batch`` call, columns in sorted order, so every
-    algorithm's set is scored bit for bit like the oracle's enumeration of
-    the same subset; each cell's wall time adds an even share of that call.
-    A set the kernel scores minus infinity fails its cell with the
-    ``SingularSetError`` that ``sum_spectral_efficiency`` raises for it.
-    """
-    by_size: dict[int, list[AlgoInstance]] = {}
-    for inst, (outcome, _, _) in selections.items():
-        if not isinstance(outcome, Exception):
-            by_size.setdefault(len(outcome.selected), []).append(inst)
-    scores = {}
-    for k, insts in by_size.items():
-        start = time.perf_counter_ns()
-        sets = [sorted(selections[inst][0].selected) for inst in insts]
-        try:
-            rates = [
-                rate if rate > -math.inf else _ill_conditioned(h.shape[0], k)
-                for rate in zf_sum_rate_batch(h, sets, n0, OpLedger()).tolist()
-            ]
-        except ValueError as exc:
-            rates = [exc] * len(insts)
-        share_ns = (time.perf_counter_ns() - start) // len(insts)
-        scores.update((inst, (rate, share_ns)) for inst, rate in zip(insts, rates))
-
-    cells = {}
-    for inst, (outcome, ledger, wall_ns) in selections.items():
-        # A selection that failed keeps its error and scores nothing.
-        se, score_ns = scores.get(inst, (outcome, 0))
-        failed = isinstance(se, Exception)
-        cells[inst] = CellResult(
-            selected=() if failed else outcome.selected,
-            se=float("nan") if failed else se,
-            macs=ledger.complex_macs,
-            divisions=ledger.divisions,
-            comparisons=ledger.comparisons,
-            wall_ns=wall_ns + score_ns,
-            error=str(se) if failed else None,
-        )
-    return cells
+def _scored_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> list[tuple]:
+    """(channel, cells) of each trial of ``indices``, drawn, selected and scored as one chunk."""
+    hs, selections = _draw_chunk(cfg, point, instances, indices)
+    return list(zip(hs, _score_chunk(hs, point.n0, selections)))
 
 
-def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> list[tuple]:
-    """Channel and chunk selections of each trial of ``indices``, drawn as one chunk.
+def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> tuple:
+    """Channels and selections of the trials ``indices``, drawn as one chunk.
 
     Each trial's channel comes from its own stream, as in a lone trial;
     then one ``ss_us_trials`` call builds the bases of every trial and
     matches every ``ssus`` variant, and one ``gzf_trials`` call runs
-    ``gzf`` on every trial. Returns one (channel, selections) pair per
-    trial: the selections map each of those variants to its (outcome,
-    ledger, wall ns), the wall time being the engine call's split evenly
-    across the trials and then across the variants it ran.
+    ``gzf`` on every trial. Every other variant runs through
+    ``run_selection`` on each trial on its own. Returns the (T, M, U)
+    channel stack and, per trial, a map of each variant, in ``instances``
+    order, to its (outcome, ledger, wall ns): the outcome is a result or
+    the error the selection raised, and the wall time of an engine call is
+    split evenly across the trials and then across the variants it ran.
     """
     hs = np.empty((len(indices), point.m, point.u), dtype=np.complex128)
     for h, t in zip(hs, indices):
         h[...] = generate_iid_rayleigh(
             point.m, point.u, stream(cfg.master_seed, point.index, t, _ROLE_CHANNEL)
         )
-    chunk = [{} for _ in indices]
+    # Per trial, each variant's entry in ``instances`` order, filled in below.
+    chunk = [dict.fromkeys(instances) for _ in indices]
     # Per engine: the variants it runs, and its call, which returns per
     # trial one (outcome, ledger) pair per variant.
     engines = []
@@ -574,7 +512,88 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
         share_ns = (time.perf_counter_ns() - start) // (len(indices) * len(insts))
         for selections, trial in zip(chunk, outcomes):
             selections.update((inst, (*pair, share_ns)) for inst, pair in zip(insts, trial))
-    return list(zip(hs, chunk))
+    for h, t, selections in zip(hs, indices, chunk):
+        # The ``ssus`` variants ran in the chunk, so ``random`` alone reads a seed.
+        random_seed = derive_seed(cfg.master_seed, point.index, t, _ROLE_RANDOM)
+        for inst in instances:
+            if selections[inst] is not None:
+                continue
+            ledger = OpLedger()
+            sel_cfg = SelectionConfig(
+                algorithm=inst.algorithm,
+                k_max=_cell_k(point, inst),
+                sus_epsilon=cfg.sus_epsilon,
+                rng_seed=random_seed,
+            )
+            start = time.perf_counter_ns()
+            try:
+                outcome = run_selection(h, sel_cfg, point.n0, ledger)
+            except ValueError as exc:
+                outcome = exc
+            selections[inst] = (outcome, ledger, time.perf_counter_ns() - start)
+    return hs, chunk
+
+
+def _score_chunk(hs, n0: float, selections: list[dict]) -> list[dict[AlgoInstance, CellResult]]:
+    """Cells of each trial of a chunk: ``hs`` and ``selections`` of ``_draw_chunk``.
+
+    Evaluation of the final sets is measurement, not selection: it goes to
+    a throwaway ledger so MAC counts stay comparable with the selection
+    cost models. The final sets of every trial that have size K are
+    gathered, columns in sorted order, into one (P, M, K) stack and scored
+    by one ``_zf_sum_rates`` call, so every algorithm's set is scored bit
+    for bit like the oracle's enumeration of the same subset. A stack of
+    more than ``_BLOCK_BUDGET`` float64 elements is scored in calls of at
+    most that many; a set's score does not depend on its call. Each cell's
+    wall time adds an even share of its call. A set the kernel scores
+    minus infinity fails its cell with the ``SingularSetError`` that
+    ``sum_spectral_efficiency`` raises for it, and a ``ValueError`` from
+    the kernel fails every cell of its call.
+    """
+    m = hs.shape[1]
+    by_size: dict[int, list[tuple[int, AlgoInstance]]] = {}
+    for t, trial in enumerate(selections):
+        for inst, (outcome, _, _) in trial.items():
+            if not isinstance(outcome, Exception):
+                by_size.setdefault(len(outcome.selected), []).append((t, inst))
+    scores = {}
+    for k, keys in by_size.items():
+        per_call = max(1, _BLOCK_BUDGET // (2 * m * k))
+        for lo in range(0, len(keys), per_call):
+            part = keys[lo : lo + per_call]
+            start = time.perf_counter_ns()
+            trials = np.array([t for t, _ in part])
+            sets = np.array([sorted(selections[t][inst][0].selected) for t, inst in part])
+            # One contiguous (M, K) matrix per set, as ``zf_sum_rate_batch`` stacks it.
+            stack = hs[trials[:, None, None], np.arange(m)[:, None], sets[:, None, :]]
+            try:
+                rates = [
+                    rate if rate > -math.inf else _ill_conditioned(m, k)
+                    for rate in _zf_sum_rates(stack, n0, OpLedger()).tolist()
+                ]
+            except ValueError as exc:
+                rates = [exc] * len(part)
+            share_ns = (time.perf_counter_ns() - start) // len(part)
+            scores.update((key, (rate, share_ns)) for key, rate in zip(part, rates))
+
+    chunk_cells = []
+    for t, trial in enumerate(selections):
+        cells = {}
+        for inst, (outcome, ledger, wall_ns) in trial.items():
+            # A selection that failed keeps its error and scores nothing.
+            se, score_ns = scores.get((t, inst), (outcome, 0))
+            failed = isinstance(se, Exception)
+            cells[inst] = CellResult(
+                selected=() if failed else outcome.selected,
+                se=float("nan") if failed else se,
+                macs=ledger.complex_macs,
+                divisions=ledger.divisions,
+                comparisons=ledger.comparisons,
+                wall_ns=wall_ns + score_ns,
+                error=str(se) if failed else None,
+            )
+        chunk_cells.append(cells)
+    return chunk_cells
 
 
 def _trials_per_chunk(point: GridPoint) -> int:
@@ -586,16 +605,16 @@ def _trials_per_chunk(point: GridPoint) -> int:
 def _trial_chunk(args) -> list[TrialReport]:
     """Reports of the trials ``indices`` at ``point``, in index order.
 
-    The trials are drawn ``_trials_per_chunk`` at a time by
-    ``_draw_chunk``, and ``run_trial`` runs once per trial.
+    The trials are drawn, selected and scored ``_trials_per_chunk`` at a
+    time by ``_scored_chunk``, and ``run_trial`` runs once per trial.
     """
     cfg, point, instances, indices = args
     size = _trials_per_chunk(point)
     reports = []
     for lo in range(0, len(indices), size):
         chunk = indices[lo : lo + size]
-        drawn = _draw_chunk(cfg, point, instances, chunk)
-        reports += [run_trial(cfg, point, instances, t, d) for t, d in zip(chunk, drawn)]
+        scored = _scored_chunk(cfg, point, instances, chunk)
+        reports += [run_trial(cfg, point, instances, t, s) for t, s in zip(chunk, scored)]
     return reports
 
 

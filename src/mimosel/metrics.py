@@ -151,7 +151,16 @@ def zf_sum_rate_batch(h, sets, n0: float, ledger: OpLedger) -> np.ndarray:
         raise ValueError(f"candidate sets must be a 2-D index array, got shape {sets.shape}")
     # One contiguous (M, K) matrix per set, so each batched BLAS and LAPACK
     # call sees the same operands as the single-set path.
-    ok, snr = _zf_snr(np.ascontiguousarray(np.moveaxis(h[:, sets], 0, 1)), n0, ledger)
-    rates = np.full(len(sets), -np.inf)
+    return _zf_sum_rates(np.ascontiguousarray(np.moveaxis(h[:, sets], 0, 1)), n0, ledger)
+
+
+def _zf_sum_rates(h_stack: np.ndarray, n0: float, ledger: OpLedger) -> np.ndarray:
+    """ZF sum spectral efficiency of each set of a contiguous (P, M, K) stack.
+
+    Entry p is sum_k log2(1 + SNR_k) of set p, or minus infinity where the
+    set fails the ``COND_LIMIT`` guard; the ledger is charged by ``_zf_snr``.
+    """
+    ok, snr = _zf_snr(h_stack, n0, ledger)
+    rates = np.full(len(h_stack), -np.inf)
     rates[ok] = np.sum(np.log2(1.0 + snr), axis=-1)
     return rates

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -21,6 +22,8 @@ from mimosel.harness import (
     run_monte_carlo,
     run_trial,
 )
+from mimosel.metrics import SingularSetError, sum_spectral_efficiency
+from mimosel.numerics import OpLedger
 from mimosel.seeding import derive_seed, stream
 from mimosel.selectors import Algorithm
 from test_ssus_blocks import ZeroStream, script_bases
@@ -262,18 +265,20 @@ class TestRunTrial:
 
 
 class TestTrialChunks:
-    """``_trial_chunk`` draws its trials a chunk at a time and runs each one.
+    """``_trial_chunk`` draws, selects and scores its trials a chunk at a time.
 
     The benchmark's span tracer replaces ``harness._trial_chunk`` and counts
     the calls of the module-level ``harness.run_trial``, one per trial. A
     trial's report must not depend on which trials share its chunk. Trial 3
     exhausts its redraws at basis 3, so its L = 5 cell fails and its L = 2
-    cell does not, and trial 5 has a non-finite channel, so all its cells
-    fail.
+    cell does not; trial 5 has a non-finite channel, so all its cells fail;
+    and trial 7 has a rank-1 channel, so ``random``'s four users fail the
+    ``COND_LIMIT`` guard, in the same scoring call as trial 6's finite sets
+    when the two trials share a chunk.
     """
 
     CFG = tiny_config(
-        trials=7,
+        trials=8,
         algorithms=("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive"),
         ssus_num_bases=(2, 5),
     )
@@ -286,12 +291,17 @@ class TestTrialChunks:
             monkeypatch, lambda seed, l: ZeroStream() if (seed, l) == (bad_seed, 3) else None
         )
         real_generate = harness.generate_iid_rayleigh
-        nan_channel = real_generate(4, 10, stream(cfg.master_seed, 0, 5, harness._ROLE_CHANNEL))
+        nan_channel, rank_1_channel = (
+            real_generate(4, 10, stream(cfg.master_seed, 0, t, harness._ROLE_CHANNEL))
+            for t in (5, 7)
+        )
 
         def generate(m, u, rng):
             h = real_generate(m, u, rng)
             if np.array_equal(h, nan_channel):
                 h[0, 0] = np.nan
+            if np.array_equal(h, rank_1_channel):
+                h[...] = np.outer(h[:, 0], h[0, :])
             return h
 
         monkeypatch.setattr(harness, "generate_iid_rayleigh", generate)
@@ -331,11 +341,78 @@ class TestTrialChunks:
         instances = algo_instances(self.CFG)
         want = [self.key(run_trial(self.CFG, point, instances, t)) for t in range(self.CFG.trials)]
         short, long = instances[:2]
+        random = AlgoInstance(Algorithm.RANDOM)
         errors = {t: {i for i, cell in cells.items() if cell.error} for t, _, cells in want}
-        assert errors == {t: set() for t in range(7)} | {3: {long}, 5: set(instances)}
+        assert errors == {t: set() for t in range(8)} | {
+            3: {long}, 5: set(instances), 7: {random}
+        }
         assert (short.num_bases, long.num_bases) == (2, 5)
+        rank_1 = harness.generate_iid_rayleigh(
+            4, 10, stream(self.CFG.master_seed, 0, 7, harness._ROLE_CHANNEL)
+        )
+        with pytest.raises(SingularSetError) as singular:
+            sum_spectral_efficiency(rank_1[:, :4], point.n0, OpLedger())
+        assert want[7][2][random].error == str(singular.value)
         for size in (1, 3, self.CFG.trials):
             assert [self.key(r) for r in self.run_chunks(monkeypatch, size)] == want
+
+    def test_one_scoring_call_per_set_size_per_chunk(self, monkeypatch, failing_trials):
+        # Per chunk: the sizes of its successful selections, their count,
+        # and the (P, M, K) shape of each scoring call.
+        chunks = []
+        real_draw, real_rates = harness._draw_chunk, harness._zf_sum_rates
+
+        def draw(*args):
+            hs, selections = real_draw(*args)
+            sets = [len(outcome.selected) for trial in selections
+                    for outcome, _, _ in trial.values() if not isinstance(outcome, Exception)]
+            chunks.append((set(sets), len(sets), []))
+            return hs, selections
+
+        def rates(stack, n0, ledger):
+            chunks[-1][2].append(stack.shape)
+            return real_rates(stack, n0, ledger)
+
+        monkeypatch.setattr(harness, "_draw_chunk", draw)
+        monkeypatch.setattr(harness, "_zf_sum_rates", rates)
+        for size in (1, 3, self.CFG.trials):
+            chunks.clear()
+            self.run_chunks(monkeypatch, size)
+            assert len(chunks) == -(-self.CFG.trials // size)
+            for sizes, count, shapes in chunks:
+                assert sorted(k for _, _, k in shapes) == sorted(sizes)
+                assert sum(p for p, _, _ in shapes) == count
+
+    def test_scoring_calls_stay_within_the_block_budget(self, monkeypatch):
+        # At M = U = 6 a chunk holds 972 trials, and a final set of K = 6
+        # is as large as a trial's channel, so the 20 ``ssus`` variants
+        # give the chunk more K = 6 sets than fit in one call.
+        cfg = tiny_config(
+            m_values=(6,), u_values=(6,), algorithms=("ssus", "gzf"), trials=250,
+            ssus_num_bases=(1, 2, 3, 4, 5), ssus_alpha=(0.2, 0.4, 0.6, 0.8),
+        )
+        point = grid_points(cfg)[0]
+        instances = algo_instances(cfg)
+        assert harness._trials_per_chunk(point) >= cfg.trials
+        want = [self.key(run_trial(cfg, point, instances, t)) for t in range(cfg.trials)]
+        shapes = []
+        real_rates = harness._zf_sum_rates
+
+        def rates(stack, n0, ledger):
+            shapes.append(stack.shape)
+            return real_rates(stack, n0, ledger)
+
+        monkeypatch.setattr(harness, "_zf_sum_rates", rates)
+        reports = harness._trial_chunk((cfg, point, instances, list(range(cfg.trials))))
+        assert [self.key(r) for r in reports] == want
+        sets, calls = collections.Counter(), collections.Counter()
+        for p, m, k in shapes:
+            assert 2 * p * m * k <= sel._BLOCK_BUDGET
+            sets[k] += p
+            calls[k] += 1
+        assert calls[6] > 1
+        for k, n in sets.items():
+            assert calls[k] == -(-n // (sel._BLOCK_BUDGET // (2 * 6 * k)))
 
     def test_workers_do_not_change_the_output(self, failing_trials, capsys):
         outputs = []
@@ -343,8 +420,10 @@ class TestTrialChunks:
             rows = run_monte_carlo(dataclasses.replace(self.CFG, workers=workers))
             outputs.append((emit(rows, "csv"), emit(rows, "json"), capsys.readouterr().err))
         assert outputs[0] == outputs[1]
-        assert outputs[0][2].count("\n") == 7  # every row lost trial 5, L = 5 lost trial 3 too
-        assert "failed ssus (L=5, alpha=0.45) at m4_u10_p-90: 2 of 7 trials" in outputs[0][2]
+        # Every row lost trial 5, L = 5 lost trial 3 too and random trial 7.
+        assert outputs[0][2].count("\n") == 7
+        assert "failed ssus (L=5, alpha=0.45) at m4_u10_p-90: 2 of 8 trials" in outputs[0][2]
+        assert "failed random at m4_u10_p-90: 2 of 8 trials" in outputs[0][2]
 
 
 class TestAggregation:

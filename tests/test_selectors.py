@@ -359,7 +359,7 @@ class TestCrossAlgorithmProperties:
             res = run_selection(h, cfg, n0, OpLedger())
             assert len(set(res.selected)) == res.k_b, algorithm
             assert 1 <= res.k_b <= k_max, algorithm
-            # Scored on sorted columns, as run_trial scores every cell.
+            # Scored on sorted columns, as the harness scores every cell.
             se = sum_spectral_efficiency(h[:, sorted(res.selected)], n0, OpLedger())
             assert se <= oracle_se, algorithm
 
