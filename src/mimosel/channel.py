@@ -40,6 +40,23 @@ def _require(name: str, value, rule) -> None:
         raise ValueError(f"{name} {phrase}, got {shown}")
 
 
+def _column_norms(arr: np.ndarray) -> np.ndarray:
+    """Column norms of the complex channel matrix ``arr``, checked to be finite.
+
+    Raises the ``ValueError`` naming a non-finite entry, or else a column
+    whose norm overflows although its entries are finite.
+    """
+    # A non-finite entry makes its column's norm non-finite, so one check on
+    # the norms covers both; the entries are looked at only on failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(arr, axis=0)
+    if not np.isfinite(norms).all():
+        if not np.isfinite(arr).all():
+            raise ValueError("channel matrix contains a non-finite entry")
+        raise ValueError("channel matrix contains a column whose norm overflows")
+    return norms
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Target received power plus the receiver noise parameters."""

@@ -6,14 +6,15 @@ algorithm on that identical matrix, so comparisons are paired. Trials run
 in chunks: a chunk draws each of its trials' channels from that trial's own
 stream, then makes one ``ss_us_trials`` call that builds every trial's
 bases once and matches every ``ssus`` variant, charging each variant what
-it would cost alone, and one ``gzf_trials`` call that runs ``gzf`` on every
-trial in lockstep, and runs the other algorithms of each trial on their
-own. It scores the final sets of all its trials with one ZF kernel call
-per set size, and ``run_trial`` builds each trial's report. A chunk holds
-as many trials as their channel stack fits in ``_BLOCK_BUDGET``, and a
-trial's results do not depend on which trials share its chunk. Results are
-post-sorted by trial index before aggregation, which makes the output
-invariant to worker count.
+it would cost alone; one ``gzf_trials`` call that runs ``gzf`` on every
+trial in lockstep; one ``mcore_plus_trials`` and one ``exhaustive_trials``
+call, each of which searches the subsets of every trial together; and runs
+the other algorithms of each trial on their own. It scores the final sets
+of all its trials with one ZF kernel call per set size, and ``run_trial``
+builds each trial's report. A chunk holds as many trials as their channel
+stack fits in ``_BLOCK_BUDGET``, and a trial's results do not depend on
+which trials share its chunk. Results are post-sorted by trial index
+before aggregation, which makes the output invariant to worker count.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ from .selectors import (
     _BLOCK_BUDGET,
     Algorithm,
     SelectionConfig,
+    exhaustive_trials,
     gzf_trials,
     infeasible_reason,
+    mcore_plus_trials,
     run_selection,
     ss_us_trials,
 )
@@ -477,8 +480,9 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
 
     Each trial's channel comes from its own stream, as in a lone trial;
     then one ``ss_us_trials`` call builds the bases of every trial and
-    matches every ``ssus`` variant, and one ``gzf_trials`` call runs
-    ``gzf`` on every trial. Every other variant runs through
+    matches every ``ssus`` variant, and one ``gzf_trials``,
+    ``mcore_plus_trials`` and ``exhaustive_trials`` call runs each of those
+    selectors on every trial. Every other variant runs through
     ``run_selection`` on each trial on its own. Returns the (T, M, U)
     channel stack and, per trial, a map of each variant, in ``instances``
     order, to its (outcome, ledger, wall ns): the outcome is a result or
@@ -500,9 +504,16 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
         seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_SELECT) for t in indices]
         variants = [(i.num_bases, i.alpha) for i in ssus]
         engines.append((ssus, lambda: ss_us_trials(hs, point.k_max, seeds, point.n0, variants)))
-    gzf = [i for i in instances if i.algorithm is Algorithm.GZF]
-    if gzf:
-        engines.append((gzf, lambda: [[pair] for pair in gzf_trials(hs, point.n0, point.k_max)]))
+    for algorithm, engine in (
+        (Algorithm.GZF, gzf_trials),
+        (Algorithm.MCORE_PLUS, mcore_plus_trials),
+        (Algorithm.EXHAUSTIVE, exhaustive_trials),
+    ):
+        insts = [i for i in instances if i.algorithm is algorithm]
+        if insts:
+            engines.append(
+                (insts, lambda engine=engine: [[pair] for pair in engine(hs, point.n0, point.k_max)])
+            )
     for insts, call in engines:
         start = time.perf_counter_ns()
         try:

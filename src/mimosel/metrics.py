@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _POSITIVE, _require
+from .channel import _POSITIVE, _column_norms, _require
 from .numerics import OpLedger
 
 __all__ = [
@@ -40,8 +40,7 @@ def _as_selected(h_sel) -> np.ndarray:
         h = h[:, np.newaxis]
     if h.ndim != 2:
         raise ValueError(f"selected channel must be 2-D, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("channel matrix contains a non-finite entry")
+    _column_norms(h)
     return h
 
 
@@ -143,15 +142,23 @@ def zf_sum_rate_batch(h, sets, n0: float, ledger: OpLedger) -> np.ndarray:
     ``sum_spectral_efficiency(h[:, sets[p]], n0, ledger)`` bit for bit, or
     minus infinity where that call would raise :class:`SingularSetError`.
     The ledger is charged per set, as P calls of the single-set path would
-    charge it. Memory grows with P, so callers bound it.
+    charge it. Memory grows with P, so callers bound it. A channel with a
+    non-finite entry, or a column whose norm overflows, raises the
+    ``ValueError`` that ``sum_spectral_efficiency`` raises for it.
     """
     h = np.asarray(h, dtype=np.complex128)
+    _column_norms(h)
     sets = np.asarray(sets, dtype=np.intp)
     if sets.ndim != 2:
         raise ValueError(f"candidate sets must be a 2-D index array, got shape {sets.shape}")
+    return _zf_sum_rates(_set_stack(h, sets), n0, ledger)
+
+
+def _set_stack(h: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The columns ``sets[p]`` of ``h`` for each row p, as a contiguous (P, M, K) stack."""
     # One contiguous (M, K) matrix per set, so each batched BLAS and LAPACK
     # call sees the same operands as the single-set path.
-    return _zf_sum_rates(np.ascontiguousarray(np.moveaxis(h[:, sets], 0, 1)), n0, ledger)
+    return np.ascontiguousarray(np.moveaxis(h[:, sets], 0, 1))
 
 
 def _zf_sum_rates(h_stack: np.ndarray, n0: float, ledger: OpLedger) -> np.ndarray:

@@ -6,9 +6,11 @@ greedy zero-forcing (``gzf``), a chordal-distance shortlist method
 (``mcore_plus``), uniform random selection, and a brute-force oracle for
 small instances.
 
-``ss_us`` and ``gzf`` run on one channel; their engines, ``ss_us_trials``
-and ``gzf_trials``, run every trial of a (T, M, U) stack of channels at
-once, each trial's outcome and charges being those of a lone call.
+``ss_us``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` run on one
+channel; their engines, ``ss_us_trials``, ``gzf_trials``,
+``mcore_plus_trials`` and ``exhaustive_trials``, run every trial of a
+(T, M, U) stack of channels at once, each trial's outcome and charges
+being those of a lone call.
 
 Conventions shared by every selector:
 
@@ -27,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
-from .metrics import COND_LIMIT, _charge_zf, _ill_conditioned, _zf_snr, zf_sum_rate_batch
+from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _column_norms, _require
+from .metrics import COND_LIMIT, _charge_zf, _ill_conditioned, _set_stack, _zf_snr, _zf_sum_rates
 # Not called here; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
 from .numerics import (
@@ -50,8 +52,10 @@ __all__ = [
     "gzf",
     "gzf_trials",
     "mcore_plus",
+    "mcore_plus_trials",
     "random_select",
     "exhaustive_oracle",
+    "exhaustive_trials",
     "run_selection",
     "infeasible_reason",
     "EXHAUSTIVE_SUBSET_CAP",
@@ -67,14 +71,16 @@ MCORE_MAX_ANTENNAS = 12
 
 #: Block size of the subset enumeration of ``mcore_plus`` and
 #: ``exhaustive_oracle``: a block holds at most this many subsets of size K
-#: over K (at least one), so that their K x K factors hold at most this many
-#: times K entries, and memory stays flat in the size of the search space.
+#: over K (at least one), whichever trials they belong to, so that their
+#: K x K factors hold at most this many times K entries, and memory stays
+#: flat in the size of the search space and in the number of trials.
 _SUBSET_BLOCK = 1024
 
 #: Float64 elements (560 kB) that the largest stack of one ``ss_us`` block
 #: may hold; it sizes the block (see ``_bases_per_block``) and so bounds its
 #: working set. Chosen by measurement: at U = 100 it holds the 100 bases of
-#: M = 8 in one block and those of M = 16 in three.
+#: M = 8 in one block and those of M = 16 in three. It also caps the Gram
+#: matrices that one subset search holds (see ``_best_subset``).
 _BLOCK_BUDGET = 70_000
 
 
@@ -156,14 +162,7 @@ def _as_channel(h) -> tuple[np.ndarray, np.ndarray]:
     m, u = arr.shape
     if m < 1 or u < 1:
         raise ValueError(f"channel matrix must be at least 1x1, got {m}x{u}")
-    # A non-finite entry makes its column's norm non-finite, so one check on
-    # the norms covers both; the entries are looked at only on failure.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(arr, axis=0)
-    if not np.isfinite(norms).all():
-        if not np.isfinite(arr).all():
-            raise ValueError("channel matrix contains a non-finite entry")
-        raise ValueError("channel matrix contains a column whose norm overflows")
+    norms = _column_norms(arr)
     if not norms.all():
         raise ValueError("channel matrix contains an all-zero column, or one whose norm underflows")
     return arr, norms
@@ -603,10 +602,30 @@ def gzf_trials(hs, n0: float, k_max: int) -> list:
     ``k_max`` or an ``n0`` that is not positive raises ``ValueError`` for
     the whole call.
     """
+    hs, outcomes, valid, norms = _engine_arguments(hs, Algorithm.GZF, n0, k_max)
+    if valid:
+        for t, outcome in zip(valid, _gzf_lockstep(hs[valid], norms, n0, k_max)):
+            outcomes[t] = outcome
+    return outcomes
+
+
+def _engine_arguments(hs, algorithm: Algorithm, n0: float, k_max: int) -> tuple:
+    """The arguments of the ``gzf``, ``mcore_plus`` or ``exhaustive`` chunk engine, checked.
+
+    A stack that is not 3-D, a bad ``k_max``, a shape on which
+    ``algorithm`` is infeasible or an ``n0`` that is not positive raises
+    ``ValueError`` for the whole call; ``_as_channel`` checks each channel
+    for its own trial. Returns the (T, M, U) stack as a complex array; a
+    list with, for each trial whose channel is rejected, its outcome (the
+    error and an empty ledger), and None for the others; the indices of the
+    others; and their (V, U) column norms.
+    """
     hs = np.asarray(hs, dtype=np.complex128)
     if hs.ndim != 3:
         raise ValueError(f"channel stack must be 3-D, got shape {hs.shape}")
     _require("k_max", k_max, _AT_LEAST_1)
+    if reason := infeasible_reason(algorithm, *hs.shape[1:], k_max):
+        raise ValueError(reason)
     _require("n0", n0, _POSITIVE)
     outcomes: list = [None] * len(hs)
     valid, norms = [], []
@@ -617,10 +636,7 @@ def gzf_trials(hs, n0: float, k_max: int) -> list:
             outcomes[t] = (exc, OpLedger())
         else:
             valid.append(t)
-    if valid:
-        for t, outcome in zip(valid, _gzf_lockstep(hs[valid], np.array(norms), n0, k_max)):
-            outcomes[t] = outcome
-    return outcomes
+    return hs, outcomes, valid, np.array(norms)
 
 
 def _gzf_lockstep(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> list:
@@ -757,13 +773,15 @@ def _grown(selected: list[int], cands: np.ndarray) -> np.ndarray:
     return np.column_stack((np.tile(selected, (cands.size, 1)), cands))
 
 
-def _exact_rates(hm: np.ndarray, sets, n0: float) -> np.ndarray:
-    """Kernel rates of ``sets``, uncharged.
+def _exact_rates(hm: np.ndarray, sets: np.ndarray, n0: float) -> np.ndarray:
+    """Kernel rates of the (P, K) index array ``sets`` of ``hm``, uncharged.
 
-    This is the one caller of ``zf_sum_rate_batch`` here; the searches ask
-    it only for rates and price every set they score through ``_charge_zf``.
+    These are the rates ``zf_sum_rate_batch`` gives, without its channel
+    check, which the selectors made when they took the channel. They ask
+    the kernel only for rates, through here, and price every set they score
+    through ``_charge_zf``.
     """
-    return zf_sum_rate_batch(hm, sets, n0, OpLedger())
+    return _zf_sum_rates(_set_stack(hm, sets), n0, OpLedger())
 
 
 def _bordered_rates(w_inv, inv_diag, cross, cand_energy, trace, m, n0):
@@ -828,108 +846,177 @@ def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     max-min chordal distance sqrt(1 - corr^2) seeded with the strongest
     user, then enumerates every shortlist subset of 1..``k_max`` users and
     returns the one with the highest ZF sum spectral efficiency.
-    """
-    hm, norms = _as_channel(h)
-    m, u = hm.shape
-    _require("k_max", k_max, _AT_LEAST_1)
-    if reason := infeasible_reason(Algorithm.MCORE_PLUS, m, u, k_max):
-        raise ValueError(reason)
-    ledger.complex_macs += u * m  # the column norms
-    order = np.argsort(-norms, kind="stable")
-    ledger.comparisons += u * max(1, math.ceil(math.log2(max(u, 2))))
-    pool = np.sort(order[: min(2 * m, u)])
 
-    h_pool = hm[:, pool] / norms[pool]
-    ledger.divisions += pool.size * m
-    corr = np.abs(h_pool.conj().T @ h_pool)
-    ledger.complex_macs += pool.size * pool.size * m
+    This is ``mcore_plus_trials`` on a stack of one trial, the channel
+    ``h``; the ledger is charged what that trial is charged there.
+    """
+    [(outcome, charged)] = mcore_plus_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
+    return _lone(outcome, charged, ledger)
+
+
+def mcore_plus_trials(hs, n0: float, k_max: int) -> list:
+    """``mcore_plus`` for every trial of a (T, M, U) stack of channels, in lockstep.
+
+    This is the one entry point of the shortlist method; ``mcore_plus`` is
+    its case of one trial. The shortlist stage runs on the stack: a stable
+    argsort of each trial's column norms, its 2M pool, the pool's chordal
+    distances from one stacked product, and the max-min greedy in one
+    stacked step per shortlist member after the strongest. One
+    ``_best_subset`` call then searches every trial's shortlist.
+
+    Returns one (outcome, ledger) pair per trial: the
+    :class:`SelectionResult` of ``mcore_plus`` and what that call charges.
+    A channel that ``mcore_plus`` rejects fails its own trial with an empty
+    ledger. A stack that is not 3-D, a bad ``k_max``, M above
+    ``MCORE_MAX_ANTENNAS`` or an ``n0`` that is not positive raises
+    ``ValueError`` for the whole call.
+    """
+    hs, outcomes, valid, norms = _engine_arguments(hs, Algorithm.MCORE_PLUS, n0, k_max)
+    _, m, u = hs.shape
+    if not valid:
+        return outcomes
+    hs, rows = hs[valid], np.arange(len(valid))
+    n_pool = min(2 * m, u)
+    n_short = min(m, n_pool)
+    # Every trial pays the same: the column norms, the argsort, the pool's
+    # normalisation and correlations, and one comparison per pool member
+    # for the strongest and for each later pick.
+    charged = OpLedger(
+        complex_macs=u * m + n_pool * n_pool * m,
+        divisions=n_pool * m,
+        comparisons=u * max(1, math.ceil(math.log2(max(u, 2)))) + n_short * (n_pool - 1),
+    )
+    pool = np.sort(np.argsort(-norms, axis=1, kind="stable")[:, :n_pool], axis=1)
+    pool_norms = np.take_along_axis(norms, pool, axis=1)
+    h_pool = np.take_along_axis(hs, pool[:, np.newaxis], axis=2) / pool_norms[:, np.newaxis]
+    corr = np.abs(h_pool.conj().transpose(0, 2, 1) @ h_pool)
     chordal = np.sqrt(np.maximum(1.0 - np.minimum(corr, 1.0) ** 2, 0.0))
 
-    strongest = int(np.argmax(norms[pool]))
-    ledger.comparisons += max(pool.size - 1, 0)
-    taken = np.zeros(pool.size, dtype=bool)
-    taken[strongest] = True
-    min_dist = chordal[:, strongest].copy()
-    n_short = min(m, pool.size)
-    shortlist = [strongest]
-    while len(shortlist) < n_short:
-        scores = np.where(taken, -np.inf, min_dist)
-        pick = int(np.argmax(scores))
-        ledger.comparisons += max(pool.size - 1, 0)
-        taken[pick] = True
-        shortlist.append(pick)
-        min_dist = np.minimum(min_dist, chordal[:, pick])
+    # Positions into each trial's pool, the strongest first.
+    short = np.empty((len(rows), n_short), dtype=np.intp)
+    short[:, 0] = pool_norms.argmax(axis=1)
+    taken = np.zeros(pool.shape, dtype=bool)
+    taken[rows, short[:, 0]] = True
+    min_dist = chordal[rows, :, short[:, 0]]
+    for i in range(1, n_short):
+        short[:, i] = np.where(taken, -np.inf, min_dist).argmax(axis=1)
+        taken[rows, short[:, i]] = True
+        min_dist = np.minimum(min_dist, chordal[rows, :, short[:, i]])
+    users = np.sort(np.take_along_axis(pool, short, axis=1), axis=1)
 
-    short_users = sorted(int(pool[i]) for i in shortlist)
-    return SelectionResult(
-        selected=_best_subset(hm, short_users, min(k_max, len(short_users)), n0, ledger)
+    ledgers = [replace(charged) for _ in valid]
+    winners = _best_subset(
+        np.take_along_axis(hs, users[:, np.newaxis], axis=2), min(k_max, n_short), n0, ledgers
     )
+    for t, row, winner, ledger in zip(valid, users, winners, ledgers):
+        outcomes[t] = (SelectionResult(selected=tuple(row[list(winner)].tolist())), ledger)
+    return outcomes
 
 
-def _best_subset(hm: np.ndarray, users, max_size: int, n0: float, ledger: OpLedger):
-    """Subset of ``users`` with 1..``max_size`` members and the highest ZF sum SE.
+def _best_subset(hs: np.ndarray, max_size: int, n0: float, ledgers) -> list:
+    """Per trial of a (T, M, n) stack, its subset of 1..``max_size`` columns with the highest ZF sum SE.
 
-    The answer, the ties and the charges are those of scoring every subset
-    with ``zf_sum_rate_batch``: singular subsets are skipped, every other
-    subset costs one comparison, and ties break toward the lexicographically
-    smallest subset, across sizes. Most subsets never reach the kernel.
+    Returns each trial's winner as a tuple of column positions, and charges
+    ``ledgers[t]`` what trial t's search costs. The answer, the ties and the
+    charges are those of scoring every subset with ``zf_sum_rate_batch``:
+    singular subsets are skipped, every other subset costs one comparison,
+    and ties break toward the lexicographically smallest subset, across
+    sizes. Most subsets never reach the kernel.
 
     Subsets are enumerated level by level, depth first, in blocks of at most
-    ``_SUBSET_BLOCK`` // k subsets of size k: level k borders each
-    size-(k-1) prefix by every user after its last one, through
-    ``_bordered_rates``, with the cross terms taken from one Gram matrix of
-    ``users``; level 1 borders the empty prefix like any other level. A
-    block's certified subsets carry their factor, inverse diagonal and trace
-    to the next level as its prefixes. One rule scores a subset: its bound
-    certifies its rate, or the kernel scores it, and so every subset it is a
-    prefix of, since trace(G) trace(G⁻¹) does not fall when a column is
-    added. ``_charge_zf`` prices every subset as the kernel would, whichever
-    path scored it. The subsets whose error intervals reach the largest
-    lower bound of any subset are the only ones that may win; when more than
-    one is left, those not yet exact are rescored by the kernel, and the
-    highest rate wins, then the smallest subset.
+    ``_SUBSET_BLOCK`` // k subsets of size k, whichever trials they belong
+    to: level k borders each size-(k-1) prefix by every column of its trial
+    after its last one, through ``_bordered_rates``, with the cross terms
+    taken from the trial's Gram matrix; level 1 borders the empty prefix
+    like any other level. A block's certified subsets carry their factor,
+    inverse diagonal and trace to the next level as its prefixes. One rule
+    scores a subset: its bound certifies its rate, or the kernel scores it,
+    and so every subset it is a prefix of, since trace(G) trace(G⁻¹) does
+    not fall when a column is added. A block's uncertified subsets of every
+    trial go to the kernel in one call. ``_charge_zf`` prices every subset
+    as the kernel would, whichever path scored it. The subsets whose error
+    intervals reach the largest lower bound of any subset of their trial
+    are the only ones that may win; when more than one is left, those not
+    yet exact are rescored by the kernel, and the highest rate wins, then
+    the smallest subset. Neither the blocks nor the trials that share them
+    change an answer or a charge.
+
+    One ``_SubsetSearch`` takes as many trials as their Gram matrices fit in
+    ``_BLOCK_BUDGET`` float64 elements, and at least one.
     """
-    _require("n0", n0, _POSITIVE)
-    winner = _SubsetSearch(hm[:, users], max_size, n0, ledger).run()
-    return tuple(users[i] for i in winner)
+    n = hs.shape[2]
+    per_search = max(1, _BLOCK_BUDGET // (2 * n * n))
+    winners = []
+    for lo in range(0, len(hs), per_search):
+        found, charged = _SubsetSearch(hs[lo : lo + per_search], max_size, n0).run()
+        winners += found
+        for ledger, (macs, divisions, comparisons) in zip(ledgers[lo:], charged.tolist()):
+            ledger.complex_macs += macs
+            ledger.divisions += divisions
+            ledger.comparisons += comparisons
+    return winners
 
 
 class _SubsetSearch:
-    """The enumeration of ``_best_subset`` over the columns of ``h``.
+    """The enumeration of ``_best_subset`` over the columns of a (T, M, n) stack.
 
-    Subsets are rows of column positions into ``h``. The search grows from
-    the empty prefix, whose inverse factor is 0 x 0 and whose trace is 0, so
-    level 1 borders it like any other level. Scored blocks are queued and
-    weighed together once they hold ``_SUBSET_BLOCK`` subsets, and at the
-    end. ``floor`` is a lower bound, rate - tol, of the highest rate of any
-    subset weighed so far (tol is 0 for kernel rates), and ``kept`` holds
-    the subsets whose intervals still reach it: only they may win. When more
-    than ``_SUBSET_BLOCK`` are kept, and at the end, they are settled: those
-    not yet exact are rescored by the kernel, already charged, and the
-    highest rate wins, then the smallest subset.
+    The trials' columns sit side by side in ``h``, an (M, T n) matrix, so
+    trial t owns positions t n to t n + n - 1. A subset is a row of
+    positions: its trial is its first position over n, and the kernel
+    scores rows of any trials in one call. ``gram`` holds the trials' Gram
+    matrices row by row, so that row p of it is position p's. The search
+    grows from each trial's empty prefix, whose inverse factor is 0 x 0 and
+    whose trace is 0, so level 1 borders it like any other level. Scored
+    blocks are queued and weighed together once they hold ``_SUBSET_BLOCK``
+    subsets, and at the end. Per trial, ``floor`` is a lower bound,
+    rate - tol, of the highest rate of any of its subsets weighed so far
+    (tol is 0 for kernel rates), and ``kept`` holds its subsets whose
+    intervals still reach it: only they may win. When a trial keeps more
+    than ``_SUBSET_BLOCK``, and at the end, its kept subsets are settled:
+    those not yet exact are rescored by the kernel, already charged, and the
+    highest rate wins, then the smallest subset. Every subset is scored, so
+    a trial scores C(n, k) subsets of size k, and all but those that
+    ``failed`` the kernel's guard pass it, a certified rate being finite;
+    ``_charge_zf`` prices them at the end.
     """
 
-    def __init__(self, h: np.ndarray, max_size: int, n0: float, ledger: OpLedger):
-        self.h, self.max_size, self.n0, self.ledger = h, max_size, n0, ledger
-        self.gram = h.conj().T @ h
-        self.positions = np.arange(h.shape[1])
-        self.floor = -np.inf
-        self.kept: list[tuple[tuple[int, ...], float, float]] = []
+    def __init__(self, hs: np.ndarray, max_size: int, n0: float):
+        n_trials, m, n = hs.shape
+        self.n, self.max_size, self.n0 = n, max_size, n0
+        self.h = hs.transpose(1, 0, 2).reshape(m, n_trials * n)
+        self.gram = (hs.conj().transpose(0, 2, 1) @ hs).reshape(n_trials * n, n)
+        self.floor = np.full(n_trials, -np.inf)
+        self.kept: list[list[tuple[tuple[int, ...], float, float]]] = [[] for _ in range(n_trials)]
+        self.failed = np.zeros((n_trials, max_size + 1), dtype=np.int64)
         self.queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.queued = 0
 
-    def run(self) -> tuple[int, ...]:
-        """The winning subset, or () when every subset is singular."""
+    def run(self) -> tuple[list, np.ndarray]:
+        """Each trial's winning subset, () when every subset is singular, and
+        its (MACs, divisions, comparisons) as a (T, 3) array."""
+        n_trials, n = len(self.floor), self.n
         self._grow(
-            np.empty((1, 0), dtype=np.intp), (np.empty((1, 0, 0)), np.empty((1, 0)), np.zeros(1))
+            np.empty((n_trials, 0), dtype=np.intp),
+            (np.empty((n_trials, 0, 0)), np.empty((n_trials, 0)), np.zeros(n_trials)),
         )
         self._weigh()
-        if self.floor == -np.inf:
-            return ()
-        self.kept = [s for s in self.kept if s[1] + s[2] >= self.floor]
-        if len(self.kept) > 1:
-            self._settle()
-        return self.kept[0][0]
+        for t, floor in enumerate(self.floor.tolist()):
+            self.kept[t] = [s for s in self.kept[t] if s[1] + s[2] >= floor]
+        self._settle([t for t, kept in enumerate(self.kept) if len(kept) > 1])
+        winners = [
+            tuple(p - t * n for p in kept[0][0]) if floor > -np.inf else ()
+            for t, (kept, floor) in enumerate(zip(self.kept, self.floor.tolist()))
+        ]
+        sizes = np.arange(1, self.max_size + 1)
+        scored = np.array([math.comb(n, k) for k in sizes.tolist()])
+        passed = scored - self.failed[:, 1:]
+        price = OpLedger()
+        _charge_zf(price, self.h.shape[0], sizes, scored, passed)
+        charged = np.stack(
+            (price.complex_macs.sum(axis=-1), price.divisions.sum(axis=-1), passed.sum(axis=-1)),
+            axis=-1,
+        )
+        return winners, charged
 
     def _grow(self, members: np.ndarray, factor) -> None:
         """Score every child of the prefixes ``members``, then their children.
@@ -939,9 +1026,16 @@ class _SubsetSearch:
         kernel. Each block's children are grown after the block's own
         working arrays are freed.
         """
-        # A child adds a column after its prefix's last; any column to the root.
-        last = members[:, -1:] if members.shape[1] else [[-1]]
-        parent, cand = (self.positions > last).nonzero()
+        # A child adds a column of its trial after its prefix's last; any to a root.
+        n = self.n
+        if members.shape[1]:
+            last = members[:, -1] % n
+            first = members[:, -1] - last
+        else:
+            last = np.full(len(members), -1)
+            first = np.arange(len(members)) * n
+        parent, cand = (np.arange(n) > last[:, np.newaxis]).nonzero()
+        cand += first[parent]
         block = max(1, _SUBSET_BLOCK // (members.shape[1] + 1))
         for lo in range(0, parent.size, block):
             p, c = parent[lo : lo + block], cand[lo : lo + block]
@@ -957,8 +1051,8 @@ class _SubsetSearch:
             n = len(sets)
             return self._score(sets, np.empty(n), np.empty(n), np.zeros(n, dtype=bool))
         w_inv, inv_diag, trace = factor
-        # Row i: G[S_i, c_i], then |h_c|^2 = G[c_i, c_i].
-        cross = self.gram[sets, c[:, np.newaxis], np.newaxis]
+        # Row i: G[S_i, c_i], then |h_c|^2 = G[c_i, c_i], from c_i's trial.
+        cross = self.gram[sets, (c % self.n)[:, np.newaxis], np.newaxis]
         w, energy = w_inv.take(p, axis=0), cross[:, -1, :].real
         trace = trace.take(p)[:, np.newaxis] + energy
         rates, tol, sure, v_bar, _, diag = _bordered_rates(
@@ -970,32 +1064,29 @@ class _SubsetSearch:
         )
 
     def _score(self, sets, rates, tol, sure, bordered=None) -> list:
-        """Price and keep one block of subsets; return its prefixes.
+        """Score and keep one block of subsets; return its prefixes.
 
         Row i of each argument belongs to subset ``sets[i]``: its bordered
         rate, tolerance and certificate, and in ``bordered`` its prefix's
         inverse factor, its trace, conj(v) and inverse diagonal (see
         ``_bordered_rates``), which only ``sure`` rows need. ``_exact_rates``
-        scores the subsets that are not ``sure``, and ``_charge_zf`` prices
-        the whole block: every subset, and each finite rate as one that
-        passes the kernel's guard, since a certified rate is finite. Below
+        scores the subsets that are not ``sure``, all in one call, and those
+        that fail the kernel's guard are counted per trial. Below
         ``max_size``, the block's subsets are the next level's prefixes, as
         (members, factor) pairs; the factor is None for those the kernel
         scored.
         """
-        m, k = self.h.shape[0], sets.shape[1]
+        k = sets.shape[1]
         grown = k < self.max_size
-        passed = n_sure = int(np.count_nonzero(sure))
+        n_sure = int(np.count_nonzero(sure))
         prefixes = []
         if n_sure < len(sets):
             unsure = ~sure
             exact = _exact_rates(self.h, sets[unsure], self.n0)
             rates[unsure], tol[unsure] = exact, 0.0
-            passed += int(np.count_nonzero(exact > -np.inf))
+            np.add.at(self.failed[:, k], sets[unsure][~(exact > -np.inf), 0] // self.n, 1)
             if grown:
                 prefixes.append((sets[unsure], None))
-        _charge_zf(self.ledger, m, k, len(sets), passed)
-        self.ledger.comparisons += passed
         self._keep(sets, rates, tol)
         if not grown or not n_sure:
             return prefixes
@@ -1019,34 +1110,46 @@ class _SubsetSearch:
             self._weigh()
 
     def _weigh(self) -> None:
-        """Raise ``floor`` by the queued subsets and keep those that reach it."""
+        """Raise each trial's ``floor`` by the queued subsets and keep those that reach it."""
         if not self.queue:
             return
-        rates = np.concatenate([rates for _, rates, _ in self.queue])
-        tol = np.concatenate([tol for _, _, tol in self.queue])
-        top = rates.argmax()
-        self.floor = max(self.floor, float(rates[top] - tol[top]))
-        reach = (rates + tol >= self.floor).nonzero()[0].tolist()
-        if reach:
-            self.kept = [s for s in self.kept if s[1] + s[2] >= self.floor]
-            starts = list(itertools.accumulate((len(r) for _, r, _ in self.queue), initial=0))
-            for i in reach:
-                block = bisect.bisect_right(starts, i) - 1
-                row = self.queue[block][0][i - starts[block]]
-                self.kept.append((tuple(row.tolist()), float(rates[i]), float(tol[i])))
+        sets = [s for s, _, _ in self.queue]
+        rates = np.concatenate([r for _, r, _ in self.queue])
+        tol = np.concatenate([t for _, _, t in self.queue])
+        trial = np.concatenate([s[:, 0] for s in sets]) // self.n
+        floor = self.floor.copy()
+        np.fmax.at(floor, trial, rates - tol)
+        reach = (rates + tol >= floor[trial]).nonzero()[0].tolist()
+        for t in (floor > self.floor).nonzero()[0].tolist():
+            self.kept[t] = [s for s in self.kept[t] if s[1] + s[2] >= floor[t]]
+        self.floor = floor
+        starts = list(itertools.accumulate((len(s) for s in sets), initial=0))
+        crowded = set()
+        for i in reach:
+            block = bisect.bisect_right(starts, i) - 1
+            t = int(trial[i])
+            self.kept[t].append(
+                (tuple(sets[block][i - starts[block]].tolist()), float(rates[i]), float(tol[i]))
+            )
+            if len(self.kept[t]) > _SUBSET_BLOCK:
+                crowded.add(t)
         self.queue, self.queued = [], 0
-        if len(self.kept) > _SUBSET_BLOCK:
-            self._settle()
+        self._settle(sorted(crowded))
 
-    def _settle(self) -> None:
-        """Rescore the kept subsets exactly and keep the winner among them."""
+    def _settle(self, trials: list[int]) -> None:
+        """Rescore the kept subsets of ``trials`` exactly and keep each one's winner among them."""
+        pending: dict[int, list[tuple[int, ...]]] = {}
+        for t in trials:
+            for s, _, tol in self.kept[t]:
+                if tol > 0.0:
+                    pending.setdefault(len(s), []).append(s)
         exact = {}
-        for size in {len(s) for s, _, tol in self.kept if tol > 0.0}:
-            sets = [s for s, _, tol in self.kept if tol > 0.0 and len(s) == size]
-            exact.update(zip(sets, _exact_rates(self.h, sets, self.n0).tolist()))
-        scored = [(exact.get(s, rate), s) for s, rate, _ in self.kept]
-        best = max(rate for rate, _ in scored)
-        self.kept = [(min(s for rate, s in scored if rate == best), best, 0.0)]
+        for sets in pending.values():
+            exact.update(zip(sets, _exact_rates(self.h, np.array(sets), self.n0).tolist()))
+        for t in trials:
+            scored = [(exact.get(s, rate), s) for s, rate, _ in self.kept[t]]
+            best = max(rate for rate, _ in scored)
+            self.kept[t] = [(min(s for rate, s in scored if rate == best), best, 0.0)]
 
 
 def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:
@@ -1066,13 +1169,35 @@ def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionRe
     Only meant for small instances; rejects search spaces above
     ``EXHAUSTIVE_SUBSET_CAP`` subsets. Ties break toward the
     lexicographically smallest index list.
+
+    This is ``exhaustive_trials`` on a stack of one trial, the channel
+    ``h``; the ledger is charged what that trial is charged there.
     """
-    hm, _ = _as_channel(h)
-    m, u = hm.shape
-    _require("k_max", k_max, _AT_LEAST_1)
-    if reason := infeasible_reason(Algorithm.EXHAUSTIVE, m, u, k_max):
-        raise ValueError(reason)
-    return SelectionResult(selected=_best_subset(hm, range(u), min(k_max, m, u), n0, ledger))
+    [(outcome, charged)] = exhaustive_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
+    return _lone(outcome, charged, ledger)
+
+
+def exhaustive_trials(hs, n0: float, k_max: int) -> list:
+    """``exhaustive_oracle`` for every trial of a (T, M, U) stack of channels.
+
+    This is the one entry point of the oracle; ``exhaustive_oracle`` is its
+    case of one trial. One ``_best_subset`` call searches the subsets of
+    1..min(``k_max``, M, U) users of every trial.
+
+    Returns one (outcome, ledger) pair per trial: the
+    :class:`SelectionResult` of ``exhaustive_oracle`` and what that call
+    charges. A channel that ``exhaustive_oracle`` rejects fails its own
+    trial with an empty ledger. A stack that is not 3-D, a bad ``k_max``, a
+    search space above ``EXHAUSTIVE_SUBSET_CAP`` or an ``n0`` that is not
+    positive raises ``ValueError`` for the whole call.
+    """
+    hs, outcomes, valid, _ = _engine_arguments(hs, Algorithm.EXHAUSTIVE, n0, k_max)
+    _, m, u = hs.shape
+    ledgers = [OpLedger() for _ in valid]
+    winners = _best_subset(hs[valid], min(k_max, m, u), n0, ledgers)
+    for t, winner, ledger in zip(valid, winners, ledgers):
+        outcomes[t] = (SelectionResult(selected=winner), ledger)
+    return outcomes
 
 
 def run_selection(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

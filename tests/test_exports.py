@@ -30,8 +30,10 @@ def test_selectors_exports_are_pinned():
         "gzf",
         "gzf_trials",
         "mcore_plus",
+        "mcore_plus_trials",
         "random_select",
         "exhaustive_oracle",
+        "exhaustive_trials",
         "run_selection",
         "infeasible_reason",
         "EXHAUSTIVE_SUBSET_CAP",

@@ -620,8 +620,8 @@ class TestFailedTrials:
         assert err.count("\n") == 1 and "redraws" in err
 
     def test_non_positive_noise_fails_every_cell(self):
-        # ``ssus`` and ``gzf`` fail in their chunk calls, and the other
-        # selectors in selection.
+        # ``ssus``, ``gzf``, ``mcore_plus`` and ``exhaustive`` fail in their
+        # chunk calls, and the other selectors in selection.
         cfg = tiny_config(algorithms=("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive"))
         point = dataclasses.replace(grid_points(cfg)[0], n0=0.0)
         report = run_trial(cfg, point, algo_instances(cfg), 0)
@@ -716,27 +716,30 @@ class TestOracleCheck:
             oracle_check(m=8, u=100, trials=1)
 
     def test_oracle_failures_are_reported(self, monkeypatch, capsys):
-        real_oracle = sel.exhaustive_oracle
-        calls = []
+        # The harness runs the oracle through its chunk engine.
+        real_oracle = harness.exhaustive_trials
+        trials = []
 
-        def oracle_failing_on_trial_1(h, n0, k_max, ledger):
-            calls.append(None)
-            if len(calls) == 2:
-                raise ValueError("oracle broke")
-            return real_oracle(h, n0, k_max, ledger)
+        def oracle_failing_on_trial_1(hs, n0, k_max):
+            outcomes = real_oracle(hs, n0, k_max)
+            for i in range(len(hs)):
+                trials.append(None)
+                if len(trials) == 2:
+                    outcomes[i] = (ValueError("oracle broke"), OpLedger())
+            return outcomes
 
-        monkeypatch.setattr(sel, "exhaustive_oracle", oracle_failing_on_trial_1)
+        monkeypatch.setattr(harness, "exhaustive_trials", oracle_failing_on_trial_1)
         rows = oracle_check(m=4, u=6, trials=5)
-        assert len(calls) == 5
+        assert len(trials) == 5
         assert {row["trials"] for row in rows} == {4}
         err = capsys.readouterr().err
         assert err == "failed exhaustive at m4_u6_p-90: 1 of 5 trials (oracle broke)\n"
 
     def test_oracle_with_no_trial_left_is_named(self, monkeypatch):
         # Every heuristic trial succeeds; the oracle is what has no trial.
-        def broken_oracle(h, n0, k_max, ledger):
+        def broken_oracle(hs, n0, k_max):
             raise ValueError("oracle broke")
 
-        monkeypatch.setattr(sel, "exhaustive_oracle", broken_oracle)
+        monkeypatch.setattr(harness, "exhaustive_trials", broken_oracle)
         with pytest.raises(ValueError, match="^every trial of exhaustive failed: oracle broke$"):
             oracle_check(m=4, u=6, trials=3)

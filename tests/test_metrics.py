@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from mimosel.channel import generate_iid_rayleigh
-from mimosel.metrics import SingularSetError, sum_spectral_efficiency, zf_post_snr
+from mimosel.metrics import (
+    SingularSetError,
+    sum_spectral_efficiency,
+    zf_post_snr,
+    zf_sum_rate_batch,
+)
 from mimosel.numerics import OpLedger
 from mimosel.seeding import stream
 
@@ -117,3 +122,33 @@ class TestSumSpectralEfficiency:
         h = np.ones((2, 2), dtype=complex)
         with pytest.raises(SingularSetError):
             sum_spectral_efficiency(h, 1.0, OpLedger())
+
+
+class TestOverflowingColumn:
+    """Column 2 has finite entries but a squared norm that overflows. Every
+    public ZF metric rejects it with the error the selectors give, and
+    without a RuntimeWarning, which the suite turns into an error."""
+
+    MESSAGE = "^channel matrix contains a column whose norm overflows$"
+
+    @staticmethod
+    def channel():
+        h = generate_iid_rayleigh(4, 6, stream(8))
+        h[:, 2] *= 1e200
+        assert np.isfinite(h).all()
+        return h
+
+    @pytest.mark.parametrize("columns", [[2], [2, 3]], ids=["K=1", "K=2"])
+    def test_single_set_metrics_raise(self, columns):
+        h_sel = self.channel()[:, columns]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            zf_post_snr(h_sel, 1e-3, OpLedger())
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            sum_spectral_efficiency(h_sel, 1e-3, OpLedger())
+
+    @pytest.mark.parametrize("sets", [[[2]], [[2, 3]], [[0, 1]]])
+    def test_batch_checks_the_whole_channel(self, sets):
+        # As the selectors do, the batch entry checks every column of the
+        # channel, not only those its sets use.
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            zf_sum_rate_batch(self.channel(), sets, 1e-3, OpLedger())

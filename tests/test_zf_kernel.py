@@ -38,9 +38,11 @@ from mimosel.seeding import stream
 from mimosel.selectors import (
     MCORE_MAX_ANTENNAS,
     exhaustive_oracle,
+    exhaustive_trials,
     gzf,
     gzf_trials,
     mcore_plus,
+    mcore_plus_trials,
 )
 
 N0_SWEEP = (
@@ -120,6 +122,16 @@ def reference_best_subset(hm, users, max_size, n0, ledger):
     return best_set
 
 
+def reference_search(hs, max_size, n0, ledgers):
+    """``reference_best_subset`` on each trial of a (T, M, n) stack, in the
+    signature of ``selectors._best_subset``: every trial's winner, as
+    column positions, each trial charged to its own ledger."""
+    return [
+        reference_best_subset(h, range(h.shape[1]), max_size, n0, ledger)
+        for h, ledger in zip(hs, ledgers)
+    ]
+
+
 def instance(seed, m, u):
     """Seeded channel and noise power; every fourth one has a repeated
     column, so that singular candidate sets occur."""
@@ -140,7 +152,7 @@ def batched_and_reference(fn, *args):
     got, ref = OpLedger(), OpLedger()
     selected = fn(*args, got).selected
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(selectors, "_best_subset", reference_best_subset)
+        mp.setattr(selectors, "_best_subset", reference_search)
         expected = fn(*args, ref).selected
     return (selected, got), (expected, ref)
 
@@ -256,7 +268,7 @@ def test_tie_across_sizes_resolves_to_smaller_tuple():
     assert single.tolist() == pair[:2].tolist() and pair[0] > pair[2] > -np.inf
     assert pair[3] == pair[4] == -np.inf
     ledger, expected = OpLedger(), OpLedger()
-    assert selectors._best_subset(h, range(4), 2, n0, ledger) == (0, 2)
+    assert exhaustive_oracle(h, n0, 2, ledger).selected == (0, 2)
     assert reference_best_subset(h, range(4), 2, n0, expected) == (0, 2)
     assert ledger == expected
     assert ledger.comparisons == 4 + 3
@@ -303,6 +315,27 @@ def test_working_set_of_one_exhaustive_call_is_bounded():
         tracemalloc.stop()
     assert selected == expected
     assert peak <= EXHAUSTIVE_PEAK_MB * 1e6
+
+
+@pytest.mark.parametrize("m, u, k_max, n_trials", [(8, 16, 8, 4), (1, 1000, 1, 35)])
+def test_working_set_of_an_exhaustive_chunk_is_bounded(m, u, k_max, n_trials):
+    # What an exhaustive_trials call holds beyond the outcomes it returns
+    # stays within the bound of one trial's call plus one trial's U x U
+    # complex Gram matrix: the blocks, not the number of trials, set the
+    # working set, and the Gram matrices of a search fit _BLOCK_BUDGET. At
+    # M = 1, U = 1000, where a harness chunk holds 35 trials, a search takes
+    # one trial, whose Gram matrix is 16 MB.
+    hs = np.stack([generate_iid_rayleigh(m, u, stream(5500, m, u, t)) for t in range(n_trials)])
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    expected = [exhaustive_oracle(h, n0, k_max, OpLedger()).selected for h in hs]
+    tracemalloc.start()
+    try:
+        outcomes = exhaustive_trials(hs, n0, k_max)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [outcome.selected for outcome, _ in outcomes] == expected
+    assert peak - kept <= EXHAUSTIVE_PEAK_MB * 1e6 + 16 * u * u
 
 
 def reference_zf_snr(h_stack, n0, ledger):
@@ -441,16 +474,16 @@ def sweep_instance(i):
 
 
 def record_kernel_calls(monkeypatch):
-    """The index sets of every ``zf_sum_rate_batch`` call that ``selectors``
-    makes from now on, one list per call."""
-    real_kernel = selectors.zf_sum_rate_batch
+    """The index sets of every kernel call that ``selectors`` makes from now
+    on, through ``_exact_rates``, one list per call."""
+    real_kernel = selectors._exact_rates
     scored = []
 
-    def spy(hm, sets, n0, ledger):
+    def spy(hm, sets, n0):
         scored.append(np.asarray(sets).tolist())
-        return real_kernel(hm, sets, n0, ledger)
+        return real_kernel(hm, sets, n0)
 
-    monkeypatch.setattr(selectors, "zf_sum_rate_batch", spy)
+    monkeypatch.setattr(selectors, "_exact_rates", spy)
     return scored
 
 
@@ -556,7 +589,7 @@ def test_well_conditioned_gzf_never_calls_the_kernel(monkeypatch):
 
     h, n0 = instance(2, 8, 100)
     expected = reference_gzf(h, n0, 8, OpLedger())
-    monkeypatch.setattr(selectors, "zf_sum_rate_batch", no_kernel)
+    monkeypatch.setattr(selectors, "_exact_rates", no_kernel)
     assert gzf(h, n0, 8, OpLedger()).selected == expected
 
     n0 = noise_power(LinkBudget(p0_dbm=-90.0))
@@ -755,6 +788,84 @@ def test_gzf_trials_reject_a_bad_noise_power_for_the_whole_call(n0):
     assert str(exc.value) == f"n0 must be positive, got {n0}"
 
 
+# Each subset-search engine and its lone call.
+SUBSET_PAIRS = [(exhaustive_trials, exhaustive_oracle), (mcore_plus_trials, mcore_plus)]
+SUBSET_ENGINES = pytest.mark.parametrize("engine, lone", SUBSET_PAIRS, ids=["exhaustive", "mcore_plus"])
+
+
+def engine_chunked(engine, hs, n0, k_max, size):
+    """(selection, ledger) of each trial of ``engine`` on ``hs`` in chunks of ``size``."""
+    return [
+        (outcome.selected, ledger)
+        for lo in range(0, len(hs), size)
+        for outcome, ledger in engine(hs[lo : lo + size], n0, k_max)
+    ]
+
+
+@SUBSET_ENGINES
+def test_subset_engines_equal_reference_at_every_chunk_size(engine, lone):
+    # Each subset-search instance, whose subsets may reach the kernel at any
+    # level or tie, runs in the middle of four ordinary trials. In every
+    # chunk, every trial gets the selection and ledger of a lone call with
+    # the reference loop in place of the search.
+    for i in range(168):
+        h, n0, k_max = subset_instance(i)
+        hs = beside_ordinary_trials(h, 9800 + i)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selectors, "_best_subset", reference_search)
+            want = [(lone(h_t, n0, k_max, ledger := OpLedger()).selected, ledger) for h_t in hs]
+        for size in (1, 3, len(hs)):
+            assert engine_chunked(engine, hs, n0, k_max, size) == want, (i, size)
+
+
+@SUBSET_ENGINES
+def test_subset_engines_fail_only_the_trial_with_a_bad_channel(engine, lone):
+    hs = complex_normal(np.random.default_rng(9600), (5, 4, 10))
+    hs[2, 1, 3] = np.nan
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    outcomes = engine(hs, n0, 4)
+    assert [(str(outcome), ledger) for outcome, ledger in outcomes[2:3]] == [
+        ("channel matrix contains a non-finite entry", OpLedger())
+    ]
+    for t in (0, 1, 3, 4):
+        assert outcomes[t] == (lone(hs[t], n0, 4, ledger := OpLedger()), ledger), t
+
+
+@SUBSET_ENGINES
+@pytest.mark.parametrize("n0", [np.nan, 0.0, -1.0])
+def test_subset_engines_reject_a_bad_noise_power_for_the_whole_call(engine, lone, n0):
+    hs = complex_normal(np.random.default_rng(9700), (3, 4, 10))
+    with pytest.raises(ValueError) as exc:
+        engine(hs, n0, 4)
+    assert str(exc.value) == f"n0 must be positive, got {n0}"
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, selectors._SUBSET_BLOCK])
+def test_subset_blocks_mix_trials_within_their_size(monkeypatch, block):
+    # A chunk of five trials at M = 4, U = 12, one with a repeated column.
+    hs = beside_ordinary_trials(instance(3, 4, 12)[0], 9900)
+    hs[2, :, 5] = hs[2, :, 1]
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    want = {engine: engine_chunked(engine, hs, n0, 4, 1) for engine, _ in SUBSET_PAIRS}
+    monkeypatch.setattr(selectors, "_SUBSET_BLOCK", block)
+    queued = []
+    keep = selectors._SubsetSearch._keep
+
+    def spy(search, sets, rates, tol):
+        queued.append((sets.shape, len(np.unique(sets[:, 0] // search.n))))
+        keep(search, sets, rates, tol)
+
+    monkeypatch.setattr(selectors._SubsetSearch, "_keep", spy)
+    for engine, _ in SUBSET_PAIRS:
+        queued.clear()
+        assert engine_chunked(engine, hs, n0, 4, len(hs)) == want[engine]
+        # Every level queues blocks of its own size, and a block of more
+        # than one row takes the rows of the next trial where one ends.
+        assert {k for (_, k), _ in queued} == {1, 2, 3, 4}
+        assert all(rows <= max(1, block // k) for (rows, k), _ in queued)
+        assert (max(trials for _, trials in queued) > 1) == (block > 1)
+
+
 def test_column_near_the_float64_floor_selects_without_warnings():
     # A column of norm about 1e-160 has an energy near the float64 floor:
     # its bordered inverse diagonal and its kernel entries overflow to
@@ -766,7 +877,7 @@ def test_column_near_the_float64_floor_selects_without_warnings():
     # The per-set references overflow as well; only the package must not warn.
     with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
         want = [(reference_gzf(h, n0, 4, ledger := OpLedger()), ledger)]
-        mp.setattr(selectors, "_best_subset", reference_best_subset)
+        mp.setattr(selectors, "_best_subset", reference_search)
         want += [
             (fn(h, n0, 4, ledger := OpLedger()).selected, ledger)
             for fn in (exhaustive_oracle, mcore_plus)
