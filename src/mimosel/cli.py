@@ -12,6 +12,7 @@ on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .channel import _AT_LEAST_1, _UNIT_OPEN
@@ -30,7 +31,15 @@ from .harness import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error: ...`` line and exit status 1."""
+    """Reports a usage error as one ``error: ...`` line and exit status 1.
+
+    A token that starts like a negative number is a value, not an option,
+    as ``--p0 -90,-95`` needs: no option name starts with a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(1, f"error: {message}\n")

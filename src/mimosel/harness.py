@@ -4,17 +4,21 @@ One trial draws a single channel matrix (from a seed derived from the
 master seed, grid point, and trial index) and runs every configured
 algorithm on that identical matrix, so comparisons are paired. Trials run
 in chunks: a chunk draws each of its trials' channels from that trial's own
-stream, then makes one ``ss_us_trials`` call that builds every trial's
-bases once and matches every ``ssus`` variant, charging each variant what
-it would cost alone; one ``gzf_trials`` call that runs ``gzf`` on every
-trial in lockstep; one ``mcore_plus_trials`` and one ``exhaustive_trials``
-call, each of which searches the subsets of every trial together; and runs
-the other algorithms of each trial on their own. It scores the final sets
-of all its trials with one ZF kernel call per set size, and ``run_trial``
-builds each trial's report. A chunk holds as many trials as their channel
-stack fits in ``_BLOCK_BUDGET``, and a trial's results do not depend on
-which trials share its chunk. Results are post-sorted by trial index
-before aggregation, which makes the output invariant to worker count.
+stream and checks each one once, where it enters (a trial whose channel
+fails the check fails every cell with that error, and no selector sees
+it). On the stack of the valid channels and their column norms it then
+makes one call of each private chunk engine it needs: one
+``_ss_us_trials`` call that builds every trial's bases once and matches
+every ``ssus`` variant, charging each variant what it would cost alone;
+one ``_gzf_trials`` call that runs ``gzf`` on every trial in lockstep; one
+``_mcore_plus_trials`` and one ``_exhaustive_trials`` call, each of which
+searches the subsets of every trial together. The other algorithms run on
+each valid trial on their own. The chunk scores the final sets of all its
+trials with one ZF kernel call per set size, and ``run_trial`` builds each
+trial's report. A chunk holds as many trials as their channel stack fits in
+``_BLOCK_BUDGET``, and a trial's results do not depend on which trials
+share its chunk. Results are post-sorted by trial index before
+aggregation, which makes the output invariant to worker count.
 """
 
 from __future__ import annotations
@@ -44,12 +48,13 @@ from .selectors import (
     _BLOCK_BUDGET,
     Algorithm,
     SelectionConfig,
-    exhaustive_trials,
-    gzf_trials,
+    _as_channel,
+    _exhaustive_trials,
+    _gzf_trials,
+    _mcore_plus_trials,
+    _ss_us_trials,
     infeasible_reason,
-    mcore_plus_trials,
     run_selection,
-    ss_us_trials,
 )
 
 __all__ = [
@@ -478,54 +483,70 @@ def _scored_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -
 def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> tuple:
     """Channels and selections of the trials ``indices``, drawn as one chunk.
 
-    Each trial's channel comes from its own stream, as in a lone trial;
-    then one ``ss_us_trials`` call builds the bases of every trial and
-    matches every ``ssus`` variant, and one ``gzf_trials``,
-    ``mcore_plus_trials`` and ``exhaustive_trials`` call runs each of those
-    selectors on every trial. Every other variant runs through
-    ``run_selection`` on each trial on its own. Returns the (T, M, U)
-    channel stack and, per trial, a map of each variant, in ``instances``
-    order, to its (outcome, ledger, wall ns): the outcome is a result or
-    the error the selection raised, and the wall time of an engine call is
-    split evenly across the trials and then across the variants it ran.
+    Each trial's channel comes from its own stream, as in a lone trial, and
+    is checked here, once: a channel that ``_as_channel`` rejects fails
+    every cell of its trial with that error. The valid channels go, with
+    their column norms, to one ``_ss_us_trials`` call, which builds the
+    bases of every trial and matches every ``ssus`` variant, and to one
+    ``_gzf_trials``, ``_mcore_plus_trials`` and ``_exhaustive_trials`` call,
+    each of which runs its selector on every trial. Every other variant
+    runs through ``run_selection`` on each valid trial on its own. Returns
+    the (T, M, U) channel stack and, per trial, a map of each variant, in
+    ``instances`` order, to its (outcome, ledger, wall ns): the outcome is
+    a result or the error the selection raised, and the wall time of an
+    engine call is split evenly across the trials and then across the
+    variants it ran.
     """
     hs = np.empty((len(indices), point.m, point.u), dtype=np.complex128)
-    for h, t in zip(hs, indices):
+    # Per trial, each variant's entry in ``instances`` order, filled in below.
+    chunk = [dict.fromkeys(instances) for _ in indices]
+    valid, norms = [], []
+    for i, (h, t) in enumerate(zip(hs, indices)):
         h[...] = generate_iid_rayleigh(
             point.m, point.u, stream(cfg.master_seed, point.index, t, _ROLE_CHANNEL)
         )
-    # Per trial, each variant's entry in ``instances`` order, filled in below.
-    chunk = [dict.fromkeys(instances) for _ in indices]
+        try:
+            norms.append(_as_channel(h)[1])
+        except ValueError as exc:
+            chunk[i] = {inst: (exc, OpLedger(), 0) for inst in instances}
+        else:
+            valid.append(i)
+    if not valid:
+        return hs, chunk
+    # The valid stack is ``hs`` itself unless some channel failed.
+    checked = hs if len(valid) == len(hs) else hs[valid]
+    norms = np.array(norms)
     # Per engine: the variants it runs, and its call, which returns per
-    # trial one (outcome, ledger) pair per variant.
+    # valid trial one (outcome, ledger) pair per variant.
     engines = []
     ssus = [i for i in instances if i.algorithm is Algorithm.SSUS]
     if ssus:
-        seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_SELECT) for t in indices]
+        seeds = [derive_seed(cfg.master_seed, point.index, indices[i], _ROLE_SELECT) for i in valid]
         variants = [(i.num_bases, i.alpha) for i in ssus]
-        engines.append((ssus, lambda: ss_us_trials(hs, point.k_max, seeds, point.n0, variants)))
+        engines.append(
+            (ssus, lambda: _ss_us_trials(checked, norms, point.k_max, seeds, point.n0, variants))
+        )
     for algorithm, engine in (
-        (Algorithm.GZF, gzf_trials),
-        (Algorithm.MCORE_PLUS, mcore_plus_trials),
-        (Algorithm.EXHAUSTIVE, exhaustive_trials),
+        (Algorithm.GZF, lambda: _gzf_trials(checked, norms, point.n0, point.k_max)),
+        (Algorithm.MCORE_PLUS, lambda: _mcore_plus_trials(checked, norms, point.n0, point.k_max)),
+        (Algorithm.EXHAUSTIVE, lambda: _exhaustive_trials(checked, point.n0, point.k_max)),
     ):
         insts = [i for i in instances if i.algorithm is algorithm]
         if insts:
-            engines.append(
-                (insts, lambda engine=engine: [[pair] for pair in engine(hs, point.n0, point.k_max)])
-            )
+            engines.append((insts, lambda engine=engine: [[pair] for pair in engine()]))
     for insts, call in engines:
         start = time.perf_counter_ns()
         try:
             outcomes = call()
         except ValueError as exc:
-            outcomes = [[(exc, OpLedger())] * len(insts)] * len(indices)
-        share_ns = (time.perf_counter_ns() - start) // (len(indices) * len(insts))
-        for selections, trial in zip(chunk, outcomes):
-            selections.update((inst, (*pair, share_ns)) for inst, pair in zip(insts, trial))
-    for h, t, selections in zip(hs, indices, chunk):
+            outcomes = [[(exc, OpLedger())] * len(insts)] * len(valid)
+        share_ns = (time.perf_counter_ns() - start) // (len(valid) * len(insts))
+        for i, trial in zip(valid, outcomes):
+            chunk[i].update((inst, (*pair, share_ns)) for inst, pair in zip(insts, trial))
+    for i in valid:
         # The ``ssus`` variants ran in the chunk, so ``random`` alone reads a seed.
-        random_seed = derive_seed(cfg.master_seed, point.index, t, _ROLE_RANDOM)
+        random_seed = derive_seed(cfg.master_seed, point.index, indices[i], _ROLE_RANDOM)
+        selections = chunk[i]
         for inst in instances:
             if selections[inst] is not None:
                 continue
@@ -538,7 +559,7 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
             )
             start = time.perf_counter_ns()
             try:
-                outcome = run_selection(h, sel_cfg, point.n0, ledger)
+                outcome = run_selection(hs[i], sel_cfg, point.n0, ledger)
             except ValueError as exc:
                 outcome = exc
             selections[inst] = (outcome, ledger, time.perf_counter_ns() - start)
@@ -575,7 +596,7 @@ def _score_chunk(hs, n0: float, selections: list[dict]) -> list[dict[AlgoInstanc
             start = time.perf_counter_ns()
             trials = np.array([t for t, _ in part])
             sets = np.array([sorted(selections[t][inst][0].selected) for t, inst in part])
-            # One contiguous (M, K) matrix per set, as ``zf_sum_rate_batch`` stacks it.
+            # One contiguous (M, K) matrix per set, as ``_set_stack`` builds them.
             stack = hs[trials[:, None, None], np.arange(m)[:, None], sets[:, None, :]]
             try:
                 rates = [

@@ -22,7 +22,6 @@ __all__ = [
     "COND_LIMIT",
     "zf_post_snr",
     "sum_spectral_efficiency",
-    "zf_sum_rate_batch",
 ]
 
 #: Selected sets whose Gram matrix condition number exceeds this are treated
@@ -133,25 +132,6 @@ def sum_spectral_efficiency(h_sel, n0: float, ledger: OpLedger) -> float:
     """ZF sum spectral efficiency sum_k log2(1 + SNR_k) in bits/s/Hz."""
     snr = zf_post_snr(h_sel, n0, ledger)
     return float(np.sum(np.log2(1.0 + snr)))
-
-
-def zf_sum_rate_batch(h, sets, n0: float, ledger: OpLedger) -> np.ndarray:
-    """ZF sum spectral efficiency of each row of ``sets``, scored in one pass.
-
-    ``sets`` is a (P, K) array of column indices into ``h``. Entry p equals
-    ``sum_spectral_efficiency(h[:, sets[p]], n0, ledger)`` bit for bit, or
-    minus infinity where that call would raise :class:`SingularSetError`.
-    The ledger is charged per set, as P calls of the single-set path would
-    charge it. Memory grows with P, so callers bound it. A channel with a
-    non-finite entry, or a column whose norm overflows, raises the
-    ``ValueError`` that ``sum_spectral_efficiency`` raises for it.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    _column_norms(h)
-    sets = np.asarray(sets, dtype=np.intp)
-    if sets.ndim != 2:
-        raise ValueError(f"candidate sets must be a 2-D index array, got shape {sets.shape}")
-    return _zf_sum_rates(_set_stack(h, sets), n0, ledger)
 
 
 def _set_stack(h: np.ndarray, sets: np.ndarray) -> np.ndarray:

@@ -7,10 +7,14 @@ greedy zero-forcing (``gzf``), a chordal-distance shortlist method
 small instances.
 
 ``ss_us``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` run on one
-channel; their engines, ``ss_us_trials``, ``gzf_trials``,
-``mcore_plus_trials`` and ``exhaustive_trials``, run every trial of a
+channel; their private engines, ``_ss_us_trials``, ``_gzf_trials``,
+``_mcore_plus_trials`` and ``_exhaustive_trials``, run every trial of a
 (T, M, U) stack of channels at once, each trial's outcome and charges
-being those of a lone call.
+being those of a lone call. A channel is checked once, where it enters:
+every public selector checks its own (see ``_as_channel``), and so does
+the harness for each channel it draws. The engines take checked channels,
+with their column norms where they read them, and check only their scalar
+arguments.
 
 Conventions shared by every selector:
 
@@ -47,15 +51,11 @@ __all__ = [
     "SelectionConfig",
     "SelectionResult",
     "ss_us",
-    "ss_us_trials",
     "sus",
     "gzf",
-    "gzf_trials",
     "mcore_plus",
-    "mcore_plus_trials",
     "random_select",
     "exhaustive_oracle",
-    "exhaustive_trials",
     "run_selection",
     "infeasible_reason",
     "EXHAUSTIVE_SUBSET_CAP",
@@ -155,7 +155,12 @@ def infeasible_reason(algorithm: Algorithm, m: int, u: int, k: int) -> str | Non
 
 
 def _as_channel(h) -> tuple[np.ndarray, np.ndarray]:
-    """The channel ``h`` as a checked complex (M, U) array, and its column norms."""
+    """The channel ``h`` as a checked complex (M, U) array, and its column norms.
+
+    This is the one channel check: each public selector makes it once on
+    its channel, and ``harness._draw_chunk`` once on each channel it draws.
+    The chunk engines take its output and do not check again.
+    """
     arr = np.asarray(h, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"channel matrix must be 2-D, got shape {arr.shape}")
@@ -178,6 +183,18 @@ def _lone(outcome, charged: OpLedger, ledger: OpLedger):
     return outcome
 
 
+def _check_scalars(algorithm: Algorithm, shape: tuple, n0: float, k_max: int) -> None:
+    """Check the scalar arguments of a chunk engine on a (T, M, U) stack of ``shape``.
+
+    A bad ``k_max``, a shape on which ``algorithm`` is infeasible or an
+    ``n0`` that is not positive raises ``ValueError`` for the whole call.
+    """
+    _require("k_max", k_max, _AT_LEAST_1)
+    if reason := infeasible_reason(algorithm, *shape[1:], k_max):
+        raise ValueError(reason)
+    _require("n0", n0, _POSITIVE)
+
+
 def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
     """Space-splitting selection.
 
@@ -191,24 +208,29 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     basis is the same up to phase and rounding decides which index wins;
     the selection, weights and metric are the same whichever it is.
 
-    This is ``ss_us_trials`` on a chunk of one trial, the channel ``h``,
+    This is ``_ss_us_trials`` on a chunk of one trial, the channel ``h``,
     with the single variant of ``cfg``; the ledger is charged what that
     variant is charged there, and a :class:`BasisConstructionError` is
-    raised after the charges. A channel that ``ss_us_trials`` would fail
-    raises its ``ValueError`` here.
+    raised after the charges. A bad channel raises its ``ValueError``
+    before any other argument is checked.
     """
-    [[(outcome, charged)]] = ss_us_trials(
-        _as_channel(h)[0][np.newaxis], cfg.k_max, [cfg.rng_seed], n0, [(cfg.num_bases, cfg.alpha)]
+    hm, norms = _as_channel(h)
+    [[(outcome, charged)]] = _ss_us_trials(
+        hm[np.newaxis], norms[np.newaxis], cfg.k_max, [cfg.rng_seed], n0,
+        [(cfg.num_bases, cfg.alpha)],
     )
     return _lone(outcome, charged, ledger)
 
 
-def ss_us_trials(hs, k_max: int, rng_seeds, n0: float, variants):
+def _ss_us_trials(
+    hs: np.ndarray, norms: np.ndarray, k_max: int, rng_seeds, n0: float, variants
+) -> list:
     """``ss_us`` for every trial of a chunk and every (num_bases, alpha) pair of ``variants``.
 
-    This is the one entry point of the space-splitting engine; ``ss_us`` is
-    its case of one trial and one variant. ``hs`` is a (T, M, U) stack of
-    channels and trial t draws its bases from ``rng_seeds[t]``. Basis l of
+    This is the one engine of the space-splitting selector; ``ss_us`` is its
+    case of one trial and one variant. ``hs`` is a (T, M, U) stack of
+    checked channels (see ``_as_channel``) with (T, U) column norms
+    ``norms``, and trial t draws its bases from ``rng_seeds[t]``. Basis l of
     a trial depends only on (its seed, l), and alpha enters only the
     matching, so each trial's seed user, bases and correlations are built
     once, for the largest L, a block at a time (see ``_basis_block`` and
@@ -225,50 +247,33 @@ def ss_us_trials(hs, k_max: int, rng_seeds, n0: float, variants):
 
     Returns, per trial, one (outcome, ledger) pair per variant, in order.
     The outcome is the :class:`SelectionResult` of ``ss_us`` with that
-    variant alone, or the error it would raise. A channel that ``ss_us``
-    rejects fails its own trial: each variant gets the ``ValueError`` and an
-    empty ledger. A fallback that exhausts its redraws at basis j fails
-    only the variants of its trial with L > j. The ledger holds what that
-    call charges: the common charges plus, for each of its first L bases,
-    the basis's construction and correlation charges and the match
-    comparisons at its alpha. A failed variant's ledger stops at the
-    failing basis, which adds what its fallback charged. A stack that is
-    not 3-D, a seed count that does not match it, a bad tunable or an
-    ``n0`` that is not positive raises ``ValueError`` for the whole call.
+    variant alone, or the error it would raise. A fallback that exhausts
+    its redraws at basis j fails only the variants of its trial with L > j.
+    The ledger holds what that call charges: the common charges plus, for
+    each of its first L bases, the basis's construction and correlation
+    charges and the match comparisons at its alpha. A failed variant's
+    ledger stops at the failing basis, which adds what its fallback
+    charged. A seed count that does not match the stack, a bad tunable or
+    an ``n0`` that is not positive raises ``ValueError`` for the whole call.
     """
-    hs = np.asarray(hs, dtype=np.complex128)
-    if hs.ndim != 3:
-        raise ValueError(f"channel stack must be 3-D, got shape {hs.shape}")
     if len(rng_seeds) != len(hs):
         raise ValueError(f"{len(hs)} channels need as many seeds, got {len(rng_seeds)}")
-    _require("n0", n0, _POSITIVE)
+    _check_scalars(Algorithm.SSUS, hs.shape, n0, k_max)
     for num_bases, alpha in variants:
         SelectionConfig(Algorithm.SSUS, k_max, num_bases, alpha)  # checks the tunables
     n_trials, m, u = hs.shape
     n_bases = max((num_bases for num_bases, _ in variants), default=1)
     # A group's trials share each block, so their bases must fit one.
     per_group = max(1, _bases_per_block(m, u - 1, min(k_max, m) - 1) // n_bases)
-    outcomes: list = [None] * n_trials
-    # The valid trials are grouped as they are checked, so that only one
-    # group's column norms are held at a time.
-    group, norms = [], []
-    for t, h in enumerate(hs):
-        try:
-            norms.append(_as_channel(h)[1])
-            group.append(t)
-        except ValueError as exc:
-            outcomes[t] = [(exc, OpLedger()) for _ in variants]
-        if group and (len(group) == per_group or t == n_trials - 1):
-            seeds = [rng_seeds[i] for i in group]
-            trials = _ss_us_group(hs[group], np.array(norms), k_max, seeds, n0, variants)
-            for i, trial in zip(group, trials):
-                outcomes[i] = trial
-            group, norms = [], []
+    outcomes = []
+    for lo in range(0, n_trials, per_group):
+        group = slice(lo, lo + per_group)
+        outcomes += _ss_us_group(hs[group], norms[group], k_max, rng_seeds[group], n0, variants)
     return outcomes
 
 
 def _ss_us_group(hs, norms, k_max: int, rng_seeds, n0: float, variants) -> list:
-    """``ss_us_trials`` on a (G, M, U) stack of valid channels that share blocks.
+    """``_ss_us_trials`` on a (G, M, U) stack of channels that share blocks.
 
     ``norms`` holds their (G, U) column norms. Either one trial, whose bases
     may span several blocks, or several whose bases all fit one block.
@@ -565,86 +570,45 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     soon as no candidate strictly improves it. Rank-deficient candidate
     sets score minus infinity.
 
-    This is ``gzf_trials`` on a stack of one trial, the channel ``h``; the
+    This is ``_gzf_trials`` on a stack of one trial, the channel ``h``; the
     ledger is charged what that trial is charged there, and its error is
     raised after the charges.
     """
-    [(outcome, charged)] = gzf_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
+    hm, norms = _as_channel(h)
+    [(outcome, charged)] = _gzf_trials(hm[np.newaxis], norms[np.newaxis], n0, k_max)
     return _lone(outcome, charged, ledger)
 
 
-def gzf_trials(hs, n0: float, k_max: int) -> list:
+def _gzf_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> list:
     """``gzf`` for every trial of a (T, M, U) stack of channels, in lockstep.
 
-    This is the one entry point of the greedy ZF engine; ``gzf`` is its
-    case of one trial. Picks, ties (to the lowest index) and the stop follow
-    the rates that ``zf_sum_rate_batch`` gives each candidate set, yet most
-    steps never reach the kernel: ``_bordered_rates`` borders the selected
-    set's inverse Cholesky factor by every candidate at once and bounds how
-    far each rate can be from the kernel's. One rule settles a step: the
-    bounds decide it, or the kernel scores it whole, every set of the pool
-    and the current set if its rate is not yet exact. Either way
+    This is the one engine of greedy ZF; ``gzf`` is its case of one trial.
+    ``hs`` holds checked channels (see ``_as_channel``) and ``norms`` their
+    (T, U) column norms. Picks, ties (to the lowest index) and the stop
+    follow the rates that ``_zf_sum_rates`` gives each candidate set, yet
+    most steps never reach the kernel: ``_bordered_rates`` borders the
+    selected set's inverse Cholesky factor by every candidate at once and
+    bounds how far each rate can be from the kernel's. One rule settles a
+    step: the bounds decide it, or the kernel scores it whole, every set of
+    the pool and the current set if its rate is not yet exact. Either way
     ``_charge_zf`` prices every candidate set as the kernel would, so the
     ledger does not depend on which path scored it.
 
     The trials step together: the seed sets are scored by one stacked
     ``_zf_snr`` call, and each step borders the factors of every trial still
     running by its pool in one ``_bordered_rates`` call, the pools being
-    the same size. Trials that stop leave the stack. Factor rebuilds and
-    the kernel's steps run trial by trial, for the few trials that need
-    them, so no trial's outcome depends on the others.
+    the same size. Row i of the state arrays is the trial ``trial[i]``
+    still running, and the rows of the trials that stop are dropped.
+    Factor rebuilds and the kernel's steps run trial by trial, for the few
+    trials that need them, so no trial's outcome depends on the others.
 
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``gzf``, or the error it would raise, and
-    what that call charges. A channel that ``gzf`` rejects fails its own
-    trial with an empty ledger; a seed set that fails the ``COND_LIMIT``
-    guard fails it after the charges. A stack that is not 3-D, a bad
-    ``k_max`` or an ``n0`` that is not positive raises ``ValueError`` for
-    the whole call.
+    what that call charges; a seed set that fails the ``COND_LIMIT`` guard
+    fails its trial after the charges. A bad ``k_max`` or an ``n0`` that is
+    not positive raises ``ValueError`` for the whole call.
     """
-    hs, outcomes, valid, norms = _engine_arguments(hs, Algorithm.GZF, n0, k_max)
-    if valid:
-        for t, outcome in zip(valid, _gzf_lockstep(hs[valid], norms, n0, k_max)):
-            outcomes[t] = outcome
-    return outcomes
-
-
-def _engine_arguments(hs, algorithm: Algorithm, n0: float, k_max: int) -> tuple:
-    """The arguments of the ``gzf``, ``mcore_plus`` or ``exhaustive`` chunk engine, checked.
-
-    A stack that is not 3-D, a bad ``k_max``, a shape on which
-    ``algorithm`` is infeasible or an ``n0`` that is not positive raises
-    ``ValueError`` for the whole call; ``_as_channel`` checks each channel
-    for its own trial. Returns the (T, M, U) stack as a complex array; a
-    list with, for each trial whose channel is rejected, its outcome (the
-    error and an empty ledger), and None for the others; the indices of the
-    others; and their (V, U) column norms.
-    """
-    hs = np.asarray(hs, dtype=np.complex128)
-    if hs.ndim != 3:
-        raise ValueError(f"channel stack must be 3-D, got shape {hs.shape}")
-    _require("k_max", k_max, _AT_LEAST_1)
-    if reason := infeasible_reason(algorithm, *hs.shape[1:], k_max):
-        raise ValueError(reason)
-    _require("n0", n0, _POSITIVE)
-    outcomes: list = [None] * len(hs)
-    valid, norms = [], []
-    for t, h in enumerate(hs):
-        try:
-            norms.append(_as_channel(h)[1])
-        except ValueError as exc:
-            outcomes[t] = (exc, OpLedger())
-        else:
-            valid.append(t)
-    return hs, outcomes, valid, np.array(norms)
-
-
-def _gzf_lockstep(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> list:
-    """``gzf_trials`` on a (T, M, U) stack of valid channels with (T, U) column norms.
-
-    Row i of the state arrays is the trial ``trial[i]`` still running, and
-    the rows of the trials that stop are dropped.
-    """
+    _check_scalars(Algorithm.GZF, hs.shape, n0, k_max)
     n_trials, m, u = hs.shape
     trials = np.arange(n_trials)
     k_cap = min(k_max, m, u)
@@ -776,10 +740,10 @@ def _grown(selected: list[int], cands: np.ndarray) -> np.ndarray:
 def _exact_rates(hm: np.ndarray, sets: np.ndarray, n0: float) -> np.ndarray:
     """Kernel rates of the (P, K) index array ``sets`` of ``hm``, uncharged.
 
-    These are the rates ``zf_sum_rate_batch`` gives, without its channel
-    check, which the selectors made when they took the channel. They ask
-    the kernel only for rates, through here, and price every set they score
-    through ``_charge_zf``.
+    These are the rates ``_zf_sum_rates`` gives the sets' columns; the
+    channel was checked where it entered. The selectors ask the kernel only
+    for rates, through here, and price every set they score through
+    ``_charge_zf``.
     """
     return _zf_sum_rates(_set_stack(hm, sets), n0, OpLedger())
 
@@ -847,35 +811,33 @@ def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     user, then enumerates every shortlist subset of 1..``k_max`` users and
     returns the one with the highest ZF sum spectral efficiency.
 
-    This is ``mcore_plus_trials`` on a stack of one trial, the channel
+    This is ``_mcore_plus_trials`` on a stack of one trial, the channel
     ``h``; the ledger is charged what that trial is charged there.
     """
-    [(outcome, charged)] = mcore_plus_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
+    hm, norms = _as_channel(h)
+    [(outcome, charged)] = _mcore_plus_trials(hm[np.newaxis], norms[np.newaxis], n0, k_max)
     return _lone(outcome, charged, ledger)
 
 
-def mcore_plus_trials(hs, n0: float, k_max: int) -> list:
+def _mcore_plus_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> list:
     """``mcore_plus`` for every trial of a (T, M, U) stack of channels, in lockstep.
 
-    This is the one entry point of the shortlist method; ``mcore_plus`` is
-    its case of one trial. The shortlist stage runs on the stack: a stable
-    argsort of each trial's column norms, its 2M pool, the pool's chordal
-    distances from one stacked product, and the max-min greedy in one
-    stacked step per shortlist member after the strongest. One
-    ``_best_subset`` call then searches every trial's shortlist.
+    This is the one engine of the shortlist method; ``mcore_plus`` is its
+    case of one trial. ``hs`` holds checked channels (see ``_as_channel``)
+    and ``norms`` their (T, U) column norms. The shortlist stage runs on
+    the stack: a stable argsort of each trial's column norms, its 2M pool,
+    the pool's chordal distances from one stacked product, and the max-min
+    greedy in one stacked step per shortlist member after the strongest.
+    One ``_best_subset`` call then searches every trial's shortlist.
 
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``mcore_plus`` and what that call charges.
-    A channel that ``mcore_plus`` rejects fails its own trial with an empty
-    ledger. A stack that is not 3-D, a bad ``k_max``, M above
-    ``MCORE_MAX_ANTENNAS`` or an ``n0`` that is not positive raises
-    ``ValueError`` for the whole call.
+    A bad ``k_max``, M above ``MCORE_MAX_ANTENNAS`` or an ``n0`` that is
+    not positive raises ``ValueError`` for the whole call.
     """
-    hs, outcomes, valid, norms = _engine_arguments(hs, Algorithm.MCORE_PLUS, n0, k_max)
-    _, m, u = hs.shape
-    if not valid:
-        return outcomes
-    hs, rows = hs[valid], np.arange(len(valid))
+    _check_scalars(Algorithm.MCORE_PLUS, hs.shape, n0, k_max)
+    n_trials, m, u = hs.shape
+    rows = np.arange(n_trials)
     n_pool = min(2 * m, u)
     n_short = min(m, n_pool)
     # Every trial pays the same: the column norms, the argsort, the pool's
@@ -893,7 +855,7 @@ def mcore_plus_trials(hs, n0: float, k_max: int) -> list:
     chordal = np.sqrt(np.maximum(1.0 - np.minimum(corr, 1.0) ** 2, 0.0))
 
     # Positions into each trial's pool, the strongest first.
-    short = np.empty((len(rows), n_short), dtype=np.intp)
+    short = np.empty((n_trials, n_short), dtype=np.intp)
     short[:, 0] = pool_norms.argmax(axis=1)
     taken = np.zeros(pool.shape, dtype=bool)
     taken[rows, short[:, 0]] = True
@@ -904,13 +866,14 @@ def mcore_plus_trials(hs, n0: float, k_max: int) -> list:
         min_dist = np.minimum(min_dist, chordal[rows, :, short[:, i]])
     users = np.sort(np.take_along_axis(pool, short, axis=1), axis=1)
 
-    ledgers = [replace(charged) for _ in valid]
+    ledgers = [replace(charged) for _ in rows]
     winners = _best_subset(
         np.take_along_axis(hs, users[:, np.newaxis], axis=2), min(k_max, n_short), n0, ledgers
     )
-    for t, row, winner, ledger in zip(valid, users, winners, ledgers):
-        outcomes[t] = (SelectionResult(selected=tuple(row[list(winner)].tolist())), ledger)
-    return outcomes
+    return [
+        (SelectionResult(selected=tuple(row[list(winner)].tolist())), ledger)
+        for row, winner, ledger in zip(users, winners, ledgers)
+    ]
 
 
 def _best_subset(hs: np.ndarray, max_size: int, n0: float, ledgers) -> list:
@@ -918,7 +881,7 @@ def _best_subset(hs: np.ndarray, max_size: int, n0: float, ledgers) -> list:
 
     Returns each trial's winner as a tuple of column positions, and charges
     ``ledgers[t]`` what trial t's search costs. The answer, the ties and the
-    charges are those of scoring every subset with ``zf_sum_rate_batch``:
+    charges are those of scoring every subset with ``_zf_sum_rates``:
     singular subsets are skipped, every other subset costs one comparison,
     and ties break toward the lexicographically smallest subset, across
     sizes. Most subsets never reach the kernel.
@@ -1170,34 +1133,31 @@ def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionRe
     ``EXHAUSTIVE_SUBSET_CAP`` subsets. Ties break toward the
     lexicographically smallest index list.
 
-    This is ``exhaustive_trials`` on a stack of one trial, the channel
+    This is ``_exhaustive_trials`` on a stack of one trial, the channel
     ``h``; the ledger is charged what that trial is charged there.
     """
-    [(outcome, charged)] = exhaustive_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
+    [(outcome, charged)] = _exhaustive_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
     return _lone(outcome, charged, ledger)
 
 
-def exhaustive_trials(hs, n0: float, k_max: int) -> list:
-    """``exhaustive_oracle`` for every trial of a (T, M, U) stack of channels.
+def _exhaustive_trials(hs: np.ndarray, n0: float, k_max: int) -> list:
+    """``exhaustive_oracle`` for every trial of a (T, M, U) stack of checked channels.
 
-    This is the one entry point of the oracle; ``exhaustive_oracle`` is its
-    case of one trial. One ``_best_subset`` call searches the subsets of
+    This is the one engine of the oracle; ``exhaustive_oracle`` is its case
+    of one trial. One ``_best_subset`` call searches the subsets of
     1..min(``k_max``, M, U) users of every trial.
 
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``exhaustive_oracle`` and what that call
-    charges. A channel that ``exhaustive_oracle`` rejects fails its own
-    trial with an empty ledger. A stack that is not 3-D, a bad ``k_max``, a
-    search space above ``EXHAUSTIVE_SUBSET_CAP`` or an ``n0`` that is not
-    positive raises ``ValueError`` for the whole call.
+    charges. A bad ``k_max``, a search space above
+    ``EXHAUSTIVE_SUBSET_CAP`` or an ``n0`` that is not positive raises
+    ``ValueError`` for the whole call.
     """
-    hs, outcomes, valid, _ = _engine_arguments(hs, Algorithm.EXHAUSTIVE, n0, k_max)
+    _check_scalars(Algorithm.EXHAUSTIVE, hs.shape, n0, k_max)
     _, m, u = hs.shape
-    ledgers = [OpLedger() for _ in valid]
-    winners = _best_subset(hs[valid], min(k_max, m, u), n0, ledgers)
-    for t, winner, ledger in zip(valid, winners, ledgers):
-        outcomes[t] = (SelectionResult(selected=winner), ledger)
-    return outcomes
+    ledgers = [OpLedger() for _ in hs]
+    winners = _best_subset(hs, min(k_max, m, u), n0, ledgers)
+    return [(SelectionResult(selected=winner), ledger) for winner, ledger in zip(winners, ledgers)]
 
 
 def run_selection(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

@@ -154,6 +154,18 @@ class TestSweepCommand:
         assert len(lines) == 4  # header + ssus L=1, ssus L=2, gzf
         assert "m4_u6_p-90" in lines[1]
 
+    def test_negative_values_after_a_flag(self, config_path, capsys):
+        # A comma list of negative powers is the flag's value, as with "=".
+        assert main(["mc", "--config", config_path, "--p0=-90,-95"]) == 0
+        joined = capsys.readouterr()
+        assert main(["mc", "--config", config_path, "--p0", "-90,-95"]) == 0
+        assert capsys.readouterr() == joined
+        assert "m4_u8_p-95" in joined.out and joined.err == ""
+        assert main(["mc", "--config", config_path, "--seed=-3"]) == 0
+        seeded = capsys.readouterr()
+        assert main(["mc", "--config", config_path, "--seed", "-3"]) == 0
+        assert capsys.readouterr() == seeded
+
     def test_alpha_override_validated(self, config_path, capsys):
         assert main(["mc", "--config", config_path, "--alpha", "2.0"]) == 1
         assert "alpha" in capsys.readouterr().err

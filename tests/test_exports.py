@@ -25,15 +25,11 @@ def test_selectors_exports_are_pinned():
         "SelectionConfig",
         "SelectionResult",
         "ss_us",
-        "ss_us_trials",
         "sus",
         "gzf",
-        "gzf_trials",
         "mcore_plus",
-        "mcore_plus_trials",
         "random_select",
         "exhaustive_oracle",
-        "exhaustive_trials",
         "run_selection",
         "infeasible_reason",
         "EXHAUSTIVE_SUBSET_CAP",

@@ -426,6 +426,116 @@ class TestTrialChunks:
         assert "failed random at m4_u10_p-90: 2 of 8 trials" in outputs[0][2]
 
 
+ALL_ALGORITHMS = ("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive")
+
+
+def spoil(h, kind):
+    """Make ``h`` a channel that ``_as_channel`` rejects, in the way ``kind`` names."""
+    if kind == "nan":
+        h[1, 3] = complex(np.nan, 0.0)
+    elif kind == "inf":
+        h[1, 3] = complex(0.0, -np.inf)
+    elif kind == "overflow":
+        h[:, 3] *= 1e160
+    else:
+        h[:, 3] *= 1e-170
+
+
+class TestChannelCheck:
+    """Each channel is checked once, where it enters: in ``_draw_chunk`` for
+    the channels a chunk draws, in each lone selector call for its own."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        """The calls of ``_as_channel`` from now on, one entry each."""
+        calls = []
+        real = sel._as_channel
+
+        def counting(h):
+            calls.append(None)
+            return real(h)
+
+        monkeypatch.setattr(sel, "_as_channel", counting)
+        monkeypatch.setattr(harness, "_as_channel", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "algorithms, per_trial",
+        [
+            # The draw checks each channel; ``sus`` and ``random`` check it
+            # again as lone calls.
+            (ALL_ALGORITHMS, 3),
+            (("ssus", "gzf", "mcore_plus", "exhaustive"), 1),
+        ],
+        ids=["oracle_small", "chunk_engines"],
+    )
+    def test_each_drawn_channel_is_checked_once(self, monkeypatch, algorithms, per_trial):
+        # The benchmark's oracle_small grid: M = 4, U = 10, K_max = 4, L = 10.
+        cfg = tiny_config(
+            algorithms=algorithms, ssus_num_bases=(10,), k_max=4, trials=50, master_seed=1234
+        )
+        calls = self.count_checks(monkeypatch)
+        run_monte_carlo(cfg)
+        assert len(calls) == per_trial * cfg.trials
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: sel.ss_us(h, sel.SelectionConfig(Algorithm.SSUS, 4, 10), 1.0, OpLedger()),
+            lambda h: sel.gzf(h, 1.0, 4, OpLedger()),
+            lambda h: sel.mcore_plus(h, 1.0, 4, OpLedger()),
+            lambda h: sel.exhaustive_oracle(h, 1.0, 4, OpLedger()),
+        ],
+        ids=["ss_us", "gzf", "mcore_plus", "exhaustive_oracle"],
+    )
+    def test_a_lone_call_checks_its_channel_once(self, monkeypatch, call):
+        h = harness.generate_iid_rayleigh(4, 10, stream(5700))
+        calls = self.count_checks(monkeypatch)
+        call(h)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("nan", "channel matrix contains a non-finite entry"),
+            ("inf", "channel matrix contains a non-finite entry"),
+            ("overflow", "channel matrix contains a column whose norm overflows"),
+            ("underflow",
+             "channel matrix contains an all-zero column, or one whose norm underflows"),
+        ],
+        ids=["nan", "inf", "overflow", "underflow"],
+    )
+    def test_bad_channel_fails_only_its_trial(self, monkeypatch, kind, message):
+        # The bad channel is trial 2 of five. It fails every cell with the
+        # check's error, and no selector sees it; the other trials get
+        # their lone reports in every chunk.
+        cfg = tiny_config(algorithms=ALL_ALGORITHMS, ssus_num_bases=(2, 5))
+        point = grid_points(cfg)[0]
+        instances = algo_instances(cfg)
+        want = [TestTrialChunks.key(run_trial(cfg, point, instances, t)) for t in range(5)]
+        real_generate = harness.generate_iid_rayleigh
+        bad = real_generate(4, 10, stream(cfg.master_seed, 0, 2, harness._ROLE_CHANNEL))
+
+        def generate(m, u, rng):
+            h = real_generate(m, u, rng)
+            if np.array_equal(h, bad):
+                spoil(h, kind)
+            return h
+
+        monkeypatch.setattr(harness, "generate_iid_rayleigh", generate)
+        for size in (1, 3, 5):
+            monkeypatch.setattr(harness, "_trials_per_chunk", lambda point: size)
+            reports = harness._trial_chunk((cfg, point, instances, list(range(5))))
+            keys = [TestTrialChunks.key(report) for report in reports]
+            assert keys[:2] + keys[3:] == want[:2] + want[3:], size
+            cells = reports[2].cells
+            assert list(cells) == instances
+            for cell in cells.values():
+                assert cell.error == message
+                assert cell.selected == () and math.isnan(cell.se)
+                assert (cell.macs, cell.divisions, cell.comparisons) == (0, 0, 0)
+
+
 class TestAggregation:
     def test_single_trial_equals_cell(self):
         cfg = tiny_config(trials=1)
@@ -717,7 +827,7 @@ class TestOracleCheck:
 
     def test_oracle_failures_are_reported(self, monkeypatch, capsys):
         # The harness runs the oracle through its chunk engine.
-        real_oracle = harness.exhaustive_trials
+        real_oracle = harness._exhaustive_trials
         trials = []
 
         def oracle_failing_on_trial_1(hs, n0, k_max):
@@ -728,7 +838,7 @@ class TestOracleCheck:
                     outcomes[i] = (ValueError("oracle broke"), OpLedger())
             return outcomes
 
-        monkeypatch.setattr(harness, "exhaustive_trials", oracle_failing_on_trial_1)
+        monkeypatch.setattr(harness, "_exhaustive_trials", oracle_failing_on_trial_1)
         rows = oracle_check(m=4, u=6, trials=5)
         assert len(trials) == 5
         assert {row["trials"] for row in rows} == {4}
@@ -740,6 +850,6 @@ class TestOracleCheck:
         def broken_oracle(hs, n0, k_max):
             raise ValueError("oracle broke")
 
-        monkeypatch.setattr(harness, "exhaustive_trials", broken_oracle)
+        monkeypatch.setattr(harness, "_exhaustive_trials", broken_oracle)
         with pytest.raises(ValueError, match="^every trial of exhaustive failed: oracle broke$"):
             oracle_check(m=4, u=6, trials=3)

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from mimosel.channel import generate_iid_rayleigh
-from mimosel.metrics import (
-    SingularSetError,
-    sum_spectral_efficiency,
-    zf_post_snr,
-    zf_sum_rate_batch,
-)
+from mimosel.metrics import SingularSetError, sum_spectral_efficiency, zf_post_snr
 from mimosel.numerics import OpLedger
 from mimosel.seeding import stream
+from test_zf_kernel import zf_sum_rate_batch
 
 
 def projection_residual_snr(h_sel: np.ndarray, n0: float) -> np.ndarray:
@@ -126,8 +122,9 @@ class TestSumSpectralEfficiency:
 
 class TestOverflowingColumn:
     """Column 2 has finite entries but a squared norm that overflows. Every
-    public ZF metric rejects it with the error the selectors give, and
-    without a RuntimeWarning, which the suite turns into an error."""
+    public ZF metric, and the tests' batch reference of the kernel, rejects
+    it with the error the selectors give, and without a RuntimeWarning,
+    which the suite turns into an error."""
 
     MESSAGE = "^channel matrix contains a column whose norm overflows$"
 
@@ -148,7 +145,7 @@ class TestOverflowingColumn:
 
     @pytest.mark.parametrize("sets", [[[2]], [[2, 3]], [[0, 1]]])
     def test_batch_checks_the_whole_channel(self, sets):
-        # As the selectors do, the batch entry checks every column of the
-        # channel, not only those its sets use.
+        # As the selectors do, the batch reference checks every column of
+        # the channel, not only those its sets use.
         with pytest.raises(ValueError, match=self.MESSAGE):
             zf_sum_rate_batch(self.channel(), sets, 1e-3, OpLedger())

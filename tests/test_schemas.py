@@ -15,19 +15,21 @@ from mimosel import harness
 from mimosel.channel import LinkBudget
 from mimosel.cli import main
 from mimosel.harness import ExperimentConfig, emit, run_monte_carlo
-from mimosel.metrics import sum_spectral_efficiency, zf_sum_rate_batch
+from mimosel.metrics import sum_spectral_efficiency
 from mimosel.numerics import OpLedger
 from mimosel.seeding import stream
 from mimosel.selectors import (
     Algorithm,
     SelectionConfig,
+    _ss_us_trials,
     exhaustive_oracle,
     gzf,
     mcore_plus,
     random_select,
     ss_us,
-    ss_us_trials,
 )
+from test_selectors import checked
+from test_zf_kernel import zf_sum_rate_batch
 
 MC_COLUMNS = [
     "scenario_id", "algorithm", "M", "U", "K_max", "L", "alpha", "p0_dbm", "trials",
@@ -174,7 +176,7 @@ class TestRuleMessages:
             lambda n0: mcore_plus(H, n0, 2, OpLedger()),
             lambda n0: exhaustive_oracle(H, n0, 2, OpLedger()),
             lambda n0: ss_us(H, SelectionConfig(Algorithm.SSUS, k_max=2), n0, OpLedger()),
-            lambda n0: ss_us_trials(H[np.newaxis], 2, [0], n0, [(1, 0.45)]),
+            lambda n0: _ss_us_trials(*checked(H[np.newaxis]), 2, [0], n0, [(1, 0.45)]),
         ],
         ids=["sum_se", "kernel", "gzf", "mcore_plus", "exhaustive", "ss_us", "ss_us_trials"],
     )

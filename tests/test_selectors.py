@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimosel import selectors
 from mimosel.channel import generate_iid_rayleigh
 from mimosel.metrics import SingularSetError, sum_spectral_efficiency, zf_post_snr
 from mimosel.numerics import OpLedger, gram_schmidt_extend
@@ -19,9 +20,16 @@ from mimosel.selectors import (
     random_select,
     run_selection,
     ss_us,
-    ss_us_trials,
     sus,
 )
+
+
+def checked(hs):
+    """A stack of channels as the chunk engines take it: each channel checked
+    by ``_as_channel``, as the harness checks each channel it draws, and
+    the (T, U) column norms."""
+    pairs = [selectors._as_channel(h) for h in hs]
+    return np.stack([h for h, _ in pairs]), np.stack([norms for _, norms in pairs])
 
 
 def ssus_cfg(**kw):
@@ -408,12 +416,6 @@ def test_non_finite_channel_is_one_value_error(k, bad):
             call()
         assert type(exc.value) is ValueError
         assert str(exc.value) == "channel matrix contains a non-finite entry"
-    # The chunk engine fails the trial, with that error for every variant.
-    [trial] = ss_us_trials(h[np.newaxis], k, [0], 1.0, [(1, 0.45), (9, 0.3)])
-    for outcome, ledger in trial:
-        assert type(outcome) is ValueError
-        assert str(outcome) == "channel matrix contains a non-finite entry"
-        assert ledger == OpLedger()
 
 
 @pytest.mark.parametrize(
@@ -432,8 +434,6 @@ def test_column_norm_out_of_float64_range_is_one_value_error(scale, message):
         with pytest.raises(ValueError) as exc:
             run_selection(h, SelectionConfig(algo, k_max=4), 1.0, OpLedger())
         assert str(exc.value) == message
-    [trial] = ss_us_trials(h[np.newaxis], 4, [0], 1.0, [(1, 0.45), (3, 0.3)])
-    assert [(str(outcome), ledger) for outcome, ledger in trial] == [(message, OpLedger())] * 2
 
 
 @pytest.mark.parametrize("n0", [math.nan, 0.0, -1.0])

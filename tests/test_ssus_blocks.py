@@ -5,7 +5,7 @@ and matches users on every basis of a block at once; ``_bases_per_block``
 sizes the block from its working set. ``reference_ss_us`` below is the
 earlier implementation, one modified Gram-Schmidt basis and one greedy loop
 per basis; both must select the same users, match them to the same
-directions and charge the same ledger. ``ss_us_trials`` runs many
+directions and charge the same ledger. ``_ss_us_trials`` runs many
 (L, alpha) variants on one set of bases per trial; on a one-trial stack each
 of its variants must equal a lone ``ss_us`` call, and each trial of a larger
 stack must get what its one-trial stack gets. The block size must not change
@@ -35,6 +35,7 @@ from mimosel.numerics import (
 from mimosel.seeding import derive_seed, stream
 from mimosel.selectors import Algorithm, SelectionConfig, ss_us
 from test_numerics import orthonormality_defect
+from test_selectors import checked
 
 N0 = 0.25
 
@@ -390,7 +391,7 @@ class TestRedrawGuard:
 
 def assert_variants_match_lone_calls(h, k_max, rng_seed, variants):
     """One shared call against one ``ss_us`` call per variant, field by field."""
-    [shared] = sel.ss_us_trials(h[np.newaxis], k_max, [rng_seed], N0, variants)
+    [shared] = sel._ss_us_trials(*checked(h[np.newaxis]), k_max, [rng_seed], N0, variants)
     assert len(shared) == len(variants)
     for (l, alpha), (got, got_ledger) in zip(variants, shared):
         cfg = SelectionConfig(
@@ -451,7 +452,7 @@ def test_shared_fallback_charges_only_variants_beyond_it(monkeypatch):
     norms = np.linalg.norm(h, axis=0)
     v = h[:, np.argmax(norms)] / norms.max()
     variants = [(2, 0.3), (3, 0.3), (4, 0.3), (3, 0.6), (9, 0.6), (17, 0.3)]
-    [clean] = sel.ss_us_trials(h[np.newaxis], m, [rng_seed], N0, variants)
+    [clean] = sel._ss_us_trials(*checked(h[np.newaxis]), m, [rng_seed], N0, variants)
 
     real_stream = sel.stream
     prefix = dependent_prefix(v, 2, stream(4901))
@@ -527,7 +528,7 @@ def test_exhausted_redraws_at_block_edges_equal_lone_calls(monkeypatch, fixed_bl
     variants = [(l, a) for l in (1, 7, 8, 9, 16, 17) for a in (0.3, 0.6)]
     for m, u in ((4, 20), (8, 30)):
         h = generate_iid_rayleigh(m, u, stream(5000, m, l_bad))
-        [shared] = sel.ss_us_trials(h[np.newaxis], m, [70 + l_bad], N0, variants)
+        [shared] = sel._ss_us_trials(*checked(h[np.newaxis]), m, [70 + l_bad], N0, variants)
         for (l, alpha), (got, got_ledger) in zip(variants, shared):
             cfg = ssus_cfg(m, l, alpha, 70 + l_bad)
             want_ledger = OpLedger()
@@ -597,7 +598,7 @@ def test_block_size_does_not_change_the_answer(monkeypatch, m, u, k_max, l_bad):
         script_bases(monkeypatch, lambda seed, l: ZeroStream() if l == l_bad else None)
     variants = [(1, 0.3), (4, 0.6), (5, 0.3), (6, 0.45), (11, 0.3), (23, 0.6)]
     h = generate_iid_rayleigh(m, u, stream(5100, m, u, k_max))
-    [trial] = sel.ss_us_trials(h[np.newaxis], k_max, [80], N0, variants)
+    [trial] = sel._ss_us_trials(*checked(h[np.newaxis]), k_max, [80], N0, variants)
     want = [outcome_key(*v) for v in trial]
     # An exhausted rebuild at basis l_bad fails exactly the variants with L > l_bad.
     assert [len(key) == 3 for key in want] == [
@@ -605,7 +606,7 @@ def test_block_size_does_not_change_the_answer(monkeypatch, m, u, k_max, l_bad):
     ]
     for size in (1, 3, 23):
         set_block_size(monkeypatch, size)
-        [trial] = sel.ss_us_trials(h[np.newaxis], k_max, [80], N0, variants)
+        [trial] = sel._ss_us_trials(*checked(h[np.newaxis]), k_max, [80], N0, variants)
         got = [outcome_key(*v) for v in trial]
         assert got == want
 
@@ -617,20 +618,20 @@ def test_chunk_does_not_change_the_answer(monkeypatch, m, u, k_max):
     Whatever the chunk and block sizes: blocks of whole trials (the
     default, and 23 bases, which hold two trials' 11 bases) and blocks of
     part of one trial's bases (1 and 3). Trial 2 exhausts its redraws at
-    basis 5 and trial 4 has a non-finite channel; each fails alone.
+    basis 5 and fails alone.
     """
     n_trials = 7
-    hs = np.stack([generate_iid_rayleigh(m, u, stream(5500, m, u, t)) for t in range(n_trials)])
-    hs[4, 0, 1] = np.nan
+    hs, norms = checked(
+        [generate_iid_rayleigh(m, u, stream(5500, m, u, t)) for t in range(n_trials)]
+    )
     seeds = [90 + t for t in range(n_trials)]
     script_bases(monkeypatch, lambda seed, l: ZeroStream() if (seed, l) == (92, 5) else None)
     variants = [(1, 0.3), (4, 0.6), (6, 0.45), (11, 0.3)]
     want = []
     for h, seed in zip(hs, seeds):
-        [trial] = sel.ss_us_trials(h[np.newaxis], k_max, [seed], N0, variants)
+        [trial] = sel._ss_us_trials(*checked(h[np.newaxis]), k_max, [seed], N0, variants)
         want.append([outcome_key(*v) for v in trial])
     assert [len(key) for key in want[2]] == [6, 6, 3, 3]
-    assert want[4][0] == (ValueError, "channel matrix contains a non-finite entry", OpLedger())
     for block in (None, 1, 3, 23):
         if block is not None:
             set_block_size(monkeypatch, block)
@@ -638,7 +639,7 @@ def test_chunk_does_not_change_the_answer(monkeypatch, m, u, k_max):
             got = []
             for lo in range(0, n_trials, size):
                 part = slice(lo, lo + size)
-                chunk = sel.ss_us_trials(hs[part], k_max, seeds[part], N0, variants)
+                chunk = sel._ss_us_trials(hs[part], norms[part], k_max, seeds[part], N0, variants)
                 got += [[outcome_key(*v) for v in trial] for trial in chunk]
             assert got == want, (block, size)
 
@@ -686,7 +687,7 @@ def test_match_block_leaves_corr_unchanged():
     assert not np.array_equal(picks[0.6], picks[0.3])
 
 
-# Peak bytes that tracemalloc sees in one ss_us_trials call on one trial at U = 100.
+# Peak bytes that tracemalloc sees in one _ss_us_trials call on one trial at U = 100.
 # With variants L 1/10/100: measured 0.73 MB at M = 16 (three blocks) and
 # 0.94 MB at M = 8 (one block of 100 bases); blocks of 8 peaked at 0.51 and
 # 0.24 MB. With L = 1,000 at three alphas, M = 16: measured 1.48 MB, where
@@ -700,11 +701,11 @@ PEAK_CASES = [
 
 @pytest.mark.parametrize("m, variants, bound_mb", PEAK_CASES)
 def test_working_set_of_one_call_is_bounded(m, variants, bound_mb):
-    hs = generate_iid_rayleigh(m, 100, stream(5400, m))[np.newaxis]
-    sel.ss_us_trials(hs, m, [3], N0, variants)
+    hs, norms = checked(generate_iid_rayleigh(m, 100, stream(5400, m))[np.newaxis])
+    sel._ss_us_trials(hs, norms, m, [3], N0, variants)
     tracemalloc.start()
     try:
-        sel.ss_us_trials(hs, m, [3], N0, variants)
+        sel._ss_us_trials(hs, norms, m, [3], N0, variants)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -716,12 +717,12 @@ def test_working_set_of_a_chunk_is_bounded_by_the_budget():
     # stays within the bound of one trial's call (PEAK_CASES "16"): the
     # blocks, not the number of trials, set the working set.
     m, variants = 16, [(1, 0.45), (10, 0.45), (100, 0.45)]
-    hs = np.stack([generate_iid_rayleigh(m, 100, stream(5400, m, t)) for t in range(64)])
+    hs, norms = checked([generate_iid_rayleigh(m, 100, stream(5400, m, t)) for t in range(64)])
     seeds = list(range(64))
-    sel.ss_us_trials(hs[:2], m, seeds[:2], N0, variants)
+    sel._ss_us_trials(hs[:2], norms[:2], m, seeds[:2], N0, variants)
     tracemalloc.start()
     try:
-        outcomes = sel.ss_us_trials(hs, m, seeds, N0, variants)
+        outcomes = sel._ss_us_trials(hs, norms, m, seeds, N0, variants)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

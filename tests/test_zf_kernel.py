@@ -6,9 +6,11 @@
 ``reference_best_subset`` are the per-candidate loops that ``gzf`` and the
 subset enumeration of ``mcore_plus`` and ``exhaustive_oracle`` ran before
 they scored candidates in batches; they score with ``reference_sum_se``.
-``reference_zf_snr`` is the batched kernel as it was when every set was
-guarded by its eigenvalues; the kernel now certifies most sets from their
-Cholesky factors instead. The package must reproduce their SNRs, masks,
+``zf_sum_rate_batch`` is the kernel reference: it scores index sets of one
+channel with the package's kernel, ``metrics._zf_sum_rates``, after the
+public metrics' channel check. ``reference_zf_snr`` is the batched kernel
+as it was when every set was guarded by its eigenvalues; the kernel now
+certifies most sets from their Cholesky factors instead. The package must reproduce their SNRs, masks,
 selections and op-ledger totals exactly, not approximately. ``gzf`` ranks
 most candidates by a bordered Cholesky update instead of the kernel; its
 selections and ledgers must still be ``reference_gzf``'s, and its rates must
@@ -25,25 +27,12 @@ import numpy as np
 import pytest
 
 from mimosel import metrics, selectors
-from mimosel.channel import LinkBudget, generate_iid_rayleigh, noise_power
-from mimosel.metrics import (
-    COND_LIMIT,
-    SingularSetError,
-    sum_spectral_efficiency,
-    zf_post_snr,
-    zf_sum_rate_batch,
-)
+from mimosel.channel import LinkBudget, _column_norms, generate_iid_rayleigh, noise_power
+from mimosel.metrics import COND_LIMIT, SingularSetError, sum_spectral_efficiency, zf_post_snr
 from mimosel.numerics import OpLedger, subset_count
 from mimosel.seeding import stream
-from mimosel.selectors import (
-    MCORE_MAX_ANTENNAS,
-    exhaustive_oracle,
-    exhaustive_trials,
-    gzf,
-    gzf_trials,
-    mcore_plus,
-    mcore_plus_trials,
-)
+from mimosel.selectors import MCORE_MAX_ANTENNAS, exhaustive_oracle, gzf, mcore_plus
+from test_selectors import checked
 
 N0_SWEEP = (
     noise_power(LinkBudget(p0_dbm=-90.0)),
@@ -120,6 +109,24 @@ def reference_best_subset(hm, users, max_size, n0, ledger):
                 best_rate = rate
                 best_set = combo
     return best_set
+
+
+def zf_sum_rate_batch(h, sets, n0, ledger):
+    """ZF sum spectral efficiency of each row of ``sets``, scored in one kernel call.
+
+    ``sets`` is a (P, K) array of column indices into ``h``. Entry p equals
+    ``sum_spectral_efficiency(h[:, sets[p]], n0, ledger)`` bit for bit, or
+    minus infinity where that call would raise :class:`SingularSetError`,
+    and the ledger is charged as P such calls would charge it. A channel
+    with a non-finite entry, or a column whose norm overflows, raises the
+    ``ValueError`` that ``sum_spectral_efficiency`` raises for it.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    _column_norms(h)
+    sets = np.asarray(sets, dtype=np.intp)
+    if sets.ndim != 2:
+        raise ValueError(f"candidate sets must be a 2-D index array, got shape {sets.shape}")
+    return metrics._zf_sum_rates(metrics._set_stack(h, sets), n0, ledger)
 
 
 def reference_search(hs, max_size, n0, ledgers):
@@ -319,18 +326,18 @@ def test_working_set_of_one_exhaustive_call_is_bounded():
 
 @pytest.mark.parametrize("m, u, k_max, n_trials", [(8, 16, 8, 4), (1, 1000, 1, 35)])
 def test_working_set_of_an_exhaustive_chunk_is_bounded(m, u, k_max, n_trials):
-    # What an exhaustive_trials call holds beyond the outcomes it returns
+    # What an _exhaustive_trials call holds beyond the outcomes it returns
     # stays within the bound of one trial's call plus one trial's U x U
     # complex Gram matrix: the blocks, not the number of trials, set the
     # working set, and the Gram matrices of a search fit _BLOCK_BUDGET. At
     # M = 1, U = 1000, where a harness chunk holds 35 trials, a search takes
     # one trial, whose Gram matrix is 16 MB.
-    hs = np.stack([generate_iid_rayleigh(m, u, stream(5500, m, u, t)) for t in range(n_trials)])
+    hs = checked([generate_iid_rayleigh(m, u, stream(5500, m, u, t)) for t in range(n_trials)])[0]
     n0 = noise_power(LinkBudget(p0_dbm=-90.0))
     expected = [exhaustive_oracle(h, n0, k_max, OpLedger()).selected for h in hs]
     tracemalloc.start()
     try:
-        outcomes = exhaustive_trials(hs, n0, k_max)
+        outcomes = selectors._exhaustive_trials(hs, n0, k_max)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -581,7 +588,7 @@ def test_subset_search_equals_reference_and_bordered_rates_stay_inside_their_bou
 
 def test_well_conditioned_gzf_never_calls_the_kernel(monkeypatch):
     # The benchmark's traffic at P0 = -90 dBm: i.i.d. Rayleigh channels, run
-    # by gzf_trials in chunks of the benchmark's (M, U, T) shapes and by the
+    # by _gzf_trials in chunks of the benchmark's (M, U, T) shapes and by the
     # subset search at M = 4, U = 10, K_max = 4. The bounds settle every
     # step and every subset there, so no input reaches the kernel.
     def no_kernel(*args):
@@ -595,10 +602,10 @@ def test_well_conditioned_gzf_never_calls_the_kernel(monkeypatch):
     n0 = noise_power(LinkBudget(p0_dbm=-90.0))
     for m, u, n_trials in ((4, 10, 50), (4, 20, 24), (8, 20, 24), (4, 100, 24), (8, 100, 24)):
         for seed in range(20):
-            hs = np.stack(
+            hs, norms = checked(
                 [generate_iid_rayleigh(m, u, stream(9800 + seed, m, u, t)) for t in range(n_trials)]
             )
-            for outcome, _ in gzf_trials(hs, n0, m):
+            for outcome, _ in selectors._gzf_trials(hs, norms, n0, m):
                 assert 1 <= outcome.k_b <= m
     for seed in range(200):
         h = generate_iid_rayleigh(4, 10, stream(9900 + seed))
@@ -721,17 +728,22 @@ def beside_ordinary_trials(h, seed):
     return hs
 
 
+def gzf_chunk(hs, n0, k_max):
+    """``_gzf_trials`` on the checked stack ``hs``."""
+    return selectors._gzf_trials(*checked(hs), n0, k_max)
+
+
 def chunked(hs, n0, k_max, size):
-    """(selection, ledger) of each trial of ``gzf_trials`` on ``hs`` in chunks of ``size``."""
+    """(selection, ledger) of each trial of ``_gzf_trials`` on ``hs`` in chunks of ``size``."""
     return [
         (outcome.selected, ledger)
         for lo in range(0, len(hs), size)
-        for outcome, ledger in gzf_trials(hs[lo : lo + size], n0, k_max)
+        for outcome, ledger in gzf_chunk(hs[lo : lo + size], n0, k_max)
     ]
 
 
 def assert_chunks_equal_reference(hs, n0, k_max):
-    """``gzf_trials`` on ``hs`` in chunks of 1, 3 and all its trials gives
+    """``_gzf_trials`` on ``hs`` in chunks of 1, 3 and all its trials gives
     each trial the selection and ledger of a lone ``reference_gzf`` call."""
     want = [(reference_gzf(h, n0, k_max, ledger := OpLedger()), ledger) for h in hs]
     for size in (1, 3, len(hs)):
@@ -768,28 +780,26 @@ def test_gzf_trials_settle_ties_and_stops_beside_ordinary_trials(build):
     assert_chunks_equal_reference(beside_ordinary_trials(h, 9500), n0, k_max)
 
 
-def test_gzf_trials_fail_only_the_trial_with_a_bad_channel():
-    hs = complex_normal(np.random.default_rng(9600), (5, 4, 10))
-    hs[2, 1, 3] = np.nan
-    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
-    outcomes = gzf_trials(hs, n0, 4)
-    assert [(str(outcome), ledger) for outcome, ledger in outcomes[2:3]] == [
-        ("channel matrix contains a non-finite entry", OpLedger())
-    ]
-    for t in (0, 1, 3, 4):
-        assert outcomes[t] == (gzf(hs[t], n0, 4, ledger := OpLedger()), ledger), t
-
-
 @pytest.mark.parametrize("n0", [np.nan, 0.0, -1.0])
 def test_gzf_trials_reject_a_bad_noise_power_for_the_whole_call(n0):
     hs = complex_normal(np.random.default_rng(9700), (3, 4, 10))
     with pytest.raises(ValueError) as exc:
-        gzf_trials(hs, n0, 4)
+        gzf_chunk(hs, n0, 4)
     assert str(exc.value) == f"n0 must be positive, got {n0}"
 
 
+def exhaustive_chunk(hs, n0, k_max):
+    """``_exhaustive_trials`` on the checked stack ``hs``."""
+    return selectors._exhaustive_trials(checked(hs)[0], n0, k_max)
+
+
+def mcore_plus_chunk(hs, n0, k_max):
+    """``_mcore_plus_trials`` on the checked stack ``hs``."""
+    return selectors._mcore_plus_trials(*checked(hs), n0, k_max)
+
+
 # Each subset-search engine and its lone call.
-SUBSET_PAIRS = [(exhaustive_trials, exhaustive_oracle), (mcore_plus_trials, mcore_plus)]
+SUBSET_PAIRS = [(exhaustive_chunk, exhaustive_oracle), (mcore_plus_chunk, mcore_plus)]
 SUBSET_ENGINES = pytest.mark.parametrize("engine, lone", SUBSET_PAIRS, ids=["exhaustive", "mcore_plus"])
 
 
@@ -816,19 +826,6 @@ def test_subset_engines_equal_reference_at_every_chunk_size(engine, lone):
             want = [(lone(h_t, n0, k_max, ledger := OpLedger()).selected, ledger) for h_t in hs]
         for size in (1, 3, len(hs)):
             assert engine_chunked(engine, hs, n0, k_max, size) == want, (i, size)
-
-
-@SUBSET_ENGINES
-def test_subset_engines_fail_only_the_trial_with_a_bad_channel(engine, lone):
-    hs = complex_normal(np.random.default_rng(9600), (5, 4, 10))
-    hs[2, 1, 3] = np.nan
-    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
-    outcomes = engine(hs, n0, 4)
-    assert [(str(outcome), ledger) for outcome, ledger in outcomes[2:3]] == [
-        ("channel matrix contains a non-finite entry", OpLedger())
-    ]
-    for t in (0, 1, 3, 4):
-        assert outcomes[t] == (lone(hs[t], n0, 4, ledger := OpLedger()), ledger), t
 
 
 @SUBSET_ENGINES
