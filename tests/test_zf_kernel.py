@@ -26,8 +26,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mimosel import metrics, selectors
+from mimosel import harness, metrics, selectors
 from mimosel.channel import LinkBudget, _column_norms, generate_iid_rayleigh, noise_power
+from mimosel.harness import ExperimentConfig, algo_instances, grid_points
 from mimosel.metrics import COND_LIMIT, SingularSetError, sum_spectral_efficiency, zf_post_snr
 from mimosel.numerics import OpLedger, subset_count
 from mimosel.seeding import stream
@@ -780,6 +781,49 @@ def test_gzf_trials_settle_ties_and_stops_beside_ordinary_trials(build):
     assert_chunks_equal_reference(beside_ordinary_trials(h, 9500), n0, k_max)
 
 
+def drawn_beside_a_bad_channel(monkeypatch, algorithm, engine):
+    """Each trial's (outcome, ledger) from ``harness._draw_chunk`` for
+    ``algorithm`` alone on five scripted channels at M = 4, U = 10,
+    K_max = 4, P0 = -90 dBm, whose trial 2 has a NaN entry; with the stack,
+    n0, and the trial count of each call of the harness's ``engine``."""
+    hs = complex_normal(np.random.default_rng(9600), (5, 4, 10))
+    hs[2, 1, 3] = np.nan
+    cfg = ExperimentConfig(
+        m_values=(4,), u_values=(10,), p0_dbm_values=(-90.0,), algorithms=(algorithm,), k_max=4
+    )
+    point = grid_points(cfg)[0]
+    [inst] = algo_instances(cfg)
+    drawn = iter(hs)
+    monkeypatch.setattr(harness, "generate_iid_rayleigh", lambda m, u, rng: next(drawn).copy())
+    seen = []
+    real = getattr(harness, engine)
+
+    def spy(stack, *args):
+        seen.append(len(stack))
+        return real(stack, *args)
+
+    monkeypatch.setattr(harness, engine, spy)
+    _, chunk = harness._draw_chunk(cfg, point, [inst], list(range(5)))
+    return hs, point.n0, [cell[inst][:2] for cell in chunk], seen
+
+
+def assert_only_the_bad_trial_fails(hs, n0, outcomes, lone):
+    assert [(str(outcome), ledger) for outcome, ledger in outcomes[2:3]] == [
+        ("channel matrix contains a non-finite entry", OpLedger())
+    ]
+    for t in (0, 1, 3, 4):
+        assert outcomes[t] == (lone(hs[t], n0, 4, ledger := OpLedger()), ledger), t
+
+
+def test_gzf_trials_fail_only_the_trial_with_a_bad_channel(monkeypatch):
+    # The chunk draw checks each channel once: the NaN trial fails with an
+    # empty ledger, ``_gzf_trials`` runs once on the four valid trials, and
+    # each of them gets the selection and ledger of a lone ``gzf`` call.
+    hs, n0, outcomes, seen = drawn_beside_a_bad_channel(monkeypatch, "gzf", "_gzf_trials")
+    assert seen == [4]
+    assert_only_the_bad_trial_fails(hs, n0, outcomes, gzf)
+
+
 @pytest.mark.parametrize("n0", [np.nan, 0.0, -1.0])
 def test_gzf_trials_reject_a_bad_noise_power_for_the_whole_call(n0):
     hs = complex_normal(np.random.default_rng(9700), (3, 4, 10))
@@ -826,6 +870,20 @@ def test_subset_engines_equal_reference_at_every_chunk_size(engine, lone):
             want = [(lone(h_t, n0, k_max, ledger := OpLedger()).selected, ledger) for h_t in hs]
         for size in (1, 3, len(hs)):
             assert engine_chunked(engine, hs, n0, k_max, size) == want, (i, size)
+
+
+@pytest.mark.parametrize(
+    "algorithm, engine, lone",
+    [("exhaustive", "_exhaustive_trials", exhaustive_oracle),
+     ("mcore_plus", "_mcore_plus_trials", mcore_plus)],
+    ids=["exhaustive", "mcore_plus"],
+)
+def test_subset_engines_fail_only_the_trial_with_a_bad_channel(monkeypatch, algorithm, engine, lone):
+    # As for ``gzf``: the NaN trial fails at the chunk draw, the engine runs
+    # once on the four valid trials, and each gets its lone call's answer.
+    hs, n0, outcomes, seen = drawn_beside_a_bad_channel(monkeypatch, algorithm, engine)
+    assert seen == [4]
+    assert_only_the_bad_trial_fails(hs, n0, outcomes, lone)
 
 
 @SUBSET_ENGINES
