@@ -4,21 +4,24 @@ One trial draws a single channel matrix (from a seed derived from the
 master seed, grid point, and trial index) and runs every configured
 algorithm on that identical matrix, so comparisons are paired. Trials run
 in chunks: a chunk draws each of its trials' channels from that trial's own
-stream and checks each one once, where it enters (a trial whose channel
-fails the check fails every cell with that error, and no selector sees
-it). On the stack of the valid channels and their column norms it then
-makes one call of each private chunk engine it needs: one
+stream, all the streams set on one generator (``seeding._seeded``), and
+checks each channel once, where it enters (a trial whose channel fails the
+check fails every cell with that error, and no selector sees it). On the
+stack of the valid channels and their column norms it then makes one call
+of each private chunk engine it needs, one per algorithm: one
 ``_ss_us_trials`` call that builds every trial's bases once and matches
 every ``ssus`` variant, charging each variant what it would cost alone;
-one ``_gzf_trials`` call that runs ``gzf`` on every trial in lockstep; one
-``_mcore_plus_trials`` and one ``_exhaustive_trials`` call, each of which
-searches the subsets of every trial together. The other algorithms run on
-each valid trial on their own. The chunk scores the final sets of all its
-trials with one ZF kernel call per set size, and ``run_trial`` builds each
-trial's report. A chunk holds as many trials as their channel stack fits in
-``_BLOCK_BUDGET``, and a trial's results do not depend on which trials
-share its chunk. Results are post-sorted by trial index before
-aggregation, which makes the output invariant to worker count.
+one ``_sus_trials`` and one ``_gzf_trials`` call, each of which runs its
+greedy selector on every trial in lockstep; one ``_mcore_plus_trials``
+and one ``_exhaustive_trials`` call, each of which searches the subsets
+of every trial together; and one ``_random_trials`` call, which draws
+every trial's users from its own stream on one generator. The chunk
+scores the final sets of all its trials with one ZF kernel call per set
+size, and ``run_trial`` builds each trial's report. A chunk holds as many
+trials as their channel stack fits in ``_BLOCK_BUDGET``, and a trial's
+results do not depend on which trials share its chunk. Results are
+post-sorted by trial index before aggregation, which makes the output
+invariant to worker count.
 """
 
 from __future__ import annotations
@@ -37,25 +40,30 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+# The benchmark's span tracer also wraps ``generate_iid_rayleigh`` by this name.
 from .channel import LinkBudget, generate_iid_rayleigh, noise_power, noise_power_dbm
 from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
 from .metrics import _ill_conditioned, _zf_sum_rates
 # Scores no cell any more; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
 from .numerics import OpLedger
-from .seeding import derive_seed, stream
+from .seeding import _seeded, derive_seed
+# Draws no stream any more; the benchmark's span tracer wraps it by this name.
+from .seeding import stream
 from .selectors import (
     _BLOCK_BUDGET,
     Algorithm,
-    SelectionConfig,
     _as_channel,
     _exhaustive_trials,
     _gzf_trials,
     _mcore_plus_trials,
+    _random_trials,
     _ss_us_trials,
+    _sus_trials,
     infeasible_reason,
-    run_selection,
 )
+# Runs no cell any more; the benchmark's span tracer wraps it by this name.
+from .selectors import run_selection
 
 __all__ = [
     "ExperimentConfig",
@@ -440,13 +448,11 @@ def algo_instances(cfg: ExperimentConfig) -> list[AlgoInstance]:
     return instances
 
 
-def _cell_k(point: GridPoint, inst: AlgoInstance) -> int:
-    """K of ``inst`` at ``point``: the subset size of ``random``, else ``k_max``."""
-    return point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max
-
-
 def _infeasible_reason(point: GridPoint, inst: AlgoInstance) -> str | None:
-    return infeasible_reason(inst.algorithm, point.m, point.u, _cell_k(point, inst))
+    """Why ``inst`` cannot run at ``point``, with K the subset size of
+    ``random`` and ``k_max`` for every other selector, or None."""
+    k = point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max
+    return infeasible_reason(inst.algorithm, point.m, point.u, k)
 
 
 def run_trial(
@@ -483,28 +489,28 @@ def _scored_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -
 def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> tuple:
     """Channels and selections of the trials ``indices``, drawn as one chunk.
 
-    Each trial's channel comes from its own stream, as in a lone trial, and
-    is checked here, once: a channel that ``_as_channel`` rejects fails
-    every cell of its trial with that error. The valid channels go, with
-    their column norms, to one ``_ss_us_trials`` call, which builds the
-    bases of every trial and matches every ``ssus`` variant, and to one
-    ``_gzf_trials``, ``_mcore_plus_trials`` and ``_exhaustive_trials`` call,
-    each of which runs its selector on every trial. Every other variant
-    runs through ``run_selection`` on each valid trial on its own. Returns
-    the (T, M, U) channel stack and, per trial, a map of each variant, in
-    ``instances`` order, to its (outcome, ledger, wall ns): the outcome is
-    a result or the error the selection raised, and the wall time of an
-    engine call is split evenly across the trials and then across the
-    variants it ran.
+    Each trial's channel is drawn from its own stream, as in a lone trial,
+    the chunk's streams set on one generator by ``seeding._seeded``, and is
+    checked here, once: a channel that ``_as_channel`` rejects fails every
+    cell of its trial with that error. The valid channels go, with their
+    column norms, to one call of each chunk engine that ``instances`` need:
+    one ``_ss_us_trials`` call, which builds the bases of every trial and
+    matches every ``ssus`` variant, and one ``_sus_trials``,
+    ``_gzf_trials``, ``_mcore_plus_trials``, ``_random_trials`` and
+    ``_exhaustive_trials`` call, each of which runs its selector on every
+    trial. Returns the (T, M, U) channel stack and, per trial, a map of
+    each variant, in ``instances`` order, to its (outcome, ledger, wall ns):
+    the outcome is a result or the error the selection raised, and the
+    wall time of an engine call is split evenly across the trials and then
+    across the variants it ran.
     """
     hs = np.empty((len(indices), point.m, point.u), dtype=np.complex128)
     # Per trial, each variant's entry in ``instances`` order, filled in below.
     chunk = [dict.fromkeys(instances) for _ in indices]
     valid, norms = [], []
-    for i, (h, t) in enumerate(zip(hs, indices)):
-        h[...] = generate_iid_rayleigh(
-            point.m, point.u, stream(cfg.master_seed, point.index, t, _ROLE_CHANNEL)
-        )
+    channel_seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_CHANNEL) for t in indices]
+    for i, (h, rng) in enumerate(zip(hs, _seeded(channel_seeds))):
+        h[...] = generate_iid_rayleigh(point.m, point.u, rng)
         try:
             norms.append(_as_channel(h)[1])
         except ValueError as exc:
@@ -516,20 +522,27 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
     # The valid stack is ``hs`` itself unless some channel failed.
     checked = hs if len(valid) == len(hs) else hs[valid]
     norms = np.array(norms)
+
+    def seeds(role: int) -> list[int]:
+        return [derive_seed(cfg.master_seed, point.index, indices[i], role) for i in valid]
+
     # Per engine: the variants it runs, and its call, which returns per
     # valid trial one (outcome, ledger) pair per variant.
     engines = []
+    n0, k_max = point.n0, point.k_max
     ssus = [i for i in instances if i.algorithm is Algorithm.SSUS]
     if ssus:
-        seeds = [derive_seed(cfg.master_seed, point.index, indices[i], _ROLE_SELECT) for i in valid]
         variants = [(i.num_bases, i.alpha) for i in ssus]
         engines.append(
-            (ssus, lambda: _ss_us_trials(checked, norms, point.k_max, seeds, point.n0, variants))
+            (ssus, lambda: _ss_us_trials(checked, norms, k_max, seeds(_ROLE_SELECT), n0, variants))
         )
+    k_random = min(point.random_k, point.m, point.u)
     for algorithm, engine in (
-        (Algorithm.GZF, lambda: _gzf_trials(checked, norms, point.n0, point.k_max)),
-        (Algorithm.MCORE_PLUS, lambda: _mcore_plus_trials(checked, norms, point.n0, point.k_max)),
-        (Algorithm.EXHAUSTIVE, lambda: _exhaustive_trials(checked, point.n0, point.k_max)),
+        (Algorithm.SUS, lambda: _sus_trials(checked, norms, n0, k_max, cfg.sus_epsilon)),
+        (Algorithm.GZF, lambda: _gzf_trials(checked, norms, n0, k_max)),
+        (Algorithm.MCORE_PLUS, lambda: _mcore_plus_trials(checked, norms, n0, k_max)),
+        (Algorithm.RANDOM, lambda: _random_trials(checked, n0, k_random, seeds(_ROLE_RANDOM))),
+        (Algorithm.EXHAUSTIVE, lambda: _exhaustive_trials(checked, n0, k_max)),
     ):
         insts = [i for i in instances if i.algorithm is algorithm]
         if insts:
@@ -543,26 +556,6 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
         share_ns = (time.perf_counter_ns() - start) // (len(valid) * len(insts))
         for i, trial in zip(valid, outcomes):
             chunk[i].update((inst, (*pair, share_ns)) for inst, pair in zip(insts, trial))
-    for i in valid:
-        # The ``ssus`` variants ran in the chunk, so ``random`` alone reads a seed.
-        random_seed = derive_seed(cfg.master_seed, point.index, indices[i], _ROLE_RANDOM)
-        selections = chunk[i]
-        for inst in instances:
-            if selections[inst] is not None:
-                continue
-            ledger = OpLedger()
-            sel_cfg = SelectionConfig(
-                algorithm=inst.algorithm,
-                k_max=_cell_k(point, inst),
-                sus_epsilon=cfg.sus_epsilon,
-                rng_seed=random_seed,
-            )
-            start = time.perf_counter_ns()
-            try:
-                outcome = run_selection(hs[i], sel_cfg, point.n0, ledger)
-            except ValueError as exc:
-                outcome = exc
-            selections[inst] = (outcome, ledger, time.perf_counter_ns() - start)
     return hs, chunk
 
 

@@ -6,19 +6,23 @@ chain. Any stream can therefore be reconstructed in isolation, and results
 do not depend on execution order or worker count. A stream is numpy's
 ``default_rng`` seeded with the chain's 64-bit value.
 
-The ``ss_us`` bases of one trial take one stream each, keyed by (trial
-seed, basis index), and a block of them, which may span the trials of a
-chunk, is drawn by ``_stacked_normals``. It seeds the whole block at once:
-the last splitmix64 step, the ``SeedSequence`` hash (``mix_entropy`` and
-``generate_state``) on ``uint32`` arrays, and the PCG64 set-seed step
-(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
-Algorithms for Random Number Generation", 2014), then draws the block from
-one ``Generator`` whose state it sets to each stream's in turn. The draws
-equal those of ``default_rng`` byte for byte. The constants below are
-numpy's, and a test pins them against the numpy in use.
+The streams of a trial chunk are seeded together by ``_seeded``: the
+``SeedSequence`` hash (``mix_entropy`` and ``generate_state``) on
+``uint32`` arrays and the PCG64 set-seed step (O'Neill, "PCG: A Family of
+Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014) run once on all the chunk's seeds, and one ``Generator``
+is set to each stream's state in turn. Three draws take it: each trial's
+channel, each trial's ``random`` selection and, through
+``_stacked_normals``, the ``ss_us`` bases, which take one stream each,
+keyed by (trial seed, basis index), a block of them at a time. Since they
+call the same ``Generator`` methods on the same states, the draws equal
+those of ``default_rng`` byte for byte. The constants below are numpy's,
+and a test pins them against the numpy in use.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -135,23 +139,34 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _stacked_normals(rng_seeds, indices: range, shape: tuple[int, ...]) -> np.ndarray:
-    """(T, B, *shape) float64: ``stream(s, l).standard_normal(shape)`` per (s, l).
+def _seeded(seeds) -> Iterator[np.random.Generator]:
+    """One ``Generator``, set in turn to the state of ``default_rng(seed)``
+    for each 64-bit seed of ``seeds``, in order.
 
-    Row (t, i) holds the draw of seed ``rng_seeds[t]`` and basis
-    ``indices[i]``, byte for byte, written in place. The streams of every
-    (seed, index) pair are seeded at once (see the module docstring).
+    The states are seeded at once (see the module docstring), so a draw
+    made before the next state is set equals that of ``default_rng(seed)``
+    byte for byte.
     """
-    seeds = _stream_seeds(rng_seeds, indices)
-    z = np.empty((*seeds.shape, *shape))
-    # One generator draws every stream, its state set to that stream's.
     generator = np.random.Generator(np.random.PCG64(0))
-    for row, (state, inc) in zip(z.reshape(-1, *shape), _pcg64_states(seeds.ravel())):
-        generator.bit_generator.state = {
+    bit_generator = generator.bit_generator
+    for state, inc in _pcg64_states(np.asarray(seeds, dtype=np.uint64)):
+        bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
+        yield generator
+
+
+def _stacked_normals(rng_seeds, indices: range, shape: tuple[int, ...]) -> np.ndarray:
+    """(T, B, *shape) float64: ``stream(s, l).standard_normal(shape)`` per (s, l).
+
+    Row (t, i) holds the draw of seed ``rng_seeds[t]`` and basis
+    ``indices[i]``, byte for byte, written in place by ``_seeded``.
+    """
+    seeds = _stream_seeds(rng_seeds, indices)
+    z = np.empty((*seeds.shape, *shape))
+    for row, generator in zip(z.reshape(-1, *shape), _seeded(seeds.ravel())):
         generator.standard_normal(out=row)
     return z

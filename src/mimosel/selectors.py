@@ -6,15 +6,17 @@ greedy zero-forcing (``gzf``), a chordal-distance shortlist method
 (``mcore_plus``), uniform random selection, and a brute-force oracle for
 small instances.
 
-``ss_us``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` run on one
-channel; their private engines, ``_ss_us_trials``, ``_gzf_trials``,
-``_mcore_plus_trials`` and ``_exhaustive_trials``, run every trial of a
-(T, M, U) stack of channels at once, each trial's outcome and charges
-being those of a lone call. A channel is checked once, where it enters:
-every public selector checks its own (see ``_as_channel``), and so does
-the harness for each channel it draws. The engines take checked channels,
-with their column norms where they read them, and check only their scalar
-arguments.
+``ss_us``, ``sus``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` run
+on one channel; their private engines, ``_ss_us_trials``,
+``_sus_trials``, ``_gzf_trials``, ``_mcore_plus_trials`` and
+``_exhaustive_trials``, run every trial of a (T, M, U) stack of channels
+at once, each trial's outcome and charges being those of a lone call.
+``_random_trials`` draws the users of ``random_select`` for every trial
+of a stack, each from its own seeded stream. A channel is checked once,
+where it enters: every public selector checks its own (see
+``_as_channel``), and so does the harness for each channel it draws. The
+engines take checked channels, with their column norms where they read
+them, and check only their scalar arguments.
 
 Conventions shared by every selector:
 
@@ -44,7 +46,7 @@ from .numerics import (
     gram_schmidt_extend,
     subset_count,
 )
-from .seeding import _stacked_normals, stream
+from .seeding import _seeded, _stacked_normals, derive_seed, stream
 
 __all__ = [
     "Algorithm",
@@ -523,43 +525,93 @@ def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult
     candidates whose correlation to that span exceeds ``cfg.sus_epsilon``,
     and selects the survivor with the largest residual norm. ``n0`` is not
     read, but it must be positive, as for every other selector.
+
+    This is ``_sus_trials`` on a stack of one trial, the channel ``h``; the
+    ledger is charged what that trial is charged there.
     """
     hm, norms = _as_channel(h)
-    _require("n0", n0, _POSITIVE)
-    m, u = hm.shape
-    ledger.complex_macs += u * m  # the column norms
-    seed_user = int(np.argmax(norms))
-    ledger.comparisons += max(u - 1, 0)
+    [(outcome, charged)] = _sus_trials(
+        hm[np.newaxis], norms[np.newaxis], n0, cfg.k_max, cfg.sus_epsilon
+    )
+    return _lone(outcome, charged, ledger)
 
-    selected = [seed_user]
-    ortho = [hm[:, seed_user] / norms[seed_user]]
-    ledger.divisions += m
-    pool = np.delete(np.arange(u), seed_user)
-    k_cap = min(cfg.k_max, m, u)
-    while len(selected) < k_cap and pool.size:
-        q = np.column_stack(ortho)
-        coef = q.conj().T @ hm[:, pool]
-        ledger.complex_macs += q.shape[1] * m * pool.size
-        proj_energy = np.sum(np.abs(coef) ** 2, axis=0)
-        span_corr = np.sqrt(np.minimum(proj_energy / norms[pool] ** 2, 1.0))
-        ledger.divisions += pool.size
-        ledger.comparisons += pool.size
-        keep = span_corr <= cfg.sus_epsilon
-        pool = pool[keep]
-        if not pool.size:
-            break
-        resid_sq = np.maximum(norms[pool] ** 2 - proj_energy[keep], 0.0)
-        pick = int(np.argmax(resid_sq))
-        ledger.comparisons += max(pool.size - 1, 0)
-        chosen = int(pool[pick])
-        residual = hm[:, chosen] - q @ coef[:, keep][:, pick]
-        ledger.complex_macs += q.shape[1] * m + m
-        residual_norm = np.linalg.norm(residual)
-        ortho.append(residual / residual_norm)
-        ledger.divisions += m
-        selected.append(chosen)
-        pool = np.delete(pool, pick)
-    return SelectionResult(selected=tuple(selected))
+
+def _sus_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int, epsilon: float) -> list:
+    """``sus`` for every trial of a (T, M, U) stack of channels, in lockstep.
+
+    This is the one engine of semi-orthogonal selection; ``sus`` is its case
+    of one trial. ``hs`` holds checked channels (see ``_as_channel``) and
+    ``norms`` their (T, U) column norms. Each trial's pool is a row of a
+    (T, U) mask. Step j makes one stacked product Q^H H of every running
+    trial's j orthonormal directions with all its users, filters each pool
+    by span correlation, and picks each survivor with the largest residual
+    energy by one masked argmax in user order, so ties go to the lowest
+    index. A trial stops when its pool empties or it holds min(``k_max``,
+    M, U) users, and its rows are dropped. Each trial is charged from its
+    own pool sizes, as one loop over its pool would be.
+
+    Returns one (outcome, ledger) pair per trial: the
+    :class:`SelectionResult` of ``sus`` and what that call charges. A bad
+    ``epsilon`` or ``k_max``, or an ``n0`` that is not positive, raises
+    ``ValueError`` for the whole call.
+    """
+    _require("sus_epsilon", epsilon, _UNIT_OPEN)
+    _check_scalars(Algorithm.SUS, hs.shape, n0, k_max)
+    n_trials, m, u = hs.shape
+    trials = np.arange(n_trials)
+    k_cap = min(k_max, m, u)
+    # Per trial: the complex MACs, divisions and comparisons charged; the
+    # column norms, the seed's direction and the argmax that finds the seed.
+    charged = np.full((n_trials, 3), (u * m, m, max(u - 1, 0)), dtype=np.int64)
+    seeds = norms.argmax(axis=1)
+    selected = np.empty((n_trials, k_cap), dtype=np.intp)
+    selected[:, 0] = seeds
+    sizes = np.full(n_trials, k_cap)
+
+    # Row i of the state arrays is the trial ``trial[i]`` still running:
+    # its channel, column energies, pool and orthonormal directions, as
+    # the columns of q.
+    trial, h, energy = trials, hs, norms**2
+    pool = np.ones((n_trials, u), dtype=bool)
+    pool[trials, seeds] = False
+    q = np.empty((n_trials, m, k_cap), dtype=np.complex128)
+    q[:, :, 0] = hs[trials, :, seeds] / norms[trials, seeds][:, np.newaxis]
+    for j in range(1, k_cap):
+        coef = q[:, :, :j].conj().swapaxes(1, 2) @ h
+        proj = (np.abs(coef) ** 2).sum(axis=1)
+        size = pool.sum(axis=1)
+        pool &= np.sqrt(np.minimum(proj / energy, 1.0)) <= epsilon
+        left = pool.sum(axis=1)
+        # Per pool member j M MACs, a division and a comparison; then one
+        # comparison per survivor but one, for the argmax.
+        charged[trial] += np.column_stack((j * m * size, size, size + np.maximum(left - 1, 0)))
+        # A trial stops when its pool is empty, before or after the filter;
+        # a pool that was empty is charged nothing.
+        stop = left == 0
+        if stop.any():
+            sizes[trial[stop]] = j
+            go = ~stop
+            trial, h, energy, pool, q, coef, proj = (
+                a[go] for a in (trial, h, energy, pool, q, coef, proj)
+            )
+            if not trial.size:
+                break
+        pick = np.where(pool, np.maximum(energy - proj, 0.0), -np.inf).argmax(axis=1)
+        rows = np.arange(trial.size)
+        # The pick's residual and its norm, then its direction.
+        charged[trial] += (j * m + m, m, 0)
+        residual = h[rows, :, pick] - (q[:, :, :j] @ coef[rows, :, pick, np.newaxis])[..., 0]
+        # |residual|^2 as ``np.linalg.norm`` sums it: one dot of the real
+        # parts and one of the imaginary parts.
+        re, im = residual.real[:, np.newaxis], residual.imag[:, np.newaxis]
+        residual_sq = (re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+        q[:, :, j] = residual / np.sqrt(residual_sq)
+        selected[trial, j] = pick
+        pool[rows, pick] = False
+    return [
+        (SelectionResult(selected=tuple(selected[t, : sizes[t]].tolist())), OpLedger(*row))
+        for t, row in enumerate(charged.tolist())
+    ]
 
 
 def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
@@ -1122,8 +1174,26 @@ def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:
     _require("k", k, _AT_LEAST_1)
     if reason := infeasible_reason(Algorithm.RANDOM, m, u, k):
         raise ValueError(reason)
-    picks = np.sort(rng.choice(u, size=k, replace=False))
-    return SelectionResult(selected=tuple(int(i) for i in picks))
+    return _random_users(rng, u, k)
+
+
+def _random_users(rng: np.random.Generator, u: int, k: int) -> SelectionResult:
+    """The K of ``u`` users that ``rng`` draws, in index order."""
+    return SelectionResult(selected=tuple(np.sort(rng.choice(u, size=k, replace=False)).tolist()))
+
+
+def _random_trials(hs: np.ndarray, n0: float, k: int, rng_seeds) -> list:
+    """``random_select`` of K = ``k`` for every trial of a (T, M, U) stack of channels.
+
+    Trial t draws from ``stream(rng_seeds[t])``, set on one generator by
+    ``seeding._seeded``. Returns one (outcome, empty ledger) pair per trial.
+    A bad ``k``, K above min(M, U) or an ``n0`` that is not positive raises
+    ``ValueError`` for the whole call.
+    """
+    _check_scalars(Algorithm.RANDOM, hs.shape, n0, k)
+    u = hs.shape[2]
+    streams = _seeded([derive_seed(rng_seed) for rng_seed in rng_seeds])
+    return [(_random_users(rng, u, k), OpLedger()) for rng in streams]
 
 
 def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:

@@ -27,6 +27,7 @@ from mimosel.numerics import OpLedger
 from mimosel.seeding import derive_seed, stream
 from mimosel.selectors import Algorithm
 from test_ssus_blocks import ZeroStream, script_bases
+from test_zf_kernel import assert_only_the_bad_trial_fails, drawn_beside_a_bad_channel
 
 
 def tiny_config(**kw):
@@ -264,12 +265,25 @@ class TestRunTrial:
         assert full.channel_hash == only_sus.channel_hash
 
 
+ALL_ALGORITHMS = ("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive")
+# The chunk engines, as the harness looks them up.
+ENGINES = (
+    "_ss_us_trials",
+    "_sus_trials",
+    "_gzf_trials",
+    "_mcore_plus_trials",
+    "_random_trials",
+    "_exhaustive_trials",
+)
+
+
 class TestTrialChunks:
     """``_trial_chunk`` draws, selects and scores its trials a chunk at a time.
 
     The benchmark's span tracer replaces ``harness._trial_chunk`` and counts
-    the calls of the module-level ``harness.run_trial``, one per trial. A
-    trial's report must not depend on which trials share its chunk. Trial 3
+    the calls of the module-level ``harness.run_trial``, one per trial. Each
+    selector runs in one chunk-engine call per chunk. A trial's report must
+    not depend on which trials share its chunk. Trial 3
     exhausts its redraws at basis 3, so its L = 5 cell fails and its L = 2
     cell does not; trial 5 has a non-finite channel, so all its cells fail;
     and trial 7 has a rank-1 channel, so ``random``'s four users fail the
@@ -335,6 +349,29 @@ class TestTrialChunks:
             reports = self.run_chunks(monkeypatch, size)
             assert calls == list(range(self.CFG.trials))
             assert [r.trial_index for r in reports] == calls
+
+    def test_each_engine_runs_once_per_chunk(self, monkeypatch, failing_trials):
+        # Every selector, ``sus`` and ``random`` too, runs in one engine call
+        # per chunk on the chunk's valid trials; trial 5's channel fails.
+        calls = collections.defaultdict(list)
+        for name in ENGINES:
+            real = getattr(harness, name)
+
+            def spy(stack, *args, name=name, real=real):
+                calls[name].append(len(stack))
+                return real(stack, *args)
+
+            monkeypatch.setattr(harness, name, spy)
+        # No cell runs through ``run_selection``.
+        monkeypatch.setattr(harness, "run_selection", None)
+        for size in (1, 3, self.CFG.trials):
+            calls.clear()
+            self.run_chunks(monkeypatch, size)
+            valid = [
+                sum(t != 5 for t in range(lo, min(lo + size, self.CFG.trials)))
+                for lo in range(0, self.CFG.trials, size)
+            ]
+            assert dict(calls) == {name: [n for n in valid if n] for name in ENGINES}, size
 
     def test_chunk_size_does_not_change_the_reports(self, monkeypatch, failing_trials):
         point = grid_points(self.CFG)[0]
@@ -426,9 +463,6 @@ class TestTrialChunks:
         assert "failed random at m4_u10_p-90: 2 of 8 trials" in outputs[0][2]
 
 
-ALL_ALGORITHMS = ("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive")
-
-
 def spoil(h, kind):
     """Make ``h`` a channel that ``_as_channel`` rejects, in the way ``kind`` names."""
     if kind == "nan":
@@ -462,9 +496,9 @@ class TestChannelCheck:
     @pytest.mark.parametrize(
         "algorithms, per_trial",
         [
-            # The draw checks each channel; ``sus`` and ``random`` check it
-            # again as lone calls.
-            (ALL_ALGORITHMS, 3),
+            # The draw checks each channel, and every selector runs as a
+            # chunk engine on the checked stack.
+            (ALL_ALGORITHMS, 1),
             (("ssus", "gzf", "mcore_plus", "exhaustive"), 1),
         ],
         ids=["oracle_small", "chunk_engines"],
@@ -485,8 +519,10 @@ class TestChannelCheck:
             lambda h: sel.gzf(h, 1.0, 4, OpLedger()),
             lambda h: sel.mcore_plus(h, 1.0, 4, OpLedger()),
             lambda h: sel.exhaustive_oracle(h, 1.0, 4, OpLedger()),
+            lambda h: sel.sus(h, sel.SelectionConfig(Algorithm.SUS, 4), 1.0, OpLedger()),
+            lambda h: sel.random_select(h, 4, stream(5800)),
         ],
-        ids=["ss_us", "gzf", "mcore_plus", "exhaustive_oracle"],
+        ids=["ss_us", "gzf", "mcore_plus", "exhaustive_oracle", "sus", "random_select"],
     )
     def test_a_lone_call_checks_its_channel_once(self, monkeypatch, call):
         h = harness.generate_iid_rayleigh(4, 10, stream(5700))
@@ -534,6 +570,69 @@ class TestChannelCheck:
                 assert cell.error == message
                 assert cell.selected == () and math.isnan(cell.se)
                 assert (cell.macs, cell.divisions, cell.comparisons) == (0, 0, 0)
+
+    def test_sus_fails_only_the_trial_with_a_bad_channel(self, monkeypatch):
+        # As for ``gzf``: the NaN trial fails at the chunk draw, ``_sus_trials``
+        # runs once on the four valid trials, and each gets its lone call's
+        # selection and ledger.
+        hs, n0, outcomes, seen = drawn_beside_a_bad_channel(monkeypatch, "sus", "_sus_trials")
+        assert seen == [4]
+        cfg = sel.SelectionConfig(Algorithm.SUS, 4, sus_epsilon=ExperimentConfig.sus_epsilon)
+        assert_only_the_bad_trial_fails(
+            hs, n0, outcomes, lambda h, n0, k_max, ledger: sel.sus(h, cfg, n0, ledger)
+        )
+
+    def test_random_fails_only_the_trial_with_a_bad_channel(self, monkeypatch):
+        # Each valid trial draws the users of a lone call on its own stream.
+        hs, n0, outcomes, seen = drawn_beside_a_bad_channel(
+            monkeypatch, "random", "_random_trials"
+        )
+        assert seen == [4]
+        assert [(str(outcome), ledger) for outcome, ledger in outcomes[2:3]] == [
+            ("channel matrix contains a non-finite entry", OpLedger())
+        ]
+        for t in (0, 1, 3, 4):
+            seed = derive_seed(ExperimentConfig.master_seed, 0, t, harness._ROLE_RANDOM)
+            assert outcomes[t] == (sel.random_select(hs[t], 4, stream(seed)), OpLedger()), t
+
+
+class TestChunkSeeding:
+    """A chunk sets every stream it draws on one generator (``seeding._seeded``),
+    and each draw equals that of the trial's own ``default_rng`` stream."""
+
+    SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 - 1)
+
+    def test_channel_stack_equals_the_lone_streams(self):
+        for master_seed in self.SEEDS:
+            cfg = tiny_config(
+                m_values=(1, 4), u_values=(1, 10, 100), master_seed=master_seed, trials=40
+            )
+            for point in grid_points(cfg):
+                indices = list(range(cfg.trials))
+                hs, _ = harness._draw_chunk(cfg, point, [], indices)
+                want = np.stack([
+                    harness.generate_iid_rayleigh(
+                        point.m, point.u,
+                        stream(master_seed, point.index, t, harness._ROLE_CHANNEL),
+                    )
+                    for t in indices
+                ])
+                assert hs.tobytes() == want.tobytes(), (master_seed, point.index)
+
+    def test_random_picks_equal_the_lone_streams(self):
+        for master_seed in self.SEEDS:
+            cfg = tiny_config(
+                m_values=(2, 4), u_values=(3, 10), algorithms=("random",),
+                master_seed=master_seed, trials=40,
+            )
+            [inst] = algo_instances(cfg)
+            for point in grid_points(cfg):
+                indices = list(range(cfg.trials))
+                hs, chunk = harness._draw_chunk(cfg, point, [inst], indices)
+                for t, (h, trial) in enumerate(zip(hs, chunk)):
+                    seed = derive_seed(master_seed, point.index, t, harness._ROLE_RANDOM)
+                    want = sel.random_select(h, point.random_k, stream(seed))
+                    assert trial[inst][:2] == (want, OpLedger()), (master_seed, point.index, t)
 
 
 class TestAggregation:
@@ -730,8 +829,8 @@ class TestFailedTrials:
         assert err.count("\n") == 1 and "redraws" in err
 
     def test_non_positive_noise_fails_every_cell(self):
-        # ``ssus``, ``gzf``, ``mcore_plus`` and ``exhaustive`` fail in their
-        # chunk calls, and the other selectors in selection.
+        # Every selector fails in its chunk engine's call, with the text of
+        # a lone call.
         cfg = tiny_config(algorithms=("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive"))
         point = dataclasses.replace(grid_points(cfg)[0], n0=0.0)
         report = run_trial(cfg, point, algo_instances(cfg), 0)

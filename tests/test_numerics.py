@@ -134,7 +134,7 @@ KEY_SEEDS = (0, 1234, 2**64 - 1)
 
 
 class TestStackedNormals:
-    """``seeding._stacked_normals`` copies numpy's seeding of ``default_rng``.
+    """``seeding._seeded`` and ``_stacked_normals`` copy numpy's seeding of ``default_rng``.
 
     It ports the ``SeedSequence`` hash constants and the PCG64 set-seed
     step, so a numpy that changes either must fail here, by name.
@@ -155,19 +155,13 @@ class TestStackedNormals:
             ]
         )
         assert seeds.size >= 3000
-        ported = np.random.Generator(np.random.PCG64())
+        # ``_seeded`` is the one path that sets the port's states: the
+        # chunk's channel and ``random`` draws and the bases all take it.
         mismatched = []
-        for seed, (state, inc) in zip(seeds.tolist(), seeding._pcg64_states(seeds)):
-            want = np.random.PCG64(seed).state["state"]
-            ported.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            draws = np.random.default_rng(seed).standard_normal(3)
-            if (state, inc) != (want["state"], want["inc"]) or not np.array_equal(
-                ported.standard_normal(3), draws
+        for seed, ported in zip(seeds.tolist(), seeding._seeded(seeds)):
+            want = np.random.default_rng(seed)
+            if ported.bit_generator.state != want.bit_generator.state or not np.array_equal(
+                ported.standard_normal(3), want.standard_normal(3)
             ):
                 mismatched.append(seed)
         assert mismatched == [], f"{self.NUMPY}: seeds {mismatched[:5]}"

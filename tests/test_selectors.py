@@ -10,7 +10,7 @@ from mimosel import selectors
 from mimosel.channel import generate_iid_rayleigh
 from mimosel.metrics import SingularSetError, sum_spectral_efficiency, zf_post_snr
 from mimosel.numerics import OpLedger, gram_schmidt_extend
-from mimosel.seeding import stream
+from mimosel.seeding import derive_seed, stream
 from mimosel.selectors import (
     Algorithm,
     SelectionConfig,
@@ -191,6 +191,142 @@ class TestSemiOrthogonalSelection:
                 assert corr < 0.999
 
 
+def reference_sus(h, k_max, epsilon, ledger):
+    """``sus`` as a loop over one channel's pool: the reference for ``_sus_trials``."""
+    hm, norms = selectors._as_channel(h)
+    m, u = hm.shape
+    ledger.complex_macs += u * m  # the column norms
+    seed_user = int(np.argmax(norms))
+    ledger.comparisons += max(u - 1, 0)
+
+    selected = [seed_user]
+    ortho = [hm[:, seed_user] / norms[seed_user]]
+    ledger.divisions += m
+    pool = np.delete(np.arange(u), seed_user)
+    k_cap = min(k_max, m, u)
+    while len(selected) < k_cap and pool.size:
+        q = np.column_stack(ortho)
+        coef = q.conj().T @ hm[:, pool]
+        ledger.complex_macs += q.shape[1] * m * pool.size
+        proj_energy = np.sum(np.abs(coef) ** 2, axis=0)
+        span_corr = np.sqrt(np.minimum(proj_energy / norms[pool] ** 2, 1.0))
+        ledger.divisions += pool.size
+        ledger.comparisons += pool.size
+        keep = span_corr <= epsilon
+        pool = pool[keep]
+        if not pool.size:
+            break
+        resid_sq = np.maximum(norms[pool] ** 2 - proj_energy[keep], 0.0)
+        pick = int(np.argmax(resid_sq))
+        ledger.comparisons += max(pool.size - 1, 0)
+        chosen = int(pool[pick])
+        residual = hm[:, chosen] - q @ coef[:, keep][:, pick]
+        ledger.complex_macs += q.shape[1] * m + m
+        residual_norm = np.linalg.norm(residual)
+        ortho.append(residual / residual_norm)
+        ledger.divisions += m
+        selected.append(chosen)
+        pool = np.delete(pool, pick)
+    return selectors.SelectionResult(selected=tuple(selected))
+
+
+def sus_stack(m, u, seed):
+    """Six M x U channels whose ``sus`` pools empty at different steps.
+
+    Trial 0 is i.i.d.; trials 1 to 3 span subspaces of rank 1 to 3, so
+    every pool empties by step r; trial 4 repeats the M axes, so norms and
+    residuals tie and each axis's copies are parallel; trial 5 is i.i.d.
+    with one user scaled up.
+    """
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+
+    axes = np.eye(m, dtype=complex)[:, np.arange(u) % m]
+    strong = normal(m, u)
+    strong[:, rng.integers(u)] *= 4.0
+    low_rank = [normal(m, r) @ normal(r, u) for r in (1, 2, 3)]
+    return np.stack([normal(m, u), *low_rank, axes, strong])
+
+
+SUS_EPSILONS = (0.05, 0.3, 0.45, 0.99)
+
+
+class TestSusTrials:
+    """``_sus_trials`` runs ``sus`` on a stack in lockstep; each trial gets
+    the selection and the charges of the per-trial loop ``reference_sus``."""
+
+    @pytest.mark.parametrize("u", [1, 2, 10, 100])
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_equals_the_reference_loop(self, m, u):
+        n0, stacks, sizes = 1.0, 0, set()
+        for epsilon in SUS_EPSILONS:
+            # k_max below M where M allows it, and above it.
+            for k_max in sorted({max(1, m - 1), m + 3}):
+                for seed in range(2):
+                    hs = sus_stack(m, u, (6100, m, u, seed))
+                    got = selectors._sus_trials(*checked(hs), n0, k_max, epsilon)
+                    want = []
+                    for h in hs:
+                        ledger = OpLedger()
+                        want.append((reference_sus(h, k_max, epsilon, ledger), ledger))
+                    assert got == want, (epsilon, k_max, seed)
+                    sizes.add(tuple(result.k_b for result, _ in want))
+                    stacks += 1
+        assert stacks >= 16
+        if min(m, u) >= 4:
+            # Within one stack, pools empty at different steps.
+            assert any(len(set(row)) >= 3 for row in sizes)
+
+    def test_lone_call_is_a_stack_of_one(self):
+        for seed in range(20):
+            h = generate_iid_rayleigh(4, 10, stream(6200, seed))
+            cfg = SelectionConfig(Algorithm.SUS, k_max=4, sus_epsilon=0.45)
+            got = sus(h, cfg, 1.0, ledger := OpLedger())
+            want = reference_sus(h, 4, 0.45, want_ledger := OpLedger())
+            assert (got, ledger) == (want, want_ledger)
+
+    def test_correlation_equal_to_epsilon_stays_in_the_pool(self):
+        # User 1's span correlation is 0.75 / 1.25 = 0.6 exactly, so it
+        # survives a filter at epsilon = 0.6; user 2's 0.8 does not.
+        h = np.array([[2.0, 0.75, 1.0], [0.0, 1.0, 0.75]], dtype=complex)
+        hs = h[np.newaxis]
+        [(result, _)] = selectors._sus_trials(*checked(hs), 1.0, 2, 0.6)
+        assert result.selected == (0, 1)
+        assert reference_sus(h, 2, 0.6, OpLedger()).selected == (0, 1)
+
+    @pytest.mark.parametrize("m, u, k_max", [(2, 10, 2), (4, 10, 4), (8, 30, 5), (8, 100, 8)])
+    def test_chunk_does_not_change_the_answer(self, m, u, k_max):
+        hs = np.concatenate([sus_stack(m, u, (6300, m, u, seed)) for seed in range(2)])
+        hs, norms = checked(hs)
+        for epsilon in SUS_EPSILONS:
+            want = selectors._sus_trials(hs, norms, 1.0, k_max, epsilon)
+            for size in (1, 3, 5):
+                got = []
+                for lo in range(0, len(hs), size):
+                    part = slice(lo, lo + size)
+                    got += selectors._sus_trials(hs[part], norms[part], 1.0, k_max, epsilon)
+                assert got == want, (epsilon, size)
+
+    @pytest.mark.parametrize("n0", [math.nan, 0.0, -1.0])
+    def test_rejects_a_bad_noise_power_for_the_whole_call(self, n0):
+        hs = sus_stack(4, 10, 6400)
+        with pytest.raises(ValueError) as exc:
+            selectors._sus_trials(*checked(hs), n0, 4, 0.3)
+        assert str(exc.value) == f"n0 must be positive, got {n0}"
+
+    @pytest.mark.parametrize(
+        "k_max, epsilon, message",
+        [(0, 0.3, "k_max must be >= 1, got 0"),
+         (4, 1.0, "sus_epsilon must lie in (0, 1), got 1.0")],
+    )
+    def test_rejects_bad_tunables_for_the_whole_call(self, k_max, epsilon, message):
+        with pytest.raises(ValueError) as exc:
+            selectors._sus_trials(*checked(sus_stack(4, 10, 6500)), 1.0, k_max, epsilon)
+        assert str(exc.value) == message
+
+
 class TestGreedyZeroForcing:
     def test_single_candidate(self):
         h = np.array([[1.0], [1.0]], dtype=complex)
@@ -284,6 +420,37 @@ class TestRandomSelect:
             random_select(h, 3, stream(0))  # k > M
         with pytest.raises(ValueError):
             random_select(h, 0, stream(0))
+
+
+class TestRandomTrials:
+    """``_random_trials`` draws each trial's users from its stream, set on one
+    generator by ``seeding._seeded``: its picks are ``random_select``'s on
+    ``stream(seed)``."""
+
+    # Seeds of 0, 1 and 2 uint32 words, the edges between them, and chained seeds.
+    SEEDS = [*range(30), 2**32 - 1, 2**32, 2**64 - 1, *(derive_seed(6600, t) for t in range(30))]
+
+    @pytest.mark.parametrize("m, u", [(1, 1), (2, 10), (4, 10), (8, 100), (16, 20)])
+    def test_picks_equal_lone_calls_on_the_same_streams(self, m, u):
+        hs = np.stack([generate_iid_rayleigh(m, u, stream(6700, m, u, s)) for s in self.SEEDS])
+        for k in range(1, min(m, u) + 1):
+            got = selectors._random_trials(checked(hs)[0], 1.0, k, self.SEEDS)
+            want = [random_select(h, k, stream(seed)) for h, seed in zip(hs, self.SEEDS)]
+            assert got == [(result, OpLedger()) for result in want], k
+
+    @pytest.mark.parametrize(
+        "n0, k, message",
+        [(math.nan, 2, "n0 must be positive, got nan"),
+         (0.0, 2, "n0 must be positive, got 0.0"),
+         (-1.0, 2, "n0 must be positive, got -1.0"),
+         (1.0, 0, "k_max must be >= 1, got 0"),
+         (1.0, 5, "random selection needs K <= min(M, U) = 4, configured K=5")],
+    )
+    def test_rejects_bad_arguments_for_the_whole_call(self, n0, k, message):
+        hs = np.stack([generate_iid_rayleigh(4, 10, stream(6800, t)) for t in range(3)])
+        with pytest.raises(ValueError) as exc:
+            selectors._random_trials(checked(hs)[0], n0, k, [1, 2, 3])
+        assert str(exc.value) == message
 
 
 class TestExhaustiveOracle:
