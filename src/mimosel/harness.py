@@ -19,7 +19,15 @@ every trial's users from its own stream on one generator. The chunk
 scores the final sets of all its trials with one ZF kernel call per set
 size, and ``run_trial`` builds each trial's report. A chunk holds as many
 trials as their channel stack fits in ``_BLOCK_BUDGET``, and a trial's
-results do not depend on which trials share its chunk. Results are
+results do not depend on which trials share its chunk.
+
+With n > 1 workers the sweep runs as n shares: this process runs one and
+forks n - 1 children, one per other share, each of which sends back its
+pickled reports through a pipe. Each point's trials are cut into pieces at
+the chunk boundaries, and the pieces are dealt to the shares largest first
+by M·U·trials, the direction reversing on each lap; with fewer pieces than
+shares, each share takes a strided slice of every point's trials instead.
+A platform that cannot fork runs the sweep in this process. Results are
 post-sorted by trial index before aggregation, which makes the output
 invariant to worker count.
 """
@@ -27,15 +35,14 @@ invariant to worker count.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import numbers
 import os
+import pickle
 import re
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -648,27 +655,129 @@ def _run_trials(
 ) -> dict[GridPoint, list[TrialReport]]:
     """Reports of every trial at each grid point of ``jobs``, by trial index.
 
-    The pool has ``cfg.workers`` workers, capped by the trial count and the
-    count of CPUs this process may run on. With one, each point's trials
-    run through ``_trial_chunk`` in this process. With more, each point's
-    trials are split into one strided chunk per worker, so that the chunk
-    engines batch as many trials as the pool allows, and the chunks of all
-    points go to one process pool.
+    The sweep runs as ``cfg.workers`` shares, capped by the trial count and
+    the count of CPUs this process may run on, and at one where the
+    platform cannot fork. ``_shares`` deals the trials, and ``_fan_out``
+    runs the first share in this process and forks one child for each other
+    share. With one share, each point's trials run through one
+    ``_trial_chunk`` call in this process and nothing is forked.
     """
-    indices = list(range(cfg.trials))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(cfg.workers, cfg.trials, cpus or 1)
-    if n_workers == 1:
-        return {p: _trial_chunk((cfg, p, insts, indices)) for p, insts in jobs.items()}
-    chunks = [indices[i::n_workers] for i in range(n_workers)]
-    tasks = [(cfg, point, insts, chunk) for point, insts in jobs.items() for chunk in chunks]
+    # With no feasible point there is nothing to share.
+    forks = bool(jobs) and hasattr(os, "fork")
+    n_workers = min(cfg.workers, cfg.trials, cpus or 1) if forks else 1
     reports: dict[GridPoint, list[TrialReport]] = {point: [] for point in jobs}
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        for task, batch in zip(tasks, pool.map(_trial_chunk, tasks)):
-            reports[task[1]].extend(batch)
+    for share in _fan_out(cfg, jobs, _shares(jobs, cfg.trials, n_workers)):
+        for point, batch in share.items():
+            reports[point] += batch
     for point_reports in reports.values():
         point_reports.sort(key=lambda r: r.trial_index)
     return reports
+
+
+def _shares(jobs: dict, trials: int, n: int) -> list[dict[GridPoint, list[int]]]:
+    """The trial indices of each point of ``jobs`` that each of ``n`` shares runs.
+
+    Each point's trials are cut into pieces at the ``_trials_per_chunk``
+    boundaries that ``_trial_chunk`` uses, so that no engine call is
+    smaller than in one process. The pieces are dealt largest first by
+    M·U·trials, one to each share in turn, the direction reversing on each
+    lap. A share's pieces of one point come in index order, the short last
+    piece after the whole ones, so they chunk as they were cut. With fewer
+    pieces than shares, share i takes trials i, i + n, ... of every point.
+    """
+    indices = list(range(trials))
+    pieces = [
+        (point, indices[lo : lo + size])
+        for point in jobs
+        for size in (_trials_per_chunk(point),)
+        for lo in range(0, trials, size)
+    ]
+    if len(pieces) < n:
+        return [{point: indices[i::n] for point in jobs} for i in range(n)]
+    # A stable sort: the whole pieces of a point keep their index order.
+    pieces.sort(key=lambda piece: piece[0].m * piece[0].u * len(piece[1]), reverse=True)
+    shares: list[dict[GridPoint, list[int]]] = [{} for _ in range(n)]
+    for rank, (point, piece) in enumerate(pieces):
+        lap, seat = divmod(rank, n)
+        shares[seat if lap % 2 == 0 else n - 1 - seat].setdefault(point, []).extend(piece)
+    return shares
+
+
+def _run_share(cfg: ExperimentConfig, jobs: dict, share: dict) -> dict:
+    """Reports of the trials of ``share`` at each of its points, one
+    ``_trial_chunk`` call per point.
+
+    ``_trial_chunk`` is looked up as a module global on every call: the
+    benchmark's span tracer replaces it to write each forked child's spans.
+    """
+    return {point: _trial_chunk((cfg, point, jobs[point], idx)) for point, idx in share.items()}
+
+
+def _fan_out(cfg: ExperimentConfig, jobs: dict, shares: list[dict]) -> list[dict]:
+    """``_run_share`` of every share of ``shares``, in share order.
+
+    This process forks one child for each share but the first, each with
+    its own pipe, then runs the first share itself, reads every pipe and
+    reaps every child. A child sends back its pickled reports, or the
+    exception its share raised, which is raised here, with the child's
+    traceback as its cause, once every child is reaped. If this process
+    fails first, it kills and reaps the children left.
+    """
+    pipes, pids = [], []
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(cfg, jobs, share, write_end)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        results = [_run_share(cfg, jobs, shares[0])]
+        sent = []
+        for pipe in pipes:
+            sent.append(pipe.read())
+            os.waitpid(pids[0], 0)
+            del pids[0]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            import signal  # only on failure, so that a sweep does not load it
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for data in sent:
+        if not data:
+            raise RuntimeError("a worker process ended without sending its trials")
+        value, trace = pickle.loads(data)
+        if trace is not None:
+            raise value from RuntimeError(f"raised in a worker process:\n{trace}")
+        results.append(value)
+    return results
+
+
+def _child(cfg: ExperimentConfig, jobs: dict, share: dict, write_end: int) -> typing.NoReturn:
+    """In a forked child: run ``share``, send the pickled pair (reports,
+    None), or (exception, its formatted traceback), through ``write_end``
+    and exit, never returning."""
+    status = 1
+    try:
+        try:
+            outcome = (_run_share(cfg, jobs, share), None)
+        except Exception as exc:
+            import traceback  # only on failure
+
+            outcome = (exc, traceback.format_exc())
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _row(point: GridPoint, inst: AlgoInstance, **stats) -> AggregateRow:
@@ -865,6 +974,8 @@ def table_text(records: list[dict], columns, fmt: str) -> str:
         lines += [",".join(_fmt(r[c]) for c in columns) for r in records]
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json  # only here, so that CSV runs do not load it
+
         def jsonable(value):
             if value is None or isinstance(value, (str, int)):
                 return value

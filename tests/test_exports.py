@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,22 @@ def test_benchmark_hooks_resolve():
         if not callable(getattr(importlib.import_module(f"mimosel.{module}"), attr, None))
     ]
     assert tracer.TARGETS and missing == []
+
+
+def test_cli_import_loads_no_pool_and_no_json():
+    """``import mimosel.cli`` loads neither a process pool nor ``json``.
+
+    Every ``mc`` run pays for what the import loads; the fan-out forks with
+    ``os`` and ``pickle``, which numpy loads already, and ``json`` is
+    imported only where JSON is written.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, numpy; before = set(sys.modules); import mimosel.cli; "
+        "print(sorted({'json', 'multiprocessing', 'concurrent.futures.process'} "
+        "& (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

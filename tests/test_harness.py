@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -672,6 +673,19 @@ class TestAggregation:
         cfg4 = tiny_config(trials=12, workers=4, algorithms=("ssus", "gzf", "random"))
         assert emit(run_monte_carlo(cfg1), "csv") == emit(run_monte_carlo(cfg4), "csv")
 
+    @staticmethod
+    def record_fan_outs(monkeypatch):
+        """Stand in for ``harness._fan_out``: record each call's shares and
+        run them in this process. Returns the list of recorded calls."""
+        calls = []
+
+        def fan_out(cfg, jobs, shares):
+            calls.append([{p.scenario_id: idx for p, idx in share.items()} for share in shares])
+            return [harness._run_share(cfg, jobs, share) for share in shares]
+
+        monkeypatch.setattr(harness, "_fan_out", fan_out)
+        return calls
+
     # Ids are "<cpu_count>-<expected>"; ``affinity`` None stands for an OS
     # without ``sched_getaffinity``.
     @pytest.mark.parametrize(
@@ -686,25 +700,10 @@ class TestAggregation:
         ],
     )
     def test_pool_capped_at_trials_and_cpu_count(self, monkeypatch, affinity, cpus, expected):
-        # ``expected`` workers after the caps; one of them runs in this
-        # process and starts no pool. The CPUs are those of the affinity
+        # ``expected`` shares after the caps; the first runs in this process,
+        # and one share forks nothing. The CPUs are those of the affinity
         # mask where the OS has one, else the CPU count.
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        calls = self.record_fan_outs(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         if affinity is None:
             monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
@@ -713,47 +712,41 @@ class TestAggregation:
                 harness.os, "sched_getaffinity", lambda pid: affinity, raising=False
             )
         rows = run_monte_carlo(tiny_config(trials=6, workers=5000))
-        assert sizes == ([expected] if expected > 1 else [])
+        assert [len(shares) for shares in calls] == [expected]
+        if expected == 1:
+            assert calls[0] == [{"m4_u10_p-90": list(range(6))}]
         assert emit(rows, "csv") == emit(run_monte_carlo(tiny_config(trials=6)), "csv")
 
     def test_one_pool_per_sweep(self, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                self.points = set()
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                self.points.update(task[1].scenario_id for task in tasks)
-                self.chunks = {}
-                for task in tasks:
-                    self.chunks.setdefault(task[1].scenario_id, []).append(task[3])
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        calls = self.record_fan_outs(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(
             harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
         )
-        cfg = tiny_config(m_values=(4, 8), u_values=(6, 10), trials=7, workers=3)
+        cfg = tiny_config(m_values=(4, 8), trials=5, workers=3)
+        serial = emit(run_monte_carlo(dataclasses.replace(cfg, workers=1)), "csv")
+        assert len(calls) == 1
+        calls.clear()
+        # Pieces of two trials: M = 8's (160, 160, 80 by M·U·trials) and
+        # M = 4's (80, 80, 40) are dealt largest first, the second lap
+        # backwards, and a share's pieces of one point join in index order.
+        monkeypatch.setattr(harness, "_trials_per_chunk", lambda point: 2)
         rows = run_monte_carlo(cfg)
-        assert len(pools) == 1
-        assert pools[0].points == {p.scenario_id for p in grid_points(cfg)}
-        # Each point's trials go out as one strided chunk per worker.
-        strided = [[0, 3, 6], [1, 4], [2, 5]]
-        assert pools[0].chunks == {p.scenario_id: strided for p in grid_points(cfg)}
-        serial = run_monte_carlo(dataclasses.replace(cfg, workers=1))
-        assert emit(rows, "csv") == emit(serial, "csv")
-        run_monte_carlo(cfg)
-        assert len(pools) == 2
+        assert calls == [
+            [
+                {"m8_u10_p-90": [0, 1], "m4_u10_p-90": [4]},
+                {"m8_u10_p-90": [2, 3, 4]},
+                {"m4_u10_p-90": [0, 1, 2, 3]},
+            ]
+        ]
+        assert emit(rows, "csv") == serial
+        # With fewer pieces than shares, each share takes every third trial.
+        monkeypatch.setattr(harness, "_trials_per_chunk", lambda point: 5)
+        rows = run_monte_carlo(cfg)
+        strided = [[0, 3], [1, 4], [2]]
+        assert calls[1] == [{"m4_u10_p-90": s, "m8_u10_p-90": s} for s in strided]
+        assert emit(rows, "csv") == serial
+        assert len(calls) == 2
 
     def test_shared_pool_output_matches_serial_with_skipped_cell(self, capsys):
         # mcore_plus is infeasible at M=16, so one point runs only sus.
@@ -764,6 +757,131 @@ class TestAggregation:
         assert pooled == serial
         assert capsys.readouterr().err == serial_err
         assert serial_err.count("skipped mcore_plus") == 1
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    """``_fan_out`` forks a child for every share but the first, which this
+    process runs, and leaves no child behind."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(
+            harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+        )
+
+    @staticmethod
+    def fail_in(monkeypatch, where, raise_it):
+        """Make ``_trial_chunk`` call ``raise_it`` in this process
+        (``where`` "parent") or in a forked child ("child")."""
+        parent = os.getpid()
+        real_chunk = harness._trial_chunk
+
+        def chunk(args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise_it()
+            return real_chunk(args)
+
+        monkeypatch.setattr(harness, "_trial_chunk", chunk)
+
+    def test_sweep_leaves_no_child(self):
+        rows = run_monte_carlo(tiny_config(m_values=(4, 8), trials=6, workers=4))
+        assert [r.trials for r in rows] == [6] * 4
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_child_error_is_raised_here(self, monkeypatch, error):
+        def raise_it():
+            raise error("share broke")
+
+        self.fail_in(monkeypatch, "child", raise_it)
+        with pytest.raises(error) as caught:
+            run_monte_carlo(tiny_config(m_values=(4, 8), trials=6, workers=3))
+        assert type(caught.value) is error
+        assert str(caught.value) == "share broke"
+        assert "in raise_it" in str(caught.value.__cause__)
+        assert_no_child_left()
+
+    def test_child_error_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        def raise_it():
+            raise ValueError("share broke")
+
+        self.fail_in(monkeypatch, "child", raise_it)
+        path = tmp_path / "exp.cfg"
+        path.write_text("trials = 4\nworkers = 2\ngrid.m = [4]\ngrid.u = [8, 12]\n")
+        from mimosel.cli import main
+
+        assert main(["mc", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: share broke\n"
+        assert_no_child_left()
+
+    def test_child_that_exits_without_trials(self, monkeypatch):
+        self.fail_in(monkeypatch, "child", lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="ended without sending its trials"):
+            run_monte_carlo(tiny_config(m_values=(4, 8), trials=6, workers=2))
+        assert_no_child_left()
+
+    def test_parent_error_kills_and_reaps_the_children(self, monkeypatch):
+        def raise_it():
+            raise KeyError("parent broke")
+
+        self.fail_in(monkeypatch, "parent", raise_it)
+        with pytest.raises(KeyError, match="parent broke"):
+            run_monte_carlo(tiny_config(m_values=(4, 8), trials=6, workers=4))
+        assert_no_child_left()
+
+    def test_without_fork_the_run_is_serial(self, monkeypatch):
+        cfg = tiny_config(m_values=(4, 8), trials=6, workers=4)
+        serial = emit(run_monte_carlo(dataclasses.replace(cfg, workers=1)), "csv")
+        monkeypatch.delattr(harness.os, "fork")
+        calls = []
+        real_chunk = harness._trial_chunk
+
+        def chunk(args):
+            calls.append((args[1].scenario_id, args[3]))
+            return real_chunk(args)
+
+        monkeypatch.setattr(harness, "_trial_chunk", chunk)
+        assert emit(run_monte_carlo(cfg), "csv") == serial
+        # One in-process call per point with all its trials, as at one worker.
+        assert sorted(calls) == [("m4_u10_p-90", list(range(6))), ("m8_u10_p-90", list(range(6)))]
+
+    # Grids of 1, 2, 3 and 5 points of uneven size, at the real chunk size
+    # (one piece per point) and at two trials per chunk (several pieces).
+    @pytest.mark.parametrize("chunk", [None, 2])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "grid.m = [4]\ngrid.u = [10]",
+            "grid.m = [4]\ngrid.u = [6, 30]",
+            "grid.m = [2, 4, 8]\ngrid.u = [12]\nselect.k_max = 2",
+            "grid.m = [4]\ngrid.u = [5, 9, 14, 30, 60]",
+        ],
+        ids=["1", "2", "3", "5"],
+    )
+    def test_mc_bytes_equal_at_one_to_four_workers(self, monkeypatch, tmp_path, grid, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(harness, "_trials_per_chunk", lambda point: chunk)
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"trials = 7\n{grid}\nselect.algorithms = [ssus, sus, gzf, mcore_plus, random]\n"
+        )
+        from mimosel.cli import main
+
+        outputs = []
+        for workers in (1, 2, 3, 4):
+            out = tmp_path / f"rows-{workers}.csv"
+            flags = ["--workers", str(workers), "--out", str(out)]
+            assert main(["mc", "--config", str(path), *flags]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1:] == outputs[:1] * 3
+        assert_no_child_left()
 
 
 class TestSkippedCells:
