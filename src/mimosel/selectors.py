@@ -71,13 +71,6 @@ EXHAUSTIVE_SUBSET_CAP = 1_000_000
 #: 2**M - 1 candidates; beyond 12 antennas that is no longer desk scale.
 MCORE_MAX_ANTENNAS = 12
 
-#: Block size of the subset enumeration of ``mcore_plus`` and
-#: ``exhaustive_oracle``: a block holds at most this many subsets of size K
-#: over K (at least one), whichever trials they belong to, so that their
-#: K x K factors hold at most this many times K entries, and memory stays
-#: flat in the size of the search space and in the number of trials.
-_SUBSET_BLOCK = 1024
-
 #: Float64 elements (560 kB) that the largest stack of one ``ss_us`` block
 #: may hold; it sizes the block (see ``_bases_per_block``) and so bounds its
 #: working set. Chosen by measurement: at U = 100 it holds the 100 bases of
@@ -939,11 +932,12 @@ def _best_subset(hs: np.ndarray, max_size: int, n0: float, ledgers) -> list:
     sizes. Most subsets never reach the kernel.
 
     Subsets are enumerated level by level, depth first, in blocks of at most
-    ``_SUBSET_BLOCK`` // k subsets of size k, whichever trials they belong
-    to: level k borders each size-(k-1) prefix by every column of its trial
-    after its last one, through ``_bordered_rates``, with the cross terms
-    taken from the trial's Gram matrix; level 1 borders the empty prefix
-    like any other level. A block's certified subsets carry their factor,
+    ``_subsets_per_block(M, k)`` subsets of size k, as many as their stacks
+    fit in ``_BLOCK_BUDGET``, whichever trials they belong to: level k
+    borders each size-(k-1) prefix by every column of its trial after its
+    last one, through ``_bordered_rates``, with the cross terms taken from
+    the trial's Gram matrix; level 1 borders the empty prefix like any
+    other level. A block's certified subsets carry their factor,
     inverse diagonal and trace to the next level as its prefixes. One rule
     scores a subset: its bound certifies its rate, or the kernel scores it,
     and so every subset it is a prefix of, since trace(G) trace(G⁻¹) does
@@ -972,6 +966,20 @@ def _best_subset(hs: np.ndarray, max_size: int, n0: float, ledgers) -> list:
     return winners
 
 
+def _subsets_per_block(m: int, k: int) -> int:
+    """Subsets of size k per subset-search block, at least one, whose stacks fit ``_BLOCK_BUDGET``.
+
+    A subset that ``_bordered_rates`` scores takes 2 k^2 + 2 (k-1)^2 + 5 k - 2
+    float64 elements: its bordered factor, a k x k complex stack, its
+    prefix's (k-1) x (k-1) factor, and the complex columns ``cross`` (k)
+    and ``v_bar`` (k - 1) and the real ``diag`` (k). One that the kernel
+    scores takes its (M, k) complex columns, 2 M k, as in the final
+    scoring. The larger of the two sizes the block.
+    """
+    bordered = 2 * k * k + 2 * (k - 1) ** 2 + 5 * k - 2
+    return max(1, _BLOCK_BUDGET // max(bordered, 2 * m * k))
+
+
 class _SubsetSearch:
     """The enumeration of ``_best_subset`` over the columns of a (T, M, n) stack.
 
@@ -982,17 +990,18 @@ class _SubsetSearch:
     matrices row by row, so that row p of it is position p's. The search
     grows from each trial's empty prefix, whose inverse factor is 0 x 0 and
     whose trace is 0, so level 1 borders it like any other level. Scored
-    blocks are queued and weighed together once they hold ``_SUBSET_BLOCK``
-    subsets, and at the end. Per trial, ``floor`` is a lower bound,
-    rate - tol, of the highest rate of any of its subsets weighed so far
-    (tol is 0 for kernel rates), and ``kept`` holds its subsets whose
-    intervals still reach it: only they may win. When a trial keeps more
-    than ``_SUBSET_BLOCK``, and at the end, its kept subsets are settled:
-    those not yet exact are rescored by the kernel, already charged, and the
-    highest rate wins, then the smallest subset. Every subset is scored, so
-    a trial scores C(n, k) subsets of size k, and all but those that
-    ``failed`` the kernel's guard pass it, a certified rate being finite;
-    ``_charge_zf`` prices them at the end.
+    blocks are queued and weighed together once they hold ``cap`` subsets,
+    as many as the largest block holds, that of single columns (see
+    ``_subsets_per_block``), and at the end. Per trial, ``floor`` is a
+    lower bound, rate - tol, of the highest rate of any of its subsets
+    weighed so far (tol is 0 for kernel rates), and ``kept`` holds its
+    subsets whose intervals still reach it: only they may win. When a trial
+    keeps more than ``cap``, and at the end, its kept subsets are settled:
+    those not yet exact are rescored by the kernel, already charged, and
+    the highest rate wins, then the smallest subset. Every subset is
+    scored, so a trial scores C(n, k) subsets of size k, and all but those
+    that ``failed`` the kernel's guard pass it, a certified rate being
+    finite; ``_charge_zf`` prices them at the end.
     """
 
     def __init__(self, hs: np.ndarray, max_size: int, n0: float):
@@ -1005,6 +1014,7 @@ class _SubsetSearch:
         self.failed = np.zeros((n_trials, max_size + 1), dtype=np.int64)
         self.queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.queued = 0
+        self.cap = _subsets_per_block(m, 1)
 
     def run(self) -> tuple[list, np.ndarray]:
         """Each trial's winning subset, () when every subset is singular, and
@@ -1051,7 +1061,7 @@ class _SubsetSearch:
             first = np.arange(len(members)) * n
         parent, cand = (np.arange(n) > last[:, np.newaxis]).nonzero()
         cand += first[parent]
-        block = max(1, _SUBSET_BLOCK // (members.shape[1] + 1))
+        block = _subsets_per_block(self.h.shape[0], members.shape[1] + 1)
         for lo in range(0, parent.size, block):
             p, c = parent[lo : lo + block], cand[lo : lo + block]
             for child in self._block(members, factor, p, c):
@@ -1118,10 +1128,10 @@ class _SubsetSearch:
         return prefixes
 
     def _keep(self, sets: np.ndarray, rates: np.ndarray, tol: np.ndarray) -> None:
-        """Queue a scored block; the queue is weighed once it holds a block's worth."""
+        """Queue a scored block; the queue is weighed once it holds ``cap`` subsets."""
         self.queue.append((sets, rates, tol))
         self.queued += len(sets)
-        if self.queued >= _SUBSET_BLOCK:
+        if self.queued >= self.cap:
             self._weigh()
 
     def _weigh(self) -> None:
@@ -1146,7 +1156,7 @@ class _SubsetSearch:
             self.kept[t].append(
                 (tuple(sets[block][i - starts[block]].tolist()), float(rates[i]), float(tol[i]))
             )
-            if len(self.kept[t]) > _SUBSET_BLOCK:
+            if len(self.kept[t]) > self.cap:
                 crowded.add(t)
         self.queue, self.queued = [], 0
         self._settle(sorted(crowded))

@@ -21,6 +21,7 @@ of every prefix the same way; its selections and ledgers must still be
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -282,13 +283,22 @@ def test_tie_across_sizes_resolves_to_smaller_tuple():
     assert ledger.comparisons == 4 + 3
 
 
+def set_subset_blocks(monkeypatch, block):
+    """Blocks of at most ``block`` // k subsets of size k (at least one), and
+    so a queue weighed, and a trial's kept subsets settled, past ``block``;
+    None keeps ``_subsets_per_block``. Returns the block size rule in force."""
+    if block is not None:
+        monkeypatch.setattr(selectors, "_subsets_per_block", lambda m, k: max(1, block // k))
+    return selectors._subsets_per_block
+
+
 @pytest.mark.parametrize("block", [1, 7, 50])
 def test_block_boundaries_do_not_change_the_answer(monkeypatch, block):
     h, n0 = instance(3, 4, 12)
     h[:, 5] = h[:, 1]
     whole = OpLedger()
     expected = exhaustive_oracle(h, n0, 4, whole).selected
-    monkeypatch.setattr(selectors, "_SUBSET_BLOCK", block)
+    set_subset_blocks(monkeypatch, block)
     queued = []
     keep = selectors._SubsetSearch._keep
 
@@ -307,7 +317,8 @@ def test_block_boundaries_do_not_change_the_answer(monkeypatch, block):
 
 # Peak bytes that tracemalloc sees in one exhaustive_oracle call at M = 8,
 # U = 16, K_max = 8 (39,202 subsets): 4.90 MB when every subset went through
-# the kernel in blocks of _SUBSET_BLOCK, 0.92 MB with the bordered search.
+# the kernel in blocks of 1024 // K subsets, 0.92 MB with the bordered search
+# in such blocks, 2.50 MB in blocks sized by _subsets_per_block.
 EXHAUSTIVE_PEAK_MB = 4.9
 
 
@@ -344,6 +355,71 @@ def test_working_set_of_an_exhaustive_chunk_is_bounded(m, u, k_max, n_trials):
         tracemalloc.stop()
     assert [outcome.selected for outcome, _ in outcomes] == expected
     assert peak - kept <= EXHAUSTIVE_PEAK_MB * 1e6 + 16 * u * u
+
+
+@pytest.mark.parametrize(
+    "m, k", [(1, 1), (4, 1), (4, 2), (4, 4), (8, 1), (8, 5), (8, 8), (12, 6), (12, 12),
+             (16, 16), (64, 3), (5000, 8)],
+)
+def test_subset_block_fills_the_budget_with_its_largest_stack(m, k):
+    # A subset needs its bordered stacks (the k x k bordered factor, the
+    # (k-1) x (k-1) prefix factor, cross, v_bar and diag) or the kernel's
+    # (M, k) columns, whichever is more.
+    per_subset = max(2 * k * k + 2 * (k - 1) ** 2 + 2 * k + 2 * (k - 1) + k, 2 * m * k)
+    size = selectors._subsets_per_block(m, k)
+    assert size >= 1
+    assert size == 1 or size * per_subset <= selectors._BLOCK_BUDGET
+    assert (size + 1) * per_subset > selectors._BLOCK_BUDGET
+
+
+def test_subset_blocks_of_a_chunk_fill_the_budget(monkeypatch):
+    # The oracle's chunk of the oracle_small workload: 50 trials at M = 4,
+    # U = 10, K_max = 4, every subset certified by its bound. Every queued
+    # block fits its level's rule, and the largest block of each level is
+    # full, or holds the whole level where that is smaller. A level's
+    # children are cut per parent block, so every block is full but at
+    # most one per block of the level above.
+    m, u, n_trials = 4, 10, 50
+    hs = checked([generate_iid_rayleigh(m, u, stream(9950, m, u, t)) for t in range(n_trials)])[0]
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    queued = []
+    keep = selectors._SubsetSearch._keep
+
+    def spy(search, sets, rates, tol):
+        queued.append(sets.shape)
+        keep(search, sets, rates, tol)
+
+    monkeypatch.setattr(selectors._SubsetSearch, "_keep", spy)
+    selectors._exhaustive_trials(hs, n0, 4)
+    parents = 1
+    for k in range(1, 5):
+        rows = [r for r, size in queued if size == k]
+        block = selectors._subsets_per_block(m, k)
+        assert sum(rows) == n_trials * math.comb(u, k)
+        assert max(rows) == min(block, sum(rows))
+        assert len(rows) < sum(rows) / block + parents
+        parents = len(rows)
+
+
+# Peak bytes that tracemalloc sees in one mcore_plus call at the antenna cap,
+# M = 12, U = 100, K_max = 12 (4,095 shortlist subsets): 2.06 MB, 3.7 times
+# the budget's 560 kB. Depth first, each level above the one being scored
+# holds one block's prefixes, whose factors take about half the budget; the
+# bound allows half the budget per level of K_max, and two budgets for the
+# block being scored and the search's Gram matrices.
+def test_working_set_of_one_mcore_plus_call_at_the_cap_is_bounded():
+    m, u = MCORE_MAX_ANTENNAS, 100
+    h = generate_iid_rayleigh(m, u, stream(5600, m, u))
+    n0 = noise_power(LinkBudget(p0_dbm=-90.0))
+    expected = mcore_plus(h, n0, m, OpLedger()).selected
+    tracemalloc.start()
+    try:
+        selected = mcore_plus(h, n0, m, OpLedger()).selected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert selected == expected
+    assert peak <= (m // 2 + 2) * 8 * selectors._BLOCK_BUDGET
 
 
 def reference_zf_snr(h_stack, n0, ledger):
@@ -895,14 +971,14 @@ def test_subset_engines_reject_a_bad_noise_power_for_the_whole_call(engine, lone
     assert str(exc.value) == f"n0 must be positive, got {n0}"
 
 
-@pytest.mark.parametrize("block", [1, 7, 50, selectors._SUBSET_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 50, 1024, None])
 def test_subset_blocks_mix_trials_within_their_size(monkeypatch, block):
     # A chunk of five trials at M = 4, U = 12, one with a repeated column.
     hs = beside_ordinary_trials(instance(3, 4, 12)[0], 9900)
     hs[2, :, 5] = hs[2, :, 1]
     n0 = noise_power(LinkBudget(p0_dbm=-90.0))
     want = {engine: engine_chunked(engine, hs, n0, 4, 1) for engine, _ in SUBSET_PAIRS}
-    monkeypatch.setattr(selectors, "_SUBSET_BLOCK", block)
+    size = set_subset_blocks(monkeypatch, block)
     queued = []
     keep = selectors._SubsetSearch._keep
 
@@ -917,8 +993,8 @@ def test_subset_blocks_mix_trials_within_their_size(monkeypatch, block):
         # Every level queues blocks of its own size, and a block of more
         # than one row takes the rows of the next trial where one ends.
         assert {k for (_, k), _ in queued} == {1, 2, 3, 4}
-        assert all(rows <= max(1, block // k) for (rows, k), _ in queued)
-        assert (max(trials for _, trials in queued) > 1) == (block > 1)
+        assert all(rows <= size(4, k) for (rows, k), _ in queued)
+        assert (max(trials for _, trials in queued) > 1) == (size(4, 1) > 1)
 
 
 def test_column_near_the_float64_floor_selects_without_warnings():
