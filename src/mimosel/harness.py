@@ -900,8 +900,8 @@ def oracle_check(
     bound violations (which should always be zero: the oracle maximizes the
     same metric). A trial that failed for the heuristic or the oracle is
     left out of the pairs. As in ``run_monte_carlo``, every algorithm that
-    lost trials, the oracle included, logs them to stderr, and every
-    infeasible heuristic logs a ``skipped`` line and has no row. Raises
+    lost trials, the oracle included, logs them to stderr. Where the oracle
+    is feasible every heuristic is, as no other search is larger. Raises
     ``ValueError`` naming the first error instead when the oracle, or else
     some heuristic, has no trial left to compare, since the ratios would be
     undefined.
@@ -927,8 +927,8 @@ def oracle_check(
     if None not in oracle_errors:
         raise ValueError(f"every trial of {oracle_inst.label} failed: {oracle_errors[0]}")
     rows = []
-    for (_, inst), reason in reasons.items():
-        if reason is not None or inst == oracle_inst:
+    for _, inst in reasons:
+        if inst == oracle_inst:
             continue
         ratios = []
         violations = 0

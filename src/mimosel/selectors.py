@@ -61,15 +61,11 @@ __all__ = [
     "run_selection",
     "infeasible_reason",
     "EXHAUSTIVE_SUBSET_CAP",
-    "MCORE_MAX_ANTENNAS",
 ]
 
-#: Hard cap on the oracle's search space (number of candidate subsets).
+#: Hard cap on the search space (number of candidate subsets) of the
+#: oracle and of ``mcore_plus``'s shortlist search.
 EXHAUSTIVE_SUBSET_CAP = 1_000_000
-
-#: The shortlist stage of mcore_plus enumerates all subsets of up to
-#: 2**M - 1 candidates; beyond 12 antennas that is no longer desk scale.
-MCORE_MAX_ANTENNAS = 12
 
 #: Float64 elements (560 kB) that the largest stack of one ``ss_us`` block
 #: may hold; it sizes the block (see ``_bases_per_block``) and so bounds its
@@ -137,13 +133,13 @@ def infeasible_reason(algorithm: Algorithm, m: int, u: int, k: int) -> str | Non
     """Why ``algorithm`` cannot run with K = ``k`` on an M x U channel, or None.
 
     K is ``random_select``'s subset size and every other selector's ``k_max``.
+    The oracle searches all U users, ``mcore_plus`` its min(M, U) shortlist.
     """
-    if algorithm is Algorithm.MCORE_PLUS and m > MCORE_MAX_ANTENNAS:
-        return f"mcore_plus requires M <= {MCORE_MAX_ANTENNAS}, scenario has M={m}"
-    if algorithm is Algorithm.EXHAUSTIVE:
-        space = subset_count(u, min(k, m, u))
+    if algorithm in (Algorithm.EXHAUSTIVE, Algorithm.MCORE_PLUS):
+        n = u if algorithm is Algorithm.EXHAUSTIVE else min(m, u)
+        space = subset_count(n, min(k, m, u))
         if space > EXHAUSTIVE_SUBSET_CAP:
-            return f"exhaustive search space {space} exceeds cap {EXHAUSTIVE_SUBSET_CAP}"
+            return f"{algorithm.value} search space {space} exceeds cap {EXHAUSTIVE_SUBSET_CAP}"
     if algorithm is Algorithm.RANDOM and k > min(m, u):
         return f"random selection needs K <= min(M, U) = {min(m, u)}, configured K={k}"
     return None
@@ -877,8 +873,8 @@ def _mcore_plus_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int)
 
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``mcore_plus`` and what that call charges.
-    A bad ``k_max``, M above ``MCORE_MAX_ANTENNAS`` or an ``n0`` that is
-    not positive raises ``ValueError`` for the whole call.
+    A bad ``k_max``, a shape ``infeasible_reason`` refuses or an ``n0`` that
+    is not positive raises ``ValueError`` for the whole call.
     """
     _check_scalars(Algorithm.MCORE_PLUS, hs.shape, n0, k_max)
     n_trials, m, u = hs.shape

@@ -36,7 +36,6 @@ def test_selectors_exports_are_pinned():
         "run_selection",
         "infeasible_reason",
         "EXHAUSTIVE_SUBSET_CAP",
-        "MCORE_MAX_ANTENNAS",
     ]
 
 

@@ -749,8 +749,8 @@ class TestAggregation:
         assert len(calls) == 2
 
     def test_shared_pool_output_matches_serial_with_skipped_cell(self, capsys):
-        # mcore_plus is infeasible at M=16, so one point runs only sus.
-        kw = dict(m_values=(4, 16), u_values=(8,), algorithms=("mcore_plus", "sus"), trials=6)
+        # mcore_plus is infeasible at M = U = 20, so one point runs only sus.
+        kw = dict(m_values=(4, 20), u_values=(20,), algorithms=("mcore_plus", "sus"), trials=6)
         serial = emit(run_monte_carlo(tiny_config(workers=1, **kw)), "csv")
         serial_err = capsys.readouterr().err
         pooled = emit(run_monte_carlo(tiny_config(workers=2, **kw)), "csv")
@@ -885,12 +885,13 @@ class TestFanOut:
 
 
 class TestSkippedCells:
-    def test_mcore_skipped_beyond_antenna_cap(self, capsys):
-        cfg = tiny_config(m_values=(16,), algorithms=("mcore_plus", "sus"), trials=2)
-        rows = run_monte_carlo(cfg)
+    def test_mcore_skipped_beyond_subset_cap(self, capsys):
+        # K_max = M = 20: all 2^20 - 1 subsets of the 20 shortlisted users.
+        kw = dict(m_values=(20,), u_values=(20,), algorithms=("mcore_plus", "sus"), trials=2)
+        rows = run_monte_carlo(tiny_config(**kw))
         mcore_row = next(r for r in rows if r.algorithm == "mcore_plus")
         assert mcore_row.trials == 0
-        assert "M <= 12" in mcore_row.skip_reason
+        assert "mcore_plus search space" in mcore_row.skip_reason
         assert mcore_row.mean_se is None
         sus_row = next(r for r in rows if r.algorithm == "sus")
         assert sus_row.trials == 2

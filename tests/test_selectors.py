@@ -382,9 +382,10 @@ class TestMcorePlus:
         assert 8 not in res.selected
 
     def test_rejects_large_arrays(self):
-        h = generate_iid_rayleigh(13, 30, stream(1))
-        with pytest.raises(ValueError, match="M <= 12"):
-            mcore_plus(h, 1.0, 13, OpLedger())
+        # Its 20 shortlisted users have 1,026,875 subsets of at most 14.
+        h = generate_iid_rayleigh(20, 20, stream(1))
+        with pytest.raises(ValueError, match="mcore_plus search space 1026875 exceeds cap"):
+            mcore_plus(h, 1.0, 14, OpLedger())
 
     def test_honours_k_max(self):
         # Every set of s orthogonal unit users scores s bits at n0 = 1.
