@@ -23,10 +23,12 @@ results do not depend on which trials share its chunk.
 
 With n > 1 workers the sweep runs as n shares: this process runs one and
 forks n - 1 children, one per other share, each of which sends back its
-pickled reports through a pipe. Each point's trials are cut into pieces at
-the chunk boundaries, and the pieces are dealt to the shares largest first
-by M·U·trials, the direction reversing on each lap; with fewer pieces than
-shares, each share takes a strided slice of every point's trials instead.
+pickled reports through a pipe. Each share runs pinned to its own CPU of
+this process's affinity mask, which this process gets back afterwards.
+Each point's trials are cut into pieces at the chunk boundaries, and the
+pieces are dealt to the shares largest first by M·U·trials, the direction
+reversing on each lap; with fewer pieces than shares, each share takes a
+strided slice of every point's trials instead.
 A platform that cannot fork runs the sweep in this process. Results are
 post-sorted by trial index before aggregation, which makes the output
 invariant to worker count.
@@ -34,7 +36,7 @@ invariant to worker count.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import math
 import numbers
 import os
@@ -363,7 +365,6 @@ class CellResult:
 class TrialReport:
     trial_index: int
     scenario_id: str
-    channel_hash: str
     cells: dict[AlgoInstance, CellResult] = field(default_factory=dict)
 
 
@@ -467,30 +468,25 @@ def run_trial(
     point: GridPoint,
     instances: list[AlgoInstance],
     trial_index: int,
-    scored: tuple | None = None,
+    cells: dict[AlgoInstance, CellResult] | None = None,
 ) -> TrialReport:
     """Run every algorithm variant on one freshly drawn channel matrix.
 
-    ``scored`` is this trial's entry of ``_scored_chunk`` for the chunk it
-    belongs to: its channel and its cells, selected and scored with the
-    rest of the chunk. Without it, the trial is drawn, selected and scored
-    as a chunk of its own.
+    ``cells`` is this trial's entry of ``_scored_chunk`` for the chunk it
+    belongs to, selected and scored with the rest of the chunk. Without
+    it, the trial is drawn, selected and scored as a chunk of its own.
     """
-    if scored is None:
-        [scored] = _scored_chunk(cfg, point, instances, [trial_index])
-    h, cells = scored
-    return TrialReport(
-        trial_index=trial_index,
-        scenario_id=point.scenario_id,
-        channel_hash=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16],
-        cells=cells,
-    )
+    if cells is None:
+        [cells] = _scored_chunk(cfg, point, instances, [trial_index])
+    return TrialReport(trial_index=trial_index, scenario_id=point.scenario_id, cells=cells)
 
 
-def _scored_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> list[tuple]:
-    """(channel, cells) of each trial of ``indices``, drawn, selected and scored as one chunk."""
+def _scored_chunk(
+    cfg: ExperimentConfig, point: GridPoint, instances, indices
+) -> list[dict[AlgoInstance, CellResult]]:
+    """Cells of each trial of ``indices``, drawn, selected and scored as one chunk."""
     hs, selections = _draw_chunk(cfg, point, instances, indices)
-    return list(zip(hs, _score_chunk(hs, point.n0, selections)))
+    return _score_chunk(hs, point.n0, selections)
 
 
 def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> tuple:
@@ -646,7 +642,7 @@ def _trial_chunk(args) -> list[TrialReport]:
     for lo in range(0, len(indices), size):
         chunk = indices[lo : lo + size]
         scored = _scored_chunk(cfg, point, instances, chunk)
-        reports += [run_trial(cfg, point, instances, t, s) for t, s in zip(chunk, scored)]
+        reports += [run_trial(cfg, point, instances, t, c) for t, c in zip(chunk, scored)]
     return reports
 
 
@@ -657,17 +653,20 @@ def _run_trials(
 
     The sweep runs as ``cfg.workers`` shares, capped by the trial count and
     the count of CPUs this process may run on, and at one where the
-    platform cannot fork. ``_shares`` deals the trials, and ``_fan_out``
-    runs the first share in this process and forks one child for each other
-    share. With one share, each point's trials run through one
-    ``_trial_chunk`` call in this process and nothing is forked.
+    platform cannot fork. The CPUs are those of this process's affinity
+    mask, read once here, or the CPU count where the OS has no mask.
+    ``_shares`` deals the trials, and ``_fan_out`` runs the first share in
+    this process and forks one child for each other share, each share
+    pinned to its own CPU of the mask. With one share, each point's trials
+    run through one ``_trial_chunk`` call in this process, nothing is
+    forked and nothing is pinned.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     # With no feasible point there is nothing to share.
     forks = bool(jobs) and hasattr(os, "fork")
-    n_workers = min(cfg.workers, cfg.trials, cpus or 1) if forks else 1
+    n_workers = min(cfg.workers, cfg.trials, len(cpus) or os.cpu_count() or 1) if forks else 1
     reports: dict[GridPoint, list[TrialReport]] = {point: [] for point in jobs}
-    for share in _fan_out(cfg, jobs, _shares(jobs, cfg.trials, n_workers)):
+    for share in _fan_out(cfg, jobs, _shares(jobs, cfg.trials, n_workers), cpus):
         for point, batch in share.items():
             reports[point] += batch
     for point_reports in reports.values():
@@ -714,7 +713,7 @@ def _run_share(cfg: ExperimentConfig, jobs: dict, share: dict) -> dict:
     return {point: _trial_chunk((cfg, point, jobs[point], idx)) for point, idx in share.items()}
 
 
-def _fan_out(cfg: ExperimentConfig, jobs: dict, shares: list[dict]) -> list[dict]:
+def _fan_out(cfg: ExperimentConfig, jobs: dict, shares: list[dict], cpus: list[int]) -> list[dict]:
     """``_run_share`` of every share of ``shares``, in share order.
 
     This process forks one child for each share but the first, each with
@@ -723,19 +722,34 @@ def _fan_out(cfg: ExperimentConfig, jobs: dict, shares: list[dict]) -> list[dict
     exception its share raised, which is raised here, with the child's
     traceback as its cause, once every child is reaped. If this process
     fails first, it kills and reaps the children left.
+
+    ``cpus`` is the sorted affinity mask of this process, with at least one
+    CPU per share, or empty where the OS has no mask. With more than one
+    share, share i runs pinned to ``cpus[i]`` (see ``_pin``): on a host
+    whose kernel does not balance load, a forked child would stay on this
+    process's CPU and the shares would take turns on it. This process pins
+    itself for its own share and gets its whole mask back before it
+    returns or raises.
     """
     pipes, pids = [], []
+    spread = len(shares) > 1
+    if spread:
+        # numpy loads this at a share's first draw. Loaded before the forks,
+        # it is loaded once, not once in every process, OpenSSL with it.
+        import numpy.random  # noqa: F401
     try:
-        for share in shares[1:]:
+        for i, share in enumerate(shares[1:], 1):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(cfg, jobs, share, write_end)
+                    _child(cfg, jobs, share, write_end, cpus[i : i + 1])
             finally:
                 os.close(write_end)
             pids.append(pid)
+        if spread:
+            _pin(cpus[:1])
         results = [_run_share(cfg, jobs, shares[0])]
         sent = []
         for pipe in pipes:
@@ -743,6 +757,8 @@ def _fan_out(cfg: ExperimentConfig, jobs: dict, shares: list[dict]) -> list[dict
             os.waitpid(pids[0], 0)
             del pids[0]
     finally:
+        if spread:
+            _pin(cpus)
         for pipe in pipes:
             pipe.close()
         if pids:
@@ -761,13 +777,16 @@ def _fan_out(cfg: ExperimentConfig, jobs: dict, shares: list[dict]) -> list[dict
     return results
 
 
-def _child(cfg: ExperimentConfig, jobs: dict, share: dict, write_end: int) -> typing.NoReturn:
-    """In a forked child: run ``share``, send the pickled pair (reports,
-    None), or (exception, its formatted traceback), through ``write_end``
-    and exit, never returning."""
+def _child(
+    cfg: ExperimentConfig, jobs: dict, share: dict, write_end: int, cpus: list[int]
+) -> typing.NoReturn:
+    """In a forked child: pin this process to ``cpus``, run ``share``, send
+    the pickled pair (reports, None), or (exception, its formatted
+    traceback), through ``write_end`` and exit, never returning."""
     status = 1
     try:
         try:
+            _pin(cpus)
             outcome = (_run_share(cfg, jobs, share), None)
         except Exception as exc:
             import traceback  # only on failure
@@ -778,6 +797,15 @@ def _child(cfg: ExperimentConfig, jobs: dict, share: dict, write_end: int) -> ty
         status = 0
     finally:
         os._exit(status)
+
+
+def _pin(cpus: list[int]) -> None:
+    """Run this process on ``cpus`` only. Where ``cpus`` is empty, the OS has
+    no affinity call or it refuses this one, the process runs where it did:
+    placement changes no output."""
+    if cpus and hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 def _row(point: GridPoint, inst: AlgoInstance, **stats) -> AggregateRow:

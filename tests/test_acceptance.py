@@ -16,6 +16,7 @@ from mimosel.channel import generate_iid_rayleigh
 from mimosel.complexity import CostQuery, model_cost, reconcile_ledger
 from mimosel.harness import (
     ExperimentConfig,
+    _draw_chunk,
     algo_instances,
     emit,
     grid_points,
@@ -195,7 +196,12 @@ def test_criterion_4_random_lower_bound():
             inst_rand, rep_rand = collect_trials(cfg_rand)
             rand_se = np.array([r.cells[inst_rand[0]].se for r in rep_rand])
             # identical channel streams: the comparison is paired
-            assert [r.channel_hash for r in reports] == [r.channel_hash for r in rep_rand]
+            point = grid_points(cfg)[0]
+            indices = list(range(cfg.trials))
+            assert np.array_equal(
+                _draw_chunk(cfg, point, [], indices)[0],
+                _draw_chunk(cfg_rand, grid_points(cfg_rand)[0], [], indices)[0],
+            )
             result = stats.ttest_rel(ssus_se, rand_se, alternative="greater")
             assert ssus_se.mean() > rand_se.mean()
             assert result.pvalue < 0.05

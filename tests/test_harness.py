@@ -223,6 +223,12 @@ def strip_wall(report):
     }
 
 
+def drawn(cfg, point, indices, instances=()):
+    """The (T, M, U) channel stack that a chunk of the trials ``indices``
+    at ``point`` draws; without ``instances``, no selector runs."""
+    return harness._draw_chunk(cfg, point, list(instances), indices)[0]
+
+
 class TestRunTrial:
     def test_single_user_all_algorithms_agree(self):
         cfg = tiny_config(u_values=(1,), algorithms=("ssus", "sus", "gzf", "random"))
@@ -238,7 +244,7 @@ class TestRunTrial:
         instances = algo_instances(cfg)
         a = run_trial(cfg, point, instances, 3)
         b = run_trial(cfg, point, instances, 3)
-        assert a.channel_hash == b.channel_hash
+        assert np.array_equal(drawn(cfg, point, [3]), drawn(cfg, point, [3]))
         assert strip_wall(a) == strip_wall(b)
 
     def test_heuristics_bounded_by_oracle(self):
@@ -256,14 +262,14 @@ class TestRunTrial:
                 assert cell.se <= report.cells[oracle].se
 
     def test_trials_share_one_channel(self):
-        # all algorithms in one trial run on the same matrix: the report
-        # carries a single channel hash, and rerunning any subset of
+        # all algorithms in one trial run on the same matrix: a chunk draws
+        # a single channel per trial, and drawing it for any subset of
         # algorithms reproduces it
         cfg = tiny_config()
         point = grid_points(cfg)[0]
-        full = run_trial(cfg, point, algo_instances(cfg), 0)
-        only_sus = run_trial(cfg, point, [AlgoInstance(Algorithm.SUS)], 0)
-        assert full.channel_hash == only_sus.channel_hash
+        full = drawn(cfg, point, [0], algo_instances(cfg))
+        only_sus = drawn(cfg, point, [0], [AlgoInstance(Algorithm.SUS)])
+        assert np.array_equal(full, only_sus)
 
 
 ALL_ALGORITHMS = ("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive")
@@ -334,7 +340,7 @@ class TestTrialChunks:
             inst: dataclasses.replace(cell, se=np.float64(cell.se).tobytes(), wall_ns=0)
             for inst, cell in report.cells.items()
         }
-        return report.trial_index, report.channel_hash, cells
+        return report.trial_index, cells
 
     def test_run_trial_runs_once_per_trial(self, monkeypatch):
         calls = []
@@ -380,7 +386,7 @@ class TestTrialChunks:
         want = [self.key(run_trial(self.CFG, point, instances, t)) for t in range(self.CFG.trials)]
         short, long = instances[:2]
         random = AlgoInstance(Algorithm.RANDOM)
-        errors = {t: {i for i, cell in cells.items() if cell.error} for t, _, cells in want}
+        errors = {t: {i for i, cell in cells.items() if cell.error} for t, cells in want}
         assert errors == {t: set() for t in range(8)} | {
             3: {long}, 5: set(instances), 7: {random}
         }
@@ -390,9 +396,22 @@ class TestTrialChunks:
         )
         with pytest.raises(SingularSetError) as singular:
             sum_spectral_efficiency(rank_1[:, :4], point.n0, OpLedger())
-        assert want[7][2][random].error == str(singular.value)
+        assert want[7][1][random].error == str(singular.value)
+        # Each trial's channel, as a lone chunk draws it, NaN included.
+        channels = [drawn(self.CFG, point, [t]).tobytes() for t in range(self.CFG.trials)]
+        chunk_channels = []
+        real_draw = harness._draw_chunk
+
+        def draw(*args):
+            hs, selections = real_draw(*args)
+            chunk_channels.extend(h.tobytes() for h in hs)
+            return hs, selections
+
+        monkeypatch.setattr(harness, "_draw_chunk", draw)
         for size in (1, 3, self.CFG.trials):
+            chunk_channels.clear()
             assert [self.key(r) for r in self.run_chunks(monkeypatch, size)] == want
+            assert chunk_channels == channels
 
     def test_one_scoring_call_per_set_size_per_chunk(self, monkeypatch, failing_trials):
         # Per chunk: the sizes of its successful selections, their count,
@@ -679,7 +698,10 @@ class TestAggregation:
         run them in this process. Returns the list of recorded calls."""
         calls = []
 
-        def fan_out(cfg, jobs, shares):
+        def fan_out(cfg, jobs, shares, cpus):
+            # The sorted affinity mask that ``_run_trials`` read, if any.
+            has_mask = hasattr(harness.os, "sched_getaffinity")
+            assert cpus == (sorted(harness.os.sched_getaffinity(0)) if has_mask else [])
             calls.append([{p.scenario_id: idx for p, idx in share.items()} for share in shares])
             return [harness._run_share(cfg, jobs, share) for share in shares]
 
@@ -764,15 +786,76 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def log_event(path, *event):
+    """Append ``event``, tagged with this process's pid, to the JSON lines
+    of ``path``, in one write, from whichever process calls it."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, (json.dumps([os.getpid(), *event]) + "\n").encode())
+    finally:
+        os.close(fd)
+
+
+def logged_events(path, caller):
+    """The events of ``log_event`` by process, in order, with ``caller``'s
+    pid as "caller"."""
+    events = collections.defaultdict(list)
+    for line in path.read_text().splitlines() if path.exists() else ():
+        pid, *event = json.loads(line)
+        events["caller" if pid == caller else pid].append(tuple(event))
+    return dict(events)
+
+
 class TestFanOut:
     """``_fan_out`` forks a child for every share but the first, which this
-    process runs, and leaves no child behind."""
+    process runs, pins each share to its own CPU of the affinity mask, and
+    leaves no child behind."""
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
+        """Stand in a mask of four CPUs. The sweep's pins to this mask may
+        change this process's real one, which comes back after the test."""
+        real_mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        real_pin = getattr(os, "sched_setaffinity", None)
         monkeypatch.setattr(
             harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
         )
+        yield
+        if real_mask is not None and real_pin is not None:
+            real_pin(0, real_mask)
+
+    @pytest.fixture
+    def placements(self, monkeypatch, tmp_path):
+        """Stand in for ``sched_setaffinity`` and wrap ``_trial_chunk``: log
+        each pin as ("pin", cpus) and each chunk as ("chunk", its trial
+        indices), in whichever process makes it. Returns a function that
+        gives the log so far by process, this one's as "caller"."""
+        path, caller = tmp_path / "placements.jsonl", os.getpid()
+
+        def pin(pid, cpus):
+            assert pid == 0
+            log_event(path, "pin", sorted(cpus))
+
+        real_chunk = harness._trial_chunk
+
+        def chunk(args):
+            log_event(path, "chunk", list(args[3]))
+            return real_chunk(args)
+
+        monkeypatch.setattr(harness.os, "sched_setaffinity", pin, raising=False)
+        monkeypatch.setattr(harness, "_trial_chunk", chunk)
+        return lambda: logged_events(path, caller)
+
+    @staticmethod
+    def mc_bytes(tmp_path, workers):
+        """The CSV bytes of ``mc`` at ``workers`` workers on a two-point grid."""
+        from mimosel.cli import main
+
+        path, out = tmp_path / "exp.cfg", tmp_path / f"rows-{workers}.csv"
+        path.write_text("trials = 6\ngrid.m = [4, 8]\nselect.algorithms = [ssus, sus, random]\n")
+        flags = ["--workers", str(workers), "--out", str(out)]
+        assert main(["mc", "--config", str(path), *flags]) == 0
+        return out.read_bytes()
 
     @staticmethod
     def fail_in(monkeypatch, where, raise_it):
@@ -827,13 +910,46 @@ class TestFanOut:
             run_monte_carlo(tiny_config(m_values=(4, 8), trials=6, workers=2))
         assert_no_child_left()
 
-    def test_parent_error_kills_and_reaps_the_children(self, monkeypatch):
+    def test_parent_error_kills_and_reaps_the_children(self, monkeypatch, placements):
         def raise_it():
             raise KeyError("parent broke")
 
         self.fail_in(monkeypatch, "parent", raise_it)
         with pytest.raises(KeyError, match="parent broke"):
             run_monte_carlo(tiny_config(m_values=(4, 8), trials=6, workers=4))
+        assert_no_child_left()
+        # Pinned to the first CPU for its share, which raised, then given
+        # back its whole mask.
+        assert placements()["caller"] == [("pin", [0]), ("pin", [0, 1, 2, 3])]
+
+    def test_each_share_runs_pinned_to_its_own_cpu(self, placements):
+        # One point of four trials in four shares: share i runs trial i.
+        rows = run_monte_carlo(tiny_config(trials=4, workers=4))
+        assert [r.trials for r in rows] == [4, 4]
+        assert_no_child_left()
+        log = placements()
+        assert log.pop("caller") == [("pin", [0]), ("chunk", [0]), ("pin", [0, 1, 2, 3])]
+        assert sorted(log.values()) == [[("pin", [i]), ("chunk", [i])] for i in (1, 2, 3)]
+
+    def test_one_share_pins_nothing(self, placements):
+        run_monte_carlo(tiny_config(trials=4, workers=1))
+        assert placements() == {"caller": [("chunk", [0, 1, 2, 3])]}
+
+    def test_refused_pins_change_no_byte(self, monkeypatch, tmp_path):
+        serial = self.mc_bytes(tmp_path, 1)
+
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(harness.os, "sched_setaffinity", refuse, raising=False)
+        assert self.mc_bytes(tmp_path, 4) == serial
+        assert_no_child_left()
+
+    def test_without_affinity_calls_nothing_is_pinned(self, monkeypatch, tmp_path):
+        serial = self.mc_bytes(tmp_path, 1)
+        # A pin would raise ``AttributeError``, in this process or a child.
+        monkeypatch.delattr(harness.os, "sched_setaffinity", raising=False)
+        assert self.mc_bytes(tmp_path, 4) == serial
         assert_no_child_left()
 
     def test_without_fork_the_run_is_serial(self, monkeypatch):
@@ -882,6 +998,33 @@ class TestFanOut:
             outputs.append(out.read_bytes())
         assert outputs[1:] == outputs[:1] * 3
         assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs fork and an affinity mask of two CPUs or more",
+)
+def test_forked_share_runs_on_its_own_cpu(monkeypatch, tmp_path):
+    # On the real mask: the forked share sees one CPU, not the caller's,
+    # and the caller gets its whole mask back after the sweep.
+    cfg = tiny_config(trials=4, workers=2)
+    serial = emit(run_monte_carlo(dataclasses.replace(cfg, workers=1)), "csv")
+    before = os.sched_getaffinity(0)
+    cpus = sorted(before)
+    path, caller = tmp_path / "masks.jsonl", os.getpid()
+    real_chunk = harness._trial_chunk
+
+    def chunk(args):
+        log_event(path, sorted(os.sched_getaffinity(0)))
+        return real_chunk(args)
+
+    monkeypatch.setattr(harness, "_trial_chunk", chunk)
+    assert emit(run_monte_carlo(cfg), "csv") == serial
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+    log = logged_events(path, caller)
+    assert log.pop("caller") == [(cpus[:1],)]
+    assert list(log.values()) == [[(cpus[1:2],)]]
 
 
 class TestSkippedCells:
