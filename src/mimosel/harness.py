@@ -56,7 +56,7 @@ from .metrics import _ill_conditioned, _zf_sum_rates
 # Scores no cell any more; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
 from .numerics import OpLedger
-from .seeding import _seeded, derive_seed
+from .seeding import _pcg64_states, _seeded, derive_seed
 # Draws no stream any more; the benchmark's span tracer wraps it by this name.
 from .seeding import stream
 from .selectors import (
@@ -512,7 +512,7 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
     chunk = [dict.fromkeys(instances) for _ in indices]
     valid, norms = [], []
     channel_seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_CHANNEL) for t in indices]
-    for i, (h, rng) in enumerate(zip(hs, _seeded(channel_seeds))):
+    for i, (h, rng) in enumerate(zip(hs, _seeded(_pcg64_states(channel_seeds)))):
         h[...] = generate_iid_rayleigh(point.m, point.u, rng)
         try:
             norms.append(_as_channel(h)[1])

@@ -6,18 +6,20 @@ chain. Any stream can therefore be reconstructed in isolation, and results
 do not depend on execution order or worker count. A stream is numpy's
 ``default_rng`` seeded with the chain's 64-bit value.
 
-The streams of a trial chunk are seeded together by ``_seeded``: the
-``SeedSequence`` hash (``mix_entropy`` and ``generate_state``) on
-``uint32`` arrays and the PCG64 set-seed step (O'Neill, "PCG: A Family of
-Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014) run once on all the chunk's seeds, and one ``Generator``
-is set to each stream's state in turn. Three draws take it: each trial's
-channel, each trial's ``random`` selection and, through
-``_stacked_normals``, the ``ss_us`` bases, which take one stream each,
-keyed by (trial seed, basis index), a block of them at a time. Since they
-call the same ``Generator`` methods on the same states, the draws equal
-those of ``default_rng`` byte for byte. The constants below are numpy's,
-and a test pins them against the numpy in use.
+The streams of a trial chunk are seeded together. ``_pcg64_states`` runs
+the ``SeedSequence`` hash (``mix_entropy`` and ``generate_state``) on
+``uint32`` arrays, once on all the seeds it is given, and ``_seeded``
+finishes the PCG64 set-seed step (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014) for each stream in turn, setting one ``Generator`` to
+its state. Three draws take it: each trial's channel, each trial's
+``random`` selection and, through ``_stacked_normals``, the ``ss_us``
+bases, which take one stream each, keyed by (trial seed, basis index). The
+bases' streams are hashed once per group of trials that share blocks, and
+each block only sets its own streams' states and draws. Since they call the
+same ``Generator`` methods on the same states, the draws equal those of
+``default_rng`` byte for byte. The constants below are numpy's, and a test
+pins them against the numpy in use.
 """
 
 from __future__ import annotations
@@ -104,17 +106,21 @@ def _stream_seeds(rng_seeds, indices: range) -> np.ndarray:
     return _splitmix64(keys ^ prefixes[:, np.newaxis])
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of ``np.random.PCG64(seed)`` for every uint64 seed.
+def _pcg64_states(seeds) -> np.ndarray:
+    """(4, *seeds.shape) uint64: the PCG64 seeding words of
+    ``default_rng(seed)`` for every 64-bit seed of ``seeds`` (an array or a
+    list).
 
     A seed is the entropy [lo, hi] of its ``SeedSequence``; hi = 0 gives
-    the pool of the one-word entropy [lo], as numpy's does. From the
-    generated (initstate, initseq), PCG64 sets inc = 2 initseq + 1 and
-    state = ((inc + initstate) MULT + inc) mod 2^128.
+    the pool of the one-word entropy [lo], as numpy's does. The words are
+    its ``generate_state(4, uint64)``: initstate (high, low) and initseq
+    (high, low), from which ``_seeded`` sets each stream's state.
     """
-    pool = np.empty((_POOL_SIZE, seeds.size), dtype=np.uint32)
-    pool[0] = seeds  # assignment keeps the low 32 bits
-    pool[1] = seeds >> _WORD_BITS
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    flat = seeds.ravel()
+    pool = np.empty((_POOL_SIZE, flat.size), dtype=np.uint32)
+    pool[0] = flat  # assignment keeps the low 32 bits
+    pool[1] = flat >> _WORD_BITS
     pool[:2] = _hashmix(pool[:2], _A[0:2], _A[1:3])
     pool[2:] = _ZERO_POOL
     for src, dst in enumerate(_OTHERS):
@@ -129,44 +135,43 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         mixed ^= mixed >> _XSHIFT
         pool[dst] = mixed
     words = _hashmix(np.concatenate([pool, pool]), _B[:-1], _B[1:]).astype(np.uint64)
-    # generate_state(4, uint64) joins the eight words in (low, high) pairs;
-    # PCG64 seeds from the first two and takes its increment from the last.
-    s0, s1, i0, i1 = (words[0::2] | words[1::2] << _WORD_BITS).tolist()
-    states = []
-    for hi, lo, inc_hi, inc_lo in zip(s0, s1, i0, i1):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    # generate_state(4, uint64) joins the eight words in (low, high) pairs.
+    return (words[0::2] | words[1::2] << _WORD_BITS).reshape(4, *seeds.shape)
 
 
-def _seeded(seeds) -> Iterator[np.random.Generator]:
+def _seeded(states: np.ndarray) -> Iterator[np.random.Generator]:
     """One ``Generator``, set in turn to the state of ``default_rng(seed)``
-    for each 64-bit seed of ``seeds``, in order.
+    for each seed whose words ``_pcg64_states`` gave, in ``states[0]``'s
+    C order.
 
-    The states are seeded at once (see the module docstring), so a draw
-    made before the next state is set equals that of ``default_rng(seed)``
-    byte for byte.
+    From the words PCG64 sets inc = 2 initseq + 1 and state = ((inc +
+    initstate) MULT + inc) mod 2^128. Every stream is set through one state
+    dict, whose values the setter copies; its 32-bit buffer stays empty, so
+    a half-word that the previous stream left is dropped. A draw made before
+    the next state is set thus equals that of ``default_rng(seed)`` byte for
+    byte.
     """
     generator = np.random.Generator(np.random.PCG64(0))
     bit_generator = generator.bit_generator
-    for state, inc in _pcg64_states(np.asarray(seeds, dtype=np.uint64)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, i_hi, i_lo in zip(*states.reshape(4, -1).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bit_generator.state = state
         yield generator
 
 
-def _stacked_normals(rng_seeds, indices: range, shape: tuple[int, ...]) -> np.ndarray:
+def _stacked_normals(states: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """(T, B, *shape) float64: ``stream(s, l).standard_normal(shape)`` per (s, l).
 
-    Row (t, i) holds the draw of seed ``rng_seeds[t]`` and basis
-    ``indices[i]``, byte for byte, written in place by ``_seeded``.
+    ``states`` is (4, T, B): the words of ``_pcg64_states`` on
+    ``_stream_seeds``, or a slice of them along the bases. Row (t, i) holds
+    the draw of the stream of column (t, i), byte for byte, written in place
+    through ``_seeded``.
     """
-    seeds = _stream_seeds(rng_seeds, indices)
-    z = np.empty((*seeds.shape, *shape))
-    for row, generator in zip(z.reshape(-1, *shape), _seeded(seeds.ravel())):
+    z = np.empty((*states.shape[1:], *shape))
+    for row, generator in zip(z.reshape(-1, *shape), _seeded(states)):
         generator.standard_normal(out=row)
     return z

@@ -46,7 +46,7 @@ from .numerics import (
     gram_schmidt_extend,
     subset_count,
 )
-from .seeding import _seeded, _stacked_normals, derive_seed, stream
+from .seeding import _pcg64_states, _seeded, _stacked_normals, _stream_seeds, derive_seed, stream
 
 __all__ = [
     "Algorithm",
@@ -229,12 +229,14 @@ def _ss_us_trials(
     block (see ``_match_block``). A block holds as many bases as its
     largest stack fits in ``_BLOCK_BUDGET`` (see ``_bases_per_block``): the
     L bases of as many trials as fit, or part of one trial's bases where
-    its L bases do not fit. Neither the block size nor the trials that
-    share a block change any outcome or charge. That fills a table with one
-    row per basis of each trial: its construction charges and, per alpha,
-    its match, held as one array per field of the match. A variant with L
-    bases reads its trial's first L rows; only its winner's weights become
-    a tuple.
+    its L bases do not fit. The trials that share blocks form a group,
+    whose bases' streams are hashed once; each block only sets the states
+    of its own streams and draws them (see ``seeding``). Neither the block
+    size nor the trials that share a block change any outcome or charge.
+    That fills a table with one row per basis of each trial: its
+    construction charges and, per alpha, its match, held as one array per
+    field of the match. A variant with L bases reads its trial's first L
+    rows; only its winner's weights become a tuple.
 
     Returns, per trial, one (outcome, ledger) pair per variant, in order.
     The outcome is the :class:`SelectionResult` of ``ss_us`` with that
@@ -321,10 +323,11 @@ def _ss_us_group(hs, norms, k_max: int, rng_seeds, n0: float, variants) -> list:
     }
     built = [n_bases] * n_trials
     errors: list = [None] * n_trials
+    states = _pcg64_states(_stream_seeds(rng_seeds, range(n_bases)))
     block = max(1, _bases_per_block(m, u - 1, n_steps) // n_trials)
     for start in range(0, n_bases, block):
         indices = range(start, min(start + block, n_bases))
-        bases, block_charges, failures = _basis_block(v_seeds, rng_seeds, indices)
+        bases, block_charges, failures = _basis_block(v_seeds, rng_seeds, indices, states)
         charges[:, indices.start : indices.stop] = block_charges
         corr = _correlations(h_cand_t, bases[..., 1:n_dirs], cand_norms)
         flat = corr.reshape(-1, u - 1, n_steps)
@@ -389,7 +392,7 @@ def _bases_per_block(m: int, n_cand: int, n_steps: int) -> int:
     return max(1, _BLOCK_BUDGET // max(n_cand * n_steps, 8 * m * m))
 
 
-def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range):
+def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range, states: np.ndarray):
     """Orthonormal bases ``indices`` of ``ss_us`` for G trials, as a (G, B, M, M) stack.
 
     Trial t's basis l is the Householder QR of [v_seeds[t] | Z], with Z
@@ -397,10 +400,12 @@ def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range):
     ``gram_schmidt_extend`` draws it: column by column, the real parts and
     then the imaginary parts. Its columns therefore equal Gram-Schmidt's on
     the same draws up to unit-modulus factors, which the correlations
-    |h^H v| do not see. The block's draws come from ``_stacked_normals`` as
-    one (G, B, M-1, 2, M) array, byte for byte those of the per-basis
-    streams, which it seeds together rather than by one ``default_rng`` per
-    basis (see ``seeding``). A basis whose draw is numerically dependent
+    |h^H v| do not see. ``states`` holds the group's hashed streams, the
+    (4, G, L) ``_pcg64_states`` of ``_stream_seeds(rng_seeds, range(L))``
+    with L >= ``indices.stop``; the block sets the states of its own columns
+    and draws them through ``_stacked_normals`` as one (G, B, M-1, 2, M)
+    array, byte for byte those of the per-basis streams (see ``seeding``).
+    A basis whose draw is numerically dependent
     (some |R_jj| < ``RESIDUAL_FLOOR``) is rebuilt by ``gram_schmidt_extend``
     on a fresh ``stream(rng_seeds[t], l)``, which redraws and is charged
     what it charges. Every other basis is charged the modified Gram-Schmidt
@@ -415,7 +420,7 @@ def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range):
     stacks (see ``_bases_per_block``).
     """
     n_trials, m = v_seeds.shape
-    z = _stacked_normals(rng_seeds, indices, (m - 1, 2, m))
+    z = _stacked_normals(states[..., indices.start : indices.stop], (m - 1, 2, m))
     a = np.empty((n_trials, len(indices), m, m), dtype=np.complex128)
     a[..., 0] = v_seeds[:, np.newaxis]
     a.real[..., 1:] = z[:, :, :, 0].swapaxes(-1, -2)
@@ -463,7 +468,8 @@ def _correlations(h_cand_t: np.ndarray, directions: np.ndarray, cand_norms: np.n
                 out=corr[t : t + trials_step, s : s + bases_step],
             )
     corr /= cand_norms[:, np.newaxis, :, np.newaxis]
-    np.clip(corr, 0.0, 1.0, out=corr)
+    # |h^H v| / |h| is not negative, so only rounding above 1 is clipped.
+    np.minimum(corr, 1.0, out=corr)
     return corr
 
 
@@ -475,9 +481,11 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rates: np.ndarra
     ``seed_rates`` (B,) are the rates of that trial's candidates and seed
     user. ``corr`` is only read, so every alpha matches on the same stack;
     step k scores direction k as ``corr[:, :, k]`` times the candidate
-    rates, with the candidates already matched in that basis masked to
-    -inf. Returns four arrays, one row per basis: the mean weight (B,), the
-    picks (B, D), the best scores (B, D) and the comparisons (B,). ``picks``
+    rates, into one buffer, and adds a (B, C) mask that holds -inf at the
+    candidates already matched in that basis and 0 elsewhere; the scores
+    are non-negative, so adding 0 keeps their bits. Returns four arrays,
+    one row per basis: the mean weight (B,), the picks (B, D), the best
+    scores (B, D) and the comparisons (B,). ``picks``
     holds the candidate matched to each direction, or -1 where the direction
     stays unfilled; the weights of a basis are the seed rate and then the
     best scores of its filled directions, in direction order, and its mean
@@ -486,24 +494,25 @@ def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rates: np.ndarra
     """
     n_bases, n_cand, n_steps = corr.shape
     rows = np.arange(n_bases)
-    used = np.zeros((n_bases, n_cand), dtype=bool)
+    mask = np.zeros((n_bases, n_cand))
+    scores = np.empty((n_bases, n_cand))
     picks = np.full((n_bases, n_steps), -1)
     best = np.empty((n_bases, n_steps))
     for k in range(n_steps):
-        scores = corr[:, :, k] * cand_rates
-        scores[used] = -np.inf
+        np.multiply(corr[:, :, k], cand_rates, out=scores)
+        scores += mask
         pick = scores.argmax(axis=1)
         best[:, k] = scores[rows, pick]
         take = rows[(best[:, k] > -np.inf) & (corr[rows, pick, k] >= alpha)]
         picks[take, k] = pick[take]
-        used[take, pick[take]] = True
+        mask[take, pick[take]] = -np.inf
     filled = picks >= 0
     comparisons = (n_cand - (np.cumsum(filled, axis=1) - filled)).sum(axis=1)
-    sums = [
-        math.fsum((seed_rate, *itertools.compress(w, f)))
-        for seed_rate, w, f in zip(seed_rates.tolist(), best.tolist(), filled.tolist())
-    ]
-    return np.array(sums) / (1 + filled.sum(axis=1)), picks, best, comparisons
+    # An unfilled direction weighs 0 here: fsum rounds the exact sum once,
+    # so zeros do not change it.
+    weights = np.column_stack([seed_rates, np.where(filled, best, 0.0)])
+    sums = np.array(list(map(math.fsum, weights.tolist())))
+    return sums / (1 + filled.sum(axis=1)), picks, best, comparisons
 
 
 def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
@@ -1198,7 +1207,7 @@ def _random_trials(hs: np.ndarray, n0: float, k: int, rng_seeds) -> list:
     """
     _check_scalars(Algorithm.RANDOM, hs.shape, n0, k)
     u = hs.shape[2]
-    streams = _seeded([derive_seed(rng_seed) for rng_seed in rng_seeds])
+    streams = _seeded(_pcg64_states([derive_seed(rng_seed) for rng_seed in rng_seeds]))
     return [(_random_users(rng, u, k), OpLedger()) for rng in streams]
 
 

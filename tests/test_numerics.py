@@ -158,7 +158,7 @@ class TestStackedNormals:
         # ``_seeded`` is the one path that sets the port's states: the
         # chunk's channel and ``random`` draws and the bases all take it.
         mismatched = []
-        for seed, ported in zip(seeds.tolist(), seeding._seeded(seeds)):
+        for seed, ported in zip(seeds.tolist(), seeding._seeded(seeding._pcg64_states(seeds))):
             want = np.random.default_rng(seed)
             if ported.bit_generator.state != want.bit_generator.state or not np.array_equal(
                 ported.standard_normal(3), want.standard_normal(3)
@@ -166,18 +166,41 @@ class TestStackedNormals:
                 mismatched.append(seed)
         assert mismatched == [], f"{self.NUMPY}: seeds {mismatched[:5]}"
 
+    def test_each_stream_starts_without_the_last_ones_half_word(self):
+        # ``_seeded`` sets every stream through one state dict. A stream that
+        # ends on a buffered 32-bit half-word, as ``Generator.choice`` in
+        # ``_random_trials`` leaves one, must not hand it to the next.
+        seeds = [*EDGE_SEEDS[:6], 2**32, 2**64 - 1]
+        for seed, ported in zip(seeds, seeding._seeded(seeding._pcg64_states(seeds))):
+            want = np.random.default_rng(seed)
+            assert ported.bit_generator.state == want.bit_generator.state, self.NUMPY
+            picks = ported.choice(20, size=3, replace=False)
+            assert np.array_equal(picks, want.choice(20, size=3, replace=False))
+            assert ported.bit_generator.state["has_uint32"] == 1
+            assert np.array_equal(ported.standard_normal(3), want.standard_normal(3))
+            assert ported.bit_generator.state["has_uint32"] == 1
+
     @pytest.mark.parametrize("m", [2, 3, 8, 16])
     def test_block_equals_stacked_streams(self, m):
+        # As in ``_ss_us_group``: a group's streams are hashed once, and its
+        # blocks of B bases take their slices of the states in turn.
         shape = (m - 1, 2, m)
         for rng_seeds in ([31 + m], [31 + m, 2**64 - 1, 0]):
-            for size in (1, 2, 3, 8, 10, 34, 100):
-                for start in (0, 997):
-                    indices = range(start, start + size)
-                    got = seeding._stacked_normals(rng_seeds, indices, shape)
-                    want = np.stack(
-                        [
-                            [stream(rng_seed, l).standard_normal(shape) for l in indices]
-                            for rng_seed in rng_seeds
-                        ]
+            states = seeding._pcg64_states(seeding._stream_seeds(rng_seeds, range(1097)))
+            for start in (0, 997):
+                indices = range(start, start + 100)
+                want = np.stack(
+                    [
+                        [stream(rng_seed, l).standard_normal(shape) for l in indices]
+                        for rng_seed in rng_seeds
+                    ]
+                )
+                for size in (1, 2, 3, 8, 10, 34, 100):
+                    blocks = [
+                        states[..., s : min(s + size, indices.stop)]
+                        for s in range(start, indices.stop, size)
+                    ]
+                    got = np.concatenate(
+                        [seeding._stacked_normals(block, shape) for block in blocks], axis=1
                     )
                     assert got.tobytes() == want.tobytes(), f"{self.NUMPY} (B = {size})"

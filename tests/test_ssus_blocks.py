@@ -15,6 +15,7 @@ any of it: tests that need block edges at known bases fix the size to
 
 import collections
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 import mimosel.selectors as sel
-from mimosel import harness
+from mimosel import harness, seeding
 from mimosel.channel import generate_iid_rayleigh
 from mimosel.harness import ExperimentConfig, algo_instances, grid_points, run_trial
 from mimosel.numerics import (
@@ -212,11 +213,18 @@ def unit_seed(m, key):
     return v / np.linalg.norm(v)
 
 
+def basis_block(v_seeds, rng_seeds, indices):
+    """``sel._basis_block`` on the streams of bases 0..``indices.stop`` - 1,
+    hashed once, as ``_ss_us_group`` hashes those of its group."""
+    states = seeding._pcg64_states(seeding._stream_seeds(rng_seeds, range(indices.stop)))
+    return sel._basis_block(v_seeds, rng_seeds, indices, states)
+
+
 def bases_as_ss_us_builds_them(v, rng_seed, l):
     """The first ``l`` bases, built in blocks of ``BLOCK``."""
     return np.concatenate(
         [
-            sel._basis_block(v[np.newaxis], [rng_seed], range(s, min(s + BLOCK, l)))[0][0]
+            basis_block(v[np.newaxis], [rng_seed], range(s, min(s + BLOCK, l)))[0][0]
             for s in range(0, l, BLOCK)
         ]
     )
@@ -236,7 +244,7 @@ class TestBatchedBases:
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_columns_are_gram_schmidt_columns_up_to_phase(self, m):
         v = unit_seed(m, 1)
-        [bases], _, _ = sel._basis_block(v[np.newaxis], [31], range(BLOCK))
+        [bases], _, _ = basis_block(v[np.newaxis], [31], range(BLOCK))
         for l, basis in enumerate(bases):
             phase0 = np.vdot(v, basis[:, 0])
             assert abs(abs(phase0) - 1.0) <= 1e-12
@@ -255,7 +263,7 @@ class TestBatchedBases:
 
     def test_ledger_charges_gram_schmidt_cost_per_basis(self):
         v = unit_seed(8, 3)
-        _, [charges], failures = sel._basis_block(v[np.newaxis], [6], range(3))
+        _, [charges], failures = basis_block(v[np.newaxis], [6], range(3))
         assert failures == {}
         for l, charge in enumerate(charges.tolist()):
             per_basis = OpLedger()
@@ -290,28 +298,39 @@ class ZeroStream:
 def script_bases(monkeypatch, script):
     """Feed basis l the draws of ``script(seed, l)``, or its own where that is None.
 
-    A block draws the bases of one or more trials through
-    ``sel._stacked_normals`` and a Gram-Schmidt fallback opens its basis
-    afresh through ``sel.stream(seed, l)``; both are patched, and ``script``
-    is called on every opening, so a scripted basis starts its script again
-    in each. Calls of ``sel.stream`` with another key, such as ``random``'s
-    ``stream(seed)``, pass through.
+    A group keys its bases' streams once through ``sel._stream_seeds``, each
+    block draws its bases, of one or more trials, through
+    ``sel._stacked_normals`` on their hashed states, and a Gram-Schmidt
+    fallback opens its basis afresh through ``sel.stream(seed, l)``; all
+    three are patched. The draw stub knows a stream's (seed, l) by its
+    hashed state, which the key stub records. ``script`` is called on every
+    opening, so a scripted basis starts its script again in each. Calls of
+    ``sel.stream`` with another key, such as ``random``'s ``stream(seed)``,
+    pass through.
     """
-    real_normals, real_stream = sel._stacked_normals, sel.stream
+    real_seeds, real_normals, real_stream = sel._stream_seeds, sel._stacked_normals, sel.stream
+    keys = {}
 
-    def scripted_normals(seeds, indices, shape):
-        z = real_normals(seeds, indices, shape)
-        for rows, seed in zip(z, seeds):
-            for row, l in zip(rows, indices):
-                scripted = script(seed, l)
-                if scripted is not None:
-                    row[...] = scripted.standard_normal(shape)
+    def keyed_seeds(rng_seeds, indices):
+        seeds = real_seeds(rng_seeds, indices)
+        states = seeding._pcg64_states(seeds).reshape(4, -1).T
+        for state, key in zip(states, itertools.product(rng_seeds, indices)):
+            keys[state.tobytes()] = key
+        return seeds
+
+    def scripted_normals(states, shape):
+        z = real_normals(states, shape)
+        for row, state in zip(z.reshape(-1, *shape), states.reshape(4, -1).T):
+            scripted = script(*keys[state.tobytes()])
+            if scripted is not None:
+                row[...] = scripted.standard_normal(shape)
         return z
 
     def scripted_stream(seed, *key):
         scripted = script(seed, *key) if len(key) == 1 else None
         return real_stream(seed, *key) if scripted is None else scripted
 
+    monkeypatch.setattr(sel, "_stream_seeds", keyed_seeds)
     monkeypatch.setattr(sel, "_stacked_normals", scripted_normals)
     monkeypatch.setattr(sel, "stream", scripted_stream)
 
@@ -650,7 +669,7 @@ def test_correlations_equal_the_unchunked_product(monkeypatch):
     h_cand_t = np.ascontiguousarray(hs[:, :, 1:].conj().swapaxes(1, 2))
     norms = np.linalg.norm(hs[:, :, 1:], axis=1)
     v = np.stack([unit_seed(m, 4 + t) for t in range(3)])
-    directions = sel._basis_block(v, [9, 10, 11], range(n_bases))[0][..., 1:n_dirs]
+    directions = basis_block(v, [9, 10, 11], range(n_bases))[0][..., 1:n_dirs]
     want = np.stack(
         [
             np.clip(np.abs(h_cand_t[t] @ directions[t]) / norms[t, :, np.newaxis], 0.0, 1.0)
@@ -670,7 +689,7 @@ def test_match_block_leaves_corr_unchanged():
     h = generate_iid_rayleigh(m, u, stream(5300))
     norms = np.linalg.norm(h, axis=0)
     rates = np.log2(1.0 + norms**2 / N0)
-    directions = sel._basis_block(unit_seed(m, 5)[np.newaxis], [12], range(n_bases))[0][..., 1:]
+    directions = basis_block(unit_seed(m, 5)[np.newaxis], [12], range(n_bases))[0][..., 1:]
     corr = sel._correlations(
         h[np.newaxis, :, 1:].conj().swapaxes(1, 2), directions, norms[np.newaxis, 1:]
     ).reshape(n_bases, u - 1, m - 1)
@@ -685,6 +704,71 @@ def test_match_block_leaves_corr_unchanged():
     picks = {alpha: got[1] for alpha, got in rows.items()}
     assert (picks[0.6] >= 0).any() and (picks[0.3] >= 0).any()
     assert not np.array_equal(picks[0.6], picks[0.3])
+
+
+def match_loop(corr, cand_rates, seed_rate, alpha):
+    """``_match_block`` on one (C, D) basis, a candidate and a step at a time."""
+    n_cand, n_steps = corr.shape
+    available = list(range(n_cand))
+    picks, best, comparisons = [], [], 0
+    for k in range(n_steps):
+        comparisons += len(available)
+        scores = [float(corr[c, k]) * float(cand_rates[c]) for c in available]
+        if not scores:
+            picks.append(-1)
+            best.append(-math.inf)
+            continue
+        # index() finds the first maximum, the lowest candidate left.
+        top = max(scores)
+        c = available[scores.index(top)]
+        best.append(top)
+        if corr[c, k] >= alpha:
+            picks.append(c)
+            available.remove(c)
+        else:
+            picks.append(-1)
+    weights = [seed_rate, *(w for c, w in zip(picks, best) if c >= 0)]
+    return math.fsum(weights) / len(weights), picks, best, comparisons
+
+
+def assert_match_block_equals_loop(corr, cand_rates, seed_rates, alpha):
+    means, picks, best, comparisons = sel._match_block(corr, cand_rates, seed_rates, alpha)
+    for b in range(len(corr)):
+        want = match_loop(corr[b], cand_rates[b], float(seed_rates[b]), alpha)
+        got = (float(means[b]), picks[b].tolist(), best[b].tolist(), int(comparisons[b]))
+        assert got == want, b
+    return picks, best
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6])
+def test_match_block_breaks_exact_ties_toward_the_lowest_candidate(alpha):
+    # Every candidate has a twin at the next index, as a repeated channel
+    # column gives: the same correlations and rate, so the first step of
+    # each basis ties.
+    n_bases, n_users, n_steps = 40, 12, 7
+    rng = stream(5310)
+    twins = np.repeat(np.arange(n_users), 2)
+    corr = rng.uniform(size=(n_bases, n_users, n_steps))[:, twins]
+    cand_rates = np.tile(rng.uniform(1.0, 5.0, size=n_users)[twins], (n_bases, 1))
+    seed_rates = np.full(n_bases, 6.0)
+    picks, _ = assert_match_block_equals_loop(corr, cand_rates, seed_rates, alpha)
+    first = picks[:, 0][picks[:, 0] >= 0]
+    assert first.size > 0 and (first % 2 == 0).all()
+
+
+def test_match_block_leaves_directions_unfilled_once_the_pool_runs_out():
+    # U - 1 = 3 candidates for D = 7 directions: where the pool empties, the
+    # later directions stay unfilled with best -inf; at alpha 0.6 some
+    # directions also fail the threshold with candidates left.
+    n_bases, n_cand, n_steps, alpha = 60, 3, 7, 0.6
+    rng = stream(5320)
+    corr = rng.uniform(size=(n_bases, n_cand, n_steps))
+    cand_rates = rng.uniform(1.0, 5.0, size=(n_bases, n_cand))
+    seed_rates = rng.uniform(5.0, 6.0, size=n_bases)
+    picks, best = assert_match_block_equals_loop(corr, cand_rates, seed_rates, alpha)
+    assert (best == -np.inf).any()
+    assert ((picks < 0) & (best > -np.inf)).any()
+    assert ((picks >= 0).sum(axis=1) == n_cand).any()
 
 
 # Peak bytes that tracemalloc sees in one _ss_us_trials call on one trial at U = 100.
