@@ -12,7 +12,7 @@ from .channel import (
     noise_power,
     noise_power_dbm,
 )
-from .complexity import CostQuery, ReconcileReport, model_cost, reconcile_ledger, relative_cost
+from .complexity import CostQuery, model_cost, relative_cost
 from .harness import (
     AggregateRow,
     AlgoInstance,

@@ -8,6 +8,7 @@ normalized noise power returned by :func:`noise_power`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,16 @@ def _require(name: str, value, rule) -> None:
     if not test(value):
         shown = repr(value) if isinstance(value, str) else value
         raise ValueError(f"{name} {phrase}, got {shown}")
+
+
+def _require_count(name: str, value) -> None:
+    """Raise the ``ValueError`` naming ``name`` unless ``value`` is an integer >= 1,
+    a bool not being one; a real number below 1 or NaN breaks ``_AT_LEAST_1``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        _require(name, value, _AT_LEAST_1)
+        if isinstance(value, numbers.Integral):
+            return
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _column_norms(arr: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The models count the dominant complex multiply-accumulates of each method
 in their exact summation form (no big-O truncation), so they can be
-compared numerically and reconciled against instrumented runs.
+compared numerically with the op ledgers of instrumented runs.
 """
 
 from __future__ import annotations
@@ -10,20 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import OpLedger
 from .selectors import Algorithm
 
 __all__ = [
     "CostQuery",
-    "ReconcileReport",
     "model_cost",
     "relative_cost",
-    "reconcile_ledger",
-    "RECONCILE_BOUNDS",
 ]
-
-#: A measured/model ratio outside these bounds is flagged as suspicious.
-RECONCILE_BOUNDS = (0.1, 10.0)
 
 #: Selectors with a cost model, in the row order of ``mimosel cost``.
 _MODELED = (Algorithm.SUS, Algorithm.GZF, Algorithm.MCORE_PLUS, Algorithm.SSUS)
@@ -48,17 +41,6 @@ class CostQuery:
             raise ValueError(f"require U >= K, got U={self.u}, K={self.k}")
         if self.l < 1:
             raise ValueError(f"require L >= 1, got L={self.l}")
-
-
-@dataclass(frozen=True)
-class ReconcileReport:
-    """Measured ledger MACs against the model for the same instance."""
-
-    method: Algorithm
-    measured: int
-    modeled: int
-    ratio: float
-    within_bounds: bool
 
 
 def model_cost(query: CostQuery) -> int:
@@ -104,17 +86,3 @@ def relative_cost(queries: list[CostQuery]) -> list[dict]:
         rows.append(dict(zip(_COST_COLUMNS, values, strict=True)))
     return rows
 
-
-def reconcile_ledger(query: CostQuery, ledger: OpLedger) -> ReconcileReport:
-    """Compare an instrumented run's MAC count with the closed-form model."""
-    modeled = model_cost(query)
-    measured = ledger.complex_macs
-    ratio = measured / modeled if modeled else math.inf
-    lo, hi = RECONCILE_BOUNDS
-    return ReconcileReport(
-        method=query.method,
-        measured=measured,
-        modeled=modeled,
-        ratio=ratio,
-        within_bounds=lo <= ratio <= hi,
-    )

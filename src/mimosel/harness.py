@@ -7,19 +7,16 @@ in chunks: a chunk draws each of its trials' channels from that trial's own
 stream, all the streams set on one generator (``seeding._seeded``), and
 checks each channel once, where it enters (a trial whose channel fails the
 check fails every cell with that error, and no selector sees it). On the
-stack of the valid channels and their column norms it then makes one call
-of each private chunk engine it needs, one per algorithm: one
-``_ss_us_trials`` call that builds every trial's bases once and matches
-every ``ssus`` variant, charging each variant what it would cost alone;
-one ``_sus_trials`` and one ``_gzf_trials`` call, each of which runs its
-greedy selector on every trial in lockstep; one ``_mcore_plus_trials``
-and one ``_exhaustive_trials`` call, each of which searches the subsets
-of every trial together; and one ``_random_trials`` call, which draws
-every trial's users from its own stream on one generator. The chunk
-scores the final sets of all its trials with one ZF kernel call per set
-size, and ``run_trial`` builds each trial's report. A chunk holds as many
-trials as their channel stack fits in ``_BLOCK_BUDGET``, and a trial's
-results do not depend on which trials share its chunk.
+stack of the valid channels and their column norms it then makes one
+``selectors._select_trials`` call per algorithm it needs, which runs that
+algorithm's chunk engine on every trial at once: for ``ssus`` it builds
+every trial's bases once and matches every variant, charging each variant
+what it would cost alone, and for ``random`` it draws every trial's users
+from its own stream on one generator. The chunk scores the final sets of
+all its trials with one ZF kernel call per set size, and ``run_trial``
+builds each trial's report. A chunk holds as many trials as their channel
+stack fits in ``_BLOCK_BUDGET``, and a trial's results do not depend on
+which trials share its chunk.
 
 With n > 1 workers the sweep runs as n shares: this process runs one and
 forks n - 1 children, one per other share, each of which sends back its
@@ -59,18 +56,7 @@ from .numerics import OpLedger
 from .seeding import _pcg64_states, _seeded, derive_seed
 # Draws no stream any more; the benchmark's span tracer wraps it by this name.
 from .seeding import stream
-from .selectors import (
-    _BLOCK_BUDGET,
-    Algorithm,
-    _as_channel,
-    _exhaustive_trials,
-    _gzf_trials,
-    _mcore_plus_trials,
-    _random_trials,
-    _ss_us_trials,
-    _sus_trials,
-    infeasible_reason,
-)
+from .selectors import _BLOCK_BUDGET, Algorithm, _as_channel, _select_trials, infeasible_reason
 # Runs no cell any more; the benchmark's span tracer wraps it by this name.
 from .selectors import run_selection
 
@@ -456,11 +442,14 @@ def algo_instances(cfg: ExperimentConfig) -> list[AlgoInstance]:
     return instances
 
 
+def _set_size(point: GridPoint, algorithm: Algorithm) -> int:
+    """K at ``point``: the subset size of ``random``, every other selector's ``k_max``."""
+    return point.random_k if algorithm is Algorithm.RANDOM else point.k_max
+
+
 def _infeasible_reason(point: GridPoint, inst: AlgoInstance) -> str | None:
-    """Why ``inst`` cannot run at ``point``, with K the subset size of
-    ``random`` and ``k_max`` for every other selector, or None."""
-    k = point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max
-    return infeasible_reason(inst.algorithm, point.m, point.u, k)
+    """Why ``inst`` cannot run at ``point`` with K = ``_set_size``, or None."""
+    return infeasible_reason(inst.algorithm, point.m, point.u, _set_size(point, inst.algorithm))
 
 
 def run_trial(
@@ -496,16 +485,13 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
     the chunk's streams set on one generator by ``seeding._seeded``, and is
     checked here, once: a channel that ``_as_channel`` rejects fails every
     cell of its trial with that error. The valid channels go, with their
-    column norms, to one call of each chunk engine that ``instances`` need:
-    one ``_ss_us_trials`` call, which builds the bases of every trial and
-    matches every ``ssus`` variant, and one ``_sus_trials``,
-    ``_gzf_trials``, ``_mcore_plus_trials``, ``_random_trials`` and
-    ``_exhaustive_trials`` call, each of which runs its selector on every
-    trial. Returns the (T, M, U) channel stack and, per trial, a map of
-    each variant, in ``instances`` order, to its (outcome, ledger, wall ns):
-    the outcome is a result or the error the selection raised, and the
-    wall time of an engine call is split evenly across the trials and then
-    across the variants it ran.
+    column norms, to one ``selectors._select_trials`` call per algorithm
+    that ``instances`` need, with all that algorithm's variants; ``ssus``
+    and ``random`` get each trial's seed of their own stream role. Returns
+    the (T, M, U) channel stack and, per trial, a map of each variant, in
+    ``instances`` order, to its (outcome, ledger, wall ns): the outcome is a
+    result or the error the selection raised, and the wall time of a call
+    is split evenly across the trials and then across the variants it ran.
     """
     hs = np.empty((len(indices), point.m, point.u), dtype=np.complex128)
     # Per trial, each variant's entry in ``instances`` order, filled in below.
@@ -526,34 +512,22 @@ def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> 
     checked = hs if len(valid) == len(hs) else hs[valid]
     norms = np.array(norms)
 
-    def seeds(role: int) -> list[int]:
-        return [derive_seed(cfg.master_seed, point.index, indices[i], role) for i in valid]
-
-    # Per engine: the variants it runs, and its call, which returns per
-    # valid trial one (outcome, ledger) pair per variant.
-    engines = []
-    n0, k_max = point.n0, point.k_max
-    ssus = [i for i in instances if i.algorithm is Algorithm.SSUS]
-    if ssus:
-        variants = [(i.num_bases, i.alpha) for i in ssus]
-        engines.append(
-            (ssus, lambda: _ss_us_trials(checked, norms, k_max, seeds(_ROLE_SELECT), n0, variants))
-        )
-    k_random = min(point.random_k, point.m, point.u)
-    for algorithm, engine in (
-        (Algorithm.SUS, lambda: _sus_trials(checked, norms, n0, k_max, cfg.sus_epsilon)),
-        (Algorithm.GZF, lambda: _gzf_trials(checked, norms, n0, k_max)),
-        (Algorithm.MCORE_PLUS, lambda: _mcore_plus_trials(checked, norms, n0, k_max)),
-        (Algorithm.RANDOM, lambda: _random_trials(checked, n0, k_random, seeds(_ROLE_RANDOM))),
-        (Algorithm.EXHAUSTIVE, lambda: _exhaustive_trials(checked, n0, k_max)),
-    ):
+    roles = {Algorithm.SSUS: _ROLE_SELECT, Algorithm.RANDOM: _ROLE_RANDOM}
+    for algorithm in Algorithm:
         insts = [i for i in instances if i.algorithm is algorithm]
-        if insts:
-            engines.append((insts, lambda engine=engine: [[pair] for pair in engine()]))
-    for insts, call in engines:
+        if not insts:
+            continue
+        role = roles.get(algorithm)
+        seeds = None if role is None else [
+            derive_seed(cfg.master_seed, point.index, indices[i], role) for i in valid
+        ]
+        variants = [(i.num_bases, i.alpha) for i in insts]
+        k = _set_size(point, algorithm)
         start = time.perf_counter_ns()
         try:
-            outcomes = call()
+            outcomes = _select_trials(
+                algorithm, checked, norms, point.n0, k, seeds, variants, cfg.sus_epsilon
+            )
         except ValueError as exc:
             outcomes = [[(exc, OpLedger())] * len(insts)] * len(valid)
         share_ns = (time.perf_counter_ns() - start) // (len(valid) * len(insts))

@@ -6,17 +6,17 @@ greedy zero-forcing (``gzf``), a chordal-distance shortlist method
 (``mcore_plus``), uniform random selection, and a brute-force oracle for
 small instances.
 
-``ss_us``, ``sus``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` run
-on one channel; their private engines, ``_ss_us_trials``,
-``_sus_trials``, ``_gzf_trials``, ``_mcore_plus_trials`` and
-``_exhaustive_trials``, run every trial of a (T, M, U) stack of channels
-at once, each trial's outcome and charges being those of a lone call.
-``_random_trials`` draws the users of ``random_select`` for every trial
-of a stack, each from its own seeded stream. A channel is checked once,
+Every selection reaches its private chunk engine (``_ss_us_trials``,
+``_sus_trials``, ``_gzf_trials``, ``_mcore_plus_trials``,
+``_random_trials`` or ``_exhaustive_trials``) through one entry,
+``_select_trials``, which also checks every argument but the channels. An
+engine runs every trial of a (T, M, U) stack of channels at once, each
+trial's outcome and charges being those of a lone call. The harness makes
+one entry call per algorithm and chunk of trials; ``run_selection``,
+``ss_us``, ``sus``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` make
+one on a stack of one (see ``_select_one``). A channel is checked once,
 where it enters: every public selector checks its own (see
-``_as_channel``), and so does the harness for each channel it draws. The
-engines take checked channels, with their column norms where they read
-them, and check only their scalar arguments.
+``_as_channel``), and so does the harness for each channel it draws.
 
 Conventions shared by every selector:
 
@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _column_norms, _require
+from .channel import _POSITIVE, _UNIT_OPEN, _column_norms, _require, _require_count
 from .metrics import COND_LIMIT, _charge_zf, _ill_conditioned, _set_stack, _zf_snr, _zf_sum_rates
 # Not called here; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
@@ -101,8 +101,8 @@ class SelectionConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _require("k_max", self.k_max, _AT_LEAST_1)
-        _require("num_bases", self.num_bases, _AT_LEAST_1)
+        _require_count("k_max", self.k_max)
+        _require_count("num_bases", self.num_bases)
         _require("alpha", self.alpha, _UNIT_OPEN)
         _require("sus_epsilon", self.sus_epsilon, _UNIT_OPEN)
 
@@ -164,26 +164,70 @@ def _as_channel(h) -> tuple[np.ndarray, np.ndarray]:
     return arr, norms
 
 
-def _lone(outcome, charged: OpLedger, ledger: OpLedger):
-    """A one-trial outcome of a chunk engine, its charges added to ``ledger``."""
+def _select_trials(algorithm, hs, norms, n0, k, rng_seeds, variants, epsilon) -> list:
+    """``algorithm`` on every trial of a (T, M, U) stack: the one selection entry.
+
+    ``hs`` holds checked channels (see ``_as_channel``), ``norms`` their
+    (T, U) column norms. ``k`` caps each selected set, so ``random`` draws
+    min(``k``, M, U) users; ``rng_seeds[t]`` keys trial t's streams of
+    ``ssus`` and ``random``; ``variants`` lists the (num_bases, alpha) pairs
+    of ``ssus``, any other algorithm running as one variant; ``epsilon`` is
+    the threshold of ``sus``. An algorithm reads only what it uses.
+
+    This is the one place that maps an algorithm to its engine and the
+    engine's arguments, and that checks them. In this order, ``sus``'s
+    ``epsilon``, a seed count unlike the stack's, a ``k`` that is not an
+    integer >= 1, a search space above ``EXHAUSTIVE_SUBSET_CAP``, an ``n0``
+    that is not positive, a bad ``ssus`` tunable or an unknown algorithm
+    raises ``ValueError`` for the whole call. Returns, per trial, one
+    (outcome, ledger) pair per variant: the :class:`SelectionResult` of a
+    lone call, or the error it would raise, and what that call charges.
+    """
+    if algorithm is Algorithm.SUS:
+        _require("sus_epsilon", epsilon, _UNIT_OPEN)
+    elif algorithm in (Algorithm.SSUS, Algorithm.RANDOM) and len(rng_seeds) != len(hs):
+        raise ValueError(f"{len(hs)} channels need as many seeds, got {len(rng_seeds)}")
+    _require_count("k_max", k)
+    _, m, u = hs.shape
+    if reason := infeasible_reason(algorithm, m, u, min(k, m, u)):
+        raise ValueError(reason)
+    _require("n0", n0, _POSITIVE)
+    if algorithm is Algorithm.SSUS:
+        for num_bases, alpha in variants:
+            SelectionConfig(algorithm, k, num_bases, alpha)  # checks the tunables
+        return _ss_us_trials(hs, norms, k, rng_seeds, n0, variants)
+    if algorithm is Algorithm.SUS:
+        outcomes = _sus_trials(hs, norms, k, epsilon)
+    elif algorithm is Algorithm.GZF:
+        outcomes = _gzf_trials(hs, norms, n0, k)
+    elif algorithm is Algorithm.MCORE_PLUS:
+        outcomes = _mcore_plus_trials(hs, norms, n0, k)
+    elif algorithm is Algorithm.RANDOM:
+        outcomes = _random_trials(hs, min(k, m, u), rng_seeds)
+    elif algorithm is Algorithm.EXHAUSTIVE:
+        outcomes = _exhaustive_trials(hs, n0, k)
+    else:
+        raise ValueError(f"unknown algorithm: {algorithm!r}")
+    return [[pair] for pair in outcomes]
+
+
+def _select_one(algorithm, h, n0, k, ledger: OpLedger, rng_seed=0, variant=None, epsilon=None):
+    """``_select_trials`` on the one channel ``h``: its result, its charges added to ``ledger``.
+
+    The channel is checked first, so a bad channel raises its
+    ``ValueError`` before any other argument is checked. A selection that
+    fails raises its error after the charges.
+    """
+    hm, norms = _as_channel(h)
+    [[(outcome, charged)]] = _select_trials(
+        algorithm, hm[np.newaxis], norms[np.newaxis], n0, k, [rng_seed], [variant], epsilon
+    )
     ledger.complex_macs += charged.complex_macs
     ledger.divisions += charged.divisions
     ledger.comparisons += charged.comparisons
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def _check_scalars(algorithm: Algorithm, shape: tuple, n0: float, k_max: int) -> None:
-    """Check the scalar arguments of a chunk engine on a (T, M, U) stack of ``shape``.
-
-    A bad ``k_max``, a shape on which ``algorithm`` is infeasible or an
-    ``n0`` that is not positive raises ``ValueError`` for the whole call.
-    """
-    _require("k_max", k_max, _AT_LEAST_1)
-    if reason := infeasible_reason(algorithm, *shape[1:], k_max):
-        raise ValueError(reason)
-    _require("n0", n0, _POSITIVE)
 
 
 def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
@@ -200,17 +244,12 @@ def ss_us(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResu
     the selection, weights and metric are the same whichever it is.
 
     This is ``_ss_us_trials`` on a chunk of one trial, the channel ``h``,
-    with the single variant of ``cfg``; the ledger is charged what that
-    variant is charged there, and a :class:`BasisConstructionError` is
-    raised after the charges. A bad channel raises its ``ValueError``
-    before any other argument is checked.
+    with the single variant of ``cfg`` (see ``_select_one``); a
+    :class:`BasisConstructionError` is raised after the charges.
     """
-    hm, norms = _as_channel(h)
-    [[(outcome, charged)]] = _ss_us_trials(
-        hm[np.newaxis], norms[np.newaxis], cfg.k_max, [cfg.rng_seed], n0,
-        [(cfg.num_bases, cfg.alpha)],
+    return _select_one(
+        Algorithm.SSUS, h, n0, cfg.k_max, ledger, cfg.rng_seed, (cfg.num_bases, cfg.alpha)
     )
-    return _lone(outcome, charged, ledger)
 
 
 def _ss_us_trials(
@@ -246,14 +285,8 @@ def _ss_us_trials(
     each of its first L bases, the basis's construction and correlation
     charges and the match comparisons at its alpha. A failed variant's
     ledger stops at the failing basis, which adds what its fallback
-    charged. A seed count that does not match the stack, a bad tunable or
-    an ``n0`` that is not positive raises ``ValueError`` for the whole call.
+    charged.
     """
-    if len(rng_seeds) != len(hs):
-        raise ValueError(f"{len(hs)} channels need as many seeds, got {len(rng_seeds)}")
-    _check_scalars(Algorithm.SSUS, hs.shape, n0, k_max)
-    for num_bases, alpha in variants:
-        SelectionConfig(Algorithm.SSUS, k_max, num_bases, alpha)  # checks the tunables
     n_trials, m, u = hs.shape
     n_bases = max((num_bases for num_bases, _ in variants), default=1)
     # A group's trials share each block, so their bases must fit one.
@@ -524,17 +557,13 @@ def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult
     and selects the survivor with the largest residual norm. ``n0`` is not
     read, but it must be positive, as for every other selector.
 
-    This is ``_sus_trials`` on a stack of one trial, the channel ``h``; the
-    ledger is charged what that trial is charged there.
+    This is ``_sus_trials`` on a stack of one trial, the channel ``h`` (see
+    ``_select_one``).
     """
-    hm, norms = _as_channel(h)
-    [(outcome, charged)] = _sus_trials(
-        hm[np.newaxis], norms[np.newaxis], n0, cfg.k_max, cfg.sus_epsilon
-    )
-    return _lone(outcome, charged, ledger)
+    return _select_one(Algorithm.SUS, h, n0, cfg.k_max, ledger, epsilon=cfg.sus_epsilon)
 
 
-def _sus_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int, epsilon: float) -> list:
+def _sus_trials(hs: np.ndarray, norms: np.ndarray, k_max: int, epsilon: float) -> list:
     """``sus`` for every trial of a (T, M, U) stack of channels, in lockstep.
 
     This is the one engine of semi-orthogonal selection; ``sus`` is its case
@@ -549,12 +578,8 @@ def _sus_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int, epsilo
     own pool sizes, as one loop over its pool would be.
 
     Returns one (outcome, ledger) pair per trial: the
-    :class:`SelectionResult` of ``sus`` and what that call charges. A bad
-    ``epsilon`` or ``k_max``, or an ``n0`` that is not positive, raises
-    ``ValueError`` for the whole call.
+    :class:`SelectionResult` of ``sus`` and what that call charges.
     """
-    _require("sus_epsilon", epsilon, _UNIT_OPEN)
-    _check_scalars(Algorithm.SUS, hs.shape, n0, k_max)
     n_trials, m, u = hs.shape
     trials = np.arange(n_trials)
     k_cap = min(k_max, m, u)
@@ -620,13 +645,10 @@ def gzf(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     soon as no candidate strictly improves it. Rank-deficient candidate
     sets score minus infinity.
 
-    This is ``_gzf_trials`` on a stack of one trial, the channel ``h``; the
-    ledger is charged what that trial is charged there, and its error is
-    raised after the charges.
+    This is ``_gzf_trials`` on a stack of one trial, the channel ``h`` (see
+    ``_select_one``).
     """
-    hm, norms = _as_channel(h)
-    [(outcome, charged)] = _gzf_trials(hm[np.newaxis], norms[np.newaxis], n0, k_max)
-    return _lone(outcome, charged, ledger)
+    return _select_one(Algorithm.GZF, h, n0, k_max, ledger)
 
 
 def _gzf_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> list:
@@ -655,10 +677,8 @@ def _gzf_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> lis
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``gzf``, or the error it would raise, and
     what that call charges; a seed set that fails the ``COND_LIMIT`` guard
-    fails its trial after the charges. A bad ``k_max`` or an ``n0`` that is
-    not positive raises ``ValueError`` for the whole call.
+    fails its trial after the charges.
     """
-    _check_scalars(Algorithm.GZF, hs.shape, n0, k_max)
     n_trials, m, u = hs.shape
     trials = np.arange(n_trials)
     k_cap = min(k_max, m, u)
@@ -862,11 +882,9 @@ def mcore_plus(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionResult:
     returns the one with the highest ZF sum spectral efficiency.
 
     This is ``_mcore_plus_trials`` on a stack of one trial, the channel
-    ``h``; the ledger is charged what that trial is charged there.
+    ``h`` (see ``_select_one``).
     """
-    hm, norms = _as_channel(h)
-    [(outcome, charged)] = _mcore_plus_trials(hm[np.newaxis], norms[np.newaxis], n0, k_max)
-    return _lone(outcome, charged, ledger)
+    return _select_one(Algorithm.MCORE_PLUS, h, n0, k_max, ledger)
 
 
 def _mcore_plus_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int) -> list:
@@ -882,10 +900,7 @@ def _mcore_plus_trials(hs: np.ndarray, norms: np.ndarray, n0: float, k_max: int)
 
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``mcore_plus`` and what that call charges.
-    A bad ``k_max``, a shape ``infeasible_reason`` refuses or an ``n0`` that
-    is not positive raises ``ValueError`` for the whole call.
     """
-    _check_scalars(Algorithm.MCORE_PLUS, hs.shape, n0, k_max)
     n_trials, m, u = hs.shape
     rows = np.arange(n_trials)
     n_pool = min(2 * m, u)
@@ -1186,7 +1201,7 @@ def random_select(h, k: int, rng: np.random.Generator) -> SelectionResult:
     """Uniform random K-subset of the users, deterministic given the stream."""
     hm, _ = _as_channel(h)
     m, u = hm.shape
-    _require("k", k, _AT_LEAST_1)
+    _require_count("k", k)
     if reason := infeasible_reason(Algorithm.RANDOM, m, u, k):
         raise ValueError(reason)
     return _random_users(rng, u, k)
@@ -1197,15 +1212,12 @@ def _random_users(rng: np.random.Generator, u: int, k: int) -> SelectionResult:
     return SelectionResult(selected=tuple(np.sort(rng.choice(u, size=k, replace=False)).tolist()))
 
 
-def _random_trials(hs: np.ndarray, n0: float, k: int, rng_seeds) -> list:
+def _random_trials(hs: np.ndarray, k: int, rng_seeds) -> list:
     """``random_select`` of K = ``k`` for every trial of a (T, M, U) stack of channels.
 
     Trial t draws from ``stream(rng_seeds[t])``, set on one generator by
     ``seeding._seeded``. Returns one (outcome, empty ledger) pair per trial.
-    A bad ``k``, K above min(M, U) or an ``n0`` that is not positive raises
-    ``ValueError`` for the whole call.
     """
-    _check_scalars(Algorithm.RANDOM, hs.shape, n0, k)
     u = hs.shape[2]
     streams = _seeded(_pcg64_states([derive_seed(rng_seed) for rng_seed in rng_seeds]))
     return [(_random_users(rng, u, k), OpLedger()) for rng in streams]
@@ -1219,10 +1231,9 @@ def exhaustive_oracle(h, n0: float, k_max: int, ledger: OpLedger) -> SelectionRe
     lexicographically smallest index list.
 
     This is ``_exhaustive_trials`` on a stack of one trial, the channel
-    ``h``; the ledger is charged what that trial is charged there.
+    ``h`` (see ``_select_one``).
     """
-    [(outcome, charged)] = _exhaustive_trials(_as_channel(h)[0][np.newaxis], n0, k_max)
-    return _lone(outcome, charged, ledger)
+    return _select_one(Algorithm.EXHAUSTIVE, h, n0, k_max, ledger)
 
 
 def _exhaustive_trials(hs: np.ndarray, n0: float, k_max: int) -> list:
@@ -1234,11 +1245,8 @@ def _exhaustive_trials(hs: np.ndarray, n0: float, k_max: int) -> list:
 
     Returns one (outcome, ledger) pair per trial: the
     :class:`SelectionResult` of ``exhaustive_oracle`` and what that call
-    charges. A bad ``k_max``, a search space above
-    ``EXHAUSTIVE_SUBSET_CAP`` or an ``n0`` that is not positive raises
-    ``ValueError`` for the whole call.
+    charges.
     """
-    _check_scalars(Algorithm.EXHAUSTIVE, hs.shape, n0, k_max)
     _, m, u = hs.shape
     ledgers = [OpLedger() for _ in hs]
     winners = _best_subset(hs, min(k_max, m, u), n0, ledgers)
@@ -1246,22 +1254,12 @@ def _exhaustive_trials(hs: np.ndarray, n0: float, k_max: int) -> list:
 
 
 def run_selection(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:
-    """Dispatch to the selector named by ``cfg.algorithm``."""
-    if cfg.algorithm is Algorithm.SSUS:
-        return ss_us(h, cfg, n0, ledger)
-    if cfg.algorithm is Algorithm.SUS:
-        return sus(h, cfg, n0, ledger)
-    if cfg.algorithm is Algorithm.GZF:
-        return gzf(h, n0, cfg.k_max, ledger)
-    if cfg.algorithm is Algorithm.MCORE_PLUS:
-        return mcore_plus(h, n0, cfg.k_max, ledger)
-    if cfg.algorithm is Algorithm.RANDOM:
-        # random_select validates the channel; K only needs its shape. n0 is
-        # checked after it, so that a bad channel is named first, as elsewhere.
-        k = min((cfg.k_max, *np.shape(h)))
-        result = random_select(h, k, stream(cfg.rng_seed))
-        _require("n0", n0, _POSITIVE)
-        return result
-    if cfg.algorithm is Algorithm.EXHAUSTIVE:
-        return exhaustive_oracle(h, n0, cfg.k_max, ledger)
-    raise ValueError(f"unknown algorithm: {cfg.algorithm!r}")
+    """The selector named by ``cfg.algorithm`` on the channel ``h`` (see ``_select_one``).
+
+    ``random`` draws min(``cfg.k_max``, M, U) users from
+    ``stream(cfg.rng_seed)``, as ``random_select`` would.
+    """
+    return _select_one(
+        cfg.algorithm, h, n0, cfg.k_max, ledger, cfg.rng_seed, (cfg.num_bases, cfg.alpha),
+        cfg.sus_epsilon,
+    )

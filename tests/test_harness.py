@@ -273,7 +273,7 @@ class TestRunTrial:
 
 
 ALL_ALGORITHMS = ("ssus", "sus", "gzf", "mcore_plus", "random", "exhaustive")
-# The chunk engines, as the harness looks them up.
+# The chunk engines, as ``selectors._select_trials`` looks them up.
 ENGINES = (
     "_ss_us_trials",
     "_sus_trials",
@@ -362,13 +362,13 @@ class TestTrialChunks:
         # per chunk on the chunk's valid trials; trial 5's channel fails.
         calls = collections.defaultdict(list)
         for name in ENGINES:
-            real = getattr(harness, name)
+            real = getattr(sel, name)
 
             def spy(stack, *args, name=name, real=real):
                 calls[name].append(len(stack))
                 return real(stack, *args)
 
-            monkeypatch.setattr(harness, name, spy)
+            monkeypatch.setattr(sel, name, spy)
         # No cell runs through ``run_selection``.
         monkeypatch.setattr(harness, "run_selection", None)
         for size in (1, 3, self.CFG.trials):
@@ -379,6 +379,36 @@ class TestTrialChunks:
                 for lo in range(0, self.CFG.trials, size)
             ]
             assert dict(calls) == {name: [n for n in valid if n] for name in ENGINES}, size
+
+    def test_lone_run_selection_equals_its_chunk_cell(self):
+        # Every algorithm, each through ``selectors._select_trials``: a lone
+        # ``run_selection`` on a trial's channel, with ``rng_seed`` the seed
+        # of the algorithm's stream role in the chunk, gives the outcome and
+        # ledger of that trial's cell. An algorithm with no engine fails
+        # both, and so this test.
+        cfg = tiny_config(
+            algorithms=tuple(a.value for a in Algorithm), ssus_num_bases=(2, 5),
+            ssus_alpha=(0.3, 0.6), sus_epsilon=0.4, k_max=3, random_k=2, trials=6,
+        )
+        point = grid_points(cfg)[0]
+        instances = algo_instances(cfg)
+        assert {inst.algorithm for inst in instances} == set(Algorithm)
+        hs, chunk = harness._draw_chunk(cfg, point, instances, list(range(cfg.trials)))
+        roles = {Algorithm.SSUS: harness._ROLE_SELECT, Algorithm.RANDOM: harness._ROLE_RANDOM}
+        for t, (h, cells) in enumerate(zip(hs, chunk)):
+            for inst, (outcome, ledger, _) in cells.items():
+                assert not isinstance(outcome, Exception), (t, inst, outcome)
+                role = roles.get(inst.algorithm)
+                lone_cfg = sel.SelectionConfig(
+                    inst.algorithm,
+                    point.random_k if inst.algorithm is Algorithm.RANDOM else point.k_max,
+                    num_bases=inst.num_bases or 1,
+                    alpha=inst.alpha or 0.45,
+                    sus_epsilon=cfg.sus_epsilon,
+                    rng_seed=0 if role is None else derive_seed(cfg.master_seed, 0, t, role),
+                )
+                got = sel.run_selection(h, lone_cfg, point.n0, lone := OpLedger())
+                assert (got, lone) == (outcome, ledger), (t, inst)
 
     def test_chunk_size_does_not_change_the_reports(self, monkeypatch, failing_trials):
         point = grid_points(self.CFG)[0]
@@ -1188,7 +1218,7 @@ class TestOracleCheck:
 
     def test_oracle_failures_are_reported(self, monkeypatch, capsys):
         # The harness runs the oracle through its chunk engine.
-        real_oracle = harness._exhaustive_trials
+        real_oracle = sel._exhaustive_trials
         trials = []
 
         def oracle_failing_on_trial_1(hs, n0, k_max):
@@ -1199,7 +1229,7 @@ class TestOracleCheck:
                     outcomes[i] = (ValueError("oracle broke"), OpLedger())
             return outcomes
 
-        monkeypatch.setattr(harness, "_exhaustive_trials", oracle_failing_on_trial_1)
+        monkeypatch.setattr(sel, "_exhaustive_trials", oracle_failing_on_trial_1)
         rows = oracle_check(m=4, u=6, trials=5)
         assert len(trials) == 5
         assert {row["trials"] for row in rows} == {4}
@@ -1211,6 +1241,6 @@ class TestOracleCheck:
         def broken_oracle(hs, n0, k_max):
             raise ValueError("oracle broke")
 
-        monkeypatch.setattr(harness, "_exhaustive_trials", broken_oracle)
+        monkeypatch.setattr(sel, "_exhaustive_trials", broken_oracle)
         with pytest.raises(ValueError, match="^every trial of exhaustive failed: oracle broke$"):
             oracle_check(m=4, u=6, trials=3)

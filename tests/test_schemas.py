@@ -21,14 +21,13 @@ from mimosel.seeding import stream
 from mimosel.selectors import (
     Algorithm,
     SelectionConfig,
-    _ss_us_trials,
     exhaustive_oracle,
     gzf,
     mcore_plus,
     random_select,
     ss_us,
 )
-from test_selectors import checked
+from test_selectors import select_trials
 from test_zf_kernel import zf_sum_rate_batch
 
 MC_COLUMNS = [
@@ -145,6 +144,11 @@ class TestRuleMessages:
             (dict(k_max=2, sus_epsilon=-0.5), "sus_epsilon must lie in (0, 1), got -0.5"),
             (dict(k_max=math.nan), "k_max must be >= 1, got nan"),
             (dict(k_max=2, num_bases=math.nan), "num_bases must be >= 1, got nan"),
+            (dict(k_max=2.5), "k_max must be an integer, got 2.5"),
+            (dict(k_max=True), "k_max must be an integer, got True"),
+            (dict(k_max="3"), "k_max must be an integer, got '3'"),
+            (dict(k_max=2, num_bases=2.5), "num_bases must be an integer, got 2.5"),
+            (dict(k_max=2, num_bases=False), "num_bases must be an integer, got False"),
         ],
     )
     def test_selection_config(self, kw, message):
@@ -158,6 +162,36 @@ class TestRuleMessages:
     @pytest.mark.parametrize("k", [0, math.nan])
     def test_random_k(self, k):
         raises(lambda: random_select(H, k, stream(1)), f"k must be >= 1, got {k}")
+
+    @pytest.mark.parametrize("selector", [gzf, mcore_plus, exhaustive_oracle])
+    @pytest.mark.parametrize("k_max", [2.5, "3", True, np.float64(2.0)])
+    def test_selector_k_max_is_an_integer(self, selector, k_max):
+        raises(
+            lambda: selector(H, 0.25, k_max, OpLedger()),
+            f"k_max must be an integer, got {k_max!r}",
+        )
+
+    @pytest.mark.parametrize("k", [2.5, "3", True])
+    def test_random_k_is_an_integer(self, k):
+        raises(lambda: random_select(H, k, stream(1)), f"k must be an integer, got {k!r}")
+
+    def test_numpy_integer_counts_are_accepted(self):
+        k = np.int64(2)
+        assert SelectionConfig(Algorithm.SSUS, k_max=k, num_bases=np.int32(3)).k_max == 2
+        for selector in (gzf, mcore_plus, exhaustive_oracle):
+            assert selector(H, 0.25, k, OpLedger()) == selector(H, 0.25, 2, OpLedger())
+        assert random_select(H, k, stream(1)) == random_select(H, 2, stream(1))
+
+    @pytest.mark.parametrize("selector", [gzf, mcore_plus, exhaustive_oracle])
+    @pytest.mark.parametrize("k_max", [0, 2.5])
+    def test_lone_call_names_a_bad_channel_first(self, selector, k_max):
+        # The channel is checked before k_max and n0, which are bad too.
+        h = H.copy()
+        h[1, 2] = np.nan
+        raises(
+            lambda: selector(h, -1.0, k_max, OpLedger()),
+            "channel matrix contains a non-finite entry",
+        )
 
     @pytest.mark.parametrize("bandwidth", [0.0, -3, math.nan])
     def test_link_budget_bandwidth(self, bandwidth):
@@ -176,7 +210,7 @@ class TestRuleMessages:
             lambda n0: mcore_plus(H, n0, 2, OpLedger()),
             lambda n0: exhaustive_oracle(H, n0, 2, OpLedger()),
             lambda n0: ss_us(H, SelectionConfig(Algorithm.SSUS, k_max=2), n0, OpLedger()),
-            lambda n0: _ss_us_trials(*checked(H[np.newaxis]), 2, [0], n0, [(1, 0.45)]),
+            lambda n0: select_trials(Algorithm.SSUS, H[np.newaxis], n0, 2, [0], [(1, 0.45)]),
         ],
         ids=["sum_se", "kernel", "gzf", "mcore_plus", "exhaustive", "ss_us", "ss_us_trials"],
     )

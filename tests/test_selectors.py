@@ -32,6 +32,14 @@ def checked(hs):
     return np.stack([h for h, _ in pairs]), np.stack([norms for _, norms in pairs])
 
 
+def select_trials(algorithm, hs, n0, k, rng_seeds=None, variants=(None,), epsilon=None):
+    """``selectors._select_trials``, the one entry that checks the arguments
+    of every chunk engine, on the checked stack ``hs``."""
+    return selectors._select_trials(
+        algorithm, *checked(hs), n0, k, rng_seeds, list(variants), epsilon
+    )
+
+
 def ssus_cfg(**kw):
     kw.setdefault("algorithm", Algorithm.SSUS)
     kw.setdefault("k_max", 4)
@@ -260,13 +268,13 @@ class TestSusTrials:
     @pytest.mark.parametrize("u", [1, 2, 10, 100])
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     def test_equals_the_reference_loop(self, m, u):
-        n0, stacks, sizes = 1.0, 0, set()
+        stacks, sizes = 0, set()
         for epsilon in SUS_EPSILONS:
             # k_max below M where M allows it, and above it.
             for k_max in sorted({max(1, m - 1), m + 3}):
                 for seed in range(2):
                     hs = sus_stack(m, u, (6100, m, u, seed))
-                    got = selectors._sus_trials(*checked(hs), n0, k_max, epsilon)
+                    got = selectors._sus_trials(*checked(hs), k_max, epsilon)
                     want = []
                     for h in hs:
                         ledger = OpLedger()
@@ -292,7 +300,7 @@ class TestSusTrials:
         # survives a filter at epsilon = 0.6; user 2's 0.8 does not.
         h = np.array([[2.0, 0.75, 1.0], [0.0, 1.0, 0.75]], dtype=complex)
         hs = h[np.newaxis]
-        [(result, _)] = selectors._sus_trials(*checked(hs), 1.0, 2, 0.6)
+        [(result, _)] = selectors._sus_trials(*checked(hs), 2, 0.6)
         assert result.selected == (0, 1)
         assert reference_sus(h, 2, 0.6, OpLedger()).selected == (0, 1)
 
@@ -301,19 +309,19 @@ class TestSusTrials:
         hs = np.concatenate([sus_stack(m, u, (6300, m, u, seed)) for seed in range(2)])
         hs, norms = checked(hs)
         for epsilon in SUS_EPSILONS:
-            want = selectors._sus_trials(hs, norms, 1.0, k_max, epsilon)
+            want = selectors._sus_trials(hs, norms, k_max, epsilon)
             for size in (1, 3, 5):
                 got = []
                 for lo in range(0, len(hs), size):
                     part = slice(lo, lo + size)
-                    got += selectors._sus_trials(hs[part], norms[part], 1.0, k_max, epsilon)
+                    got += selectors._sus_trials(hs[part], norms[part], k_max, epsilon)
                 assert got == want, (epsilon, size)
 
     @pytest.mark.parametrize("n0", [math.nan, 0.0, -1.0])
     def test_rejects_a_bad_noise_power_for_the_whole_call(self, n0):
         hs = sus_stack(4, 10, 6400)
         with pytest.raises(ValueError) as exc:
-            selectors._sus_trials(*checked(hs), n0, 4, 0.3)
+            select_trials(Algorithm.SUS, hs, n0, 4, epsilon=0.3)
         assert str(exc.value) == f"n0 must be positive, got {n0}"
 
     @pytest.mark.parametrize(
@@ -323,7 +331,7 @@ class TestSusTrials:
     )
     def test_rejects_bad_tunables_for_the_whole_call(self, k_max, epsilon, message):
         with pytest.raises(ValueError) as exc:
-            selectors._sus_trials(*checked(sus_stack(4, 10, 6500)), 1.0, k_max, epsilon)
+            select_trials(Algorithm.SUS, sus_stack(4, 10, 6500), 1.0, k_max, epsilon=epsilon)
         assert str(exc.value) == message
 
 
@@ -435,7 +443,7 @@ class TestRandomTrials:
     def test_picks_equal_lone_calls_on_the_same_streams(self, m, u):
         hs = np.stack([generate_iid_rayleigh(m, u, stream(6700, m, u, s)) for s in self.SEEDS])
         for k in range(1, min(m, u) + 1):
-            got = selectors._random_trials(checked(hs)[0], 1.0, k, self.SEEDS)
+            got = selectors._random_trials(checked(hs)[0], k, self.SEEDS)
             want = [random_select(h, k, stream(seed)) for h, seed in zip(hs, self.SEEDS)]
             assert got == [(result, OpLedger()) for result in want], k
 
@@ -444,14 +452,31 @@ class TestRandomTrials:
         [(math.nan, 2, "n0 must be positive, got nan"),
          (0.0, 2, "n0 must be positive, got 0.0"),
          (-1.0, 2, "n0 must be positive, got -1.0"),
-         (1.0, 0, "k_max must be >= 1, got 0"),
-         (1.0, 5, "random selection needs K <= min(M, U) = 4, configured K=5")],
+         (1.0, 0, "k_max must be >= 1, got 0")],
     )
     def test_rejects_bad_arguments_for_the_whole_call(self, n0, k, message):
         hs = np.stack([generate_iid_rayleigh(4, 10, stream(6800, t)) for t in range(3)])
         with pytest.raises(ValueError) as exc:
-            selectors._random_trials(checked(hs)[0], n0, k, [1, 2, 3])
+            select_trials(Algorithm.RANDOM, hs, n0, k, [1, 2, 3])
         assert str(exc.value) == message
+
+    def test_k_above_min_m_u_draws_min_m_u_users(self):
+        # K caps the draw, as k_max caps every other selector's set; a
+        # ``random.k`` above min(M, U) is skipped by the sweep instead, and
+        # ``random_select`` refuses it.
+        hs = np.stack([generate_iid_rayleigh(4, 10, stream(6800, t)) for t in range(3)])
+        want = [[pair] for pair in selectors._random_trials(hs, 4, [1, 2, 3])]
+        assert select_trials(Algorithm.RANDOM, hs, 1.0, 5, [1, 2, 3]) == want
+        with pytest.raises(ValueError) as exc:
+            random_select(hs[0], 5, stream(1))
+        assert str(exc.value) == "random selection needs K <= min(M, U) = 4, configured K=5"
+
+    def test_seed_count_must_match_the_stack(self):
+        hs = np.stack([generate_iid_rayleigh(4, 10, stream(6800, t)) for t in range(3)])
+        for algorithm, variants in ((Algorithm.RANDOM, [None]), (Algorithm.SSUS, [(1, 0.45)])):
+            with pytest.raises(ValueError) as exc:
+                select_trials(algorithm, hs, 1.0, 4, [1, 2], variants)
+            assert str(exc.value) == "3 channels need as many seeds, got 2"
 
 
 class TestExhaustiveOracle:

@@ -33,8 +33,8 @@ from mimosel.harness import ExperimentConfig, algo_instances, grid_points
 from mimosel.metrics import COND_LIMIT, SingularSetError, sum_spectral_efficiency, zf_post_snr
 from mimosel.numerics import OpLedger, subset_count
 from mimosel.seeding import stream
-from mimosel.selectors import exhaustive_oracle, gzf, mcore_plus
-from test_selectors import checked
+from mimosel.selectors import Algorithm, exhaustive_oracle, gzf, mcore_plus
+from test_selectors import checked, select_trials
 
 N0_SWEEP = (
     noise_power(LinkBudget(p0_dbm=-90.0)),
@@ -864,7 +864,8 @@ def drawn_beside_a_bad_channel(monkeypatch, algorithm, engine):
     """Each trial's (outcome, ledger) from ``harness._draw_chunk`` for
     ``algorithm`` alone on five scripted channels at M = 4, U = 10,
     K_max = 4, P0 = -90 dBm, whose trial 2 has a NaN entry; with the stack,
-    n0, and the trial count of each call of the harness's ``engine``."""
+    n0, and the trial count of each call of the chunk engine ``engine``,
+    which the harness reaches through ``selectors._select_trials``."""
     hs = complex_normal(np.random.default_rng(9600), (5, 4, 10))
     hs[2, 1, 3] = np.nan
     cfg = ExperimentConfig(
@@ -875,13 +876,13 @@ def drawn_beside_a_bad_channel(monkeypatch, algorithm, engine):
     drawn = iter(hs)
     monkeypatch.setattr(harness, "generate_iid_rayleigh", lambda m, u, rng: next(drawn).copy())
     seen = []
-    real = getattr(harness, engine)
+    real = getattr(selectors, engine)
 
     def spy(stack, *args):
         seen.append(len(stack))
         return real(stack, *args)
 
-    monkeypatch.setattr(harness, engine, spy)
+    monkeypatch.setattr(selectors, engine, spy)
     _, chunk = harness._draw_chunk(cfg, point, [inst], list(range(5)))
     return hs, point.n0, [cell[inst][:2] for cell in chunk], seen
 
@@ -907,7 +908,7 @@ def test_gzf_trials_fail_only_the_trial_with_a_bad_channel(monkeypatch):
 def test_gzf_trials_reject_a_bad_noise_power_for_the_whole_call(n0):
     hs = complex_normal(np.random.default_rng(9700), (3, 4, 10))
     with pytest.raises(ValueError) as exc:
-        gzf_chunk(hs, n0, 4)
+        select_trials(Algorithm.GZF, hs, n0, 4)
     assert str(exc.value) == f"n0 must be positive, got {n0}"
 
 
@@ -968,9 +969,11 @@ def test_subset_engines_fail_only_the_trial_with_a_bad_channel(monkeypatch, algo
 @SUBSET_ENGINES
 @pytest.mark.parametrize("n0", [np.nan, 0.0, -1.0])
 def test_subset_engines_reject_a_bad_noise_power_for_the_whole_call(engine, lone, n0):
+    # The entry checks every engine's arguments, before the engine runs.
+    algorithm = {exhaustive_chunk: Algorithm.EXHAUSTIVE, mcore_plus_chunk: Algorithm.MCORE_PLUS}
     hs = complex_normal(np.random.default_rng(9700), (3, 4, 10))
     with pytest.raises(ValueError) as exc:
-        engine(hs, n0, 4)
+        select_trials(algorithm[engine], hs, n0, 4)
     assert str(exc.value) == f"n0 must be positive, got {n0}"
 
 
