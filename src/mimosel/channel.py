@@ -41,6 +41,14 @@ def _require(name: str, value, rule) -> None:
         raise ValueError(f"{name} {phrase}, got {shown}")
 
 
+def _require_real(name: str, value, rule) -> None:
+    """Raise the ``ValueError`` naming ``name`` unless ``value`` is a real
+    number, a bool not being one, that meets ``rule``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    _require(name, value, rule)
+
+
 def _require_count(name: str, value) -> None:
     """Raise the ``ValueError`` naming ``name`` unless ``value`` is an integer >= 1,
     a bool not being one; a real number below 1 or NaN breaks ``_AT_LEAST_1``."""
@@ -77,7 +85,7 @@ class LinkBudget:
     noise_figure_db: float = 5.0
 
     def __post_init__(self):
-        _require("bandwidth_hz", self.bandwidth_hz, _POSITIVE)
+        _require_real("bandwidth_hz", self.bandwidth_hz, _POSITIVE)
 
 
 def noise_power_dbm(budget: LinkBudget) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _POSITIVE, _column_norms, _require
+from .channel import _POSITIVE, _column_norms, _require_real
 from .numerics import OpLedger
 
 __all__ = [
@@ -80,7 +80,7 @@ def _zf_snr(h_stack: np.ndarray, n0: float, ledger: OpLedger):
     p, m, k = h_stack.shape
     if not 1 <= k <= m:
         raise ValueError(f"require 1 <= K <= M for zero forcing, got K={k}, M={m}")
-    _require("n0", n0, _POSITIVE)
+    _require_real("n0", n0, _POSITIVE)
     gram = h_stack.conj().transpose(0, 2, 1) @ h_stack
     try:
         gram_inv_diag = _gram_inv_diag(gram)

@@ -14,9 +14,10 @@ Space-Efficient Statistically Good Algorithms for Random Number
 Generation", 2014) for each stream in turn, setting one ``Generator`` to
 its state. Three draws take it: each trial's channel, each trial's
 ``random`` selection and, through ``_stacked_normals``, the ``ss_us``
-bases, which take one stream each, keyed by (trial seed, basis index). The
-bases' streams are hashed once per group of trials that share blocks, and
-each block only sets its own streams' states and draws. Since they call the
+bases, which take one stream each, keyed by (trial seed, basis index). A
+chunk hashes its bases' streams at once, as many trials' as their states
+fit an eighth of the ``ss_us`` block budget, and each block only sets its
+own streams' states and draws. Since they call the
 same ``Generator`` methods on the same states, the draws equal those of
 ``default_rng`` byte for byte. The constants below are numpy's, and a test
 pins them against the numpy in use.

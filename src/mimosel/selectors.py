@@ -11,7 +11,11 @@ Every selection reaches its private chunk engine (``_ss_us_trials``,
 ``_random_trials`` or ``_exhaustive_trials``) through one entry,
 ``_select_trials``, which also checks every argument but the channels. An
 engine runs every trial of a (T, M, U) stack of channels at once, each
-trial's outcome and charges being those of a lone call. The harness makes
+trial's outcome and charges being those of a lone call. ``_ss_us_trials``
+sets up the chunk, hashes its bases' streams and assembles its outcomes
+once per chunk, and builds and matches the bases a block at a time; the
+lockstep engines step every trial together, and the subset searches score
+blocks of subsets of any trials. The harness makes
 one entry call per algorithm and chunk of trials; ``run_selection``,
 ``ss_us``, ``sus``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` make
 one on a stack of one (see ``_select_one``). A channel is checked once,
@@ -34,8 +38,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .channel import _POSITIVE, _UNIT_OPEN, _column_norms, _require, _require_count
+from .channel import _POSITIVE, _UNIT_OPEN, _column_norms, _require_count, _require_real
 from .metrics import COND_LIMIT, _charge_zf, _ill_conditioned, _set_stack, _zf_snr, _zf_sum_rates
 # Not called here; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
@@ -103,8 +108,8 @@ class SelectionConfig:
     def __post_init__(self):
         _require_count("k_max", self.k_max)
         _require_count("num_bases", self.num_bases)
-        _require("alpha", self.alpha, _UNIT_OPEN)
-        _require("sus_epsilon", self.sus_epsilon, _UNIT_OPEN)
+        _require_real("alpha", self.alpha, _UNIT_OPEN)
+        _require_real("sus_epsilon", self.sus_epsilon, _UNIT_OPEN)
 
 
 @dataclass(frozen=True)
@@ -178,20 +183,21 @@ def _select_trials(algorithm, hs, norms, n0, k, rng_seeds, variants, epsilon) ->
     engine's arguments, and that checks them. In this order, ``sus``'s
     ``epsilon``, a seed count unlike the stack's, a ``k`` that is not an
     integer >= 1, a search space above ``EXHAUSTIVE_SUBSET_CAP``, an ``n0``
-    that is not positive, a bad ``ssus`` tunable or an unknown algorithm
-    raises ``ValueError`` for the whole call. Returns, per trial, one
+    that is not a positive real number, a bad ``ssus`` tunable or an
+    unknown algorithm raises ``ValueError`` for the whole call; a bool is
+    neither a count nor a real number. Returns, per trial, one
     (outcome, ledger) pair per variant: the :class:`SelectionResult` of a
     lone call, or the error it would raise, and what that call charges.
     """
     if algorithm is Algorithm.SUS:
-        _require("sus_epsilon", epsilon, _UNIT_OPEN)
+        _require_real("sus_epsilon", epsilon, _UNIT_OPEN)
     elif algorithm in (Algorithm.SSUS, Algorithm.RANDOM) and len(rng_seeds) != len(hs):
         raise ValueError(f"{len(hs)} channels need as many seeds, got {len(rng_seeds)}")
     _require_count("k_max", k)
     _, m, u = hs.shape
     if reason := infeasible_reason(algorithm, m, u, min(k, m, u)):
         raise ValueError(reason)
-    _require("n0", n0, _POSITIVE)
+    _require_real("n0", n0, _POSITIVE)
     if algorithm is Algorithm.SSUS:
         for num_bases, alpha in variants:
             SelectionConfig(algorithm, k, num_bases, alpha)  # checks the tunables
@@ -263,19 +269,26 @@ def _ss_us_trials(
     ``norms``, and trial t draws its bases from ``rng_seeds[t]``. Basis l of
     a trial depends only on (its seed, l), and alpha enters only the
     matching, so each trial's seed user, bases and correlations are built
-    once, for the largest L, a block at a time (see ``_basis_block`` and
-    ``_correlations``), and each distinct alpha matches users on every
-    block (see ``_match_block``). A block holds as many bases as its
-    largest stack fits in ``_BLOCK_BUDGET`` (see ``_bases_per_block``): the
-    L bases of as many trials as fit, or part of one trial's bases where
-    its L bases do not fit. The trials that share blocks form a group,
-    whose bases' streams are hashed once; each block only sets the states
-    of its own streams and draws them (see ``seeding``). Neither the block
-    size nor the trials that share a block change any outcome or charge.
-    That fills a table with one row per basis of each trial: its
-    construction charges and, per alpha, its match, held as one array per
-    field of the match. A variant with L bases reads its trial's first L
-    rows; only its winner's weights become a tuple.
+    once, for the largest L, and each distinct alpha matches users on them
+    (see ``_basis_block``, ``_correlations`` and ``_match_block``).
+
+    The chunk finds, once for all its trials, each trial's seed user and
+    its direction, the rates, and the candidates (every user but the seed)
+    with their norms and rates; it hashes its bases' streams in one pass,
+    or in a few where their states would take more than an eighth of
+    ``_BLOCK_BUDGET`` (see ``seeding``). The bases are built a block at a
+    time, as many as fit their largest stack in ``_BLOCK_BUDGET`` (see
+    ``_bases_per_block``): the L bases of as many trials as fit, or part of
+    one trial's bases where its L bases do not fit. Only the conjugated
+    candidate channels are gathered for a block's trials. Past a block, a
+    trial keeps, per variant, its match comparisons so far, summed from
+    each block's prefix sums, and its winner so far: mean, basis, picks and
+    best scores. A block's best basis replaces the winner only with a
+    strictly higher mean, and ``argmax`` keeps the first maximum, so ties
+    go to the lowest basis index. Neither the block size nor the trials
+    that share a block change any outcome or charge. The ledgers follow
+    from each variant's counts of bases built and charged, and the
+    outcomes of the whole chunk are assembled at the end.
 
     Returns, per trial, one (outcome, ledger) pair per variant, in order.
     The outcome is the :class:`SelectionResult` of ``ss_us`` with that
@@ -288,128 +301,153 @@ def _ss_us_trials(
     charged.
     """
     n_trials, m, u = hs.shape
-    n_bases = max((num_bases for num_bases, _ in variants), default=1)
-    # A group's trials share each block, so their bases must fit one.
-    per_group = max(1, _bases_per_block(m, u - 1, min(k_max, m) - 1) // n_bases)
-    outcomes = []
-    for lo in range(0, n_trials, per_group):
-        group = slice(lo, lo + per_group)
-        outcomes += _ss_us_group(hs[group], norms[group], k_max, rng_seeds[group], n0, variants)
-    return outcomes
-
-
-def _ss_us_group(hs, norms, k_max: int, rng_seeds, n0: float, variants) -> list:
-    """``_ss_us_trials`` on a (G, M, U) stack of channels that share blocks.
-
-    ``norms`` holds their (G, U) column norms. Either one trial, whose bases
-    may span several blocks, or several whose bases all fit one block.
-    """
-    n_trials, m, u = hs.shape
     trials = np.arange(n_trials)
-    common = OpLedger(complex_macs=u * m, divisions=u, comparisons=max(u - 1, 0))
-    rates = np.log2(1.0 + norms**2 / n0)
     seed_users = norms.argmax(axis=1)
+    rates = np.log2(1.0 + norms**2 / n0)
     seed_rates = rates[trials, seed_users]
-
     n_dirs = min(k_max, m)
     if u == 1 or n_dirs <= 1:
+        # The seed user alone, in every variant; no basis is built.
         return [
             [
-                (
-                    SelectionResult(
-                        selected=(seed_user,),
-                        matched_direction=(0,),
-                        weights=(seed_rate,),
-                        winning_basis=0,
-                        mean_metric=seed_rate,
-                    ),
-                    replace(common),
-                )
+                (SelectionResult((user,), (0,), (rate,), 0, rate), OpLedger(u * m, u, u - 1))
                 for _ in variants
             ]
-            for seed_user, seed_rate in zip(seed_users.tolist(), seed_rates.tolist())
+            for user, rate in zip(seed_users.tolist(), seed_rates.tolist())
         ]
 
     v_seeds = hs[trials, :, seed_users] / norms[trials, seed_users][:, np.newaxis]
-    common.divisions += m
-    # Row t: every user but trial t's seed, in order.
-    cand = np.arange(u - 1) + (np.arange(u - 1) >= seed_users[:, np.newaxis])
-    # C-contiguous (C, M) matrices, laid out as h[:, cand].conj().T is.
-    h_cand_t = np.take_along_axis(hs.swapaxes(1, 2), cand[:, :, np.newaxis], axis=1).conj()
-    cand_norms = np.take_along_axis(norms, cand, axis=1)
-    cand_rates = np.take_along_axis(rates, cand, axis=1)
-    n_steps = n_dirs - 1
-    corr_charge = (u - 1) * n_steps
+    n_cand, n_steps = u - 1, n_dirs - 1
+    # A trial's candidates are every user but its seed, in order.
+    is_cand = np.ones((n_trials, u), dtype=bool)
+    is_cand[trials, seed_users] = False
+    cand_norms = norms[is_cand].reshape(n_trials, n_cand)
+    cand_rates = rates[is_cand].reshape(n_trials, 1, n_cand)
+    del rates
 
-    # The table: per trial and basis, its construction (MACs, divisions),
-    # and per alpha, its match (see ``_match_block``).
-    n_bases = max((num_bases for num_bases, _ in variants), default=0)
-    charges = np.empty((n_trials, n_bases, 2), dtype=np.int64)
-    table = {
-        alpha: (
-            np.empty((n_trials, n_bases)),
-            np.empty((n_trials, n_bases, n_steps), dtype=np.intp),
-            np.empty((n_trials, n_bases, n_steps)),
-            np.empty((n_trials, n_bases), dtype=np.intp),
-        )
-        for _, alpha in variants
-    }
-    built = [n_bases] * n_trials
-    errors: list = [None] * n_trials
-    states = _pcg64_states(_stream_seeds(rng_seeds, range(n_bases)))
-    block = max(1, _bases_per_block(m, u - 1, n_steps) // n_trials)
+    lengths = np.array([num_bases for num_bases, _ in variants], dtype=np.intp)
+    n_bases = int(lengths.max(initial=0))
+    per_block = _bases_per_block(m, n_cand, n_steps)
+    # A block holds the L bases of ``per_row`` trials, or part of one trial's.
+    per_row = max(1, per_block // max(n_bases, 1))
+    block = max(1, min(n_bases, per_block))
+    # The streams of as many whole rows as their states, 4 words a stream,
+    # fit in an eighth of the budget are hashed at once.
+    per_hash = per_row * max(1, _BLOCK_BUDGET // (32 * per_row * max(n_bases, 1)))
+    # Per block of bases: for each alpha, its variants that reach the block
+    # and how many of the block's bases each one counts.
+    by_alpha = {alpha: np.flatnonzero([a == alpha for _, a in variants]) for _, alpha in variants}
+    blocks = []
     for start in range(0, n_bases, block):
         indices = range(start, min(start + block, n_bases))
-        bases, block_charges, failures = _basis_block(v_seeds, rng_seeds, indices, states)
-        charges[:, indices.start : indices.stop] = block_charges
-        corr = _correlations(h_cand_t, bases[..., 1:n_dirs], cand_norms)
-        flat = corr.reshape(-1, u - 1, n_steps)
-        row_rates = np.repeat(cand_rates, len(indices), axis=0)
-        row_seed_rates = np.repeat(seed_rates, len(indices))
-        for alpha, columns in table.items():
-            for column, part in zip(columns, _match_block(flat, row_rates, row_seed_rates, alpha)):
-                column[:, indices.start : indices.stop] = part.reshape(
-                    n_trials, len(indices), *part.shape[1:]
-                )
-        for t, (i, error) in failures.items():
-            built[t], errors[t] = start + i, error
-        if failures:
-            # Only a lone trial's bases span blocks, so none is left to build.
-            break
-        # Free this block before the next one is built, so that the budget
-        # bounds the working set of one block, not of two.
-        del bases, corr, flat, row_rates
+        reach = []
+        for alpha, members in by_alpha.items():
+            cols = members[lengths[members] > start]
+            if cols.size:
+                ends = np.minimum(lengths[cols] - start, len(indices))
+                reach.append((alpha, cols, ends, ends.tolist()))
+        blocks.append((indices, reach))
 
+    # Per trial and variant: the match comparisons so far, and the winner
+    # so far, its mean, basis, picks and best scores.
+    compared = np.zeros((n_trials, len(variants)), dtype=np.int64)
+    win_mean = np.full(compared.shape, -np.inf)
+    win_basis = np.zeros_like(compared)
+    win_picks = np.empty((*compared.shape, n_steps), dtype=np.intp)
+    win_best = np.empty(win_picks.shape)
+    built, failed = np.full(n_trials, n_bases), np.zeros(n_trials, dtype=bool)
+    errors: list = [None] * n_trials
+    rebuilt = []
+    for lo in range(0, n_trials, per_row):
+        row = slice(lo, lo + per_row)
+        n_row = min(per_row, n_trials - lo)
+        if lo % per_hash == 0:
+            states = _pcg64_states(_stream_seeds(rng_seeds[lo : lo + per_hash], range(n_bases)))
+        row_states = states[:, lo % per_hash : lo % per_hash + n_row]
+        # C-contiguous (C, M) matrices, laid out as h[:, cand].conj().T is.
+        h_cand_t = hs[row].swapaxes(1, 2)[is_cand[row]].reshape(n_row, n_cand, m).conj()
+        at_row = np.arange(n_row)[:, np.newaxis]
+        for indices, reach in blocks:
+            start = indices.start
+            bases, rebuilds, failures = _basis_block(
+                v_seeds[row], rng_seeds[row], indices, row_states
+            )
+            corr = _correlations(h_cand_t, bases[..., 1:n_dirs], cand_norms[row])
+            del bases  # the match reads only the correlations
+            rebuilt += [(lo + t, start + i, *charge) for (t, i), charge in rebuilds.items()]
+            for t, (i, error) in failures.items():
+                built[lo + t], failed[lo + t], errors[lo + t] = start + i, True, error
+            for alpha, cols, ends, stops in reach:
+                means, picks, best, comparisons = _match_block(
+                    corr, cand_rates[row], seed_rates[row, np.newaxis], alpha
+                )
+                for t, (i, _) in failures.items():
+                    comparisons[t, i:] = 0  # only the bases built are matched
+                compared[row, cols] += comparisons.cumsum(axis=1)[:, ends - 1]
+                # argmax keeps the first maximum, and the winner so far
+                # yields only to a strictly higher mean, so ties go to the
+                # lowest basis index.
+                local = np.array([means[:, :stop].argmax(axis=1) for stop in stops]).T
+                top = means[at_row, local]
+                gain_t, gain_v = (top > win_mean[row, cols]).nonzero()
+                if gain_t.size:
+                    at = local[gain_t, gain_v]
+                    won = lo + gain_t, cols[gain_v]
+                    win_mean[won] = top[gain_t, gain_v]
+                    win_basis[won] = start + at
+                    win_picks[won] = picks[gain_t, at]
+                    win_best[won] = best[gain_t, at]
+            if failures:
+                # Only a lone trial's bases span blocks, so none is left to build.
+                break
+            # Free this block before the next one is built, so that the budget
+            # bounds the working set of one block, not of two.
+            del corr
+
+    # A basis is correlated and matched only if built, and charged also if
+    # its rebuild failed.
+    matched = np.minimum(lengths, built[:, np.newaxis])
+    charged = np.minimum(lengths, (built + failed)[:, np.newaxis])
+    basis_charge = np.array(_basis_charge(m))
+    ledgers = np.stack(
+        [
+            u * m + charged * basis_charge[0] + matched * (n_cand * n_steps * m),
+            u + m + charged * basis_charge[1] + matched * (n_cand * n_steps),
+            compared + n_cand,
+        ],
+        axis=-1,
+    )
+    for t, l, *charge in rebuilt:
+        ledgers[t, charged[t] > l, :2] += charge - basis_charge
+    # Candidate c of trial t is user c + (c >= its seed); -1, an unfilled
+    # direction, stays -1.
+    users = win_picks + (win_picks >= seed_users[:, np.newaxis, np.newaxis])
     outcomes = []
-    for t in range(n_trials):
-        # A failed trial is also charged its failed rebuild, after its bases.
-        charged = built[t] + (errors[t] is not None)
+    for seed_user, seed_rate, error, *per_variant in zip(
+        seed_users.tolist(),
+        seed_rates.tolist(),
+        errors,
+        (matched == lengths).tolist(),
+        ledgers.tolist(),
+        users.tolist(),
+        win_best.tolist(),
+        win_basis.tolist(),
+        win_mean.tolist(),
+    ):
         trial = []
-        for num_bases, alpha in variants:
-            means, picks, best, comparisons = (column[t] for column in table[alpha])
-            rows = min(num_bases, built[t])
-            macs, divisions = charges[t, : min(num_bases, charged)].sum(axis=0).tolist()
-            # Only the bases built are correlated, so a failed rebuild is not.
-            ledger = OpLedger(
-                complex_macs=common.complex_macs + macs + rows * corr_charge * m,
-                divisions=common.divisions + divisions + rows * corr_charge,
-                comparisons=common.comparisons + int(comparisons[:rows].sum()),
-            )
-            if rows < num_bases:
-                trial.append((errors[t], ledger))
+        for ok, ledger, picked, best, basis, mean in zip(*per_variant):
+            if not ok:
+                trial.append((error, OpLedger(*ledger)))
                 continue
-            # argmax keeps the first maximum, so ties go to the lowest basis index.
-            l_star = int(np.argmax(means[:num_bases]))
-            filled = np.flatnonzero(picks[l_star] >= 0)
-            seed_rate = float(seed_rates[t])
+            filled = [k for k, user in enumerate(picked) if user >= 0]
             result = SelectionResult(
-                selected=(int(seed_users[t]), *cand[t, picks[l_star, filled]].tolist()),
-                matched_direction=(0, *(filled + 1).tolist()),
-                weights=(seed_rate, *best[l_star, filled].tolist()),
-                winning_basis=l_star,
-                mean_metric=float(means[l_star]),
+                selected=(seed_user, *[picked[k] for k in filled]),
+                matched_direction=(0, *[k + 1 for k in filled]),
+                weights=(seed_rate, *[best[k] for k in filled]),
+                winning_basis=basis,
+                mean_metric=mean,
             )
-            trial.append((result, ledger))
+            trial.append((result, OpLedger(*ledger)))
         outcomes.append(trial)
     return outcomes
 
@@ -418,11 +456,21 @@ def _bases_per_block(m: int, n_cand: int, n_steps: int) -> int:
     """Bases per ``ss_us`` block, at least one, whose stacks fit ``_BLOCK_BUDGET``.
 
     A basis takes C x D float64 elements of the correlations, for C
-    candidates and D directions, and 8 M^2 of the QR's four (M, M) complex
-    stacks: the matrix ``_basis_block`` builds, the copy that
-    ``np.linalg.qr`` factors, Q and R. The larger of the two sizes the block.
+    candidates and D directions, and 8 M^2 for its construction: the four
+    (M, M) complex stacks of ``np.linalg.qr``, the matrix ``_basis_block``
+    builds, the copy it factors, Q and R. That is what ``_qr`` holds where
+    it falls back to ``np.linalg.qr``; where it calls numpy's two LAPACK
+    steps itself, it holds two of them, so there the other 4 M^2 are only a
+    margin. The larger of the two sizes the block.
     """
     return max(1, _BLOCK_BUDGET // max(n_cand * n_steps, 8 * m * m))
+
+
+def _basis_charge(m: int) -> tuple[int, int]:
+    """(MACs, divisions) of one ``ss_us`` basis without redraws, as
+    ``gram_schmidt_extend`` charges it: the seed's norm check, then per
+    column j, j projections of 2M MACs and a norm."""
+    return m + (m - 1) * m * (m + 1), m * (m - 1)
 
 
 def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range, states: np.ndarray):
@@ -433,7 +481,7 @@ def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range, states: np.ndar
     ``gram_schmidt_extend`` draws it: column by column, the real parts and
     then the imaginary parts. Its columns therefore equal Gram-Schmidt's on
     the same draws up to unit-modulus factors, which the correlations
-    |h^H v| do not see. ``states`` holds the group's hashed streams, the
+    |h^H v| do not see. ``states`` holds the trials' hashed streams, the
     (4, G, L) ``_pcg64_states`` of ``_stream_seeds(rng_seeds, range(L))``
     with L >= ``indices.stop``; the block sets the states of its own columns
     and draws them through ``_stacked_normals`` as one (G, B, M-1, 2, M)
@@ -441,16 +489,17 @@ def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range, states: np.ndar
     A basis whose draw is numerically dependent
     (some |R_jj| < ``RESIDUAL_FLOOR``) is rebuilt by ``gram_schmidt_extend``
     on a fresh ``stream(rng_seeds[t], l)``, which redraws and is charged
-    what it charges. Every other basis is charged the modified Gram-Schmidt
-    cost of a draw without redraws.
+    what it charges. Every other basis costs ``_basis_charge(M)``, the
+    modified Gram-Schmidt cost of a draw without redraws.
 
-    Returns the bases, the (MACs, divisions) charged for each as a
-    (G, B, 2) array, and the failures: trial t maps to (i, error) when the
-    rebuild of its basis ``indices[i]`` exhausts its redraws. Its charge i is
-    then what the failed rebuild charged, and its later bases are neither
+    Returns the bases, the rebuilds and the failures. The rebuilds map
+    (t, i) to the (MACs, divisions) that the rebuild of trial t's basis
+    ``indices[i]`` charged, and the failures map t to (i, error) when that
+    rebuild exhausts its redraws: trial t's later bases are then neither
     rebuilt nor meaningful. The draws are copied into one complex stack and
-    freed before the QR, so the block's peak is the QR's four (G, B, M, M)
-    stacks (see ``_bases_per_block``).
+    freed before the QR, so the block's peak is the QR's (G, B, M, M)
+    stacks, two or, where ``_qr`` falls back to ``np.linalg.qr``, four (see
+    ``_bases_per_block``).
     """
     n_trials, m = v_seeds.shape
     z = _stacked_normals(states[..., indices.start : indices.stop], (m - 1, 2, m))
@@ -458,13 +507,10 @@ def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range, states: np.ndar
     a[..., 0] = v_seeds[:, np.newaxis]
     a.real[..., 1:] = z[:, :, :, 0].swapaxes(-1, -2)
     a.imag[..., 1:] = z[:, :, :, 1].swapaxes(-1, -2)
-    del z  # before the QR makes its own copies of a
-    bases, r = np.linalg.qr(a)
-    # Seed norm check, then per column j: j projections of 2M MACs and a norm.
-    charges = np.empty((n_trials, len(indices), 2), dtype=np.int64)
-    charges[...] = (m + (m - 1) * m * (m + 1), m * (m - 1))
-    dependent = np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1) < RESIDUAL_FLOOR
-    failures = {}
+    del z  # before the QR forms Q beside a
+    bases, r_moduli = _qr(a)
+    dependent = r_moduli.min(axis=-1) < RESIDUAL_FLOOR
+    rebuilds, failures = {}, {}
     for t, i in zip(*(axis.tolist() for axis in dependent.nonzero())):
         if t in failures:
             continue
@@ -473,8 +519,34 @@ def _basis_block(v_seeds: np.ndarray, rng_seeds, indices: range, states: np.ndar
             bases[t, i] = gram_schmidt_extend(v_seeds[t], stream(rng_seeds[t], indices[i]), rebuild)
         except BasisConstructionError as exc:
             failures[t] = (i, exc)
-        charges[t, i] = (rebuild.complex_macs, rebuild.divisions)
-    return bases, charges, failures
+        rebuilds[t, i] = (rebuild.complex_macs, rebuild.divisions)
+    return bases, rebuilds, failures
+
+
+# The gufunc of geqrf, which np.linalg.qr calls as ``qr_r_raw`` where numpy
+# has it (numpy 1.x splits it into ``qr_r_raw_m`` and ``qr_r_raw_n``), or
+# None, where ``_qr`` falls back to np.linalg.qr.
+_QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None)
+
+
+def _qr(a: np.ndarray):
+    """``np.linalg.qr(a)``'s Q and the moduli of its R's diagonal, for a
+    C-contiguous (..., M, M) complex128 stack ``a`` of finite entries, which
+    it may overwrite.
+
+    Where numpy's ``_umath_linalg`` has ``qr_r_raw`` (see ``_QR_R_RAW``),
+    these are the two LAPACK calls of ``np.linalg.qr``, geqrf and then ungqr
+    on its result, without the copy of ``a`` and the triangular R that it
+    also makes: geqrf leaves R in the upper triangle of ``a``. Nothing then
+    turns a LAPACK error into ``LinAlgError``, which finite entries do not
+    raise. Elsewhere it calls ``np.linalg.qr``.
+    """
+    if _QR_R_RAW is None:
+        q, r = np.linalg.qr(a)
+        return q, np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    tau = _QR_R_RAW(a, signature="D->D")
+    r_moduli = np.abs(np.diagonal(a, axis1=-2, axis2=-1))
+    return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), r_moduli
 
 
 def _correlations(h_cand_t: np.ndarray, directions: np.ndarray, cand_norms: np.ndarray):
@@ -509,43 +581,53 @@ def _correlations(h_cand_t: np.ndarray, directions: np.ndarray, cand_norms: np.n
 def _match_block(corr: np.ndarray, cand_rates: np.ndarray, seed_rates: np.ndarray, alpha: float):
     """Greedy direction filling of ``ss_us`` on every basis of a block at once.
 
-    ``corr`` is (B, C, D): candidate correlations with directions 1..D, one
-    row per basis, whichever trial it belongs to; ``cand_rates`` (B, C) and
-    ``seed_rates`` (B,) are the rates of that trial's candidates and seed
-    user. ``corr`` is only read, so every alpha matches on the same stack;
-    step k scores direction k as ``corr[:, :, k]`` times the candidate
-    rates, into one buffer, and adds a (B, C) mask that holds -inf at the
-    candidates already matched in that basis and 0 elsewhere; the scores
-    are non-negative, so adding 0 keeps their bits. Returns four arrays,
-    one row per basis: the mean weight (B,), the picks (B, D), the best
-    scores (B, D) and the comparisons (B,). ``picks``
-    holds the candidate matched to each direction, or -1 where the direction
-    stays unfilled; the weights of a basis are the seed rate and then the
-    best scores of its filled directions, in direction order, and its mean
-    weight is their ``math.fsum`` over their count. A step costs one
-    comparison per candidate still available.
+    ``corr`` is (..., C, D): candidate correlations with directions 1..D,
+    one (C, D) matrix per basis, whichever trial it belongs to. The
+    candidate rates ``cand_rates`` broadcast to ``corr[..., 0]`` and the
+    seed rates ``seed_rates`` to ``corr[..., 0, 0]``: a (G, B, C, D) block
+    takes (G, 1, C) and (G, 1). ``corr`` is only read, so every alpha
+    matches on the same stack; step k scores direction k as ``corr[..., k]``
+    times the candidate rates, into one buffer, and adds a mask that holds
+    -inf at the candidates already matched in that basis and 0 elsewhere;
+    the scores are non-negative, so adding 0 keeps their bits. Returns, per
+    basis, the mean weight, the picks (D), the best scores (D) and the
+    comparisons. ``picks`` holds the candidate matched to each direction,
+    or -1 where the direction stays unfilled; the weights of a basis are the
+    seed rate and then the best scores of its filled directions, in
+    direction order, and its mean weight is their ``math.fsum`` over their
+    count. A step costs one comparison per candidate still available.
     """
-    n_bases, n_cand, n_steps = corr.shape
-    rows = np.arange(n_bases)
-    mask = np.zeros((n_bases, n_cand))
-    scores = np.empty((n_bases, n_cand))
-    picks = np.full((n_bases, n_steps), -1)
-    best = np.empty((n_bases, n_steps))
+    *lead, n_cand, n_steps = corr.shape
+    flat = corr.reshape(-1, n_cand, n_steps)
+    rows = np.arange(len(flat))
+    scores = np.empty((*lead, n_cand))
+    flat_scores = scores.reshape(rows.size, n_cand)
+    mask = np.zeros(flat_scores.shape)
+    picks = np.full((rows.size, n_steps), -1)
+    best = np.empty(picks.shape)
     for k in range(n_steps):
-        np.multiply(corr[:, :, k], cand_rates, out=scores)
-        scores += mask
-        pick = scores.argmax(axis=1)
-        best[:, k] = scores[rows, pick]
-        take = rows[(best[:, k] > -np.inf) & (corr[rows, pick, k] >= alpha)]
-        picks[take, k] = pick[take]
-        mask[take, pick[take]] = -np.inf
+        np.multiply(corr[..., k], cand_rates, out=scores)
+        flat_scores += mask
+        pick = flat_scores.argmax(axis=1)
+        best[:, k] = flat_scores[rows, pick]
+        clears = flat[rows, pick, k] >= alpha
+        if k >= n_cand:
+            # After k picks the pool may be empty, its best score -inf.
+            clears &= best[:, k] > -np.inf
+        take = rows[clears]
+        taken = pick[take]
+        picks[take, k] = taken
+        mask[take, taken] = -np.inf
     filled = picks >= 0
     comparisons = (n_cand - (np.cumsum(filled, axis=1) - filled)).sum(axis=1)
+    weights = np.empty((*lead, n_steps + 1))
+    weights[..., 0] = seed_rates
+    flat_weights = weights.reshape(rows.size, n_steps + 1)
     # An unfilled direction weighs 0 here: fsum rounds the exact sum once,
     # so zeros do not change it.
-    weights = np.column_stack([seed_rates, np.where(filled, best, 0.0)])
-    sums = np.array(list(map(math.fsum, weights.tolist())))
-    return sums / (1 + filled.sum(axis=1)), picks, best, comparisons
+    flat_weights[:, 1:] = np.where(filled, best, 0.0)
+    means = np.array(list(map(math.fsum, flat_weights.tolist()))) / (1 + filled.sum(axis=1))
+    return tuple(a.reshape(*lead, *a.shape[1:]) for a in (means, picks, best, comparisons))
 
 
 def sus(h, cfg: SelectionConfig, n0: float, ledger: OpLedger) -> SelectionResult:

@@ -182,8 +182,8 @@ class TestStackedNormals:
 
     @pytest.mark.parametrize("m", [2, 3, 8, 16])
     def test_block_equals_stacked_streams(self, m):
-        # As in ``_ss_us_group``: a group's streams are hashed once, and its
-        # blocks of B bases take their slices of the states in turn.
+        # As in ``_ss_us_trials``: the trials' streams are hashed at once,
+        # and blocks of B bases take their slices of the states in turn.
         shape = (m - 1, 2, m)
         for rng_seeds in ([31 + m], [31 + m, 2**64 - 1, 0]):
             states = seeding._pcg64_states(seeding._stream_seeds(rng_seeds, range(1097)))

@@ -217,6 +217,31 @@ class TestRuleMessages:
     def test_noise_power(self, score, n0):
         raises(lambda: score(n0), f"n0 must be positive, got {n0}")
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SelectionConfig(Algorithm.SSUS, 2, alpha="0.5"),
+             "alpha must be a real number, got '0.5'"),
+            (lambda: gzf(np.eye(2), "1", 2, OpLedger()), "n0 must be a real number, got '1'"),
+            (lambda: gzf(np.eye(2), True, 2, OpLedger()), "n0 must be a real number, got True"),
+            (lambda: SelectionConfig(Algorithm.SUS, 2, sus_epsilon=False),
+             "sus_epsilon must be a real number, got False"),
+            (lambda: LinkBudget(-90.0, bandwidth_hz="20e6"),
+             "bandwidth_hz must be a real number, got '20e6'"),
+            (lambda: sum_spectral_efficiency(H[:, :2], 1j, OpLedger()),
+             "n0 must be a real number, got 1j"),
+        ],
+        ids=["alpha-str", "n0-str", "n0-bool", "epsilon-bool", "bandwidth-str", "n0-complex"],
+    )
+    def test_real_scalars_must_be_real_numbers(self, call, message):
+        raises(call, message)
+
+    def test_numpy_real_scalars_are_accepted(self):
+        ledger, want = OpLedger(), OpLedger()
+        assert gzf(H, np.float64(0.25), 2, ledger) == gzf(H, 0.25, 2, want)
+        assert ledger == want
+        assert SelectionConfig(Algorithm.SSUS, 2, alpha=np.float32(0.5)).alpha == np.float32(0.5)
+
 
 class TestLinkBudgetRule:
     """A link budget whose SNR leaves +-300 dB is one error line, before any trial."""

@@ -215,7 +215,7 @@ def unit_seed(m, key):
 
 def basis_block(v_seeds, rng_seeds, indices):
     """``sel._basis_block`` on the streams of bases 0..``indices.stop`` - 1,
-    hashed once, as ``_ss_us_group`` hashes those of its group."""
+    hashed at once, as ``_ss_us_trials`` hashes those of its trials."""
     states = seeding._pcg64_states(seeding._stream_seeds(rng_seeds, range(indices.stop)))
     return sel._basis_block(v_seeds, rng_seeds, indices, states)
 
@@ -261,14 +261,32 @@ class TestBatchedBases:
             bases_as_ss_us_builds_them(v, 5, 2 * l)[:l], bases_as_ss_us_builds_them(v, 5, l)
         )
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("m", [2, 8, 16])
+    def test_qr_is_numpy_qr_byte_for_byte(self, monkeypatch, m, fallback):
+        # Q and |diag R| of sel._qr equal np.linalg.qr's, dependent columns
+        # (a zero column, a repeated one) included, also where numpy has no
+        # qr_r_raw and _qr falls back to np.linalg.qr.
+        if fallback:
+            monkeypatch.setattr(sel, "_QR_R_RAW", None)
+        rng = np.random.default_rng(900 + m)
+        a = rng.standard_normal((3, 4, m, m)) + 1j * rng.standard_normal((3, 4, m, m))
+        a[0, 1, :, 1:] = 0.0
+        a[2, 3, :, -1] = a[2, 3, :, 0]
+        q, r = np.linalg.qr(a)
+        got_q, got_r = sel._qr(a.copy())
+        assert got_q.tobytes() == q.tobytes()
+        assert got_r.tobytes() == np.abs(np.diagonal(r, axis1=-2, axis2=-1)).tobytes()
+        assert got_r[0, 1, 1:].max() < sel.RESIDUAL_FLOOR
+
     def test_ledger_charges_gram_schmidt_cost_per_basis(self):
         v = unit_seed(8, 3)
-        _, [charges], failures = basis_block(v[np.newaxis], [6], range(3))
-        assert failures == {}
-        for l, charge in enumerate(charges.tolist()):
+        _, rebuilds, failures = basis_block(v[np.newaxis], [6], range(3))
+        assert rebuilds == {} and failures == {}
+        for l in range(3):
             per_basis = OpLedger()
             gram_schmidt_extend(v, sel.stream(6, l), per_basis)
-            assert charge == [per_basis.complex_macs, per_basis.divisions]
+            assert sel._basis_charge(8) == (per_basis.complex_macs, per_basis.divisions)
             assert per_basis.comparisons == 0
 
 
@@ -298,7 +316,7 @@ class ZeroStream:
 def script_bases(monkeypatch, script):
     """Feed basis l the draws of ``script(seed, l)``, or its own where that is None.
 
-    A group keys its bases' streams once through ``sel._stream_seeds``, each
+    A chunk keys its bases' streams at once through ``sel._stream_seeds``, each
     block draws its bases, of one or more trials, through
     ``sel._stacked_normals`` on their hashed states, and a Gram-Schmidt
     fallback opens its basis afresh through ``sel.stream(seed, l)``; all
@@ -663,6 +681,62 @@ def test_chunk_does_not_change_the_answer(monkeypatch, m, u, k_max):
             assert got == want, (block, size)
 
 
+def lone_outcomes(h, k_max, rng_seed, variants):
+    """``outcome_key`` of one ``ss_us`` call per variant on the channel ``h``."""
+    keys = []
+    for l, alpha in variants:
+        ledger = OpLedger()
+        try:
+            result = ss_us(h, ssus_cfg(h.shape[0], l, alpha, rng_seed, k_max), N0, ledger)
+        except BasisConstructionError as exc:
+            result = exc
+        keys.append(outcome_key(result, ledger))
+    return keys
+
+
+# (bases per block, trials per block row, block rows hashed at once): a
+# block of part of one trial's 6 bases, of one trial's bases, of two
+# trials' and of every trial's, and the size that ``_bases_per_block`` gives,
+# each with the streams hashed a row at a time or as the budget allows.
+ROWS = [
+    (block, per_row, hash_rows)
+    for block, per_row in [(1, 1), (3, 1), (6, 1), (12, 2), (30, 5)]
+    for hash_rows in (1, None)
+] + [(None, 5, None)]
+
+
+@pytest.mark.parametrize("block, per_row, hash_rows", ROWS)
+def test_chunk_equals_lone_calls_across_rows(monkeypatch, block, per_row, hash_rows):
+    """Each trial of a chunk gets what lone ``ss_us`` calls get.
+
+    Whatever the blocks, the trials that share them and the trials whose
+    streams are hashed together: ``hash_rows`` 1 hashes one block row at a
+    time, None as many as the budget allows. Trial 1, the last of the first
+    row of two, exhausts its redraws at basis 2, and trial 2, the first of
+    the next row, at basis 5, its last; each fails only the variants that
+    reach that basis.
+    """
+    m, u, k_max, n_trials = 8, 30, 5, 5
+    variants = [(1, 0.3), (4, 0.6), (6, 0.45), (3, 0.3), (6, 0.6)]
+    bad = {(101, 2), (102, 5)}
+    script_bases(monkeypatch, lambda seed, l: ZeroStream() if (seed, l) in bad else None)
+    hs, norms = checked(
+        [generate_iid_rayleigh(m, u, stream(5600, m, u, t)) for t in range(n_trials)]
+    )
+    seeds = [100 + t for t in range(n_trials)]
+    want = [lone_outcomes(h, k_max, seed, variants) for h, seed in zip(hs, seeds)]
+    assert [len(key) == 3 for key in want[1]] == [False, True, True, True, True]
+    assert [len(key) == 3 for key in want[2]] == [False, False, True, False, True]
+    if block is not None:
+        set_block_size(monkeypatch, block)
+    if hash_rows is not None:
+        # Each stream takes 4 words, and a piece fills an eighth of the budget.
+        monkeypatch.setattr(sel, "_BLOCK_BUDGET", 32 * per_row * 6 * hash_rows)
+    assert min(n_trials, max(1, sel._bases_per_block(m, u - 1, k_max - 1) // 6)) == per_row
+    chunk = sel._ss_us_trials(hs, norms, k_max, seeds, N0, variants)
+    assert [[outcome_key(*v) for v in trial] for trial in chunk] == want
+
+
 def test_correlations_equal_the_unchunked_product(monkeypatch):
     m, u, n_dirs, n_bases = 8, 40, 6, 13
     hs = np.stack([generate_iid_rayleigh(m, u, stream(5200, t)) for t in range(3)])
@@ -812,3 +886,40 @@ def test_working_set_of_a_chunk_is_bounded_by_the_budget():
         tracemalloc.stop()
     assert len(outcomes) == 64
     assert peak - kept <= 0.8e6
+
+
+def test_qr_fallback_does_not_change_the_answer(monkeypatch):
+    # Where numpy has no qr_r_raw, _qr calls np.linalg.qr: the same outcomes
+    # and charges, and a 64-trial chunk at M = 16 within the same bound.
+    m, variants = 16, [(1, 0.45), (10, 0.45), (100, 0.45)]
+    hs, norms = checked([generate_iid_rayleigh(m, 100, stream(5400, m, t)) for t in range(64)])
+    seeds = list(range(64))
+    chunk = sel._ss_us_trials(hs, norms, m, seeds, N0, variants)
+    want = [[outcome_key(*v) for v in trial] for trial in chunk]
+    monkeypatch.setattr(sel, "_QR_R_RAW", None)
+    tracemalloc.start()
+    try:
+        outcomes = sel._ss_us_trials(hs, norms, m, seeds, N0, variants)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [[outcome_key(*v) for v in trial] for trial in outcomes] == want
+    assert peak - kept <= 0.8e6
+
+
+def test_working_set_of_a_chunk_at_m8_is_bounded_by_one_call():
+    # As above at M = 8, where one block holds a trial's 100 bases; the
+    # bound is PEAK_CASES "8", that of one trial's call.
+    [bound_mb] = [case.values[2] for case in PEAK_CASES if case.id == "8"]
+    m, variants = 8, [(1, 0.45), (10, 0.45), (100, 0.45)]
+    hs, norms = checked([generate_iid_rayleigh(m, 100, stream(5400, m, t)) for t in range(64)])
+    seeds = list(range(64))
+    sel._ss_us_trials(hs[:2], norms[:2], m, seeds[:2], N0, variants)
+    tracemalloc.start()
+    try:
+        outcomes = sel._ss_us_trials(hs, norms, m, seeds, N0, variants)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == 64
+    assert peak - kept <= bound_mb * 1e6
