@@ -28,6 +28,7 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _UNIT_OPEN = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_SEED_RANGE = (lambda v: 0 <= v < 1 << 64, "must lie in [0, 2**64)")
 
 
 def _require(name: str, value, rule) -> None:
@@ -59,21 +60,42 @@ def _require_count(name: str, value) -> None:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _column_norms(arr: np.ndarray) -> np.ndarray:
-    """Column norms of the complex channel matrix ``arr``, checked to be finite.
+def _require_seed(name: str, value) -> None:
+    """Raise the ``ValueError`` naming ``name`` unless ``value`` is an integer
+    in [0, 2**64), a bool not being one: a seed that a uint64 holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    _require(name, value, _SEED_RANGE)
 
-    Raises the ``ValueError`` naming a non-finite entry, or else a column
-    whose norm overflows although its entries are finite.
+
+def _column_norms(hs: np.ndarray) -> tuple[np.ndarray, list]:
+    """Column norms of each complex matrix of the (T, M, U) stack ``hs``,
+    checked to be finite.
+
+    Returns the (T, U) norms and, per matrix, None or the ``ValueError``
+    naming a non-finite entry, or else a column whose norm overflows
+    although its entries are finite.
     """
     # A non-finite entry makes its column's norm non-finite, so one check on
     # the norms covers both; the entries are looked at only on failure.
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(arr, axis=0)
+        norms = np.linalg.norm(hs, axis=-2)
+    errors: list = [None] * len(hs)
     if not np.isfinite(norms).all():
-        if not np.isfinite(arr).all():
-            raise ValueError("channel matrix contains a non-finite entry")
-        raise ValueError("channel matrix contains a column whose norm overflows")
-    return norms
+        for t in (~np.isfinite(norms).all(axis=1)).nonzero()[0].tolist():
+            if not np.isfinite(hs[t]).all():
+                errors[t] = ValueError("channel matrix contains a non-finite entry")
+            else:
+                errors[t] = ValueError("channel matrix contains a column whose norm overflows")
+    return norms, errors
+
+
+def _assemble(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(re + 1j im) / sqrt(2): the complex Rayleigh entries of the normal
+    draws ``re`` and ``im``, written into ``out`` where it is given."""
+    out = np.multiply(1j, im, out=out)
+    np.add(re, out, out=out)
+    return np.divide(out, np.sqrt(2.0), out=out)
 
 
 @dataclass(frozen=True)
@@ -115,14 +137,12 @@ def generate_iid_rayleigh(m: int, u: int, rng: np.random.Generator) -> np.ndarra
     """
     if m < 1 or u < 1:
         raise ValueError(f"require m >= 1 and u >= 1, got m={m}, u={u}")
-    h = (rng.standard_normal((m, u)) + 1j * rng.standard_normal((m, u))) / np.sqrt(2.0)
+    h = _assemble(rng.standard_normal((m, u)), rng.standard_normal((m, u)))
     while True:
         dead = ~h.any(axis=0)
         if not dead.any():
             break
         n_dead = int(dead.sum())
-        h[:, dead] = (
-            rng.standard_normal((m, n_dead)) + 1j * rng.standard_normal((m, n_dead))
-        ) / np.sqrt(2.0)
+        h[:, dead] = _assemble(rng.standard_normal((m, n_dead)), rng.standard_normal((m, n_dead)))
     return h
 

@@ -15,7 +15,7 @@ import argparse
 import re
 import sys
 
-from .channel import _AT_LEAST_1, _UNIT_OPEN
+from .channel import _AT_LEAST_1, _SEED_RANGE, _UNIT_OPEN
 from .complexity import _COST_COLUMNS, _MODELED, CostQuery, relative_cost
 from .harness import (
     _ORACLE_COLUMNS,
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--m", type=count, default=4)
     p_oracle.add_argument("--u", type=count, default=8)
     p_oracle.add_argument("--trials", type=count, default=50)
-    p_oracle.add_argument("--seed", type=_flag(int), default=1234)
+    p_oracle.add_argument("--seed", type=_flag(int, _SEED_RANGE), default=1234)
     p_oracle.add_argument("--k-max", type=count, default=None)
     p_oracle.add_argument("--l", type=count, default=10, help="basis count")
     p_oracle.add_argument("--alpha", type=_flag(float, _UNIT_OPEN), default=0.45)

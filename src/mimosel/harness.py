@@ -3,16 +3,20 @@
 One trial draws a single channel matrix (from a seed derived from the
 master seed, grid point, and trial index) and runs every configured
 algorithm on that identical matrix, so comparisons are paired. Trials run
-in chunks: a chunk draws each of its trials' channels from that trial's own
-stream, all the streams set on one generator (``seeding._seeded``), and
-checks each channel once, where it enters (a trial whose channel fails the
-check fails every cell with that error, and no selector sees it). On the
-stack of the valid channels and their column norms it then makes one
-``selectors._select_trials`` call per algorithm it needs, which runs that
-algorithm's chunk engine on every trial at once: for ``ssus`` it builds
-every trial's bases once and matches every variant, charging each variant
-what it would cost alone, and for ``random`` it draws every trial's users
-from its own stream on one generator. The chunk scores the final sets of
+in chunks, and a chunk's front end runs on arrays: it derives every
+trial's stream seeds at once, draws its trials' channels as stacks, a
+slice of trials at a time, each trial from its own stream (see
+``seeding``), and checks each slice once, where it enters (a trial whose
+channel fails the check fails every cell with that error, and no selector
+sees it). On the stack of the valid channels and their column norms it
+then makes one ``selectors._select_trials`` call per algorithm it needs,
+which runs that algorithm's chunk engine on every trial at once: for
+``ssus`` it builds every trial's bases once and matches every variant,
+charging each variant what it would cost alone, and for ``random`` it
+draws every trial's users from its own stream on one generator. The only
+per-trial steps of the front end are the redraw of a channel with an
+all-zero column, which has probability zero, and the naming of a failed
+channel's error. The chunk scores the final sets of
 all its trials with one ZF kernel call per set size, and ``run_trial``
 builds each trial's report. A chunk holds as many trials as their channel
 stack fits in ``_BLOCK_BUDGET``, and a trial's results do not depend on
@@ -46,17 +50,19 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-# The benchmark's span tracer also wraps ``generate_iid_rayleigh`` by this name.
+# Redraws a channel with an all-zero column; the benchmark's span tracer also
+# wraps it by this name.
 from .channel import LinkBudget, generate_iid_rayleigh, noise_power, noise_power_dbm
-from .channel import _AT_LEAST_1, _POSITIVE, _UNIT_OPEN, _require
+from .channel import _AT_LEAST_1, _POSITIVE, _SEED_RANGE, _UNIT_OPEN, _assemble, _require
 from .metrics import _ill_conditioned, _zf_sum_rates
 # Scores no cell any more; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
 from .numerics import OpLedger
-from .seeding import _pcg64_states, _seeded, derive_seed
+from .seeding import _derive_seeds, _pcg64_states, _stacked_normals, derive_seed
 # Draws no stream any more; the benchmark's span tracer wraps it by this name.
 from .seeding import stream
-from .selectors import _BLOCK_BUDGET, Algorithm, _as_channel, _select_trials, infeasible_reason
+from .selectors import _BLOCK_BUDGET, Algorithm, _checked_channels, _select_trials
+from .selectors import infeasible_reason
 # Runs no cell any more; the benchmark's span tracer wraps it by this name.
 from .selectors import run_selection
 
@@ -136,7 +142,7 @@ class ExperimentConfig:
     k_max: int | None = _setting("select.k_max", None, _AT_LEAST_1)
     random_k: int | None = _setting("random.k", None, _AT_LEAST_1)
     trials: int = _setting("trials", 1000, _AT_LEAST_1)
-    master_seed: int = _setting("master_seed", 1234)
+    master_seed: int = _setting("master_seed", 1234, _SEED_RANGE)
     workers: int = _setting("workers", 1, _AT_LEAST_1)
     timing: bool = _setting("timing", False)
     output_path: str | None = _setting("output.path", None)
@@ -481,52 +487,77 @@ def _scored_chunk(
 def _draw_chunk(cfg: ExperimentConfig, point: GridPoint, instances, indices) -> tuple:
     """Channels and selections of the trials ``indices``, drawn as one chunk.
 
-    Each trial's channel is drawn from its own stream, as in a lone trial,
-    the chunk's streams set on one generator by ``seeding._seeded``, and is
-    checked here, once: a channel that ``_as_channel`` rejects fails every
-    cell of its trial with that error. The valid channels go, with their
-    column norms, to one ``selectors._select_trials`` call per algorithm
-    that ``instances`` need, with all that algorithm's variants; ``ssus``
-    and ``random`` get each trial's seed of their own stream role. Returns
-    the (T, M, U) channel stack and, per trial, a map of each variant, in
-    ``instances`` order, to its (outcome, ledger, wall ns): the outcome is a
-    result or the error the selection raised, and the wall time of a call
-    is split evenly across the trials and then across the variants it ran.
+    The chunk derives each trial's seeds of its three stream roles at once
+    (``seeding._derive_seeds``) and hashes the channel streams at once. It
+    draws the channels a slice of trials at a time, each slice within an
+    eighth of ``_BLOCK_BUDGET`` float64 elements: ``_stacked_normals``
+    draws each trial's two (M, U) normal arrays from its own stream, as
+    ``generate_iid_rayleigh`` does, and ``channel._assemble`` writes the
+    slice's entries into the stack. Each slice is then checked once by
+    ``selectors._checked_channels``. A trial whose draw has an all-zero
+    column (of probability zero), which fails the check, is redrawn by
+    ``generate_iid_rayleigh`` on a fresh stream of its seed, which replays
+    its lone draw, and checked again on its own. A channel that the check
+    rejects fails every cell of its trial with that error. The valid
+    channels go, with their column norms, to one
+    ``selectors._select_trials`` call per algorithm that ``instances``
+    need, with all that algorithm's variants; ``ssus`` and ``random`` get
+    each trial's seed of their own stream role. Returns the (T, M, U)
+    channel stack and, per trial, a map of each variant, in ``instances``
+    order, to its (outcome, ledger, wall ns): the outcome is a result or
+    the error the selection raised, and the wall time of a call is split
+    evenly across the trials and then across the variants it ran.
     """
-    hs = np.empty((len(indices), point.m, point.u), dtype=np.complex128)
+    m, u = point.m, point.u
+    hs = np.empty((len(indices), m, u), dtype=np.complex128)
+    norms = np.empty((len(indices), u))
+    errors: list = []
+    # Each trial's seeds, one row per role in this order.
+    roles = np.array([[_ROLE_CHANNEL], [_ROLE_SELECT], [_ROLE_RANDOM]])
+    seeds = _derive_seeds(derive_seed(cfg.master_seed, point.index), indices, roles)
+    states = _pcg64_states(seeds[0])
+    # A trial's draws are 2 M U float64 elements; a slice takes an eighth of
+    # the budget.
+    per_slice = max(1, _BLOCK_BUDGET // (16 * m * u))
+    for lo in range(0, len(indices), per_slice):
+        h = hs[lo : lo + per_slice]
+        z = _stacked_normals(states[:, lo : lo + per_slice], (2, m, u))
+        _assemble(z[:, 0], z[:, 1], out=h)
+        del z
+        norms[lo : lo + len(h)], checks = _checked_channels(h)
+        for i, exc in enumerate(checks):
+            # An all-zero column fails the check. generate_iid_rayleigh
+            # redraws it on the trial's own stream, replaying its lone draw.
+            if exc is not None and not h[i].any(axis=0).all():
+                h[i] = generate_iid_rayleigh(m, u, np.random.default_rng(int(seeds[0, lo + i])))
+                redrawn, [checks[i]] = _checked_channels(h[i : i + 1])
+                norms[lo + i] = redrawn[0]
+        errors += checks
     # Per trial, each variant's entry in ``instances`` order, filled in below.
-    chunk = [dict.fromkeys(instances) for _ in indices]
-    valid, norms = [], []
-    channel_seeds = [derive_seed(cfg.master_seed, point.index, t, _ROLE_CHANNEL) for t in indices]
-    for i, (h, rng) in enumerate(zip(hs, _seeded(_pcg64_states(channel_seeds)))):
-        h[...] = generate_iid_rayleigh(point.m, point.u, rng)
-        try:
-            norms.append(_as_channel(h)[1])
-        except ValueError as exc:
-            chunk[i] = {inst: (exc, OpLedger(), 0) for inst in instances}
-        else:
-            valid.append(i)
+    chunk = [
+        dict.fromkeys(instances) if exc is None else {i: (exc, OpLedger(), 0) for i in instances}
+        for exc in errors
+    ]
+    valid = [i for i, exc in enumerate(errors) if exc is None]
     if not valid:
         return hs, chunk
     # The valid stack is ``hs`` itself unless some channel failed.
-    checked = hs if len(valid) == len(hs) else hs[valid]
-    norms = np.array(norms)
+    checked = hs
+    if len(valid) < len(hs):
+        checked, norms, seeds = hs[valid], norms[valid], seeds[:, valid]
 
-    roles = {Algorithm.SSUS: _ROLE_SELECT, Algorithm.RANDOM: _ROLE_RANDOM}
+    role_seeds = {Algorithm.SSUS: seeds[1], Algorithm.RANDOM: seeds[2]}
     for algorithm in Algorithm:
         insts = [i for i in instances if i.algorithm is algorithm]
         if not insts:
             continue
-        role = roles.get(algorithm)
-        seeds = None if role is None else [
-            derive_seed(cfg.master_seed, point.index, indices[i], role) for i in valid
-        ]
         variants = [(i.num_bases, i.alpha) for i in insts]
         k = _set_size(point, algorithm)
         start = time.perf_counter_ns()
         try:
             outcomes = _select_trials(
-                algorithm, checked, norms, point.n0, k, seeds, variants, cfg.sus_epsilon
+                algorithm, checked, norms, point.n0, k, role_seeds.get(algorithm), variants,
+                cfg.sus_epsilon,
             )
         except ValueError as exc:
             outcomes = [[(exc, OpLedger())] * len(insts)] * len(valid)

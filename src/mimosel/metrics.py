@@ -39,7 +39,9 @@ def _as_selected(h_sel) -> np.ndarray:
         h = h[:, np.newaxis]
     if h.ndim != 2:
         raise ValueError(f"selected channel must be 2-D, got shape {h.shape}")
-    _column_norms(h)
+    [error] = _column_norms(h[np.newaxis])[1]
+    if error is not None:
+        raise error
     return h
 
 

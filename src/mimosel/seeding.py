@@ -6,21 +6,26 @@ chain. Any stream can therefore be reconstructed in isolation, and results
 do not depend on execution order or worker count. A stream is numpy's
 ``default_rng`` seeded with the chain's 64-bit value.
 
-The streams of a trial chunk are seeded together. ``_pcg64_states`` runs
-the ``SeedSequence`` hash (``mix_entropy`` and ``generate_state``) on
-``uint32`` arrays, once on all the seeds it is given, and ``_seeded``
-finishes the PCG64 set-seed step (O'Neill, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014) for each stream in turn, setting one ``Generator`` to
-its state. Three draws take it: each trial's channel, each trial's
-``random`` selection and, through ``_stacked_normals``, the ``ss_us``
-bases, which take one stream each, keyed by (trial seed, basis index). A
-chunk hashes its bases' streams at once, as many trials' as their states
-fit an eighth of the ``ss_us`` block budget, and each block only sets its
-own streams' states and draws. Since they call the
-same ``Generator`` methods on the same states, the draws equal those of
-``default_rng`` byte for byte. The constants below are numpy's, and a test
-pins them against the numpy in use.
+The streams of a trial chunk are seeded together. ``_derive_seeds`` runs
+the chain on uint64 arrays: from the prefix of (master seed, grid point)
+it derives every trial's seed of every role at once, and from a seed s
+the prefix ``derive_seed(s)`` of the streams keyed by s, bit for bit as
+``derive_seed`` does. ``_pcg64_states`` runs the ``SeedSequence`` hash
+(``mix_entropy`` and ``generate_state``) on ``uint32`` arrays, once on all
+the seeds it is given, and ``_seeded`` finishes the PCG64 set-seed step
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation", 2014) for each stream in
+turn, setting one ``Generator`` to its state. Three draws take it. Each
+trial's channel and the ``ss_us`` bases, which take one stream each, keyed
+by (trial seed, basis index), are drawn through ``_stacked_normals``: the
+chunk hashes its channel streams at once and draws them a slice of
+trials at a time, and hashes its bases' streams at once, as many trials'
+as their states fit an eighth of the ``ss_us`` block budget, each block
+only setting its own streams' states and drawing them. Each trial's
+``random`` selection draws from its stream as the stream is set. Since
+they call the same ``Generator`` methods on the same states, the draws
+equal those of ``default_rng`` byte for byte. The constants below are
+numpy's, and a test pins them against the numpy in use.
 """
 
 from __future__ import annotations
@@ -99,12 +104,28 @@ def stream(*parts: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
+def _derive_seeds(prefix, *parts) -> np.ndarray:
+    """uint64 array: the ``derive_seed`` chain continued from ``prefix`` over
+    ``parts``, elementwise.
+
+    ``prefix`` is a chain value: ``derive_seed(*p)``, or ``_CHAIN_ORIGIN``
+    for an empty p. Each part is an integer or an array of integers in
+    [0, 2**64), taken as uint64 arrays that broadcast together. Each entry
+    of the result is ``derive_seed(*p, *q)`` bit for bit, q being the
+    parts' entries at its index.
+    """
+    acc = np.array(prefix, dtype=np.uint64, ndmin=1)
+    for part in parts:
+        acc = _splitmix64(acc ^ np.asarray(part, dtype=np.uint64))
+    return acc
+
+
 def _stream_seeds(rng_seeds, indices: range) -> np.ndarray:
     """(T, B) uint64 ``derive_seed(s, l)`` for every seed s of ``rng_seeds``
     and every l of ``indices``."""
-    prefixes = np.array([derive_seed(rng_seed) for rng_seed in rng_seeds], dtype=np.uint64)
     keys = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64)
-    return _splitmix64(keys ^ prefixes[:, np.newaxis])
+    seeds = np.asarray(rng_seeds, dtype=np.uint64)[:, np.newaxis]
+    return _derive_seeds(_CHAIN_ORIGIN, seeds, keys)
 
 
 def _pcg64_states(seeds) -> np.ndarray:
@@ -165,12 +186,13 @@ def _seeded(states: np.ndarray) -> Iterator[np.random.Generator]:
 
 
 def _stacked_normals(states: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """(T, B, *shape) float64: ``stream(s, l).standard_normal(shape)`` per (s, l).
+    """(*states.shape[1:], *shape) float64: each stream's ``standard_normal(shape)``.
 
-    ``states`` is (4, T, B): the words of ``_pcg64_states`` on
-    ``_stream_seeds``, or a slice of them along the bases. Row (t, i) holds
-    the draw of the stream of column (t, i), byte for byte, written in place
-    through ``_seeded``.
+    ``states`` is (4, ...): the words of ``_pcg64_states``, as (4, T, B) on
+    ``_stream_seeds`` or a slice of them along the bases, or as (4, T) on a
+    slice of a chunk's channel seeds. Each row holds the draw of the stream
+    of its column of ``states``, byte for byte, written in place through
+    ``_seeded``.
     """
     z = np.empty((*states.shape[1:], *shape))
     for row, generator in zip(z.reshape(-1, *shape), _seeded(states)):

@@ -19,8 +19,9 @@ blocks of subsets of any trials. The harness makes
 one entry call per algorithm and chunk of trials; ``run_selection``,
 ``ss_us``, ``sus``, ``gzf``, ``mcore_plus`` and ``exhaustive_oracle`` make
 one on a stack of one (see ``_select_one``). A channel is checked once,
-where it enters: every public selector checks its own (see
-``_as_channel``), and so does the harness for each channel it draws.
+where it enters, by the one stacked check ``_checked_channels``: every
+public selector checks its own (see ``_as_channel``), and the harness
+checks each slice of the channels it draws.
 
 Conventions shared by every selector:
 
@@ -41,6 +42,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .channel import _POSITIVE, _UNIT_OPEN, _column_norms, _require_count, _require_real
+from .channel import _require_seed
 from .metrics import COND_LIMIT, _charge_zf, _ill_conditioned, _set_stack, _zf_snr, _zf_sum_rates
 # Not called here; the benchmark's span tracer wraps it by this name.
 from .metrics import sum_spectral_efficiency
@@ -51,7 +53,8 @@ from .numerics import (
     gram_schmidt_extend,
     subset_count,
 )
-from .seeding import _pcg64_states, _seeded, _stacked_normals, _stream_seeds, derive_seed, stream
+from .seeding import _CHAIN_ORIGIN, _derive_seeds, _pcg64_states, _seeded, _stacked_normals
+from .seeding import _stream_seeds, stream
 
 __all__ = [
     "Algorithm",
@@ -95,7 +98,8 @@ class SelectionConfig:
 
     ``num_bases`` and ``alpha`` drive ``ss_us``; ``sus_epsilon`` drives
     ``sus``; ``k_max`` caps the selected-set size for every algorithm;
-    ``rng_seed`` keys the random streams of ``ss_us`` and ``random``.
+    ``rng_seed``, an integer in [0, 2**64), keys the random streams of
+    ``ss_us`` and ``random``.
     """
 
     algorithm: Algorithm
@@ -110,6 +114,7 @@ class SelectionConfig:
         _require_count("num_bases", self.num_bases)
         _require_real("alpha", self.alpha, _UNIT_OPEN)
         _require_real("sus_epsilon", self.sus_epsilon, _UNIT_OPEN)
+        _require_seed("rng_seed", self.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -150,12 +155,34 @@ def infeasible_reason(algorithm: Algorithm, m: int, u: int, k: int) -> str | Non
     return None
 
 
+def _checked_channels(hs: np.ndarray) -> tuple[np.ndarray, list]:
+    """The (T, U) column norms of the (T, M, U) complex stack ``hs`` and,
+    per channel, None or the ``ValueError`` that rejects it.
+
+    This is the one channel check: ``_as_channel`` makes it on a stack of
+    one, and ``harness._draw_chunk`` on each slice of the channels it
+    draws. A channel fails on a non-finite entry or a column whose norm
+    overflows (see ``channel._column_norms``), or else on an all-zero
+    column or one whose norm underflows. Only a failing channel is looked
+    at on its own, to name its error. The chunk engines take the checked
+    channels and their norms and do not check again.
+    """
+    norms, errors = _column_norms(hs)
+    # A NaN norm is nonzero, so a non-finite column keeps its error.
+    if not norms.all():
+        for t in (~norms.all(axis=1)).nonzero()[0].tolist():
+            if errors[t] is None:
+                errors[t] = ValueError(
+                    "channel matrix contains an all-zero column, or one whose norm underflows"
+                )
+    return norms, errors
+
+
 def _as_channel(h) -> tuple[np.ndarray, np.ndarray]:
     """The channel ``h`` as a checked complex (M, U) array, and its column norms.
 
-    This is the one channel check: each public selector makes it once on
-    its channel, and ``harness._draw_chunk`` once on each channel it draws.
-    The chunk engines take its output and do not check again.
+    Each public selector makes this check once on its channel: the
+    ``_checked_channels`` case of a stack of one, which raises its error.
     """
     arr = np.asarray(h, dtype=np.complex128)
     if arr.ndim != 2:
@@ -163,10 +190,10 @@ def _as_channel(h) -> tuple[np.ndarray, np.ndarray]:
     m, u = arr.shape
     if m < 1 or u < 1:
         raise ValueError(f"channel matrix must be at least 1x1, got {m}x{u}")
-    norms = _column_norms(arr)
-    if not norms.all():
-        raise ValueError("channel matrix contains an all-zero column, or one whose norm underflows")
-    return arr, norms
+    norms, [error] = _checked_channels(arr[np.newaxis])
+    if error is not None:
+        raise error
+    return arr, norms[0]
 
 
 def _select_trials(algorithm, hs, norms, n0, k, rng_seeds, variants, epsilon) -> list:
@@ -1298,10 +1325,11 @@ def _random_trials(hs: np.ndarray, k: int, rng_seeds) -> list:
     """``random_select`` of K = ``k`` for every trial of a (T, M, U) stack of channels.
 
     Trial t draws from ``stream(rng_seeds[t])``, set on one generator by
-    ``seeding._seeded``. Returns one (outcome, empty ledger) pair per trial.
+    ``seeding._seeded``; the streams' seeds ``derive_seed(rng_seeds[t])``
+    are derived at once. Returns one (outcome, empty ledger) pair per trial.
     """
     u = hs.shape[2]
-    streams = _seeded(_pcg64_states([derive_seed(rng_seed) for rng_seed in rng_seeds]))
+    streams = _seeded(_pcg64_states(_derive_seeds(_CHAIN_ORIGIN, rng_seeds)))
     return [(_random_users(rng, u, k), OpLedger()) for rng in streams]
 
 

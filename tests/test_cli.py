@@ -161,9 +161,11 @@ class TestSweepCommand:
         assert main(["mc", "--config", config_path, "--p0", "-90,-95"]) == 0
         assert capsys.readouterr() == joined
         assert "m4_u8_p-95" in joined.out and joined.err == ""
-        assert main(["mc", "--config", config_path, "--seed=-3"]) == 0
+        # A negative seed is read as the value of --seed, then refused.
+        assert main(["mc", "--config", config_path, "--seed=-3"]) == 1
         seeded = capsys.readouterr()
-        assert main(["mc", "--config", config_path, "--seed", "-3"]) == 0
+        assert seeded.err == "error: master_seed must lie in [0, 2**64), got -3\n"
+        assert main(["mc", "--config", config_path, "--seed", "-3"]) == 1
         assert capsys.readouterr() == seeded
 
     def test_alpha_override_validated(self, config_path, capsys):

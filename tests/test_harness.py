@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimosel.selectors as sel
-from mimosel import harness
+from mimosel import harness, seeding
 from mimosel.harness import (
     CSV_COLUMNS,
     AlgoInstance,
@@ -229,6 +229,47 @@ def drawn(cfg, point, indices, instances=()):
     return harness._draw_chunk(cfg, point, list(instances), indices)[0]
 
 
+def spoil_draws(monkeypatch, cfg, point, spoilers):
+    """Spoil the drawn channels of the trials that ``spoilers`` maps, each
+    to a function that changes the trial's (M, U) channel in place.
+
+    ``harness._draw_chunk`` draws each slice of its trials' normals through
+    ``harness._stacked_normals`` and writes their channels through
+    ``harness._assemble``; both are patched. The draw stub knows a trial by
+    the hashed state of its channel stream, so a trial is spoiled in
+    whatever chunk and slice it is drawn, before the chunk checks it.
+    """
+    real_normals, real_assemble = harness._stacked_normals, harness._assemble
+    by_state = {}
+    for t, spoiler in spoilers.items():
+        seed = derive_seed(cfg.master_seed, point.index, t, harness._ROLE_CHANNEL)
+        by_state[seeding._pcg64_states([seed]).tobytes()] = spoiler
+    # The spoiler, or None, of each trial of the slice being drawn.
+    slice_spoilers = []
+
+    def normals(states, shape):
+        slice_spoilers[:] = [by_state.get(state.tobytes()) for state in states.reshape(4, -1).T]
+        return real_normals(states, shape)
+
+    def assemble(re, im, out=None):
+        out = real_assemble(re, im, out)
+        for h, spoiler in zip(out, slice_spoilers):
+            if spoiler is not None:
+                spoiler(h)
+        return out
+
+    monkeypatch.setattr(harness, "_stacked_normals", normals)
+    monkeypatch.setattr(harness, "_assemble", assemble)
+
+
+def make_nan(h):
+    h[0, 0] = np.nan
+
+
+def make_rank_1(h):
+    h[...] = np.outer(h[:, 0], h[0, :])
+
+
 class TestRunTrial:
     def test_single_user_all_algorithms_agree(self):
         cfg = tiny_config(u_values=(1,), algorithms=("ssus", "sus", "gzf", "random"))
@@ -295,7 +336,8 @@ class TestTrialChunks:
     cell does not; trial 5 has a non-finite channel, so all its cells fail;
     and trial 7 has a rank-1 channel, so ``random``'s four users fail the
     ``COND_LIMIT`` guard, in the same scoring call as trial 6's finite sets
-    when the two trials share a chunk.
+    when the two trials share a chunk. The channels are spoiled at the
+    chunk's draw (see ``spoil_draws``).
     """
 
     CFG = tiny_config(
@@ -311,21 +353,7 @@ class TestTrialChunks:
         script_bases(
             monkeypatch, lambda seed, l: ZeroStream() if (seed, l) == (bad_seed, 3) else None
         )
-        real_generate = harness.generate_iid_rayleigh
-        nan_channel, rank_1_channel = (
-            real_generate(4, 10, stream(cfg.master_seed, 0, t, harness._ROLE_CHANNEL))
-            for t in (5, 7)
-        )
-
-        def generate(m, u, rng):
-            h = real_generate(m, u, rng)
-            if np.array_equal(h, nan_channel):
-                h[0, 0] = np.nan
-            if np.array_equal(h, rank_1_channel):
-                h[...] = np.outer(h[:, 0], h[0, :])
-            return h
-
-        monkeypatch.setattr(harness, "generate_iid_rayleigh", generate)
+        spoil_draws(monkeypatch, cfg, grid_points(cfg)[0], {5: make_nan, 7: make_rank_1})
 
     def run_chunks(self, monkeypatch, size):
         monkeypatch.setattr(harness, "_trials_per_chunk", lambda point: size)
@@ -421,9 +449,7 @@ class TestTrialChunks:
             3: {long}, 5: set(instances), 7: {random}
         }
         assert (short.num_bases, long.num_bases) == (2, 5)
-        rank_1 = harness.generate_iid_rayleigh(
-            4, 10, stream(self.CFG.master_seed, 0, 7, harness._ROLE_CHANNEL)
-        )
+        [rank_1] = drawn(self.CFG, point, [7])
         with pytest.raises(SingularSetError) as singular:
             sum_spectral_efficiency(rank_1[:, :4], point.n0, OpLedger())
         assert want[7][1][random].error == str(singular.value)
@@ -514,7 +540,7 @@ class TestTrialChunks:
 
 
 def spoil(h, kind):
-    """Make ``h`` a channel that ``_as_channel`` rejects, in the way ``kind`` names."""
+    """Make ``h`` a channel that the channel check rejects, in the way ``kind`` names."""
     if kind == "nan":
         h[1, 3] = complex(np.nan, 0.0)
     elif kind == "inf":
@@ -531,16 +557,17 @@ class TestChannelCheck:
 
     @staticmethod
     def count_checks(monkeypatch):
-        """The calls of ``_as_channel`` from now on, one entry each."""
+        """The channel counts of the calls of ``_checked_channels`` from now
+        on, one entry each; a lone call's ``_as_channel`` makes one of one."""
         calls = []
-        real = sel._as_channel
+        real = sel._checked_channels
 
-        def counting(h):
-            calls.append(None)
-            return real(h)
+        def counting(hs):
+            calls.append(len(hs))
+            return real(hs)
 
-        monkeypatch.setattr(sel, "_as_channel", counting)
-        monkeypatch.setattr(harness, "_as_channel", counting)
+        monkeypatch.setattr(sel, "_checked_channels", counting)
+        monkeypatch.setattr(harness, "_checked_channels", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -555,12 +582,14 @@ class TestChannelCheck:
     )
     def test_each_drawn_channel_is_checked_once(self, monkeypatch, algorithms, per_trial):
         # The benchmark's oracle_small grid: M = 4, U = 10, K_max = 4, L = 10.
+        # Its 50 trials are one chunk and one slice, checked in one call.
         cfg = tiny_config(
             algorithms=algorithms, ssus_num_bases=(10,), k_max=4, trials=50, master_seed=1234
         )
         calls = self.count_checks(monkeypatch)
         run_monte_carlo(cfg)
-        assert len(calls) == per_trial * cfg.trials
+        assert sum(calls) == per_trial * cfg.trials
+        assert calls == [cfg.trials]
 
     @pytest.mark.parametrize(
         "call",
@@ -578,7 +607,7 @@ class TestChannelCheck:
         h = harness.generate_iid_rayleigh(4, 10, stream(5700))
         calls = self.count_checks(monkeypatch)
         call(h)
-        assert len(calls) == 1
+        assert calls == [1]
 
     @pytest.mark.parametrize(
         "kind, message",
@@ -599,16 +628,7 @@ class TestChannelCheck:
         point = grid_points(cfg)[0]
         instances = algo_instances(cfg)
         want = [TestTrialChunks.key(run_trial(cfg, point, instances, t)) for t in range(5)]
-        real_generate = harness.generate_iid_rayleigh
-        bad = real_generate(4, 10, stream(cfg.master_seed, 0, 2, harness._ROLE_CHANNEL))
-
-        def generate(m, u, rng):
-            h = real_generate(m, u, rng)
-            if np.array_equal(h, bad):
-                spoil(h, kind)
-            return h
-
-        monkeypatch.setattr(harness, "generate_iid_rayleigh", generate)
+        spoil_draws(monkeypatch, cfg, point, {2: lambda h: spoil(h, kind)})
         for size in (1, 3, 5):
             monkeypatch.setattr(harness, "_trials_per_chunk", lambda point: size)
             reports = harness._trial_chunk((cfg, point, instances, list(range(5))))
@@ -620,6 +640,30 @@ class TestChannelCheck:
                 assert cell.error == message
                 assert cell.selected == () and math.isnan(cell.se)
                 assert (cell.macs, cell.divisions, cell.comparisons) == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "overflow", "underflow"])
+    def test_stacked_check_equals_the_lone_check(self, kind):
+        # One slice of drawn channels at M = 4, U = 10, with its first, a
+        # middle or its last channel spoiled: the stacked check names that
+        # channel's error as _as_channel does, and gives every other channel
+        # the norms of _as_channel, byte for byte.
+        cfg = tiny_config()
+        [point] = grid_points(cfg)
+        per_slice = sel._BLOCK_BUDGET // 8 // (2 * point.m * point.u)
+        clean = drawn(cfg, point, list(range(per_slice)))
+        for bad in (0, per_slice // 2, per_slice - 1):
+            hs = clean.copy()
+            spoil(hs[bad], kind)
+            norms, errors = sel._checked_channels(hs)
+            assert norms.shape == (per_slice, point.u)
+            for t, (h, error) in enumerate(zip(hs, errors)):
+                if t == bad:
+                    with pytest.raises(ValueError) as lone:
+                        sel._as_channel(h)
+                    assert isinstance(error, ValueError) and str(error) == str(lone.value)
+                else:
+                    assert error is None
+                    assert norms[t].tobytes() == sel._as_channel(h)[1].tobytes()
 
     def test_sus_fails_only_the_trial_with_a_bad_channel(self, monkeypatch):
         # As for ``gzf``: the NaN trial fails at the chunk draw, ``_sus_trials``
@@ -668,6 +712,56 @@ class TestChunkSeeding:
                     for t in indices
                 ])
                 assert hs.tobytes() == want.tobytes(), (master_seed, point.index)
+
+    @pytest.mark.parametrize("m, u", [(1, 1), (4, 10), (16, 100), (8, 1000)])
+    def test_sliced_draw_equals_generate_iid_rayleigh(self, m, u):
+        # A chunk draws its channels a slice of trials at a time: chunks of
+        # one trial, of three, of one more than a slice and of the most that
+        # a chunk holds all draw each trial's lone channel, byte for byte.
+        cfg = tiny_config(m_values=(m,), u_values=(u,), master_seed=2**64 - 1)
+        [point] = grid_points(cfg)
+        per_slice = max(1, sel._BLOCK_BUDGET // 8 // (2 * m * u))
+        full = harness._trials_per_chunk(point)
+        assert per_slice < full
+        lone = {}
+        for size in sorted({1, 3, per_slice + 1, full}):
+            indices = list(range(100, 100 + size))
+            for t in indices:
+                if t not in lone:
+                    h = harness.generate_iid_rayleigh(
+                        m, u, stream(cfg.master_seed, point.index, t, harness._ROLE_CHANNEL)
+                    )
+                    lone[t] = h.tobytes()
+            hs = drawn(cfg, point, indices)
+            assert b"".join(lone[t] for t in indices) == hs.tobytes(), size
+
+    def test_an_all_zero_column_is_redrawn_from_the_trials_own_stream(self, monkeypatch):
+        # Trial 1's draw scripted to zero its column 3 (a draw of probability
+        # zero): generate_iid_rayleigh redraws the trial on a fresh stream of
+        # its seed, which replays its lone draw, and no other trial is
+        # redrawn.
+        cfg = tiny_config(trials=4)
+        [point] = grid_points(cfg)
+        real_normals, real_generate = harness._stacked_normals, harness.generate_iid_rayleigh
+        redraws = []
+
+        def normals(states, shape):
+            z = real_normals(states, shape)
+            z[1, :, :, 3] = 0.0
+            return z
+
+        def generate(m, u, rng):
+            redraws.append(rng.bit_generator.state)
+            return real_generate(m, u, rng)
+
+        monkeypatch.setattr(harness, "_stacked_normals", normals)
+        monkeypatch.setattr(harness, "generate_iid_rayleigh", generate)
+        hs, chunk = harness._draw_chunk(cfg, point, algo_instances(cfg), list(range(4)))
+        seed = derive_seed(cfg.master_seed, point.index, 1, harness._ROLE_CHANNEL)
+        assert redraws == [np.random.default_rng(seed).bit_generator.state]
+        monkeypatch.undo()
+        assert hs.tobytes() == drawn(cfg, point, list(range(4))).tobytes()
+        assert all(not isinstance(o, Exception) for cells in chunk for o, _, _ in cells.values())
 
     def test_random_picks_equal_the_lone_streams(self):
         for master_seed in self.SEEDS:

@@ -125,6 +125,21 @@ class TestSeeding:
         b = stream(42, 7).standard_normal(5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("master_seed", [0, 1, 1234, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_arrays_equal_derive_seed(self, master_seed):
+        # A chunk's seeds, as ``harness._draw_chunk`` derives them: every
+        # role of every trial from the scalar prefix of (master seed, point),
+        # and the stream prefixes derive_seed(s) of each seed s.
+        trials = np.r_[0:1000, 1000:10**6:997, 10**6 - 1, 10**6]
+        roles = np.array([[0], [1], [2]])
+        prefix = derive_seed(master_seed, 3)
+        seeds = seeding._derive_seeds(prefix, trials, roles)
+        assert seeds.dtype == np.uint64 and seeds.shape == (3, trials.size)
+        want = [[derive_seed(master_seed, 3, t, r) for t in trials.tolist()] for r in range(3)]
+        assert seeds.tolist() == want
+        prefixes = seeding._derive_seeds(seeding._CHAIN_ORIGIN, seeds)
+        assert prefixes.tolist() == [[derive_seed(s) for s in row] for row in want]
+
 
 # The seeds of 0, 1 and 2 words (SeedSequence splits a seed into uint32
 # words) and the edges between them.

@@ -5,6 +5,7 @@ everywhere else, so these tests spell out, as literal strings, what the
 derivations must reproduce byte for byte.
 """
 
+import dataclasses
 import json
 import math
 
@@ -128,12 +129,62 @@ class TestRuleMessages:
             (["cost", "--m", "4,0"], "error: argument --m: value must be >= 1, got 0\n"),
             (["oracle-check", "--alpha", "1"],
              "error: argument --alpha: value must lie in (0, 1), got 1.0\n"),
+            (["oracle-check", "--seed", "-1"],
+             "error: argument --seed: value must lie in [0, 2**64), got -1\n"),
+            (["oracle-check", "--seed", str(2**64)],
+             f"error: argument --seed: value must lie in [0, 2**64), got {2**64}\n"),
         ],
     )
     def test_cli_flags(self, capsys, argv, message):
         with pytest.raises(SystemExit):
             main(argv)
         assert capsys.readouterr().err == message
+
+    # A seed is an integer that a uint64 holds; at the edges of that range
+    # a seed used to wrap (2**64 ran as 0, -1 as 2**64 - 1), and a float
+    # rng_seed ran as its integer part.
+    BAD_SEEDS = [
+        (2**64, f"must lie in [0, 2**64), got {2**64}"),
+        (-1, "must lie in [0, 2**64), got -1"),
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+        ("7", "must be an integer, got '7'"),
+    ]
+
+    @pytest.mark.parametrize("seed, phrase", BAD_SEEDS)
+    def test_master_seed(self, seed, phrase):
+        raises(lambda: ExperimentConfig(master_seed=seed), f"master_seed {phrase}")
+        raises(lambda: harness.oracle_check(trials=1, master_seed=seed), f"master_seed {phrase}")
+
+    @pytest.mark.parametrize("seed, phrase", BAD_SEEDS)
+    def test_rng_seed(self, seed, phrase):
+        raises(lambda: SelectionConfig(Algorithm.SSUS, 2, rng_seed=seed), f"rng_seed {phrase}")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)])
+    def test_seeds_at_the_edges_are_accepted(self, seed):
+        assert ExperimentConfig(master_seed=seed).master_seed == seed
+        cfg = SelectionConfig(Algorithm.SSUS, 2, num_bases=2, rng_seed=seed)
+        ledger, want = OpLedger(), OpLedger()
+        as_int = dataclasses.replace(cfg, rng_seed=int(seed))
+        assert ss_us(H, cfg, 0.25, ledger) == ss_us(H, as_int, 0.25, want)
+        assert ledger == want
+
+    @pytest.mark.parametrize(
+        "line, flag, value",
+        [
+            ("master_seed = 18446744073709551616", [], 2**64),
+            ("master_seed = -1", [], -1),
+            ("master_seed = 5", ["--seed", "-1"], -1),
+            ("master_seed = 5", ["--seed", str(2**64)], 2**64),
+        ],
+    )
+    def test_mc_seed_is_one_error_line(self, capsys, tmp_path, line, flag, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"trials = 1\ngrid.m = [2]\ngrid.u = [3]\n{line}\n", encoding="utf-8")
+        assert main(["mc", "--config", str(path), *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: master_seed must lie in [0, 2**64), got {value}\n"
 
     @pytest.mark.parametrize(
         "kw, message",

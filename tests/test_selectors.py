@@ -26,8 +26,8 @@ from mimosel.selectors import (
 
 def checked(hs):
     """A stack of channels as the chunk engines take it: each channel checked
-    by ``_as_channel``, as the harness checks each channel it draws, and
-    the (T, U) column norms."""
+    by ``_as_channel``, the check that the harness makes on each slice of
+    the channels it draws, and the (T, U) column norms."""
     pairs = [selectors._as_channel(h) for h in hs]
     return np.stack([h for h, _ in pairs]), np.stack([norms for _, norms in pairs])
 

@@ -124,7 +124,9 @@ def zf_sum_rate_batch(h, sets, n0, ledger):
     ``ValueError`` that ``sum_spectral_efficiency`` raises for it.
     """
     h = np.asarray(h, dtype=np.complex128)
-    _column_norms(h)
+    [error] = _column_norms(h[np.newaxis])[1]
+    if error is not None:
+        raise error
     sets = np.asarray(sets, dtype=np.intp)
     if sets.ndim != 2:
         raise ValueError(f"candidate sets must be a 2-D index array, got shape {sets.shape}")
@@ -862,19 +864,25 @@ def test_gzf_trials_settle_ties_and_stops_beside_ordinary_trials(build):
 
 def drawn_beside_a_bad_channel(monkeypatch, algorithm, engine):
     """Each trial's (outcome, ledger) from ``harness._draw_chunk`` for
-    ``algorithm`` alone on five scripted channels at M = 4, U = 10,
-    K_max = 4, P0 = -90 dBm, whose trial 2 has a NaN entry; with the stack,
-    n0, and the trial count of each call of the chunk engine ``engine``,
-    which the harness reaches through ``selectors._select_trials``."""
-    hs = complex_normal(np.random.default_rng(9600), (5, 4, 10))
-    hs[2, 1, 3] = np.nan
+    ``algorithm`` alone on five channels drawn from scripted normals at
+    M = 4, U = 10, K_max = 4, P0 = -90 dBm, whose trial 2 has a NaN entry;
+    with the drawn stack, n0, and the trial count of each call of the chunk
+    engine ``engine``, which the harness reaches through
+    ``selectors._select_trials``. The chunk draws each slice of its
+    channels' normals through ``harness._stacked_normals``, which is
+    patched to hand out the scripted ones in trial order."""
+    draws = np.random.default_rng(9600).standard_normal((5, 2, 4, 10))
+    draws[2, 0, 1, 3] = np.nan
     cfg = ExperimentConfig(
         m_values=(4,), u_values=(10,), p0_dbm_values=(-90.0,), algorithms=(algorithm,), k_max=4
     )
     point = grid_points(cfg)[0]
     [inst] = algo_instances(cfg)
-    drawn = iter(hs)
-    monkeypatch.setattr(harness, "generate_iid_rayleigh", lambda m, u, rng: next(drawn).copy())
+    rows = iter(draws)
+    monkeypatch.setattr(
+        harness, "_stacked_normals",
+        lambda states, shape: np.stack([next(rows) for _ in range(states.shape[1])]),
+    )
     seen = []
     real = getattr(selectors, engine)
 
@@ -883,7 +891,8 @@ def drawn_beside_a_bad_channel(monkeypatch, algorithm, engine):
         return real(stack, *args)
 
     monkeypatch.setattr(selectors, engine, spy)
-    _, chunk = harness._draw_chunk(cfg, point, [inst], list(range(5)))
+    hs, chunk = harness._draw_chunk(cfg, point, [inst], list(range(5)))
+    assert np.isnan(hs[2, 1, 3]) and np.isfinite(np.delete(hs, 2, axis=0)).all()
     return hs, point.n0, [cell[inst][:2] for cell in chunk], seen
 
 
